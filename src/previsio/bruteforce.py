@@ -1,17 +1,20 @@
-"""Brute-force cross-checks, independent of the simplex path.
+"""Brute-force cross-checks of the checkers' support shrinking.
 
-The searches here enumerate stake vectors on a rational grid and
-evaluate gains directly.  They can only *find* violations, never prove
-their absence, so agreement with a checker means: neither finds a
-violation, or both do.
+Two oracles.  The grid searches enumerate stake vectors on a rational
+grid and evaluate gains directly, independent of the simplex; they can
+only *find* violations, never prove their absence, so agreement with a
+checker means: neither finds a violation, or both do.  The enumeration
+oracle solves the checkers' violation program on every union of
+conditioning events, exponentially many, and so decides each notion
+without shrinking.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .checkers import expanded_elements
+from .checkers import _Search, expanded_elements
 from .gains import AGAINST, FOR, Bet
 from .model import Assessment, ConditionalVariable
 
@@ -56,6 +59,35 @@ def _against_combos(notion: str, n: int) -> list[tuple[int, ...]]:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         return [()] + singles + pairs
     return [()] + singles
+
+
+def _support_unions(member_sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
+    unions: set[frozenset[int]] = {frozenset()}
+    for members in member_sets:
+        unions |= {u | members for u in unions}
+    return sorted(unions, key=lambda u: (len(u), sorted(u)))
+
+
+def find_violation_enumeration(assessment: Assessment, notion: str) -> Bet | None:
+    """Solve the violation program for every against-combination on
+    every union of conditioning events, letting each entry inside the
+    union carry stake.  Returns the first violating bet, or None when
+    the notion holds."""
+    if notion not in GRID_NOTIONS:
+        raise ValueError(f"no enumeration oracle for notion {notion!r}")
+    search = _Search(expanded_elements(assessment), convex=notion == "convex")
+    member_sets = [el.cv.cond.members for el in search.elements]
+    unions = _support_unions(member_sets)
+    for combo in _against_combos(notion, len(member_sets)):
+        combo_region = frozenset().union(*(member_sets[k] for k in combo))
+        for union in unions:
+            if not union and (search.convex or not combo):
+                continue
+            carriers = [i for i, m in enumerate(member_sets) if m <= union]
+            witness, _ = search.violation(carriers, combo, union | combo_region)
+            if witness is not None:
+                return witness
+    return None
 
 
 def find_violation_grid(

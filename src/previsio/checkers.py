@@ -9,11 +9,14 @@ condition sup(G|B) < 0 into a decidable one: maximise eps subject to
 G <= -eps on the relevant atoms; there is a violation iff eps > 0.
 
 The conditioning event of a bet is the union of the conditioning events
-of its terms, so the search enumerates candidate support unions.  For a
+of its terms, so the search must find the right support union.  For a
 fixed union U it suffices to allow *every* entry whose conditioning
 event lies inside U to carry stake: a solution with eps > 0 cannot be
 faked by zero stakes, because any atom of U outside the true support
-would have gain 0 >= -eps.
+would have gain 0 >= -eps.  The search starts from the union of all
+entries and shrinks it with the dual of each program that shows no
+violation (`_Search.run`); `bruteforce` keeps the exhaustive
+enumeration of unions as a test oracle.
 
 Assessed upper previsions enter through conjugacy: an upper value u for
 X|B is the lower value -u for -X|B, and precise entries contribute both
@@ -23,12 +26,10 @@ one-sided expansion.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import gains
 from .errors import (
@@ -130,21 +131,6 @@ def expanded_elements(assessment: Assessment) -> tuple[_Element, ...]:
     return tuple(out)
 
 
-def _support_unions(member_sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    unions: set[frozenset[int]] = {frozenset()}
-    for members in member_sets:
-        unions |= {u | members for u in unions}
-    return sorted(unions, key=lambda u: (len(u), sorted(u)))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PREVISIO_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 @dataclass
 class _Search:
     elements: tuple[_Element, ...]
@@ -157,18 +143,27 @@ class _Search:
     def __post_init__(self) -> None:
         self.coeffs = tuple(el.coefficients() for el in self.elements)
 
-    def _solve(
+    def violation(
         self,
         carriers: Sequence[int],
-        combo: Sequence[int],
+        combo: tuple[int, ...],
         region: frozenset[int],
-    ) -> tuple[Fraction | None, dict[int, Fraction], dict[int, Fraction], int]:
-        """Maximise eps with G <= -eps on `region` under normalised stakes."""
+    ) -> tuple[Bet | None, frozenset[int]]:
+        """Maximise eps with G <= -eps on `region` under normalised stakes.
+
+        Returns the violating bet when eps > 0.  Otherwise the program's
+        dual is a vector p on the region atoms under which no stake mix
+        expects a gain below zero: its optimal multipliers when eps = 0,
+        its Farkas multipliers when no mix reaches eps >= 0.  The region
+        rows come first, so p is the head of either.  p is checked
+        exactly and the atoms it charges are returned.
+        """
+        atoms = sorted(region)
         n_for = len(carriers)
         n_against = 0 if self.convex else len(combo)
         n = n_for + n_against + 1  # + eps
         rows = []
-        for atom in sorted(region):
+        for atom in atoms:
             coeffs = [self.coeffs[i].get(atom, _ZERO) for i in carriers]
             if self.convex:
                 fixed = sum(
@@ -184,22 +179,47 @@ class _Search:
         rows.append(constraint(norm, "=", 1))
         objective = tuple([_ZERO] * (n - 1) + [_ONE])
         outcome = solve(LinearProgram(objective=objective, constraints=tuple(rows)))
-        pivots = outcome.pivots
-        if isinstance(outcome, Infeasible):
-            return None, {}, {}, pivots
-        if not isinstance(outcome, Optimal):
-            raise AssertionError("stake simplex cannot be unbounded")
-        stakes = {i: outcome.point[pos] for pos, i in enumerate(carriers)}
-        against = (
-            {k: _ONE for k in combo}
-            if self.convex
-            else {k: outcome.point[n_for + pos] for pos, k in enumerate(combo)}
-        )
-        return outcome.value, stakes, against, pivots
-
-    def _count(self, pivots: int) -> None:
         self.lp_count += 1
-        self.max_pivots = max(self.max_pivots, pivots)
+        self.max_pivots = max(self.max_pivots, outcome.pivots)
+        if isinstance(outcome, Infeasible):
+            self.records.append(ProbeRecord(combo, len(region), None))
+            p = outcome.certificate.multipliers[: len(atoms)]
+        elif isinstance(outcome, Optimal):
+            self.records.append(ProbeRecord(combo, len(region), outcome.value))
+            if outcome.value > 0:
+                stakes = {i: outcome.point[pos] for pos, i in enumerate(carriers)}
+                against = (
+                    {k: _ONE for k in combo}
+                    if self.convex
+                    else {k: outcome.point[n_for + pos] for pos, k in enumerate(combo)}
+                )
+                return self._witness(stakes, against), frozenset()
+            p = outcome.duals[: len(atoms)]
+        else:
+            raise AssertionError("stake simplex cannot be unbounded")
+        if not self._dominates(dict(zip(atoms, p)), carriers, combo):
+            raise AssertionError("internal error: dual vector does not dominate")
+        return None, frozenset(a for a, w in zip(atoms, p) if w > 0)
+
+    def _dominates(
+        self, p: dict[int, Fraction], carriers: Sequence[int], combo: Sequence[int]
+    ) -> bool:
+        """p >= 0, p != 0, and no stake mix expects a negative gain under
+        p: with free against-stakes p.g_i >= 0 for every for direction
+        and p.g_k <= 0 for every against-term; with the unit
+        against-stake of convexity min_i p.g_i >= p.g_k."""
+        if any(w < 0 for w in p.values()) or not any(p.values()):
+            return False
+
+        def expect(i: int) -> Fraction:
+            return sum((w * self.coeffs[i].get(a, _ZERO) for a, w in p.items()), _ZERO)
+
+        if self.convex:
+            fixed = sum((expect(k) for k in combo), _ZERO)
+            return all(expect(i) >= fixed for i in carriers)
+        return all(expect(i) >= 0 for i in carriers) and all(
+            expect(k) <= 0 for k in combo
+        )
 
     def _witness(
         self, stakes: dict[int, Fraction], against: dict[int, Fraction]
@@ -212,135 +232,42 @@ class _Search:
         ]
         return Bet(tuple(terms))
 
-    def probes(
-        self, combos: Sequence[tuple[int, ...]]
-    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], frozenset[int]]]:
-        member_sets = [el.cv.cond.members for el in self.elements]
-        unions = _support_unions(member_sets)
-        for combo in combos:
-            combo_region = frozenset().union(
-                *(member_sets[k] for k in combo)
-            ) if combo else frozenset()
-            for union in unions:
-                if not union and (self.convex or not combo):
-                    continue
-                carriers = tuple(
-                    i for i, m in enumerate(member_sets) if m <= union
-                ) if union else ()
-                yield combo, carriers, union | combo_region
-
     def run(self, combos: Sequence[tuple[int, ...]]) -> Bet | None:
-        probe_list = list(self.probes(combos))
-        threads = _thread_count()
+        """Iterative support shrinking, the direct algorithm of Walley,
+        Pelessoni & Vicig (J. Stat. Plan. Inference 126, 2004).
 
-        def attempt(probe):
-            combo, carriers, region = probe
-            return probe, self._solve(carriers, combo, region)
-
-        if threads > 1:
-            # workers touch no shared state; accounting happens below,
-            # in submission order, so reports are schedule-independent
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results: Iterable = list(pool.map(attempt, probe_list))
-        else:
-            results = map(attempt, probe_list)
-        for (combo, carriers, region), (eps, stakes, against, pivots) in results:
-            self._count(pivots)
-            self.records.append(ProbeRecord(combo, len(region), eps))
-            if eps is not None and eps > 0:
-                return self._witness(stakes, against)
-        return None
-
-    def run_fast(self, combos: Sequence[tuple[int, ...]]) -> Bet | None:
-        """Iterative support shrinking.
-
-        When the full-support program shows no violation, a dominating
-        probability vector p on the constrained atoms exists with
-        p.g_i >= 0 for every usable direction.  Any violating sub-bet
+        When the program over every active entry shows no violation, its
+        dual p dominates them (see `violation`).  Any violating sub-bet
         has gain <= 0 on the whole region and < 0 on its own support,
-        so its support cannot meet the support of p; entries touching
-        it can be discarded and the search recurses.
+        so under p its expected gain would be negative unless its
+        support misses the atoms p charges; entries touching those
+        atoms are discarded and the search repeats, one program per
+        step.  If p charges an against-term's event, no bet staking that
+        term can win and the combination is done.
         """
         member_sets = [el.cv.cond.members for el in self.elements]
         for combo in combos:
-            combo_region = frozenset().union(
-                *(member_sets[k] for k in combo)
-            ) if combo else frozenset()
+            combo_region = frozenset().union(*(member_sets[k] for k in combo))
             active = list(range(len(self.elements)))
-            while True:
-                union = frozenset().union(
-                    *(member_sets[i] for i in active)
-                ) if active else frozenset()
-                if not union and (self.convex or not combo):
-                    break
-                region = union | combo_region
-                eps, stakes, against, pivots = self._solve(active, combo, region)
-                self._count(pivots)
-                self.records.append(ProbeRecord(combo, len(region), eps))
-                if eps is not None and eps > 0:
-                    return self._witness(stakes, against)
-                zone = self._dominating_support(active, combo, region)
-                if combo and combo_region & zone:
+            while active:
+                union = frozenset().union(*(member_sets[i] for i in active))
+                witness, zone = self.violation(active, combo, union | combo_region)
+                if witness is not None:
+                    return witness
+                if combo_region & zone:
                     break
                 kept = [i for i in active if not (member_sets[i] & zone)]
                 if len(kept) == len(active):
-                    raise AssertionError(
-                        "support shrinking made no progress"
-                    )
-                if not kept:
-                    if combo and not self.convex:
-                        eps, stakes, against, pivots = self._solve(
-                            (), combo, combo_region
-                        )
-                        self._count(pivots)
-                        self.records.append(
-                            ProbeRecord(combo, len(combo_region), eps)
-                        )
-                        if eps is not None and eps > 0:
-                            return self._witness(stakes, against)
-                    break
+                    raise AssertionError("support shrinking made no progress")
                 active = kept
+            else:
+                # every entry was discarded; the against-terms may still
+                # lose uniformly on their own
+                if combo and not self.convex:
+                    witness, _ = self.violation((), combo, combo_region)
+                    if witness is not None:
+                        return witness
         return None
-
-    def _dominating_support(
-        self,
-        active: Sequence[int],
-        combo: Sequence[int],
-        region: frozenset[int],
-    ) -> frozenset[int]:
-        """Atoms carried by a probability vector p under which no stake
-        mix can expect a gain below zero.
-
-        With free against-stakes this means p.g_i >= 0 for every for
-        direction and p.g_k <= 0 for every against-term; with the unit
-        against-stake of convexity the weaker min_i p.g_i >= p.g_k
-        suffices.  Such a p exists whenever the violation program found
-        no positive margin; any one will do.
-        """
-        atoms = sorted(region)
-        n = len(atoms)
-        extra = 1 if self.convex else 0  # the t column of the convex variant
-
-        def padded(coeffs: list[Fraction], t_coeff: Fraction = _ZERO) -> list[Fraction]:
-            return coeffs + ([t_coeff] if extra else [])
-
-        rows = [constraint(padded([_ONE] * n), "=", 1)]
-        for i in active:
-            coeffs = [self.coeffs[i].get(a, _ZERO) for a in atoms]
-            rows.append(constraint(padded(coeffs, _ONE), ">=", 0))
-        for k in combo:
-            coeffs = [self.coeffs[k].get(a, _ZERO) for a in atoms]
-            rows.append(constraint(padded(coeffs, _ONE), "<=", 0))
-        objective = tuple([_ZERO] * (n + extra))
-        bounds = tuple([(_ZERO, None)] * n + [(None, None)] * extra)
-        outcome = solve(
-            LinearProgram(objective=objective, constraints=tuple(rows), bounds=bounds)
-        )
-        self.lp_count += 1
-        self.max_pivots = max(self.max_pivots, outcome.pivots)
-        if not isinstance(outcome, Optimal):
-            raise AssertionError("dominating vector must exist when eps <= 0")
-        return frozenset(a for a, p in zip(atoms, outcome.point[:n]) if p > 0)
 
 
 def _verify_witness(bet: Bet, assessment: Assessment) -> None:
@@ -355,14 +282,12 @@ def _generic_check(
     combos_of: Callable[[int], Sequence[tuple[int, ...]]],
     *,
     convex: bool = False,
-    fast: bool = False,
 ) -> Verdict:
     if not assessment.entries:
         raise EmptyAssessment(f"{notion} needs a nonempty assessment")
     elements = expanded_elements(assessment)
     search = _Search(elements, convex=convex)
-    combos = combos_of(len(elements))
-    witness = search.run_fast(combos) if fast else search.run(combos)
+    witness = search.run(combos_of(len(elements)))
     if witness is not None:
         _verify_witness(witness, assessment)
         return Verdict(
@@ -406,50 +331,44 @@ def _require_precise(assessment: Assessment, notion: str) -> None:
             raise NotPrecise(f"{notion} needs lower = upper on every entry")
 
 
-def check_w_coherence(assessment: Assessment, *, fast: bool = False) -> Verdict:
+def check_w_coherence(assessment: Assessment) -> Verdict:
     """Coherence for conditional lower previsions: any number of terms
     in favour, at most one against, gain conditioned on the union of
     the conditioning events."""
-    return _generic_check(assessment, "w-coherence", _single_against, fast=fast)
+    return _generic_check(assessment, "w-coherence", _single_against)
 
 
-def check_aul(assessment: Assessment, *, fast: bool = False) -> Verdict:
+def check_aul(assessment: Assessment) -> Verdict:
     """Avoiding uniform loss: as coherence but with no against-term."""
-    return _generic_check(assessment, "aul", _no_against, fast=fast)
+    return _generic_check(assessment, "aul", _no_against)
 
 
-def check_coherence_unconditional(assessment: Assessment, *, fast: bool = False) -> Verdict:
+def check_coherence_unconditional(assessment: Assessment) -> Verdict:
     _require_unconditional(assessment, "coherence-unconditional")
-    return _generic_check(
-        assessment, "coherence-unconditional", _single_against, fast=fast
-    )
+    return _generic_check(assessment, "coherence-unconditional", _single_against)
 
 
-def check_df_precise_conditional(assessment: Assessment, *, fast: bool = False) -> Verdict:
+def check_df_precise_conditional(assessment: Assessment) -> Verdict:
     """de Finetti coherence of a precise conditional prevision: betting
     for and against without limits.  Through conjugacy every entry
     already carries both directions, so no against-term is needed."""
     _require_precise(assessment, "df-precise-conditional")
-    return _generic_check(
-        assessment, "df-precise-conditional", _no_against, fast=fast
-    )
+    return _generic_check(assessment, "df-precise-conditional", _no_against)
 
 
-def check_df_precise_unconditional(assessment: Assessment, *, fast: bool = False) -> Verdict:
+def check_df_precise_unconditional(assessment: Assessment) -> Verdict:
     _require_precise(assessment, "df-precise-unconditional")
     _require_unconditional(assessment, "df-precise-unconditional")
-    return _generic_check(
-        assessment, "df-precise-unconditional", _no_against, fast=fast
-    )
+    return _generic_check(assessment, "df-precise-unconditional", _no_against)
 
 
-def check_bi_coherence(assessment: Assessment, *, fast: bool = False) -> Verdict:
+def check_bi_coherence(assessment: Assessment) -> Verdict:
     """Coherence with at most two against-terms (unconditional)."""
     _require_unconditional(assessment, "bi-coherence")
-    return _generic_check(assessment, "bi-coherence", _double_against, fast=fast)
+    return _generic_check(assessment, "bi-coherence", _double_against)
 
 
-def check_convex(assessment: Assessment, *, fast: bool = False) -> Verdict:
+def check_convex(assessment: Assessment) -> Verdict:
     """Convexity: exactly one against-term with unit stake, for-stakes
     summing to one."""
     return _generic_check(
@@ -457,11 +376,10 @@ def check_convex(assessment: Assessment, *, fast: bool = False) -> Verdict:
         "convex",
         lambda n: [(i,) for i in range(n)],
         convex=True,
-        fast=fast,
     )
 
 
-def check_centered_convex(assessment: Assessment, *, fast: bool = False) -> Verdict:
+def check_centered_convex(assessment: Assessment) -> Verdict:
     """Convexity plus 0|B assessed at exactly 0 for every conditioning
     event appearing in the domain."""
     if not assessment.entries:
@@ -484,7 +402,7 @@ def check_centered_convex(assessment: Assessment, *, fast: bool = False) -> Verd
             passed=False,
             structural_failure="; ".join(bad_values),
         )
-    inner = check_convex(assessment, fast=fast)
+    inner = check_convex(assessment)
     return Verdict(
         "centered-convex",
         passed=inner.passed,
@@ -537,7 +455,7 @@ def merged_family(family: Sequence[tuple[Event, Assessment]]) -> Assessment:
 
 
 def check_separate_coherence(
-    family: Sequence[tuple[Event, Assessment]], *, fast: bool = False
+    family: Sequence[tuple[Event, Assessment]],
 ) -> Verdict:
     """Per-cell coherence: the cell's own indicator is priced 1, and the
     remaining values form a coherent unconditional lower prevision on
@@ -573,7 +491,7 @@ def check_separate_coherence(
                 max_pivots=max_pivots,
             )
         inner = check_coherence_unconditional(
-            subspace_reading(cell, assessment.entries), fast=fast
+            subspace_reading(cell, assessment.entries)
         )
         lp_count += inner.lp_count
         max_pivots = max(max_pivots, inner.max_pivots)
@@ -685,8 +603,6 @@ class PartitionFamily:
 def check_walley_asl(
     k: Assessment | None,
     family: PartitionFamily,
-    *,
-    fast: bool = False,
 ) -> Verdict:
     """Avoiding sure loss in Walley's conglomerative sense.
 
@@ -704,7 +620,7 @@ def check_walley_asl(
             raise ConditionalEntriesUnsupported(
                 "the unconditional part contains conditional entries"
             )
-        pre_a = check_coherence_unconditional(k, fast=fast)
+        pre_a = check_coherence_unconditional(k)
         lp_count += pre_a.lp_count
         max_pivots = max(max_pivots, pre_a.max_pivots)
         if not pre_a.passed:
@@ -717,7 +633,7 @@ def check_walley_asl(
                 max_pivots=max_pivots,
             )
     per_cell = family.per_cell_entries()
-    pre_b = check_separate_coherence(per_cell, fast=fast)
+    pre_b = check_separate_coherence(per_cell)
     lp_count += pre_b.lp_count
     max_pivots = max(max_pivots, pre_b.max_pivots)
     if not pre_b.passed:

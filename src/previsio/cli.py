@@ -161,15 +161,15 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
         return (0 if report.conglomerable else 1), results
 
     if args.notion == "separate":
-        verdict = check_separate_coherence(_family_of(problem), fast=args.fast)
+        verdict = check_separate_coherence(_family_of(problem))
         reference = problem.assessment
     elif args.notion == "walley-asl":
         k, family = _partition_family_of(problem)
-        verdict = check_walley_asl(k if len(k) else None, family, fast=args.fast)
+        verdict = check_walley_asl(k if len(k) else None, family)
         reference = family.merged_assessment(k if len(k) else None)
     else:
         checker = CHECKERS[args.notion]
-        verdict = checker(problem.assessment, fast=args.fast)
+        verdict = checker(problem.assessment)
         reference = problem.assessment
     results["verdict"] = verdict_to_json(verdict, problem, reference)
     return (0 if verdict.passed else 1), results
@@ -231,7 +231,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
     if notion is None:
         raise SchemaError(f"no brute-force oracle for notion {args.notion!r}")
     checker = CHECKERS[args.notion]
-    verdict = checker(problem.assessment, fast=args.fast)
+    verdict = checker(problem.assessment)
     bet = find_violation_grid(
         problem.assessment, notion, max_denominator=args.max_denominator
     )
@@ -248,6 +248,16 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
             problem, bet, problem.assessment
         )
     return (0 if agree else 1), results
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,8 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(CHECKERS) + ["separate", "walley-asl", "conglomerability"],
     )
     check.add_argument("-f", "--file", default="-")
-    check.add_argument("--fast", action="store_true",
-                       help="iterative support shrinking instead of enumeration")
     check.add_argument("--target", help="variable name (conglomerability)")
     check.add_argument("--cells", help="comma-separated event names (conglomerability)")
     check.set_defaults(run=_cmd_check)
@@ -289,18 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     example = sub.add_parser("example", help="generate a classical example")
     gen = example.add_subparsers(dest="generator", required=True)
     definetti = gen.add_parser("definetti")
-    definetti.add_argument("--h", dest="odd", type=int, required=True)
-    definetti.add_argument("--k", dest="even", type=int, required=True)
-    definetti.add_argument("--n", type=int, required=True)
+    definetti.add_argument("--h", dest="odd", type=_positive_int, required=True)
+    definetti.add_argument("--k", dest="even", type=_positive_int, required=True)
+    definetti.add_argument("--n", type=_positive_int, required=True)
     walley = gen.add_parser("walley666")
-    walley.add_argument("--n", type=int, required=True)
+    walley.add_argument("--n", type=_positive_int, required=True)
     example.set_defaults(run=_cmd_example)
 
     oracle = sub.add_parser("oracle", help="brute-force cross-check of a checker")
     oracle.add_argument("--notion", required=True, choices=sorted(GRID_BY_CLI_NOTION))
     oracle.add_argument("-f", "--file", default="-")
-    oracle.add_argument("--fast", action="store_true")
-    oracle.add_argument("--max-denominator", type=int, default=8)
+    oracle.add_argument("--max-denominator", type=_positive_int, default=8)
     oracle.set_defaults(run=_cmd_oracle)
     return parser
 
@@ -337,3 +344,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -61,9 +61,9 @@ class ExtensionResult:
 
 @lru_cache(maxsize=256)
 def _coherent(assessment: Assessment) -> bool:
-    # the iterative path decides the same predicate with far fewer
-    # programs; the two paths are cross-validated by the test corpus
-    return check_w_coherence(assessment, fast=True).passed
+    # memoised: one call of `extend` checks the same base, and may
+    # re-check the same extended assessment, more than once
+    return check_w_coherence(assessment).passed
 
 
 def _ensure_coherent_base(assessment: Assessment) -> None:

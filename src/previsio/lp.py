@@ -9,7 +9,9 @@ constraint exactly, an :class:`Infeasible` outcome carries a Farkas
 certificate (nonnegative multipliers over the >=-canonical system that
 combine to ``0 >= positive``), and an :class:`Unbounded` outcome carries
 a feasible point plus an improving ray.  ``solve`` re-verifies each
-certificate before returning it.
+certificate before returning it.  The row duals of an optimal outcome
+are not re-verified here; a caller that relies on them checks what it
+uses.
 """
 
 from __future__ import annotations
@@ -176,9 +178,15 @@ def verify_ray(lp: LinearProgram, ray: Sequence[Fraction]) -> bool:
 
 @dataclass(frozen=True)
 class Optimal:
+    """An optimal point and its value.  `duals` holds one multiplier per
+    constraint, oriented to the program's sense: for a max program with
+    default bounds they solve the dual (y >= 0 on "<=" rows, y <= 0 on
+    ">=" rows, A^T y >= c) with b.y equal to the value."""
+
     value: Fraction
     point: tuple[Fraction, ...]
     pivots: int = 0
+    duals: tuple[Fraction, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -523,7 +531,12 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
         raise AssertionError("internal error: optimal point infeasible")
     # obj_rhs is in shifted coordinates; add the constant part back
     value = sense * tab.obj_rhs + shift_const
-    return Optimal(value, point, tab.pivots)
+    # the reduced cost of a row's artificial column is that row's dual
+    duals = [_ZERO] * len(lp.constraints)
+    for r, (kind, index, sign) in enumerate(tr.row_origin):
+        if kind == "row":
+            duals[index] = sense * sign * tab.obj[art_start + r]
+    return Optimal(value, point, tab.pivots, tuple(duals))
 
 
 def format_lp(lp: LinearProgram) -> str:

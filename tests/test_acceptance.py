@@ -13,7 +13,11 @@ from fractions import Fraction
 from conftest import positive_vector, random_space
 from corpus import small_corpus
 from previsio import gains
-from previsio.bruteforce import find_violation_grid, natural_extension_grid
+from previsio.bruteforce import (
+    find_violation_enumeration,
+    find_violation_grid,
+    natural_extension_grid,
+)
 from previsio.checkers import (
     PartitionFamily,
     check_aul,
@@ -413,15 +417,15 @@ def test_criterion_8_oracle_equivalence():
             ("w-coherence", check_w_coherence),
             ("aul", check_aul),
         ):
-            plain = checker(assessment)
-            fast = checker(assessment, fast=True)
-            assert plain.passed == fast.passed, (name, notion)
+            verdict = checker(assessment)
+            enumerated = find_violation_enumeration(assessment, notion)
+            assert (enumerated is None) == verdict.passed, (name, notion)
             bet = find_violation_grid(assessment, notion, max_denominator=8)
-            assert (bet is None) == plain.passed, (name, notion)
+            assert (bet is None) == verdict.passed, (name, notion)
             comparisons += 1
     _report(
         8,
-        f"{comparisons} corpus comparisons: enumeration = fast path = grid",
+        f"{comparisons} corpus comparisons: shrinking = enumeration = grid",
     )
 
 

@@ -22,9 +22,11 @@ from previsio.checkers import (
     check_separate_coherence,
     check_w_coherence,
     check_walley_asl,
+    _Search,
+    expanded_elements,
     merged_family,
 )
-from previsio.conglomerability import definetti_example
+from previsio.conglomerability import definetti_example, walley_666_example
 from previsio.envelopes import convex_envelope, lower_envelope
 from previsio.errors import (
     ConditionalEntriesUnsupported,
@@ -696,3 +698,44 @@ def test_every_failed_verdict_witness_reverifies():
         if not verdict.passed:
             assert witness_is_sound(verdict, a)
     assert failures > 10
+
+
+# ---------------------------------------------------------------------------
+# support shrinking
+
+
+@pytest.mark.parametrize(
+    "example,checker,lp_count",
+    [
+        (lambda: walley_666_example(2), check_w_coherence, 25),
+        (lambda: definetti_example(1, 1, 4), check_w_coherence, 26),
+        (lambda: definetti_example(1, 2, 3), check_df_precise_conditional, 3),
+    ],
+    ids=["walley666-2-w-coherence", "definetti-1-1-4-w-coherence",
+         "definetti-1-2-3-df-conditional"],
+)
+def test_shrinking_lp_counts_are_pinned(example, checker, lp_count):
+    # one program per shrinking step, each recorded once; the counts are
+    # deterministic, so a change here is a change of algorithm
+    verdict = checker(example().assessment)
+    assert verdict.passed
+    assert verdict.lp_count == lp_count
+    assert len(verdict.certificate) == lp_count
+
+
+def test_dominating_vector_is_checked_exactly():
+    space = PossibilitySpace(("a", "b"))
+    x = space.variable({"a": 1, "b": -1}).unconditional()
+    y = space.variable({"a": 0, "b": 2}).unconditional()
+    search = _Search(expanded_elements(Assessment.build(space, [(x, 0), (y, 1)])))
+    half = F(1, 2)
+    # x - 0 and y - 1 both expect 0 under the uniform vector
+    assert search._dominates({0: half, 1: half}, [0, 1], ())
+    assert not search._dominates({0: F(0), 1: F(0)}, [0, 1], ())
+    assert not search._dominates({0: F(3, 2), 1: -half}, [0, 1], ())
+    assert not search._dominates({0: F(1), 1: F(0)}, [0, 1], ())  # y - 1 expects -1
+    assert search._dominates({0: half, 1: half}, [0], (1,))
+    assert not search._dominates({0: F(0), 1: F(1)}, [], (1,))  # y - 1 expects 1
+    convex = _Search(search.elements, convex=True)
+    assert convex._dominates({0: F(1), 1: F(0)}, [0], (1,))  # 1 >= -1
+    assert not convex._dominates({0: F(0), 1: F(1)}, [0], (1,))  # -1 < 1

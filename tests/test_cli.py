@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import previsio
 from previsio.cli import run
 
 
@@ -68,6 +73,42 @@ def test_unknown_notion_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["check", "--notion", "nonsense", "-f", "-"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["example", "definetti", "--h", "0", "--k", "1", "--n", "2"],
+        ["example", "definetti", "--h", "1", "--k", "-1", "--n", "2"],
+        ["example", "definetti", "--h", "1", "--k", "1", "--n", "two"],
+        ["example", "walley666", "--n", "0"],
+        ["oracle", "--notion", "aul", "--max-denominator", "0"],
+    ],
+)
+def test_nonpositive_counts_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+
+
+def test_module_entry_point(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(VACUOUS)
+    src = str(Path(previsio.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "previsio.cli", "check", "--notion"]
+    passing = subprocess.run(
+        argv + ["w-coherence", "-f", str(path)], capture_output=True, text=True, env=env
+    )
+    assert passing.returncode == 0, passing.stderr
+    assert json.loads(passing.stdout)["results"]["verdict"]["passed"] is True
+    failing = subprocess.run(
+        argv + ["bi-coherence", "-f", str(path)], capture_output=True, text=True, env=env
+    )
+    assert failing.returncode == 1, failing.stderr
+    assert json.loads(failing.stdout)["results"]["verdict"]["witness"]["terms"]
 
 
 def test_example_pipes_into_check(monkeypatch):
@@ -179,14 +220,6 @@ def test_oracle_subcommand_agrees(monkeypatch):
     assert body["agree"] is True
     assert body["gridFound"] is True
     assert body["checker"]["passed"] is False
-
-
-def test_fast_flag_matches(tmp_path):
-    path = tmp_path / "a.json"
-    path.write_text(VACUOUS)
-    plain = invoke(["check", "--notion", "w-coherence", "-f", str(path)])
-    fast = invoke(["check", "--notion", "w-coherence", "--fast", "-f", str(path)])
-    assert plain[0] == fast[0] == 0
 
 
 def test_separate_notion_via_cli(monkeypatch):

@@ -1,35 +1,10 @@
-"""The PREVISIO_THREADS cap must never change a verdict, and repeated
-runs must produce identical output."""
+"""Repeated runs must produce identical output."""
 
 import io
 import json
-import random
 from contextlib import redirect_stdout
 
-from conftest import random_arbitrary_assessment
-from previsio.checkers import check_aul, check_w_coherence
 from previsio.cli import run
-
-
-def test_thread_cap_preserves_verdicts_and_witnesses(monkeypatch):
-    rng = random.Random(991)
-    instances = [random_arbitrary_assessment(rng, max_entries=3) for _ in range(12)]
-    sequential = [
-        (check_w_coherence(a).passed, check_w_coherence(a).witness) for a in instances
-    ]
-    monkeypatch.setenv("PREVISIO_THREADS", "4")
-    for a, (passed, witness) in zip(instances, sequential):
-        threaded = check_w_coherence(a)
-        assert threaded.passed == passed
-        assert threaded.witness == witness
-        assert check_aul(a).passed == check_aul(a, fast=True).passed
-
-
-def test_thread_env_garbage_falls_back_to_sequential(monkeypatch):
-    monkeypatch.setenv("PREVISIO_THREADS", "several")
-    rng = random.Random(992)
-    a = random_arbitrary_assessment(rng, max_entries=2)
-    check_w_coherence(a)  # must not raise
 
 
 def test_cli_reports_are_deterministic(tmp_path):

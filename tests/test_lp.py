@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from previsio import lp
@@ -198,6 +198,37 @@ def test_every_outcome_carries_a_valid_certificate(data, rhs, rels, objective):
     else:
         assert satisfies(prog, out.point)
         assert verify_ray(prog, out.ray)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.lists(
+        st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+    rhs=st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+    rels=st.lists(st.sampled_from(["<=", ">=", "="]), min_size=4, max_size=4),
+    objective=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_optimal_duals_solve_the_dual(data, rhs, rels, objective):
+    # max c.x s.t. rows, x >= 0; dual: y >= 0 on "<=", y <= 0 on ">=",
+    # y free on "=", A^T y >= c, and b.y equal to the optimal value
+    rows = tuple(
+        constraint(coeffs, rel, b) for coeffs, b, rel in zip(data, rhs, rels)
+    )
+    prog = LinearProgram(objective=tuple(map(F, objective)), constraints=rows)
+    out = solve(prog)
+    assume(isinstance(out, Optimal))
+    assert len(out.duals) == len(rows)
+    for row, y in zip(rows, out.duals):
+        if row.relation == "<=":
+            assert y >= 0
+        elif row.relation == ">=":
+            assert y <= 0
+    for j, c in enumerate(prog.objective):
+        assert sum(row.coeffs[j] * y for row, y in zip(rows, out.duals)) >= c
+    assert sum(row.rhs * y for row, y in zip(rows, out.duals)) == out.value
 
 
 def test_counters_accumulate():

@@ -1,12 +1,12 @@
-"""Cross-validation of the three decision paths on the small corpus:
-subset enumeration, iterative support shrinking, and the brute-force
-stake grid."""
+"""Cross-validation of the checkers' support shrinking, the only
+production path, against two oracles on the small corpus: the
+enumeration of every support union and the brute-force stake grid."""
 
 import pytest
 
 from corpus import small_corpus
 from previsio import gains
-from previsio.bruteforce import find_violation_grid
+from previsio.bruteforce import find_violation_enumeration, find_violation_grid
 from previsio.checkers import (
     check_aul,
     check_bi_coherence,
@@ -27,13 +27,13 @@ CORPUS = small_corpus()
 @pytest.mark.parametrize("name,assessment", CORPUS, ids=[n for n, _ in CORPUS])
 @pytest.mark.parametrize("notion", sorted(CHECKS))
 def test_enumerator_and_fast_path_agree(name, assessment, notion):
-    checker = CHECKS[notion]
-    plain = checker(assessment)
-    fast = checker(assessment, fast=True)
-    assert plain.passed == fast.passed
-    for verdict in (plain, fast):
-        if not verdict.passed:
-            table = gains.gain(verdict.witness, assessment)
+    # "fast path": the checkers' support shrinking
+    verdict = CHECKS[notion](assessment)
+    bet = find_violation_enumeration(assessment, notion)
+    assert (bet is None) == verdict.passed
+    for witness in (verdict.witness, bet):
+        if witness is not None:
+            table = gains.gain(witness, assessment)
             assert table.sup_on_conditioning() < 0
 
 
@@ -57,11 +57,11 @@ def test_unconditional_notions_agree_where_defined(name, assessment):
         ("bi-coherence", check_bi_coherence),
         ("convex", check_convex),
     ):
-        plain = checker(assessment)
-        fast = checker(assessment, fast=True)
-        assert plain.passed == fast.passed
+        verdict = checker(assessment)
+        enumerated = find_violation_enumeration(assessment, notion)
+        assert (enumerated is None) == verdict.passed
         bet = find_violation_grid(assessment, notion, max_denominator=8)
-        assert (bet is None) == plain.passed
+        assert (bet is None) == verdict.passed
     if assessment.is_precise:
         plain = check_df_precise_conditional(assessment)
         bet = find_violation_grid(
