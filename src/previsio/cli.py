@@ -7,7 +7,7 @@ run prints one JSON report on standard output.
 
 Exit codes: 0 when the notion passed or the computation succeeded, 1
 when a notion failed (the report carries a witness), 2 on usage or
-input errors.
+input errors, 3 on an internal error (a self-check that failed).
 """
 
 from __future__ import annotations
@@ -327,6 +327,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except PrevisioError as exc:
         print(f"previsio: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        detail = str(exc).removeprefix("internal error: ")
+        print(f"previsio: internal error: {detail}", file=sys.stderr)
+        return 3
     finally:
         lp.debug_stream = None
     solves, max_pivots = lp.counters.snapshot()

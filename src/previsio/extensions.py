@@ -216,10 +216,11 @@ def _upper_threshold(
     target: ConditionalVariable,
     lower: Fraction,
     hi: Fraction,
-) -> Fraction:
+) -> tuple[Fraction, HelperStakes]:
     """Smallest break-even price over all normalised bets buying the
-    target: for prices above it some bet against the assessment wins
-    uniformly."""
+    target, clamped to [lower, hi], with the helper stakes of the bet
+    that reaches it: for prices above it some bet against the
+    assessment wins uniformly."""
     elements = expanded_elements(assessment)
     coeffs = [el.coefficients() for el in elements]
     member_sets = [el.cv.cond.members for el in elements]

@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 from .checkers import Verdict
 from .conglomerability import ConglomerabilityReport, ExampleBundle
-from .errors import SchemaError
+from .errors import PrevisioError, SchemaError
 from .gains import Bet, BetTerm, gain
 from .model import (
     Assessment,
@@ -147,7 +147,7 @@ def load_problem(doc: Any) -> Problem:
         assessment = Assessment.build(
             space, [(cv, lo, up) for cv, (lo, up) in priced.items()]
         )
-    except Exception as exc:
+    except PrevisioError as exc:
         raise SchemaError(str(exc)) from exc
     return Problem(space, variables, events, assessment, names)
 

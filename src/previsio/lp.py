@@ -1,8 +1,12 @@
 """Exact rational linear programming.
 
-A dense two-phase simplex over `fractions.Fraction` with Bland's
-anti-cycling rule.  Instances here are desk-scale (tens of rows and
-columns), so exactness beats speed everywhere.
+A two-phase simplex over `fractions.Fraction` with Bland's
+anti-cycling rule.  Exact arithmetic is what costs, so the tableau does
+as few `Fraction` operations as it can: a pivot updates only the
+columns where the pivot row is nonzero, and only the rows with a
+nonzero entry in the pivot column.  A row that reads "<=" once its rhs
+is made nonnegative starts basic on its slack; only the other rows get
+an artificial, and phase 1 is skipped when there are none.
 
 Outcomes are self-certifying: an :class:`Optimal` point satisfies every
 constraint exactly, an :class:`Infeasible` outcome carries a Farkas
@@ -233,7 +237,13 @@ debug_stream = None
 
 
 class _Tableau:
-    """Equality-form simplex tableau with Bland pivoting."""
+    """Equality-form simplex tableau with Bland pivoting.
+
+    Rows are updated in place.  A pivot scales the pivot row, collects
+    its nonzero entries once, and subtracts from each other row (and
+    from the objective row) only at those columns; a zero of the pivot
+    row leaves its column unchanged everywhere.
+    """
 
     def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction]):
         self.rows = rows          # m x N coefficient matrix
@@ -264,19 +274,25 @@ class _Tableau:
         pval = prow[col]
         if pval != 1:
             inv = 1 / pval
-            self.rows[row] = prow = [a * inv for a in prow]
+            for j, a in enumerate(prow):
+                if a:
+                    prow[j] = a * inv
             self.rhs[row] *= inv
+        # only the pivot row's nonzero columns can change anywhere
+        nonzero = [(j, p) for j, p in enumerate(prow) if p]
+        b = self.rhs[row]
         for r, arow in enumerate(self.rows):
-            if r == row:
-                continue
             f = arow[col]
-            if f:
-                self.rows[r] = [a - f * p for a, p in zip(arow, prow)]
-                self.rhs[r] -= f * self.rhs[row]
-        f = self.obj[col]
+            if f and r != row:
+                for j, p in nonzero:
+                    arow[j] -= f * p
+                self.rhs[r] -= f * b
+        obj = self.obj
+        f = obj[col]
         if f:
-            self.obj = [a - f * p for a, p in zip(self.obj, prow)]
-            self.obj_rhs -= f * self.rhs[row]
+            for j, p in nonzero:
+                obj[j] -= f * p
+            self.obj_rhs -= f * b
         self.basis[row] = col
 
     def run(self, eligible: Sequence[bool]) -> int | None:
@@ -310,14 +326,20 @@ class _Tableau:
 class _Transform:
     """Bookkeeping to map the equality-form problem back to the original."""
 
-    n_structural: int = 0
     col_of_var: list[tuple[int, int]] = field(default_factory=list)  # (pos col, neg col or -1)
     shift: list[Fraction] = field(default_factory=list)
     row_origin: list[tuple[str, int, int]] = field(default_factory=list)  # (kind, index, sign)
+    unit: list[int] = field(default_factory=list)  # each row's starting basic column
+    art_start: int = 0  # columns from here on are artificial
+    width: int = 0
 
 
 def _build(lp: LinearProgram):
-    """Rewrite as: columns >= 0, rows all equalities with rhs >= 0."""
+    """Rewrite as: columns >= 0, rows all equalities with rhs >= 0.
+
+    Each row gets a unit column to start basic in: its slack when it is
+    "<=" after the rhs is made nonnegative, an artificial otherwise.
+    """
     tr = _Transform()
     ncol = 0
     for lo, up in lp.bounds:
@@ -329,7 +351,6 @@ def _build(lp: LinearProgram):
             tr.col_of_var.append((ncol, -1))
             tr.shift.append(lo)
             ncol += 1
-    tr.n_structural = ncol
 
     raw_rows: list[tuple[list[Fraction], str, Fraction, tuple[str, int, int]]] = []
     for i, c in enumerate(lp.constraints):
@@ -349,10 +370,11 @@ def _build(lp: LinearProgram):
             if a == 0:
                 continue
             pos, neg = tr.col_of_var[j]
-            expanded[pos] += a
+            expanded[pos] = a
             if neg >= 0:
-                expanded[neg] -= a
-            b -= a * tr.shift[j]
+                expanded[neg] = -a
+            if tr.shift[j]:
+                b -= a * tr.shift[j]
         sign = 1
         if b < 0:
             expanded = [-a for a in expanded]
@@ -364,27 +386,30 @@ def _build(lp: LinearProgram):
         relations.append(rel)
         tr.row_origin.append((origin[0], origin[1], sign))
 
-    # slack / surplus columns
+    # a slack (+1) or surplus (-1) column per inequality, then the
+    # artificials of the "=" and ">=" rows
+    n_slack = sum(rel != "=" for rel in relations)
+    n_art = sum(rel != "<=" for rel in relations)
+    slack = ncol
+    art = tr.art_start = ncol + n_slack
+    tr.width = tr.art_start + n_art
     for r, rel in enumerate(relations):
-        if rel == "=":
-            continue
-        for row in rows:
-            row.append(_ZERO)
-        rows[r][-1] = _ONE if rel == "<=" else -_ONE
-        ncol += 1
-    # one artificial per row; initial basis
-    m = len(rows)
-    for r in range(m):
-        for row in rows:
-            row.append(_ZERO)
-        rows[r][-1] = _ONE
-    art_start = ncol
-    return tr, rows, rhs, art_start, m
+        row = rows[r]
+        row.extend([_ZERO] * (n_slack + n_art))
+        if rel != "=":
+            row[slack] = _ONE if rel == "<=" else -_ONE
+            if rel == "<=":
+                tr.unit.append(slack)
+            slack += 1
+        if rel != "<=":
+            row[art] = _ONE
+            tr.unit.append(art)
+            art += 1
+    return tr, rows, rhs
 
 
 def _point_back(lp: LinearProgram, tr: _Transform, tab: _Tableau) -> tuple[Fraction, ...]:
-    width = len(tab.rows[0]) if tab.rows else tr.n_structural
-    values = [_ZERO] * width
+    values = [_ZERO] * tr.width
     for r, b in enumerate(tab.basis):
         values[b] = tab.rhs[r]
     point = []
@@ -464,24 +489,24 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
     """Two-phase simplex; the returned certificate always re-verifies."""
     if debug_stream is not None:
         print(format_lp(lp), file=debug_stream)
-    tr, rows, rhs, art_start, m = _build(lp)
-    ncol = len(rows[0]) if rows else art_start
+    tr, rows, rhs = _build(lp)
+    ncol, art_start = tr.width, tr.art_start
     tab = _Tableau(rows, rhs)
-    tab.basis = list(range(art_start, art_start + m))
+    tab.basis = list(tr.unit)
 
     sense = 1 if lp.sense == "max" else -1
-    if m:
+    if art_start < ncol:
         # phase 1: maximize -(sum of artificials)
-        cost = [_ZERO] * ncol
-        for j in range(art_start, art_start + m):
-            cost[j] = -_ONE
+        cost = [_ZERO] * art_start + [-_ONE] * (ncol - art_start)
         tab.set_objective(cost)
         eligible = [True] * ncol
         unb = tab.run(eligible)
         if unb is not None:  # phase-1 objective is bounded above by zero
             raise AssertionError("internal error: unbounded feasibility phase")
         if tab.obj_rhs != 0:
-            duals = [tab.obj[art_start + r] - _ONE for r in range(m)]
+            # a row's dual is the reduced cost of its unit column, less
+            # that column's phase-1 cost
+            duals = [tab.obj[u] - (_ONE if u >= art_start else _ZERO) for u in tr.unit]
             cert = _farkas_from_duals(lp, tr, duals)
             outcome = Infeasible(cert, tab.pivots)
             if not verify_farkas(lp, cert):
@@ -489,8 +514,7 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
             counters.record(tab.pivots)
             return outcome
         # drive leftover zero-level artificials out of the basis
-        for r in range(m):
-            b = tab.basis[r]
+        for r, b in enumerate(tab.basis):
             if b < art_start:
                 continue
             col = next(
@@ -508,7 +532,7 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
             cost[neg] -= sense * lp.objective[j]
     tab.set_objective(cost)
     eligible = [True] * ncol
-    for j in range(art_start, art_start + m):
+    for j in range(art_start, ncol):
         eligible[j] = False  # artificials may leave the basis but never enter
     unb = tab.run(eligible)
     counters.record(tab.pivots)
@@ -531,11 +555,11 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
         raise AssertionError("internal error: optimal point infeasible")
     # obj_rhs is in shifted coordinates; add the constant part back
     value = sense * tab.obj_rhs + shift_const
-    # the reduced cost of a row's artificial column is that row's dual
+    # the reduced cost of a row's unit column is that row's dual
     duals = [_ZERO] * len(lp.constraints)
-    for r, (kind, index, sign) in enumerate(tr.row_origin):
+    for (kind, index, sign), u in zip(tr.row_origin, tr.unit):
         if kind == "row":
-            duals[index] = sense * sign * tab.obj[art_start + r]
+            duals[index] = sense * sign * tab.obj[u]
     return Optimal(value, point, tab.pivots, tuple(duals))
 
 

@@ -704,23 +704,34 @@ def test_every_failed_verdict_witness_reverifies():
 # support shrinking
 
 
-@pytest.mark.parametrize(
-    "example,checker,lp_count",
+PINNED_CHECKS = pytest.mark.parametrize(
+    "example,checker,lp_count,max_pivots",
     [
-        (lambda: walley_666_example(2), check_w_coherence, 25),
-        (lambda: definetti_example(1, 1, 4), check_w_coherence, 26),
-        (lambda: definetti_example(1, 2, 3), check_df_precise_conditional, 3),
+        (lambda: walley_666_example(2), check_w_coherence, 25, 7),
+        (lambda: definetti_example(1, 1, 4), check_w_coherence, 26, 3),
+        (lambda: definetti_example(1, 2, 3), check_df_precise_conditional, 3, 6),
     ],
     ids=["walley666-2-w-coherence", "definetti-1-1-4-w-coherence",
          "definetti-1-2-3-df-conditional"],
 )
-def test_shrinking_lp_counts_are_pinned(example, checker, lp_count):
+
+
+@PINNED_CHECKS
+def test_shrinking_lp_counts_are_pinned(example, checker, lp_count, max_pivots):
     # one program per shrinking step, each recorded once; the counts are
     # deterministic, so a change here is a change of algorithm
     verdict = checker(example().assessment)
     assert verdict.passed
     assert verdict.lp_count == lp_count
     assert len(verdict.certificate) == lp_count
+
+
+@PINNED_CHECKS
+def test_shrinking_max_pivots_are_pinned(example, checker, lp_count, max_pivots):
+    # a checker's program has one "=" row, so phase 1 drives out a single
+    # artificial; the pivot counts are deterministic
+    verdict = checker(example().assessment)
+    assert verdict.max_pivots == max_pivots
 
 
 def test_dominating_vector_is_checked_exactly():

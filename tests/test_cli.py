@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import previsio
+from previsio import cli
 from previsio.cli import run
 
 
@@ -67,6 +68,23 @@ def test_check_usage_error_exit_two(tmp_path):
     code, report = invoke(["check", "--notion", "aul", "-f", str(path)])
     assert code == 2
     assert report is None
+
+
+def test_internal_error_exit_three(monkeypatch, capsys):
+    def broken(assessment):
+        raise AssertionError("internal error: witness gain is not negative")
+
+    monkeypatch.setitem(cli.CHECKERS, "w-coherence", broken)
+    code, report = invoke(
+        ["check", "--notion", "w-coherence", "-f", "-"],
+        stdin_text=VACUOUS,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 3
+    assert report is None
+    assert capsys.readouterr().err == (
+        "previsio: internal error: witness gain is not negative\n"
+    )
 
 
 def test_unknown_notion_rejected():

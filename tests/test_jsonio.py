@@ -4,7 +4,7 @@ import pytest
 
 from previsio.checkers import check_aul, check_w_coherence
 from previsio.conglomerability import definetti_example, walley_666_example
-from previsio.errors import SchemaError
+from previsio.errors import DuplicateEntry, SchemaError
 from previsio.gains import gain
 from previsio.jsonio import (
     dump_bundle,
@@ -15,6 +15,7 @@ from previsio.jsonio import (
     witness_from_json,
     witness_to_json,
 )
+from previsio.model import Assessment
 
 F = Fraction
 
@@ -82,6 +83,23 @@ def test_schema_errors(mutation):
     mutation(doc)
     with pytest.raises(SchemaError):
         load_problem(doc)
+
+
+@pytest.mark.parametrize(
+    "raised,expected",
+    [
+        (DuplicateEntry("X given E is assessed twice"), SchemaError),
+        (AssertionError("internal error"), AssertionError),
+    ],
+)
+def test_only_package_errors_become_schema_errors(monkeypatch, raised, expected):
+    # an internal error must not be reported as bad input
+    def broken(cls, space, items):
+        raise raised
+
+    monkeypatch.setattr(Assessment, "build", classmethod(broken))
+    with pytest.raises(expected):
+        load_problem(DOC)
 
 
 def test_witness_round_trip_reproduces_gain():

@@ -220,6 +220,11 @@ def test_optimal_duals_solve_the_dual(data, rhs, rels, objective):
     prog = LinearProgram(objective=tuple(map(F, objective)), constraints=rows)
     out = solve(prog)
     assume(isinstance(out, Optimal))
+    _assert_solves_the_dual(prog, out)
+
+
+def _assert_solves_the_dual(prog: LinearProgram, out: Optimal) -> None:
+    rows = prog.constraints
     assert len(out.duals) == len(rows)
     for row, y in zip(rows, out.duals):
         if row.relation == "<=":
@@ -237,3 +242,70 @@ def test_counters_accumulate():
     solves, max_pivots = lp.counters.snapshot()
     assert solves == 1
     assert max_pivots >= 0
+
+
+def test_slack_basis_skips_phase_one():
+    # every row is "<=" with rhs >= 0, so the slacks form a feasible basis
+    # and a zero objective is optimal there without a single pivot
+    prog = LinearProgram(
+        objective=(F(0), F(0), F(0)),
+        constraints=(
+            constraint([1, 2, 0], "<=", 3),
+            constraint([-1, 1, F(1, 2)], "<=", 0),
+            constraint([0, 3, -2], "<=", F(5, 3)),
+        ),
+    )
+    out = solve(prog)
+    assert isinstance(out, Optimal)
+    assert out.pivots == 0
+    assert out.point == (F(0), F(0), F(0))
+
+
+@pytest.mark.parametrize("rhs,kind", [(4, Optimal), (-1, Infeasible)])
+def test_solving_twice_is_repeatable_and_leaves_the_program_alone(rhs, kind):
+    rows = (
+        constraint([2, 3, -1], "<=", 6),
+        constraint([F(1, 3), -2, 5], "<=", rhs),
+        constraint([1, 1, 1], "=", F(7, 2)),
+        constraint([3, 0, F(-2, 5)], ">=", 1),
+    )
+    prog = LinearProgram(objective=(F(1), F(-2), F(3, 4)), constraints=rows)
+    snapshot = [(tuple(c.coeffs), c.relation, c.rhs) for c in rows]
+    first = solve(prog)
+    second = solve(prog)
+    assert isinstance(first, kind)
+    assert first.pivots > 0
+    assert first == second
+    assert [(tuple(c.coeffs), c.relation, c.rhs) for c in prog.constraints] == snapshot
+
+
+def _reads_leq(relation: str, rhs: int) -> bool:
+    # a row starts on its slack when it reads "<=" after its rhs is made
+    # nonnegative; every other row needs an artificial
+    return (relation == "<=" and rhs >= 0) or (relation == ">=" and rhs < 0)
+
+
+_ROW = st.tuples(
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    st.sampled_from(["<=", ">=", "="]),
+    st.integers(-4, 4),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=st.lists(_ROW, min_size=2, max_size=5).filter(
+        lambda rows: len({_reads_leq(rel, b) for _, rel, b in rows}) == 2
+    ),
+    objective=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)
+def test_mixed_slack_and_artificial_bases_certify(rows, objective):
+    # one tableau holds both kinds of unit column, so Farkas multipliers
+    # and optimal duals are read from slacks and artificials alike
+    cons = tuple(constraint(coeffs, rel, b) for coeffs, rel, b in rows)
+    prog = LinearProgram(objective=tuple(map(F, objective)), constraints=cons)
+    out = solve(prog)
+    if isinstance(out, Infeasible):
+        assert verify_farkas(prog, out.certificate)
+    elif isinstance(out, Optimal):
+        _assert_solves_the_dual(prog, out)
