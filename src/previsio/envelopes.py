@@ -8,6 +8,15 @@ start from the probability simplex and cut one halfspace at a time,
 keeping satisfying vertices and the cuts of edges between kept and
 dropped ones.
 
+Each vertex carries its tight set as an int bitmask: bit j for
+p_j >= 0 and bit n + i for the i-th halfspace.  A cut adds its bit to
+the kept vertices with zero slack, and a new vertex on the edge (a, b)
+gets the bits a and b share plus the cut's own.  Edges are found
+combinatorially (Fukuda & Prodon, "Double description method
+revisited", 1996): a and b are adjacent iff their common tight set has
+at least n - 2 bits and no third vertex's mask contains it.  This needs
+no arithmetic and holds on degenerate polytopes too.
+
 Dominating previsions conditional on an event only make sense when the
 event has positive probability, so the polytope is built either under
 P(B) >= delta for a user-chosen delta > 0, or as the closed polytope
@@ -41,7 +50,7 @@ from .model import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-MAX_ATOMS = 8
+MAX_ATOMS = 12
 
 
 @dataclass(frozen=True)
@@ -86,95 +95,63 @@ def _conditional_prevision(
     return scaled / mass
 
 
-def _simplex_vertices(n: int) -> list[tuple[Fraction, ...]]:
+def _simplex_vertices(n: int) -> list[tuple[tuple[Fraction, ...], int]]:
+    """The unit vectors, each tight at every p_j >= 0 but its own."""
+    full = (1 << n) - 1
     return [
-        tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(n)
+        (tuple(_ONE if j == i else _ZERO for j in range(n)), full & ~(1 << i))
+        for i in range(n)
     ]
 
 
-def _tight_set(point: Sequence[Fraction], halfspaces: Sequence[HalfSpace]) -> frozenset[int]:
-    tight = {i for i, h in enumerate(halfspaces) if h.slack(point) == 0}
-    tight |= {
-        len(halfspaces) + j for j, x in enumerate(point) if x == 0
-    }
-    return frozenset(tight)
+def _is_edge(common: int, masks: Sequence[int], n: int) -> bool:
+    """Whether two vertices whose tight sets share `common` span an edge.
 
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [a * inv for a in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _adjacent(
-    a: tuple[Fraction, ...],
-    b: tuple[Fraction, ...],
-    tight_a: frozenset[int],
-    tight_b: frozenset[int],
-    halfspaces: Sequence[HalfSpace],
-    n: int,
-) -> bool:
-    common = tight_a & tight_b
-    rows = []
-    for idx in common:
-        if idx < len(halfspaces):
-            rows.append(list(halfspaces[idx].coeffs))
-        else:
-            j = idx - len(halfspaces)
-            rows.append([_ONE if c == j else _ZERO for c in range(n)])
-    if not rows:
-        return n - 1 <= 1
-    # on the simplex the ambient affine dimension is n - 1; an edge
-    # needs n - 2 independent tight constraints besides the simplex
-    return _rank(rows) >= n - 2
+    The smallest face holding both is where every row of `common` is
+    tight; its vertices are those whose masks contain `common`.  It is
+    an edge iff the pair are its only vertices.  An edge also needs
+    n - 2 tight rows besides sum p = 1, which rules most pairs out
+    before the scan.
+    """
+    if common.bit_count() < n - 2:
+        return False
+    holders = 0
+    for mask in masks:
+        if mask & common == common:
+            holders += 1
+            if holders > 2:
+                return False
+    return True
 
 
 def _cut(
-    vertices: list[tuple[Fraction, ...]],
+    vertices: list[tuple[tuple[Fraction, ...], int]],
     halfspace: HalfSpace,
-    halfspaces_so_far: list[HalfSpace],
+    bit: int,
     n: int,
-) -> list[tuple[Fraction, ...]]:
-    slacks = [halfspace.slack(v) for v in vertices]
-    kept = [v for v, s in zip(vertices, slacks) if s >= 0]
+) -> list[tuple[tuple[Fraction, ...], int]]:
+    """Intersect the polytope with `halfspace`, whose tight-set bit is `bit`."""
+    slacks = [halfspace.slack(v) for v, _ in vertices]
+    kept = [
+        (v, mask | bit if s == 0 else mask)
+        for (v, mask), s in zip(vertices, slacks)
+        if s >= 0
+    ]
     if len(kept) == len(vertices):
         return kept
-    tights = {
-        v: _tight_set(v, halfspaces_so_far) for v in vertices
-    }
-    for above, s_above in zip(vertices, slacks):
-        if s_above <= 0:
-            continue
-        for below, s_below in zip(vertices, slacks):
-            if s_below >= 0:
+    masks = [mask for _, mask in vertices]
+    above = [(v, mask, s) for (v, mask), s in zip(vertices, slacks) if s > 0]
+    below = [(v, mask, s) for (v, mask), s in zip(vertices, slacks) if s < 0]
+    for a, mask_a, s_a in above:
+        for b, mask_b, s_b in below:
+            common = mask_a & mask_b
+            if not _is_edge(common, masks, n):
                 continue
-            if not _adjacent(
-                above, below, tights[above], tights[below], halfspaces_so_far, n
-            ):
-                continue
-            t = s_above / (s_above - s_below)
-            point = tuple(
-                a + t * (b - a) for a, b in zip(above, below)
-            )
-            if point not in kept:
-                kept.append(point)
+            # each edge crosses the hyperplane at its own interior point,
+            # so no point is found twice
+            t = s_a / (s_a - s_b)
+            point = tuple(x + t * (y - x) for x, y in zip(a, b))
+            kept.append((point, common | bit))
     return kept
 
 
@@ -182,13 +159,11 @@ def _enumerate_vertices(
     n: int, halfspaces: Sequence[HalfSpace]
 ) -> list[tuple[Fraction, ...]]:
     vertices = _simplex_vertices(n)
-    processed: list[HalfSpace] = []
-    for halfspace in halfspaces:
-        vertices = _cut(vertices, halfspace, processed, n)
-        processed.append(halfspace)
+    for i, halfspace in enumerate(halfspaces):
+        vertices = _cut(vertices, halfspace, 1 << (n + i), n)
         if not vertices:
             return []
-    return sorted(vertices)
+    return sorted(v for v, _ in vertices)
 
 
 def domination_constraints(assessment: Assessment) -> list[HalfSpace]:

@@ -20,7 +20,6 @@ uses.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -210,24 +209,20 @@ class _Counters:
     """Process-wide LP statistics, reported by the CLI."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.solves = 0
         self.max_pivots = 0
 
     def record(self, pivots: int) -> None:
-        with self._lock:
-            self.solves += 1
-            if pivots > self.max_pivots:
-                self.max_pivots = pivots
+        self.solves += 1
+        if pivots > self.max_pivots:
+            self.max_pivots = pivots
 
     def reset(self) -> None:
-        with self._lock:
-            self.solves = 0
-            self.max_pivots = 0
+        self.solves = 0
+        self.max_pivots = 0
 
     def snapshot(self) -> tuple[int, int]:
-        with self._lock:
-            return self.solves, self.max_pivots
+        return self.solves, self.max_pivots
 
 
 counters = _Counters()

@@ -3,15 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import positive_vector, random_domain, random_space
+from conftest import (
+    positive_vector,
+    random_domain,
+    random_event,
+    random_space,
+    random_variable,
+)
 from previsio.checkers import (
     check_centered_convex,
     check_convex,
     check_w_coherence,
 )
 from previsio.envelopes import (
+    MAX_ATOMS,
+    HalfSpace,
     convex_envelope,
     credal_polytope,
+    domination_constraints,
     lower_envelope,
 )
 from previsio.errors import (
@@ -21,6 +30,7 @@ from previsio.errors import (
     ZeroProbabilityConditioning,
 )
 from previsio.model import Assessment, PossibilitySpace, restrict, zero_given
+from vertex_oracle import oracle_vertices, tight_rank
 
 F = Fraction
 
@@ -59,7 +69,7 @@ def test_precise_prevision_polytope_is_a_point():
 
 
 def test_polytope_dimension_cap():
-    space = PossibilitySpace(tuple(f"w{i}" for i in range(9)))
+    space = PossibilitySpace(tuple(f"w{i}" for i in range(MAX_ATOMS + 1)))
     x = space.indicator(space.event(["w0"]))
     a = Assessment.build(space, [(x.unconditional(), 0)])
     with pytest.raises(DimensionLimitExceeded):
@@ -90,6 +100,130 @@ def test_positivity_filter_against_delta_mode():
     for vertex in delta.vertices:
         for half in delta.constraints:
             assert half.slack(vertex) >= 0
+
+
+def test_delta_mode_keeps_only_vertices():
+    # the tight positivity rows of (1/4, 1/4, 1/4, 1/4) span the ones
+    # row, so a test that ignores sum p = 1 takes it for a vertex; it is
+    # the midpoint of the edge from (0, 1/2, 1/2, 0) to (1/2, 0, 0, 1/2)
+    space = PossibilitySpace(("a", "b", "c", "d"))
+    x = space.indicator(space.event(["a"]))
+    a = Assessment.build(space, [(x.unconditional(), 0)])
+    credal = credal_polytope(
+        a,
+        positivity=[
+            space.event(["a", "b"]),
+            space.event(["c", "d"]),
+            space.event(["a", "c"]),
+        ],
+        mode="delta",
+        delta=F(1, 2),
+    )
+    half = F(1, 2)
+    assert credal.vertices == (
+        (F(0), half, half, F(0)),
+        (half, F(0), F(0), half),
+        (half, F(0), half, F(0)),
+    )
+
+
+def _mass(p, event):
+    return sum((p[i] for i in event.members), F(0))
+
+
+def _random_polytope_case(rng):
+    """A conditional assessment with one-sided, two-sided and precise
+    entries around the values of a few positive members (so it may be
+    incoherent or empty), and a positivity regime in either mode."""
+    space = random_space(rng, 3, 5)
+    members = [positive_vector(rng, space) for _ in range(rng.randint(1, 3))]
+    items = []
+    for cv in random_domain(rng, space, max_entries=3):
+        values = [
+            sum(p[i] * v for i, v in cv.value_map().items()) / _mass(p, cv.cond)
+            for p in members
+        ]
+        lower = min(values) + F(rng.randint(-2, 1), 4)
+        shape = rng.choice(("one-sided", "two-sided", "precise"))
+        if shape == "one-sided":
+            items.append((cv, lower))
+        elif shape == "two-sided":
+            items.append((cv, lower, max(values) + F(rng.randint(-1, 2), 4)))
+        else:
+            items.append((cv, lower, lower))
+    assessment = Assessment.build(space, items)
+    positivity = rng.choice((
+        None,
+        [],
+        [random_event(rng, space) for _ in range(rng.randint(1, 3))],
+    ))
+    if rng.random() < 0.5:
+        return assessment, positivity, {"mode": "filter"}
+    return assessment, positivity, {"mode": "delta", "delta": F(1, rng.randint(2, 12))}
+
+
+def test_vertices_match_the_subset_oracle():
+    rng = random.Random(401)
+    seen = {"filter": 0, "delta": 0, "delta rows": 0, "empty": 0}
+    for _ in range(240):
+        assessment, positivity, regime = _random_polytope_case(rng)
+        n = assessment.space.size
+        required = (
+            list(positivity)
+            if positivity is not None
+            else [e for e in assessment.conditioning_events() if not e.is_sure]
+        )
+        halfspaces = domination_constraints(assessment)
+        if regime["mode"] == "delta":
+            for event in required:
+                row = tuple(F(int(i in event.members)) for i in range(n))
+                halfspaces.append(HalfSpace(row, regime["delta"]))
+                seen["delta rows"] += 1
+        expected = oracle_vertices(n, halfspaces)
+        if regime["mode"] == "filter":
+            expected = [
+                v for v in expected if all(_mass(v, e) > 0 for e in required)
+            ]
+        if not expected:
+            seen["empty"] += 1
+            with pytest.raises(EmptyCredalSet):
+                credal_polytope(assessment, positivity, **regime)
+            continue
+        credal = credal_polytope(assessment, positivity, **regime)
+        assert credal.vertices == tuple(expected)
+        assert credal.constraints == tuple(halfspaces)
+        seen[regime["mode"]] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("atoms", [10, 12])
+def test_large_polytope_vertices_are_certified(atoms):
+    rng = random.Random(409 + atoms)
+    space = PossibilitySpace(tuple(f"w{i}" for i in range(atoms)))
+    members = [positive_vector(rng, space) for _ in range(3)]
+    domain = [
+        restrict(random_variable(rng, space), random_event(rng, space))
+        for _ in range(4)
+    ]
+    env = lower_envelope(space, members, domain, check_members=False)
+    items = []
+    for entry in env.entries:
+        cv = entry.variable
+        upper = max(
+            sum(p[i] * v for i, v in cv.value_map().items()) / _mass(p, cv.cond)
+            for p in members
+        )
+        items.append((cv, entry.lower, upper))
+    two_sided = Assessment.build(space, items)
+    credal = credal_polytope(two_sided, positivity=[])
+    assert len(credal.vertices) > 300
+    for vertex in credal.vertices:
+        assert all(x >= 0 for x in vertex) and sum(vertex) == 1
+        assert all(h.slack(vertex) >= 0 for h in credal.constraints)
+        assert tight_rank(vertex, credal.constraints) == atoms
+    per_entry = credal.per_entry_min(two_sided)
+    for entry in env.entries:
+        assert per_entry[entry.variable] == entry.lower
 
 
 def test_lower_envelope_singleton_is_the_member():
@@ -138,8 +272,6 @@ def test_envelope_round_trip_randomized():
         members = [positive_vector(rng, space) for _ in range(rng.randint(1, 3))]
         env = lower_envelope(space, members, domain, check_members=False)
         assert check_w_coherence(env).passed
-        if space.size > 8:
-            continue
         credal = credal_polytope(env, positivity=[])
         per_entry = credal.per_entry_min(env)
         for entry in env.entries:
