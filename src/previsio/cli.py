@@ -76,10 +76,8 @@ GRID_BY_CLI_NOTION = {
 }
 
 
-_LAST_DIGEST: list[str | None] = [None]
-
-
-def _read_document(path: str) -> tuple[Any, bytes]:
+def _read_document(path: str) -> tuple[Any, str]:
+    """The parsed document and the digest of its bytes, "sha256:<hex>"."""
     if path == "-":
         raw = sys.stdin.buffer.read()
     else:
@@ -88,9 +86,9 @@ def _read_document(path: str) -> tuple[Any, bytes]:
                 raw = handle.read()
         except OSError as exc:
             raise SchemaError(f"cannot read {path!r}: {exc}") from exc
-    _LAST_DIGEST[0] = "sha256:" + hashlib.sha256(raw).hexdigest()
+    digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
-        return json.loads(raw), raw
+        return json.loads(raw), digest
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
@@ -147,8 +145,8 @@ def _partition_family_of(problem: Problem) -> tuple[Assessment, PartitionFamily]
     return k, family
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
-    doc, raw = _read_document(args.file)
+def _cmd_check(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+    doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     results: dict[str, Any] = {}
     if args.notion == "conglomerability":
@@ -158,7 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
         cells = [problem.event_named(name) for name in args.cells.split(",")]
         report = check_conglomerability(problem.assessment, variable, cells)
         results["conglomerability"] = conglomerability_to_json(report)
-        return (0 if report.conglomerable else 1), results
+        return (0 if report.conglomerable else 1), digest, results
 
     if args.notion == "separate":
         verdict = check_separate_coherence(_family_of(problem))
@@ -172,18 +170,18 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, dict]:
         verdict = checker(problem.assessment)
         reference = problem.assessment
     results["verdict"] = verdict_to_json(verdict, problem, reference)
-    return (0 if verdict.passed else 1), results
+    return (0 if verdict.passed else 1), digest, results
 
 
-def _cmd_extend(args: argparse.Namespace) -> tuple[int, dict]:
-    doc, raw = _read_document(args.file)
+def _cmd_extend(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+    doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     variable = problem.variable_named(args.target)
     given = problem.event_named(args.given)
     target = restrict(variable, given)
     result = extend(problem.assessment, target)
     label = args.target if given.is_sure else f"{args.target}|{args.given}"
-    return 0, {
+    return 0, digest, {
         "extension": {
             "target": label,
             "lower": rational_str(result.lower),
@@ -192,8 +190,8 @@ def _cmd_extend(args: argparse.Namespace) -> tuple[int, dict]:
     }
 
 
-def _cmd_envelope(args: argparse.Namespace) -> tuple[int, dict]:
-    doc, raw = _read_document(args.file)
+def _cmd_envelope(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+    doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     mode = "delta" if args.delta is not None else "filter"
     delta = parse_rational(args.delta) if args.delta is not None else None
@@ -206,7 +204,7 @@ def _cmd_envelope(args: argparse.Namespace) -> tuple[int, dict]:
             continue
         label = var_name if given is None else f"{var_name}|{given}"
         named[label] = rational_str(value)
-    return 0, {
+    return 0, digest, {
         "envelope": {
             "vertices": [
                 [rational_str(x) for x in vertex] for vertex in credal.vertices
@@ -216,16 +214,16 @@ def _cmd_envelope(args: argparse.Namespace) -> tuple[int, dict]:
     }
 
 
-def _cmd_example(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_example(args: argparse.Namespace) -> tuple[int, str | None, dict]:
     if args.generator == "definetti":
         bundle = definetti_example(args.odd, args.even, args.n)
     else:
         bundle = walley_666_example(args.n)
-    return 0, dump_bundle(bundle)
+    return 0, None, dump_bundle(bundle)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
-    doc, raw = _read_document(args.file)
+def _cmd_oracle(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+    doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     notion = GRID_BY_CLI_NOTION.get(args.notion)
     if notion is None:
@@ -247,7 +245,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
         results["oracle"]["gridWitness"] = witness_to_json(
             problem, bet, problem.assessment
         )
-    return (0 if agree else 1), results
+    return (0 if agree else 1), digest, results
 
 
 def _positive_int(text: str) -> int:
@@ -318,9 +316,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     lp.counters.reset()
     lp.debug_stream = sys.stderr if args.debug_lp else None
     started = time.monotonic()
-    _LAST_DIGEST[0] = None
     try:
-        code, results = args.run(args)
+        code, digest, results = args.run(args)
     except SchemaError as exc:
         print(f"previsio: {exc}", file=sys.stderr)
         return 2
@@ -336,7 +333,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     solves, max_pivots = lp.counters.snapshot()
     report = {
         "command": list(sys.argv[1:]) if argv is None else list(argv),
-        "inputDigest": _LAST_DIGEST[0],
+        "inputDigest": digest,
         "results": results,
         "lp": {"solves": solves, "maxPivots": max_pivots},
         "wallTimeSeconds": round(time.monotonic() - started, 6),

@@ -177,7 +177,7 @@ def domination_constraints(assessment: Assessment) -> list[HalfSpace]:
             (values[i] - entry.lower) if i in members else _ZERO for i in range(n)
         ]
         out.append(HalfSpace(tuple(lower_row), _ZERO))
-        if entry.upper is not None and entry.upper != entry.lower:
+        if entry.upper is not None:
             upper_row = [
                 (entry.upper - values[i]) if i in members else _ZERO
                 for i in range(n)

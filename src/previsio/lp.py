@@ -1,12 +1,14 @@
 """Exact rational linear programming.
 
-A two-phase simplex over `fractions.Fraction` with Bland's
-anti-cycling rule.  Exact arithmetic is what costs, so the tableau does
-as few `Fraction` operations as it can: a pivot updates only the
-columns where the pivot row is nonzero, and only the rows with a
-nonzero entry in the pivot column.  A row that reads "<=" once its rhs
-is made nonnegative starts basic on its slack; only the other rows get
-an artificial, and phase 1 is skipped when there are none.
+A two-phase simplex with Bland's anti-cycling rule on a fraction-free
+tableau: each row is a list of Python ints, its rhs last, over one
+positive denominator, and the objective row is kept the same way.  A
+pivot cross-multiplies the rows it changes and divides each through by
+its gcd, so every sign test and ratio comparison is made on ints, and a
+`fractions.Fraction` is made only when a result is read out.  A row that
+reads "<=" once its rhs is made nonnegative starts basic on its slack;
+only the other rows get an artificial, and phase 1 is skipped when
+there are none.
 
 Outcomes are self-certifying: an :class:`Optimal` point satisfies every
 constraint exactly, an :class:`Infeasible` outcome carries a Farkas
@@ -20,7 +22,9 @@ uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 from fractions import Fraction
 from typing import Sequence
 
@@ -232,62 +236,54 @@ debug_stream = None
 
 
 class _Tableau:
-    """Equality-form simplex tableau with Bland pivoting.
+    """Equality-form simplex tableau on integer rows, with Bland pivoting.
 
-    Rows are updated in place.  A pivot scales the pivot row, collects
-    its nonzero entries once, and subtracts from each other row (and
-    from the objective row) only at those columns; a zero of the pivot
-    row leaves its column unchanged everywhere.
+    Row r is a list of Python ints, its rhs last, over one positive int
+    denominator: it stands for ``rows[r][j] / den[r]``, and its basic
+    column holds ``den[r]``.  The objective row (reduced costs
+    cB.B^-1.A_j - c_j, then cB.B^-1.b) is kept the same way in ``obj``
+    over ``obj_den``.  No denominator is negative, so every sign test and
+    ratio comparison is made on ints.  A pivot is fraction-free, in the
+    style of Edmonds (1967) and Bareiss (1968): the pivot row keeps its
+    ints and takes the pivot entry as its denominator, and every other
+    row it changes is divided through by the gcd of its ints and its
+    denominator.  Fractions are made only when a result is read out.
     """
 
-    def __init__(self, rows: list[list[Fraction]], rhs: list[Fraction]):
-        self.rows = rows          # m x N coefficient matrix
-        self.rhs = rhs            # length m, kept >= 0
-        self.basis: list[int] = []
-        self.obj: list[Fraction] = []   # reduced costs: cB.B^-1.A_j - c_j
-        self.obj_rhs = _ZERO            # cB.B^-1.b
+    def __init__(self, rows: list[list[int]], den: list[int], basis: list[int]):
+        self.rows = rows
+        self.den = den
+        self.basis = basis
+        self.obj: list[int] = []
+        self.obj_den = 1
         self.pivots = 0
 
-    def set_objective(self, cost: list[Fraction]) -> None:
-        self.obj = [-c for c in cost]
-        self.obj_rhs = _ZERO
+    def set_objective(self, cost: Sequence[Fraction | int]) -> None:
+        scale = reduce(math.lcm, [c.denominator for c in cost])
+        self.obj = [-c.numerator * (scale // c.denominator) for c in cost] + [0]
+        self.obj_den = scale
         for r, b in enumerate(self.basis):
-            if cost[b] != 0:
-                self._add_to_obj(r, cost[b])
-
-    def _add_to_obj(self, row: int, factor: Fraction) -> None:
-        arow = self.rows[row]
-        obj = self.obj
-        for j, a in enumerate(arow):
-            if a:
-                obj[j] += factor * a
-        self.obj_rhs += factor * self.rhs[row]
+            f = self.obj[b]
+            if f:
+                self.obj, self.obj_den = _eliminate(
+                    self.obj, self.obj_den, f, self.rows[r], self.den[r]
+                )
 
     def pivot(self, row: int, col: int) -> None:
         self.pivots += 1
         prow = self.rows[row]
-        pval = prow[col]
-        if pval != 1:
-            inv = 1 / pval
-            for j, a in enumerate(prow):
-                if a:
-                    prow[j] = a * inv
-            self.rhs[row] *= inv
-        # only the pivot row's nonzero columns can change anywhere
-        nonzero = [(j, p) for j, p in enumerate(prow) if p]
-        b = self.rhs[row]
+        q = prow[col]
+        if q < 0:  # only when a zero-level artificial is driven out
+            prow = self.rows[row] = [-a for a in prow]
+            q = -q
+        self.den[row] = q
         for r, arow in enumerate(self.rows):
             f = arow[col]
             if f and r != row:
-                for j, p in nonzero:
-                    arow[j] -= f * p
-                self.rhs[r] -= f * b
-        obj = self.obj
-        f = obj[col]
+                self.rows[r], self.den[r] = _eliminate(arow, self.den[r], f, prow, q)
+        f = self.obj[col]
         if f:
-            for j, p in nonzero:
-                obj[j] -= f * p
-            self.obj_rhs -= f * b
+            self.obj, self.obj_den = _eliminate(self.obj, self.obj_den, f, prow, q)
         self.basis[row] = col
 
     def run(self, eligible: Sequence[bool]) -> int | None:
@@ -295,26 +291,45 @@ class _Tableau:
         the entering column of the unbounded direction)."""
         while True:
             enter = -1
-            for j, rc in enumerate(self.obj):
-                if eligible[j] and rc < 0:
+            for j, (ok, rc) in enumerate(zip(eligible, self.obj)):
+                if ok and rc < 0:
                     enter = j
                     break
             if enter < 0:
                 return None
+            # rhs_r / a_r against rhs_best / a_best: the row denominators
+            # cancel, and cross-multiplying keeps the comparison in ints
             leave = -1
-            best: Fraction | None = None
+            best_rhs = best_a = 0
             for r, arow in enumerate(self.rows):
                 a = arow[enter]
                 if a > 0:
-                    ratio = self.rhs[r] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[r] < self.basis[leave]
+                    lhs, rhs = arow[-1] * best_a, best_rhs * a
+                    if leave < 0 or lhs < rhs or (
+                        lhs == rhs and self.basis[r] < self.basis[leave]
                     ):
-                        best = ratio
-                        leave = r
+                        leave, best_rhs, best_a = r, arow[-1], a
             if leave < 0:
                 return enter
             self.pivot(leave, enter)
+
+
+def _eliminate(row: list[int], d: int, f: int, prow: list[int], q: int) -> tuple[list[int], int]:
+    """row/d less (f/d)·(prow/q), which clears the pivot column of row, as
+    (row·q - f·prow) / (d·q) divided through by its gcd."""
+    g = math.gcd(f, q)
+    if g > 1:
+        f //= g
+        q //= g
+    new = [a * q - f * p for a, p in zip(row, prow)]
+    d *= q
+    # not gcd(d, *new): a star-args tuple of each row length would be
+    # kept in CPython's tuple free lists, which shows in peak memory
+    g = reduce(math.gcd, new, d)
+    if g > 1:
+        new = [a // g for a in new]
+        d //= g
+    return new, d
 
 
 @dataclass
@@ -347,42 +362,48 @@ def _build(lp: LinearProgram):
             tr.shift.append(lo)
             ncol += 1
 
-    raw_rows: list[tuple[list[Fraction], str, Fraction, tuple[str, int, int]]] = []
-    for i, c in enumerate(lp.constraints):
-        raw_rows.append((list(c.coeffs), c.relation, c.rhs, ("row", i, 1)))
-    for j, (lo, up) in enumerate(lp.bounds):
-        if up is not None:
-            coeffs = [_ZERO] * lp.arity
-            coeffs[j] = _ONE
-            raw_rows.append((coeffs, "<=", up, ("ub", j, 1)))
+    # (nonzero coefficients, relation, rhs, origin) of every row
+    raw_rows = [
+        ([(j, a) for j, a in enumerate(c.coeffs) if a], c.relation, c.rhs, ("row", i))
+        for i, c in enumerate(lp.constraints)
+    ]
+    raw_rows += [
+        ([(j, _ONE)], "<=", up, ("ub", j))
+        for j, (lo, up) in enumerate(lp.bounds) if up is not None
+    ]
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # each row is scaled to ints by the lcm of its denominators, which
+    # becomes the row's denominator
+    rows: list[list[int]] = []
+    den: list[int] = []
+    rhs: list[int] = []
     relations: list[str] = []
-    for coeffs, rel, b, origin in raw_rows:
-        expanded = [_ZERO] * ncol
-        for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            pos, neg = tr.col_of_var[j]
-            expanded[pos] = a
-            if neg >= 0:
-                expanded[neg] = -a
+    for nonzero, rel, b, (kind, index) in raw_rows:
+        for j, a in nonzero:
             if tr.shift[j]:
                 b -= a * tr.shift[j]
         sign = 1
         if b < 0:
-            expanded = [-a for a in expanded]
             b = -b
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
             sign = -1
+        ratios = [(j, a.numerator, a.denominator) for j, a in nonzero]
+        scale = reduce(math.lcm, [d for _, _, d in ratios], b.denominator)
+        expanded = [0] * ncol
+        for j, n, d in ratios:
+            v = sign * n * (scale // d)
+            pos, neg = tr.col_of_var[j]
+            expanded[pos] = v
+            if neg >= 0:
+                expanded[neg] = -v
         rows.append(expanded)
-        rhs.append(b)
+        den.append(scale)
+        rhs.append(b.numerator * (scale // b.denominator))
         relations.append(rel)
-        tr.row_origin.append((origin[0], origin[1], sign))
+        tr.row_origin.append((kind, index, sign))
 
     # a slack (+1) or surplus (-1) column per inequality, then the
-    # artificials of the "=" and ">=" rows
+    # artificials of the "=" and ">=" rows, then the rhs
     n_slack = sum(rel != "=" for rel in relations)
     n_art = sum(rel != "<=" for rel in relations)
     slack = ncol
@@ -390,28 +411,31 @@ def _build(lp: LinearProgram):
     tr.width = tr.art_start + n_art
     for r, rel in enumerate(relations):
         row = rows[r]
-        row.extend([_ZERO] * (n_slack + n_art))
+        row.extend([0] * (n_slack + n_art))
+        row.append(rhs[r])
         if rel != "=":
-            row[slack] = _ONE if rel == "<=" else -_ONE
+            row[slack] = den[r] if rel == "<=" else -den[r]
             if rel == "<=":
                 tr.unit.append(slack)
             slack += 1
         if rel != "<=":
-            row[art] = _ONE
+            row[art] = den[r]
             tr.unit.append(art)
             art += 1
-    return tr, rows, rhs
+    return tr, rows, den
 
 
 def _point_back(lp: LinearProgram, tr: _Transform, tab: _Tableau) -> tuple[Fraction, ...]:
     values = [_ZERO] * tr.width
     for r, b in enumerate(tab.basis):
-        values[b] = tab.rhs[r]
+        if tab.rows[r][-1]:
+            values[b] = Fraction(tab.rows[r][-1], tab.den[r])
     point = []
-    for j in range(lp.arity):
-        pos, neg = tr.col_of_var[j]
-        x = values[pos] - (values[neg] if neg >= 0 else _ZERO)
-        point.append(x + tr.shift[j])
+    for (pos, neg), shift in zip(tr.col_of_var, tr.shift):
+        x = values[pos]
+        if neg >= 0 and values[neg]:
+            x -= values[neg]
+        point.append(x + shift if shift else x)
     return tuple(point)
 
 
@@ -484,24 +508,23 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
     """Two-phase simplex; the returned certificate always re-verifies."""
     if debug_stream is not None:
         print(format_lp(lp), file=debug_stream)
-    tr, rows, rhs = _build(lp)
+    tr, rows, den = _build(lp)
     ncol, art_start = tr.width, tr.art_start
-    tab = _Tableau(rows, rhs)
-    tab.basis = list(tr.unit)
+    tab = _Tableau(rows, den, list(tr.unit))
 
     sense = 1 if lp.sense == "max" else -1
     if art_start < ncol:
         # phase 1: maximize -(sum of artificials)
-        cost = [_ZERO] * art_start + [-_ONE] * (ncol - art_start)
-        tab.set_objective(cost)
+        tab.set_objective([0] * art_start + [-1] * (ncol - art_start))
         eligible = [True] * ncol
         unb = tab.run(eligible)
         if unb is not None:  # phase-1 objective is bounded above by zero
             raise AssertionError("internal error: unbounded feasibility phase")
-        if tab.obj_rhs != 0:
+        if tab.obj[-1] != 0:
             # a row's dual is the reduced cost of its unit column, less
             # that column's phase-1 cost
-            duals = [tab.obj[u] - (_ONE if u >= art_start else _ZERO) for u in tr.unit]
+            d = tab.obj_den
+            duals = [Fraction(tab.obj[u] - (d if u >= art_start else 0), d) for u in tr.unit]
             cert = _farkas_from_duals(lp, tr, duals)
             outcome = Infeasible(cert, tab.pivots)
             if not verify_farkas(lp, cert):
@@ -520,11 +543,11 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
 
     # phase 2
     cost = [_ZERO] * ncol
-    for j in range(lp.arity):
-        pos, neg = tr.col_of_var[j]
-        cost[pos] += sense * lp.objective[j]
-        if neg >= 0:
-            cost[neg] -= sense * lp.objective[j]
+    for c, (pos, neg) in zip(lp.objective, tr.col_of_var):
+        if c:
+            cost[pos] = c if sense > 0 else -c
+            if neg >= 0:
+                cost[neg] = -cost[pos]
     tab.set_objective(cost)
     eligible = [True] * ncol
     for j in range(art_start, ncol):
@@ -532,13 +555,13 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
     unb = tab.run(eligible)
     counters.record(tab.pivots)
     shift_const = sum(
-        (c * s for c, s in zip(lp.objective, tr.shift)), _ZERO
+        (c * s for c, s in zip(lp.objective, tr.shift) if s), _ZERO
     )
     if unb is not None:
         direction = [_ZERO] * ncol
         direction[unb] = _ONE
         for r, b in enumerate(tab.basis):
-            direction[b] = -tab.rows[r][unb]
+            direction[b] = Fraction(-tab.rows[r][unb], tab.den[r])
         point = _point_back(lp, tr, tab)
         ray = _ray_back(lp, tr, direction)
         outcome = Unbounded(point, ray, tab.pivots)
@@ -548,13 +571,13 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
     point = _point_back(lp, tr, tab)
     if not satisfies(lp, point):
         raise AssertionError("internal error: optimal point infeasible")
-    # obj_rhs is in shifted coordinates; add the constant part back
-    value = sense * tab.obj_rhs + shift_const
+    # the objective row's rhs is in shifted coordinates; add the constant part back
+    value = sense * Fraction(tab.obj[-1], tab.obj_den) + shift_const
     # the reduced cost of a row's unit column is that row's dual
     duals = [_ZERO] * len(lp.constraints)
     for (kind, index, sign), u in zip(tr.row_origin, tr.unit):
         if kind == "row":
-            duals[index] = sense * sign * tab.obj[u]
+            duals[index] = Fraction(sense * sign * tab.obj[u], tab.obj_den)
     return Optimal(value, point, tab.pivots, tuple(duals))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -216,6 +217,32 @@ def test_envelope_subcommand(monkeypatch):
     body = report["results"]["envelope"]
     assert sorted(body["vertices"]) == [["3/10", "7/10"], ["3/5", "2/5"]]
     assert body["perEntryMin"] == {"Ea": "3/10", "Eb": "2/5"}
+
+
+def test_envelope_of_a_precise_entry(monkeypatch):
+    doc = {
+        "atoms": ["a", "b", "c"],
+        "events": {"Ea": ["a"]},
+        "assessments": [{"var": "Ea", "lower": "1/2", "upper": "1/2"}],
+    }
+    code, report = invoke(
+        ["envelope", "-f", "-"], stdin_text=json.dumps(doc), monkeypatch=monkeypatch
+    )
+    assert code == 0
+    body = report["results"]["envelope"]
+    assert sorted(body["vertices"]) == [["1/2", "0", "1/2"], ["1/2", "1/2", "0"]]
+    assert body["perEntryMin"] == {"Ea": "1/2"}
+
+
+def test_input_digest_belongs_to_its_own_run(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(VACUOUS)
+    code, report = invoke(["check", "--notion", "w-coherence", "-f", str(path)])
+    assert code == 0
+    assert report["inputDigest"] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
+    code, report = invoke(["example", "walley666", "--n", "1"])
+    assert code == 0
+    assert report["inputDigest"] is None
 
 
 def test_oracle_subcommand_agrees(monkeypatch):

@@ -68,6 +68,21 @@ def test_precise_prevision_polytope_is_a_point():
     assert credal.vertices == ((F(1, 3), F(1, 3), F(1, 3)),)
 
 
+def test_precise_entry_keeps_its_upper_halfspace():
+    # P(1{a}) = 1/2 precise on three atoms: the credal set is the segment
+    # from (1/2, 1/2, 0) to (1/2, 0, 1/2), and with P >= 1/2 alone (1, 0, 0)
+    # would be a vertex too
+    space = PossibilitySpace(("a", "b", "c"))
+    x = space.indicator(space.event(["a"])).unconditional()
+    a = Assessment.build(space, [(x, F(1, 2), F(1, 2))])
+    assert len(domination_constraints(a)) == 2
+    credal = credal_polytope(a)
+    assert set(credal.vertices) == {
+        (F(1, 2), F(1, 2), F(0)),
+        (F(1, 2), F(0), F(1, 2)),
+    }
+
+
 def test_polytope_dimension_cap():
     space = PossibilitySpace(tuple(f"w{i}" for i in range(MAX_ATOMS + 1)))
     x = space.indicator(space.event(["w0"]))

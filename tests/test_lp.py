@@ -309,3 +309,242 @@ def test_mixed_slack_and_artificial_bases_certify(rows, objective):
         assert verify_farkas(prog, out.certificate)
     elif isinstance(out, Optimal):
         _assert_solves_the_dual(prog, out)
+
+
+# -- golden outcomes ---------------------------------------------------------
+#
+# Every field of every outcome of a fixed corpus, recorded from the
+# Fraction tableau that preceded the integer one.  Pivot counts are
+# pinned too: Bland's rule on exact comparisons must take the same path.
+
+_BIG = 2**61 - 1  # a Mersenne prime, so it shares no factor with anything
+
+
+def _golden_program(seed: int) -> LinearProgram:
+    """A seeded program with mixed relations, bounds and senses.  Seeds
+    divisible by 3 draw some coefficients over 2**61 - 1, by 4 add a
+    negated copy of an "=" row, by 5 make most right-hand sides zero."""
+    rng = random.Random(seed)
+    big, negated, degenerate = seed % 3 == 0, seed % 4 == 0, seed % 5 == 0
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 4)
+
+    def num(lo=-4, hi=4):
+        v = rng.randint(lo, hi)
+        if big and rng.random() < 0.3:
+            return F(v * rng.choice([1, _BIG - 1, 5]), rng.choice([_BIG, 3]))
+        if rng.random() < 0.15:
+            return F(v, rng.choice([2, 3, 5]))
+        return F(v)
+
+    rows = []
+    for _ in range(m):
+        coeffs = [num() for _ in range(n)]
+        rel = rng.choice(["<=", ">=", "="])
+        b = F(0) if degenerate and rng.random() < 0.6 else num(-4, 6)
+        rows.append(constraint(coeffs, rel, b))
+    if negated:
+        rows[0] = constraint(rows[0].coeffs, "=", rows[0].rhs)
+        c = rng.choice([c for c in rows if c.relation == "="])
+        copy = constraint([-a for a in c.coeffs], "=", -c.rhs)
+        rows.insert(rng.randint(0, len(rows)), copy)
+    bounds = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.55:
+            bounds.append((F(0), None))
+        elif kind < 0.7:
+            bounds.append((None, None))
+        elif kind < 0.85:
+            lo = num(-2, 2)
+            bounds.append((lo, lo + abs(num(0, 4))))
+        elif kind < 0.93:
+            bounds.append((None, num(-2, 4)))
+        else:
+            bounds.append((num(-3, 3), None))
+    return LinearProgram(
+        objective=tuple(num() for _ in range(n)),
+        sense=rng.choice(["max", "min"]),
+        constraints=tuple(rows),
+        bounds=tuple(bounds),
+    )
+
+
+def _golden_corpus() -> list[LinearProgram]:
+    beale = LinearProgram(
+        objective=(F(3, 4), F(-150), F(1, 50), F(-6)),
+        constraints=(
+            constraint([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
+            constraint([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
+            constraint([0, 0, 1, 0], "<=", 1),
+        ),
+    )
+    mixed = [
+        LinearProgram(
+            objective=(F(1), F(-2), F(3, 4)),
+            constraints=(
+                constraint([2, 3, -1], "<=", 6),
+                constraint([F(1, 3), -2, 5], "<=", rhs),
+                constraint([1, 1, 1], "=", F(7, 2)),
+                constraint([3, 0, F(-2, 5)], ">=", 1),
+            ),
+        )
+        for rhs in (4, -1)
+    ]
+    shifted = LinearProgram(
+        objective=(F(1), F(1)),
+        sense="min",
+        constraints=(constraint([1, 1], ">=", 7),),
+        bounds=((F(2), F(5)), (F(0), F(4))),
+    )
+    # a redundant, negated copy of an "=" row over 2**61 - 1
+    copied = LinearProgram(
+        objective=(F(1), F(1, _BIG), F(-1)),
+        constraints=(
+            constraint([1, F(2, _BIG), 1], "=", F(3, _BIG)),
+            constraint([-1, F(-2, _BIG), -1], "=", F(-3, _BIG)),
+            constraint([0, 1, 1], ">=", 1),
+        ),
+        bounds=((None, None), (F(0), F(_BIG)), (F(-1), None)),
+    )
+    # seeds 86, 124, 160 and 228 pivot on a negative entry when they drive
+    # a zero-level artificial out of the basis
+    seeds = [*range(32), 86, 124, 160, 228]
+    return [beale, *mixed, shifted, copied] + [_golden_program(s) for s in seeds]
+
+
+def _encode(out) -> tuple:
+    """An outcome as strings of its exact fields, in canonical form."""
+
+    def text(values) -> str:
+        return " ".join(map(str, values))
+
+    if isinstance(out, Optimal):
+        return ("optimal", out.pivots, str(out.value), text(out.point), text(out.duals))
+    if isinstance(out, Infeasible):
+        return ("infeasible", out.pivots, text(out.certificate.multipliers))
+    return ("unbounded", out.pivots, text(out.point), text(out.ray))
+
+
+_GOLDEN = [
+    ("optimal", 6, "1/20", "1/25 0 1 0", "0 3/2 1/20"),
+    ("optimal", 6, "41/12", "19/6 0 1/3", "1/12 0 5/6 0"),
+    ("infeasible", 3, "329/615 62/205 1 0 7/123 0 0 0"),
+    ("optimal", 2, "7", "5 2", "1"),
+    ("optimal", 2,
+     "4611686018427387903/2305843009213693951",
+     "2305843009213693950/2305843009213693951 2 -1",
+     "1 0 -1/2305843009213693951"),
+    ("optimal", 4,
+     "-662038073654063984609604354709112886402818062872632884022/55169839471171998858365197112293822683117389992672886785",
+     "-4611686018427387887/2305843009213693951 -2 "
+     "-148873535527910576962793023545033097701/47852207848256971408396153105596547070 "
+     "544178950174431767651/143556623544770914225188459316789641210",
+     "-10376293541461622781/4785220784825697140839615310559654707 0 0 0 "
+     "31128880624384868346/23926103924128485704198076552798273535"),
+    ("unbounded", 0, "0 -2", "-1 0"),
+    ("optimal", 0, "0", "0", "0"),
+    ("infeasible", 0, "1 0 1 2 0 5"),
+    ("infeasible", 1, "0 0 0 1 1 0 0 0 8"),
+    ("optimal", 2, "3", "0 1 2", "0 1 0"),
+    ("infeasible", 2, "1 0 1 0 1/4 0 0 0 0"),
+    ("optimal", 2, "3", "7/5 -2/5 0", "1 1/3"),
+    ("infeasible", 1, "0 23/20 0 1 0 1 1 0 31/20"),
+    ("optimal", 3,
+     "-6917529027641081933/21267647932558653948014168890775961604",
+     "15/9223372036854775804 2/2305843009213693951 0 0",
+     "-6917529027641082053/46116860184273879020 0 3/20"),
+    ("infeasible", 0, "0 0 1 1 1 24/5 0"),
+    ("infeasible", 3, "4 1 1 1 2 0 18 2/3"),
+    ("optimal", 5,
+     "-48422703193487573488/15950735949418990258672902609580327119",
+     "-7686143364045646575/28356863910078204904307382417031692656 0 "
+     "13835058055282163573/42535295865117307356461073625547538984 "
+     "29207344783373456723/28356863910078204904307382417031692656",
+     "95704415696513942576984633252968923236/15950735949418990258672902609580327119 "
+     "-29975959119778021508/5316911983139663419557634203193442373 0 "
+     "-31901471898837981067289362916626661384/15950735949418990258672902609580327119"),
+    ("optimal", 1, "0", "0 3/2 0", "0 0 0"),
+    ("infeasible", 0, "0 1 0"),
+    ("optimal", 1,
+     "354460798875977565646513280898686430",
+     "0 354460798875977565646513280898686430",
+     "-2305843009213693951/5"),
+    ("optimal", 3, "0", "0 0 0", "3/2 -3/2 0 0 0"),
+    ("infeasible", 4, "0 0 0 3/2 1 7 18/5 0 0"),
+    ("optimal", 5, "-18446744073709551644/3", "-8/3 11/3", "768614336404564650"),
+    ("optimal", 1, "0", "1", "0"),
+    ("optimal", 4, "0", "0 0", "1/3 0 0 0"),
+    ("infeasible", 2,
+     "0 9223372036854775795/6917529027641081853 0 1 1 0 0 "
+     "23058430092136939528/6917529027641081853 0"),
+    ("optimal", 3, "72/25", "-18/25 26/25", "16/25 12/25"),
+    ("unbounded", 1, "0 3/10 0", "1 2 0"),
+    ("optimal", 3, "1/9", "0 -2/9 5/3 -5/9", "-1/2 0 -1/6"),
+    ("unbounded", 4, "2 6 -1/2 0", "0 0 0 1"),
+    ("optimal", 2, "7/5", "3/5 -1/5", "0 -3/2"),
+    ("infeasible", 0, "0 1 0 1 0 2 17/3 2/3 3074457345618258597"),
+    ("infeasible", 0, "0 1 0 1 0 8"),
+    ("infeasible", 0, "1 0 1 1 0 0"),
+    ("optimal", 1,
+     "-27670116110564327408/2305843009213693951",
+     "0 13835058055282163704/2305843009213693951 0",
+     "0"),
+    ("infeasible", 0, "0 1 0 1 7 0"),
+    ("optimal", 1, "3", "-1", "3/4 0 0"),
+    ("unbounded", 2, "0 0 0", "-1 1/2 0"),
+    ("optimal", 2, "0", "0", "0 0 0 0"),
+    ("optimal", 5, "-2/3", "-2 1", "0 0 0"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(_GOLDEN)))
+def test_golden_outcomes_are_reproduced_exactly(index):
+    corpus = _golden_corpus()
+    assert len(corpus) == len(_GOLDEN)
+    assert _encode(solve(corpus[index])) == _GOLDEN[index]
+
+
+# -- scaling a row -----------------------------------------------------------
+
+_BOUND = st.sampled_from([(F(0), None), (None, None), (F(-1), F(2)), (None, F(3))])
+_FACTOR = st.builds(F, st.integers(1, _BIG), st.sampled_from([1, 3, _BIG]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(_ROW, min_size=1, max_size=4),
+    objective=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    bounds=st.lists(_BOUND, min_size=3, max_size=3),
+    sense=st.sampled_from(["max", "min"]),
+    which=st.integers(0, 3),
+    k=_FACTOR,
+)
+def test_scaling_a_row_changes_no_verdict(rows, objective, bounds, sense, which, k):
+    # k * (a.x rel b) is the same constraint for k > 0; the path may change
+    # (phase 1 minimises the sum of the artificials), the verdict may not
+    cons = [constraint(coeffs, rel, b) for coeffs, rel, b in rows]
+    which %= len(cons)
+    c = cons[which]
+    scaled_row = constraint([k * a for a in c.coeffs], c.relation, k * c.rhs)
+    programs = [
+        LinearProgram(
+            objective=tuple(map(F, objective)),
+            sense=sense,
+            constraints=tuple(cons[:which] + [row] + cons[which + 1:]),
+            bounds=tuple(bounds),
+        )
+        for row in (c, scaled_row)
+    ]
+    plain, scaled = (solve(p) for p in programs)
+    assert type(plain) is type(scaled)
+    prog = programs[1]
+    if isinstance(scaled, Optimal):
+        assert scaled.value == plain.value
+        assert satisfies(prog, scaled.point)
+        assert sum(a * x for a, x in zip(prog.objective, scaled.point)) == scaled.value
+    elif isinstance(scaled, Infeasible):
+        assert verify_farkas(prog, scaled.certificate)
+    else:
+        assert satisfies(prog, scaled.point)
+        assert verify_ray(prog, scaled.ray)
