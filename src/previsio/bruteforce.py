@@ -84,7 +84,7 @@ def find_violation_enumeration(assessment: Assessment, notion: str) -> Bet | Non
             if not union and (search.convex or not combo):
                 continue
             carriers = [i for i, m in enumerate(member_sets) if m <= union]
-            witness, _ = search.violation(carriers, combo, union | combo_region)
+            witness, _, _ = search.violation(carriers, combo, union | combo_region)
             if witness is not None:
                 return witness
     return None

@@ -18,6 +18,20 @@ entries and shrinks it with the dual of each program that shows no
 violation (`_Search.run`); `bruteforce` keeps the exhaustive
 enumeration of unions as a test oracle.
 
+Chains are shared between single against-terms.  A dual p that shows no
+violation dominates every active entry; an entry j that p's zone touches
+for the first time had p.g_j = 0 at every earlier step, because earlier
+vectors charged nothing in B_j, and every region so far was the union of
+the active entries.  If also p.g_j = 0 now, the chain run so far is a
+complete shrinking chain for the combination (j,), which is closed
+without a program.  On a precise assessment the conjugate directions
+force p.g_j = 0 everywhere, so W-coherence costs what the dF check costs,
+the computational side of the reduction of W-coherence to de Finetti
+coherence on precise assessments.  Convexity does not share: its unit
+against-stake asks min_i p.g_i >= p.g_k, which an earlier p need not
+meet for j.  Pairs of bi-coherence are never closed; that would need its
+own proof.
+
 Assessed upper previsions enter through conjugacy: an upper value u for
 X|B is the lower value -u for -X|B, and precise entries contribute both
 directions.  The quantifiers of each notion then range over this
@@ -148,7 +162,7 @@ class _Search:
         carriers: Sequence[int],
         combo: tuple[int, ...],
         region: frozenset[int],
-    ) -> tuple[Bet | None, frozenset[int]]:
+    ) -> tuple[Bet | None, frozenset[int], dict[int, Fraction]]:
         """Maximise eps with G <= -eps on `region` under normalised stakes.
 
         Returns the violating bet when eps > 0.  Otherwise the program's
@@ -156,7 +170,8 @@ class _Search:
         expects a gain below zero: its optimal multipliers when eps = 0,
         its Farkas multipliers when no mix reaches eps >= 0.  The region
         rows come first, so p is the head of either.  p is checked
-        exactly and the atoms it charges are returned.
+        exactly; the atoms it charges are returned with the expectation
+        p.g_i of every carrier and against-term.
         """
         atoms = sorted(region)
         n_for = len(carriers)
@@ -193,33 +208,38 @@ class _Search:
                     if self.convex
                     else {k: outcome.point[n_for + pos] for pos, k in enumerate(combo)}
                 )
-                return self._witness(stakes, against), frozenset()
+                return self._witness(stakes, against), frozenset(), {}
             p = outcome.duals[: len(atoms)]
         else:
             raise AssertionError("stake simplex cannot be unbounded")
-        if not self._dominates(dict(zip(atoms, p)), carriers, combo):
+        expects = self._dominates(dict(zip(atoms, p)), carriers, combo)
+        if expects is None:
             raise AssertionError("internal error: dual vector does not dominate")
-        return None, frozenset(a for a, w in zip(atoms, p) if w > 0)
+        return None, frozenset(a for a, w in zip(atoms, p) if w > 0), expects
 
     def _dominates(
         self, p: dict[int, Fraction], carriers: Sequence[int], combo: Sequence[int]
-    ) -> bool:
+    ) -> dict[int, Fraction] | None:
         """p >= 0, p != 0, and no stake mix expects a negative gain under
         p: with free against-stakes p.g_i >= 0 for every for direction
         and p.g_k <= 0 for every against-term; with the unit
-        against-stake of convexity min_i p.g_i >= p.g_k."""
+        against-stake of convexity min_i p.g_i >= p.g_k.  Returns the
+        expectation p.g_i of every carrier and against-term when p
+        dominates, None otherwise."""
         if any(w < 0 for w in p.values()) or not any(p.values()):
-            return False
-
-        def expect(i: int) -> Fraction:
-            return sum((w * self.coeffs[i].get(a, _ZERO) for a, w in p.items()), _ZERO)
-
+            return None
+        expects = {
+            i: sum((w * self.coeffs[i].get(a, _ZERO) for a, w in p.items()), _ZERO)
+            for i in (*carriers, *combo)
+        }
         if self.convex:
-            fixed = sum((expect(k) for k in combo), _ZERO)
-            return all(expect(i) >= fixed for i in carriers)
-        return all(expect(i) >= 0 for i in carriers) and all(
-            expect(k) <= 0 for k in combo
-        )
+            fixed = sum((expects[k] for k in combo), _ZERO)
+            ok = all(expects[i] >= fixed for i in carriers)
+        else:
+            ok = all(expects[i] >= 0 for i in carriers) and all(
+                expects[k] <= 0 for k in combo
+            )
+        return expects if ok else None
 
     def _witness(
         self, stakes: dict[int, Fraction], against: dict[int, Fraction]
@@ -244,16 +264,41 @@ class _Search:
         atoms are discarded and the search repeats, one program per
         step.  If p charges an against-term's event, no bet staking that
         term can win and the combination is done.
+
+        Chains are shared between single against-terms.  An active entry
+        j untouched by every earlier zone has p.g_j = 0 at every earlier
+        step, since p charges nothing in B_j.  The against-term of a
+        running chain stays active until the chain ends, so every region
+        is the union of the active entries, with or without j against.
+        Hence every step so far is also a shrinking step for (j,), and
+        when this step's zone touches B_j with p.g_j = 0 exactly, p ends
+        (j,)'s chain: the combination is closed and never run.  Under
+        convexity the unit against-stake changes the dominance condition
+        to min_i p.g_i >= p.g_k, which earlier steps need not meet for
+        j, so convexity shares nothing; pairs of against-terms are never
+        closed.  A combination that is not closed runs its own chain
+        from the full active set, and the order of combinations is kept,
+        so the first violating one runs the same chain and finds the
+        same witness as without sharing.
         """
         member_sets = [el.cv.cond.members for el in self.elements]
+        closed: set[tuple[int, ...]] = set()
         for combo in combos:
+            if combo in closed:
+                continue
             combo_region = frozenset().union(*(member_sets[k] for k in combo))
             active = list(range(len(self.elements)))
             while active:
                 union = frozenset().union(*(member_sets[i] for i in active))
-                witness, zone = self.violation(active, combo, union | combo_region)
+                witness, zone, expects = self.violation(
+                    active, combo, union | combo_region
+                )
                 if witness is not None:
                     return witness
+                if not self.convex:
+                    closed.update(
+                        (j,) for j in active if expects[j] == 0 and member_sets[j] & zone
+                    )
                 if combo_region & zone:
                     break
                 kept = [i for i in active if not (member_sets[i] & zone)]
@@ -264,7 +309,7 @@ class _Search:
                 # every entry was discarded; the against-terms may still
                 # lose uniformly on their own
                 if combo and not self.convex:
-                    witness, _ = self.violation((), combo, combo_region)
+                    witness, _, _ = self.violation((), combo, combo_region)
                     if witness is not None:
                         return witness
         return None

@@ -91,7 +91,7 @@ class LinearProgram:
 
 
 def constraint(coeffs: Sequence[RationalLike], relation: str, rhs: RationalLike) -> Constraint:
-    return Constraint(tuple(map(as_rational, coeffs)), relation, as_rational(rhs))
+    return Constraint(coeffs, relation, rhs)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,11 @@ def random_arbitrary_assessment(
     return Assessment.build(space, items)
 
 
+def bayes_value(p, cv) -> Fraction:
+    mass = sum(p[i] for i in cv.cond.members)
+    return sum(p[i] * v for i, v in cv.value_map().items()) / mass
+
+
 def random_precise_assessment(rng: random.Random, space=None, max_entries=4,
                               conditional=True) -> Assessment:
     """Precise and dF-coherent: Bayes values of one positive vector."""
@@ -88,7 +93,28 @@ def random_precise_assessment(rng: random.Random, space=None, max_entries=4,
     p = positive_vector(rng, space)
     items = []
     for cv in domain:
-        mass = sum(p[i] for i in cv.cond.members)
-        value = sum(p[i] * v for i, v in cv.value_map().items()) / mass
+        value = bayes_value(p, cv)
+        items.append((cv, value, value))
+    return Assessment.build(space, items)
+
+
+def random_shifted_assessment(rng: random.Random, space=None, max_entries=4):
+    """Precise and dF-incoherent: every atom indicator at a positive
+    vector p, plus Bayes values of p on a random conditional domain with
+    one of them moved by a nonzero rational.  The indicators pin the
+    only candidate prevision to p, which the moved entry contradicts."""
+    space = space or random_space(rng)
+    p = positive_vector(rng, space)
+    indicators = [space.indicator(space.event([a])).unconditional() for a in space.atoms]
+    domain = []
+    while not domain:
+        domain = [cv for cv in random_domain(rng, space, max_entries)
+                  if cv not in indicators]
+    moved = domain[rng.randrange(len(domain))]
+    items = []
+    for cv in indicators + domain:
+        value = bayes_value(p, cv)
+        if cv == moved:
+            value += F(rng.choice((-1, 1)), rng.randint(2, 5))
         items.append((cv, value, value))
     return Assessment.build(space, items)

@@ -7,6 +7,7 @@ from conftest import (
     positive_vector,
     random_coherent_assessment,
     random_precise_assessment,
+    random_shifted_assessment,
     random_space,
 )
 from previsio import gains
@@ -707,12 +708,15 @@ def test_every_failed_verdict_witness_reverifies():
 PINNED_CHECKS = pytest.mark.parametrize(
     "example,checker,lp_count,max_pivots",
     [
-        (lambda: walley_666_example(2), check_w_coherence, 25, 7),
-        (lambda: definetti_example(1, 1, 4), check_w_coherence, 26, 3),
+        (lambda: walley_666_example(2), check_w_coherence, 1, 7),
+        (lambda: walley_666_example(4), check_w_coherence, 1, 11),
+        (lambda: definetti_example(1, 1, 4), check_w_coherence, 4, 3),
         (lambda: definetti_example(1, 2, 3), check_df_precise_conditional, 3, 6),
+        (lambda: definetti_example(1, 2, 16), check_w_coherence, 16, 19),
     ],
-    ids=["walley666-2-w-coherence", "definetti-1-1-4-w-coherence",
-         "definetti-1-2-3-df-conditional"],
+    ids=["walley666-2-w-coherence", "walley666-4-w-coherence",
+         "definetti-1-1-4-w-coherence", "definetti-1-2-3-df-conditional",
+         "definetti-1-2-16-w-coherence"],
 )
 
 
@@ -734,6 +738,44 @@ def test_shrinking_max_pivots_are_pinned(example, checker, lp_count, max_pivots)
     assert verdict.max_pivots == max_pivots
 
 
+def test_convexity_runs_one_chain_per_against_term():
+    # the chain of against-term X|{a,b,c} ends at a p with p.g = 0 on
+    # 2|{c}; with a unit against-stake that p proves nothing for 2|{c},
+    # whose own chain finds the violation
+    space = PossibilitySpace(("a", "b", "c", "d"))
+    x = space.variable({"a": 3, "b": F(-3, 2), "c": F(-1, 2), "d": 0})
+    two = restrict(space.constant(2), space.event(["c"]))
+    a = Assessment.build(
+        space, [(restrict(x, space.event(["a", "b", "c"])), F(33, 8)), (two, 2)]
+    )
+    verdict = check_convex(a)
+    assert not verdict.passed
+    assert witness_is_sound(verdict, a)
+    assert verdict.lp_count == 2
+
+
+def _precise_corpus():
+    rng = random.Random(29)
+    for i in range(800):
+        space = random_space(rng, 3, 5)
+        if i % 2:
+            yield random_shifted_assessment(rng, space)
+        else:
+            yield random_precise_assessment(rng, space)
+
+
+def test_w_coherence_of_a_precise_assessment_is_its_df_check():
+    # the reduction of W-coherence to dF-coherence on precise inputs: the
+    # chain without against-terms closes every single against-term
+    failed = 0
+    for a in _precise_corpus():
+        w = check_w_coherence(a)
+        df = check_df_precise_conditional(a)
+        assert (w.passed, w.witness, w.lp_count) == (df.passed, df.witness, df.lp_count)
+        failed += not w.passed
+    assert failed == 400
+
+
 def test_dominating_vector_is_checked_exactly():
     space = PossibilitySpace(("a", "b"))
     x = space.variable({"a": 1, "b": -1}).unconditional()
@@ -742,6 +784,7 @@ def test_dominating_vector_is_checked_exactly():
     half = F(1, 2)
     # x - 0 and y - 1 both expect 0 under the uniform vector
     assert search._dominates({0: half, 1: half}, [0, 1], ())
+    assert search._dominates({0: half, 1: half}, [0], (1,)) == {0: 0, 1: 0}
     assert not search._dominates({0: F(0), 1: F(0)}, [0, 1], ())
     assert not search._dominates({0: F(3, 2), 1: -half}, [0, 1], ())
     assert not search._dominates({0: F(1), 1: F(0)}, [0, 1], ())  # y - 1 expects -1

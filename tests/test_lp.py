@@ -126,6 +126,17 @@ def test_malformed_arity_rejected():
         Constraint((F(1),), "<", F(0))
 
 
+def test_constraint_normalises_its_row():
+    row = constraint([1, "1/2"], "<=", "3")
+    assert row.coeffs == (F(1), F(1, 2)) and row.rhs == F(3)
+    assert all(type(c) is F for c in (*row.coeffs, row.rhs))
+    assert Constraint([2, F(1, 3)], ">=", 0).coeffs == (F(2), F(1, 3))
+    with pytest.raises(MalformedProgram):
+        constraint([1], "<", 0)
+    with pytest.raises(TypeError):
+        constraint([1.5], "<=", 0)
+
+
 def _random_program(rng: random.Random) -> LinearProgram:
     n = rng.randint(1, 4)
     m = rng.randint(1, 4)
