@@ -56,7 +56,14 @@ from .errors import (
     NotPrecise,
 )
 from .gains import AGAINST, FOR, LOWER, UPPER, Bet, BetTerm
-from .lp import Infeasible, LinearProgram, Optimal, constraint, solve
+from .lp import (
+    Infeasible,
+    LinearProgram,
+    Optimal,
+    constraint,
+    over_one_denominator,
+    solve,
+)
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -131,6 +138,13 @@ class _Element:
         return BetTerm(self.base, stake, flipped, UPPER)
 
 
+def _int_row(coeffs: dict[int, Fraction]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The nonzero coefficients as (atom, int) pairs over one positive
+    int, and that int."""
+    ints, d = over_one_denominator(list(coeffs.values()))
+    return tuple((a, v) for a, v in zip(coeffs, ints) if v), d
+
+
 def expanded_elements(assessment: Assessment) -> tuple[_Element, ...]:
     """The one-sided (lower-prevision) expansion of an assessment."""
     out: list[_Element] = []
@@ -153,9 +167,12 @@ class _Search:
     max_pivots: int = 0
     records: list[ProbeRecord] = field(default_factory=list)
     coeffs: tuple[dict[int, Fraction], ...] = ()
+    # each element's coefficients as an `_int_row`
+    int_rows: tuple[tuple[tuple[tuple[int, int], ...], int], ...] = ()
 
     def __post_init__(self) -> None:
         self.coeffs = tuple(el.coefficients() for el in self.elements)
+        self.int_rows = tuple(map(_int_row, self.coeffs))
 
     def violation(
         self,
@@ -226,18 +243,25 @@ class _Search:
         against-stake of convexity min_i p.g_i >= p.g_k.  Returns the
         expectation p.g_i of every carrier and against-term when p
         dominates, None otherwise."""
-        if any(w < 0 for w in p.values()) or not any(p.values()):
+        masses, d = over_one_denominator(list(p.values()))
+        if any(m < 0 for m in masses) or not any(masses):
             return None
-        expects = {
-            i: sum((w * self.coeffs[i].get(a, _ZERO) for a, w in p.items()), _ZERO)
+        mass = dict(zip(p, masses))
+        # each p.g_i times d and the denominator of g_i's row
+        sums = {
+            i: sum(v * mass[a] for a, v in self.int_rows[i][0] if a in mass)
             for i in (*carriers, *combo)
+        }
+        expects = {
+            i: Fraction(s, d * self.int_rows[i][1]) if s else _ZERO
+            for i, s in sums.items()
         }
         if self.convex:
             fixed = sum((expects[k] for k in combo), _ZERO)
             ok = all(expects[i] >= fixed for i in carriers)
         else:
-            ok = all(expects[i] >= 0 for i in carriers) and all(
-                expects[k] <= 0 for k in combo
+            ok = all(sums[i] >= 0 for i in carriers) and all(
+                sums[k] <= 0 for k in combo
             )
         return expects if ok else None
 

@@ -13,6 +13,7 @@ input errors, 3 on an internal error (a self-check that failed).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -258,7 +259,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="previsio",
         description="exact consistency checking for conditional lower previsions",

@@ -18,6 +18,14 @@ a feasible point plus an improving ray.  ``solve`` re-verifies each
 certificate before returning it.  The row duals of an optimal outcome
 are not re-verified here; a caller that relies on them checks what it
 uses.
+
+Each :class:`Constraint` is scaled to ints once, when it is made: the
+(column, int) pairs of its nonzero coefficients and an int rhs, over one
+positive scale.  The tableau starts from those rows, and the checks run
+on them too: a point, ray or set of Farkas multipliers is put over one
+common denominator, and only the nonzero terms of each row are summed.
+Every accept or reject is then a sign test on ints, exactly as strict
+as the same test on fractions.
 """
 
 from __future__ import annotations
@@ -39,15 +47,30 @@ Bound = tuple[Fraction | None, Fraction | None]
 
 @dataclass(frozen=True)
 class Constraint:
+    """The row coeffs.x `relation` rhs, also scaled to ints once:
+    `terms` holds the (column, int) pairs of the nonzero coefficients and
+    `int_rhs` the rhs, each times `scale`, the lcm of the row's
+    denominators.  Only the row itself is compared, hashed and shown."""
+
     coeffs: tuple[Fraction, ...]
     relation: str  # "<=", "=", ">="
     rhs: Fraction
+    terms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+    int_rhs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.relation not in ("<=", "=", ">="):
             raise MalformedProgram(f"unknown relation {self.relation!r}")
-        object.__setattr__(self, "coeffs", tuple(map(as_rational, self.coeffs)))
-        object.__setattr__(self, "rhs", as_rational(self.rhs))
+        coeffs = tuple(map(as_rational, self.coeffs))
+        rhs = as_rational(self.rhs)
+        ints, scale = over_one_denominator((*coeffs, rhs))
+        terms = tuple((j, a) for j, a in enumerate(ints[:-1]) if a)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "int_rhs", ints[-1])
 
 
 @dataclass(frozen=True)
@@ -90,6 +113,13 @@ class LinearProgram:
         return len(self.objective)
 
 
+def over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """`values` as ints over their least common denominator, and that
+    denominator."""
+    d = reduce(math.lcm, [v.denominator for v in values], 1)
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def constraint(coeffs: Sequence[RationalLike], relation: str, rhs: RationalLike) -> Constraint:
     return Constraint(coeffs, relation, rhs)
 
@@ -108,79 +138,69 @@ class FarkasCertificate:
     multipliers: tuple[Fraction, ...]
 
 
-def canonical_geq_rows(lp: LinearProgram) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
-    for c in lp.constraints:
-        if c.relation in (">=", "="):
-            rows.append((c.coeffs, c.rhs))
-        if c.relation in ("<=", "="):
-            rows.append((tuple(-a for a in c.coeffs), -c.rhs))
-    n = lp.arity
+def _canonical_rows(lp: LinearProgram):
+    """The canonical rows of `FarkasCertificate` in order, each as
+    ((kind, index, sign), terms, scale, rhs) in ints: the row is
+    sign * (terms, rhs) / scale."""
+    for i, c in enumerate(lp.constraints):
+        if c.relation != "<=":
+            yield ("row", i, 1), c.terms, c.scale, c.int_rhs
+        if c.relation != ">=":
+            yield ("row", i, -1), c.terms, c.scale, c.int_rhs
     for j, (lo, up) in enumerate(lp.bounds):
         if lo is not None:
-            e = tuple(_ONE if i == j else _ZERO for i in range(n))
-            rows.append((e, lo))
+            yield ("lb", j, 1), ((j, lo.denominator),), lo.denominator, lo.numerator
         if up is not None:
-            e = tuple(-_ONE if i == j else _ZERO for i in range(n))
-            rows.append((e, -up))
-    return rows
+            yield ("ub", j, -1), ((j, up.denominator),), up.denominator, up.numerator
 
 
 def verify_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
-    rows = canonical_geq_rows(lp)
+    rows = list(_canonical_rows(lp))
     if len(cert.multipliers) != len(rows):
         return False
     if any(m < 0 for m in cert.multipliers):
         return False
-    combined = [_ZERO] * lp.arity
-    rhs = _ZERO
-    for m, (coeffs, b) in zip(cert.multipliers, rows):
-        if m == 0:
-            continue
-        for j, a in enumerate(coeffs):
-            combined[j] += m * a
-        rhs += m * b
-    return all(v == 0 for v in combined) and rhs > 0
+    used = [(m, row) for m, row in zip(cert.multipliers, rows) if m]
+    # m times a row is m.numerator * sign * (terms, rhs) / (m.denominator *
+    # scale); the sum is taken over the lcm of those denominators
+    d = reduce(math.lcm, [m.denominator * row[2] for m, row in used], 1)
+    combined = [0] * lp.arity
+    rhs = 0
+    for m, ((_, _, sign), terms, scale, b) in used:
+        w = sign * m.numerator * (d // (m.denominator * scale))
+        for j, a in terms:
+            combined[j] += w * a
+        rhs += w * b
+    return not any(combined) and rhs > 0
+
+
+def _holds(lp: LinearProgram, xs: list[int], d: int) -> bool:
+    """Every row and bound holds at the point xs / d or, when d = 0, on
+    the direction xs of the recession cone.  Both sides of a row are
+    taken times its scale and d."""
+    for c in lp.constraints:
+        lhs = sum(a * xs[j] for j, a in c.terms)
+        rhs = c.int_rhs * d
+        if (c.relation != ">=" and lhs > rhs) or (c.relation != "<=" and lhs < rhs):
+            return False
+    return all(
+        (lo is None or x * lo.denominator >= lo.numerator * d)
+        and (up is None or x * up.denominator <= up.numerator * d)
+        for x, (lo, up) in zip(xs, lp.bounds)
+    )
 
 
 def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
-    if len(point) != lp.arity:
-        return False
-    for c in lp.constraints:
-        lhs = sum((a * x for a, x in zip(c.coeffs, point)), _ZERO)
-        if c.relation == "<=" and lhs > c.rhs:
-            return False
-        if c.relation == ">=" and lhs < c.rhs:
-            return False
-        if c.relation == "=" and lhs != c.rhs:
-            return False
-    for x, (lo, up) in zip(point, lp.bounds):
-        if lo is not None and x < lo:
-            return False
-        if up is not None and x > up:
-            return False
-    return True
+    return len(point) == lp.arity and _holds(lp, *over_one_denominator(point))
 
 
 def verify_ray(lp: LinearProgram, ray: Sequence[Fraction]) -> bool:
     """A recession direction that strictly improves the objective."""
-    if len(ray) != lp.arity or all(d == 0 for d in ray):
+    if len(ray) != lp.arity or not any(ray):
         return False
-    for c in lp.constraints:
-        drift = sum((a * d for a, d in zip(c.coeffs, ray)), _ZERO)
-        if c.relation == "<=" and drift > 0:
-            return False
-        if c.relation == ">=" and drift < 0:
-            return False
-        if c.relation == "=" and drift != 0:
-            return False
-    for d, (lo, up) in zip(ray, lp.bounds):
-        if lo is not None and d < 0:
-            return False
-        if up is not None and d > 0:
-            return False
-    gain = sum((c * d for c, d in zip(lp.objective, ray)), _ZERO)
-    return gain > 0 if lp.sense == "max" else gain < 0
+    ds, _ = over_one_denominator(ray)
+    gain = sum(c * x for c, x in zip(lp.objective, ds) if x)
+    return _holds(lp, ds, 0) and (gain > 0 if lp.sense == "max" else gain < 0)
 
 
 @dataclass(frozen=True)
@@ -362,43 +382,44 @@ def _build(lp: LinearProgram):
             tr.shift.append(lo)
             ncol += 1
 
-    # (nonzero coefficients, relation, rhs, origin) of every row
-    raw_rows = [
-        ([(j, a) for j, a in enumerate(c.coeffs) if a], c.relation, c.rhs, ("row", i))
+    # (terms, scale, rhs, relation, origin) of every row, in the ints of
+    # `Constraint`; the scale becomes the row's denominator
+    int_rows = [
+        (c.terms, c.scale, c.int_rhs, c.relation, ("row", i))
         for i, c in enumerate(lp.constraints)
     ]
-    raw_rows += [
-        ([(j, _ONE)], "<=", up, ("ub", j))
+    int_rows += [
+        (((j, up.denominator),), up.denominator, up.numerator, "<=", ("ub", j))
         for j, (lo, up) in enumerate(lp.bounds) if up is not None
     ]
 
-    # each row is scaled to ints by the lcm of its denominators, which
-    # becomes the row's denominator
     rows: list[list[int]] = []
     den: list[int] = []
     rhs: list[int] = []
     relations: list[str] = []
-    for nonzero, rel, b, (kind, index) in raw_rows:
-        for j, a in nonzero:
-            if tr.shift[j]:
-                b -= a * tr.shift[j]
+    for terms, scale, b, rel, (kind, index) in int_rows:
+        # x_j = y_j + shift_j moves terms.shift to the rhs, and a fraction
+        # left there multiplies the whole row by its denominator
+        q = 1
+        moved = sum(a * tr.shift[j] for j, a in terms if tr.shift[j])
+        if moved:
+            b -= moved
+            q, b = b.denominator, b.numerator
         sign = 1
         if b < 0:
             b = -b
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
             sign = -1
-        ratios = [(j, a.numerator, a.denominator) for j, a in nonzero]
-        scale = reduce(math.lcm, [d for _, _, d in ratios], b.denominator)
         expanded = [0] * ncol
-        for j, n, d in ratios:
-            v = sign * n * (scale // d)
+        for j, a in terms:
+            v = sign * q * a
             pos, neg = tr.col_of_var[j]
             expanded[pos] = v
             if neg >= 0:
                 expanded[neg] = -v
         rows.append(expanded)
-        den.append(scale)
-        rhs.append(b.numerator * (scale // b.denominator))
+        den.append(scale * q)
+        rhs.append(b)
         relations.append(rel)
         tr.row_origin.append((kind, index, sign))
 
@@ -451,30 +472,9 @@ def _ray_back(lp: LinearProgram, tr: _Transform, direction: list[Fraction]) -> t
 def _farkas_from_duals(lp: LinearProgram, tr: _Transform,
                        duals: list[Fraction]) -> FarkasCertificate:
     """Orient equality-form duals into canonical >=-row multipliers."""
-    # index canonical rows by origin
-    slots: dict[tuple[str, int, int], int] = {}
-    pos = 0
-    for i, c in enumerate(lp.constraints):
-        if c.relation in (">=", "="):
-            slots[("row", i, +1)] = pos
-            pos += 1
-        if c.relation in ("<=", "="):
-            slots[("row", i, -1)] = pos
-            pos += 1
-    for j, (lo, up) in enumerate(lp.bounds):
-        if lo is not None:
-            slots[("lb", j, +1)] = pos
-            pos += 1
-        if up is not None:
-            slots[("ub", j, -1)] = pos
-            pos += 1
-    mult = [_ZERO] * pos
-
-    def put(kind: str, index: int, orient: int, amount: Fraction) -> None:
-        if amount == 0:
-            return
-        mult[slots[(kind, index, orient)]] += amount
-
+    slots = {origin: pos for pos, (origin, *_) in enumerate(_canonical_rows(lp))}
+    mult = [_ZERO] * len(slots)
+    excess = [_ZERO] * lp.arity  # left over per column, for the lower-bound rows
     # each transformed row contributes -y_i * (row as an equality);
     # the canonical direction absorbing it depends on the sign of y_i.
     for (kind, index, sign), y in zip(tr.row_origin, duals):
@@ -482,25 +482,16 @@ def _farkas_from_duals(lp: LinearProgram, tr: _Transform,
         if y == 0:
             continue
         if kind == "ub":
-            put("ub", index, -1, y)  # verified nonnegative by the caller
+            mult[slots["ub", index, -1]] += y  # verified nonnegative by the caller
+            excess[index] += y
             continue
-        if y > 0:
-            put("row", index, -1, y)
-        else:
-            put("row", index, +1, -y)
-    # leftover column excess goes to the lower-bound rows
-    for j in range(lp.arity):
-        lo, _ = lp.bounds[j]
-        if lo is None:
-            continue
-        w = _ZERO
-        for (kind, index, sign), y in zip(tr.row_origin, duals):
-            if kind == "row":
-                w += y * sign * lp.constraints[index].coeffs[j]
-            elif kind == "ub" and index == j:
-                w += y * sign
-        if w != 0:
-            put("lb", j, +1, w)
+        mult[slots["row", index, -1 if y > 0 else 1]] += abs(y)
+        for j, a in enumerate(lp.constraints[index].coeffs):
+            if a:
+                excess[j] += y * a
+    for j, w in enumerate(excess):
+        if w and lp.bounds[j][0] is not None:
+            mult[slots["lb", j, 1]] += w
     return FarkasCertificate(tuple(mult))
 
 

@@ -1,0 +1,114 @@
+"""Reference certificate checks on `Fraction`s, as test oracles.
+
+These are the plain formulas that `lp.satisfies`, `lp.verify_ray`,
+`lp.verify_farkas` and `checkers._Search._dominates` compute on integer
+rows: every coefficient times every value, zeros included, summed in
+exact rationals.  The integer checks must accept and reject exactly
+what these accept and reject.
+"""
+
+from fractions import Fraction
+from typing import Sequence
+
+from previsio.lp import FarkasCertificate, LinearProgram
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def canonical_geq_rows(lp: LinearProgram) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    rows: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    for c in lp.constraints:
+        if c.relation in (">=", "="):
+            rows.append((c.coeffs, c.rhs))
+        if c.relation in ("<=", "="):
+            rows.append((tuple(-a for a in c.coeffs), -c.rhs))
+    n = lp.arity
+    for j, (lo, up) in enumerate(lp.bounds):
+        if lo is not None:
+            e = tuple(_ONE if i == j else _ZERO for i in range(n))
+            rows.append((e, lo))
+        if up is not None:
+            e = tuple(-_ONE if i == j else _ZERO for i in range(n))
+            rows.append((e, -up))
+    return rows
+
+
+def verify_farkas(lp: LinearProgram, cert: FarkasCertificate) -> bool:
+    rows = canonical_geq_rows(lp)
+    if len(cert.multipliers) != len(rows):
+        return False
+    if any(m < 0 for m in cert.multipliers):
+        return False
+    combined = [_ZERO] * lp.arity
+    rhs = _ZERO
+    for m, (coeffs, b) in zip(cert.multipliers, rows):
+        if m == 0:
+            continue
+        for j, a in enumerate(coeffs):
+            combined[j] += m * a
+        rhs += m * b
+    return all(v == 0 for v in combined) and rhs > 0
+
+
+def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
+    if len(point) != lp.arity:
+        return False
+    for c in lp.constraints:
+        lhs = sum((a * x for a, x in zip(c.coeffs, point)), _ZERO)
+        if c.relation == "<=" and lhs > c.rhs:
+            return False
+        if c.relation == ">=" and lhs < c.rhs:
+            return False
+        if c.relation == "=" and lhs != c.rhs:
+            return False
+    for x, (lo, up) in zip(point, lp.bounds):
+        if lo is not None and x < lo:
+            return False
+        if up is not None and x > up:
+            return False
+    return True
+
+
+def verify_ray(lp: LinearProgram, ray: Sequence[Fraction]) -> bool:
+    if len(ray) != lp.arity or all(d == 0 for d in ray):
+        return False
+    for c in lp.constraints:
+        drift = sum((a * d for a, d in zip(c.coeffs, ray)), _ZERO)
+        if c.relation == "<=" and drift > 0:
+            return False
+        if c.relation == ">=" and drift < 0:
+            return False
+        if c.relation == "=" and drift != 0:
+            return False
+    for d, (lo, up) in zip(ray, lp.bounds):
+        if lo is not None and d < 0:
+            return False
+        if up is not None and d > 0:
+            return False
+    gain = sum((c * d for c, d in zip(lp.objective, ray)), _ZERO)
+    return gain > 0 if lp.sense == "max" else gain < 0
+
+
+def dominates(
+    coeffs: Sequence[dict[int, Fraction]],
+    convex: bool,
+    p: dict[int, Fraction],
+    carriers: Sequence[int],
+    combo: Sequence[int],
+) -> dict[int, Fraction] | None:
+    """`_Search._dominates` over the elements' coefficient maps."""
+    if any(w < 0 for w in p.values()) or not any(p.values()):
+        return None
+    expects = {
+        i: sum((w * coeffs[i].get(a, _ZERO) for a, w in p.items()), _ZERO)
+        for i in (*carriers, *combo)
+    }
+    if convex:
+        fixed = sum((expects[k] for k in combo), _ZERO)
+        ok = all(expects[i] >= fixed for i in carriers)
+    else:
+        ok = all(expects[i] >= 0 for i in carriers) and all(
+            expects[k] <= 0 for k in combo
+        )
+    return expects if ok else None

@@ -322,3 +322,18 @@ def test_debug_lp_dumps_programs(tmp_path, capsys):
     assert code == 0
     assert "max" in captured.err
     assert "<=" in captured.err
+
+
+def test_the_parser_is_built_once_and_carries_nothing_between_runs(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(VACUOUS)
+    argv = ["check", "--notion", "w-coherence", "-f", str(path)]
+    assert run(["--debug-lp", *argv]) == 0
+    debug = capsys.readouterr()
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    assert "max" in debug.err and plain.err == ""
+    first, second = json.loads(debug.out), json.loads(plain.out)
+    for key in ("inputDigest", "results", "lp"):
+        assert first[key] == second[key]
+    assert cli.build_parser() is cli.build_parser()
