@@ -169,6 +169,8 @@ class _Search:
     coeffs: tuple[dict[int, Fraction], ...] = ()
     # each element's coefficients as an `_int_row`
     int_rows: tuple[tuple[tuple[tuple[int, int], ...], int], ...] = ()
+    # for- and against-stakes, by element, of the last violation found
+    direction: tuple[dict[int, Fraction], dict[int, Fraction]] | None = None
 
     def __post_init__(self) -> None:
         self.coeffs = tuple(el.coefficients() for el in self.elements)
@@ -225,6 +227,7 @@ class _Search:
                     if self.convex
                     else {k: outcome.point[n_for + pos] for pos, k in enumerate(combo)}
                 )
+                self.direction = (stakes, against)
                 return self._witness(stakes, against), frozenset(), {}
             p = outcome.duals[: len(atoms)]
         else:

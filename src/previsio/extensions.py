@@ -1,34 +1,46 @@
 """Natural and upper extensions, and the axiom suite for structured domains.
 
-The natural extension LE(X|B) is the supremum of the prices alpha for
-which some bet in favour of assessed variables, combined with selling X
-at alpha, yields a gain with strictly negative supremum on the union of
-the conditioning events.  On a finite space this supremum is reached by
-a family of linear programs, one per candidate support union: maximise
-alpha with alpha <= X(w) - sum_i g_i(w) on B and sum_i g_i(w) <= 0 on
-the rest of the union.  The non-strict relaxation can only err upward,
-and never unboundedly for a coherent base, so unbounded programs are
-discarded and the result is validated by re-checking coherence of the
-extended assessment at the value and just below it (the admissible
-extension values form a closed interval).
+Both extension bounds of a target X|B come from one routine over the
+checkers' support-shrinking search, `checkers._Search`.  For a payoff Y
+on B and at most one assessed against-term k, the bound is the
+supremum of the prices alpha beaten by a bet with s >= 0 and
 
-The upper extension LU(X|B) is the largest value the assessment can
-still coherently assign to X|B.  It is located by the analogous family
-of threshold programs (minimise the break-even price of a normalised
-bet buying X) and confirmed by the same re-checking, which realises the
-bisection contract exactly: coherent at LU, incoherent above.
+    alpha + sum_i s_i g_i - s_k g_k < Y  on B,
+            sum_i s_i g_i - s_k g_k < 0  on the rest of its support.
+
+Its non-strict relaxation is one program over the entries still
+active, with R the union of their events and k's: maximise alpha with
+the first line as "<=" on B and the second as "<= 0" on R outside B.
+The relaxation can only err upward when no active bet is strictly
+negative on R outside B, so the routine first asks `_Search.violation`
+for such a direction; while there is none, the entries its dual
+charges carry no winning bet and are dropped, as in the checkers, and
+if it charges k's event the combination adds nothing.
+
+The natural extension LE(X|B), the least-committal coherent value, is
+the bound for Y = X with no other against-term (the target is itself
+bet against).  The upper extension LU(X|B), the largest coherent value,
+is minus the largest bound for Y = -X, over no against-term and each
+single one: above LU a bet buying X|B loses uniformly.
+
+Each bound is certified on ints without a program: helper stakes s*
+with bound + sum s* g <= Y on B and sum s* g <= 0 on their carriers'
+union outside B, and the direction s' of the last shrinking step,
+strictly negative there, so s* + t s' for a small t > 0 beats every
+price beyond the bound, however close.  ``verify=False`` skips only the
+coherence re-check at the bound itself, never the certificate.  The
+base assessment is checked once per public call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
-from .checkers import check_w_coherence, expanded_elements
+from .checkers import _Search, check_w_coherence, expanded_elements
 from .errors import BaseNotCoherent, DomainNotClosed
-from .lp import LinearProgram, Optimal, Unbounded, constraint, solve
+from .lp import LinearProgram, Optimal, constraint, over_one_denominator, solve
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -40,17 +52,17 @@ from .model import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-RECHECK_STEP = Fraction(1, 1000)
-
 
 HelperStakes = tuple[tuple[ConditionalVariable, Fraction], ...]
+# element index -> stake; a negative stake bets against the element
+Stakes = dict[int, Fraction]
 
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """Both extension bounds, with the helper stakes whose bets approach
-    each bound (diagnostic; prices below `lower` or above `upper` are
-    beaten by these helpers)."""
+    """Both extension bounds, with the helper stakes of the bet that
+    certifies each (a negative stake bets against its term): prices
+    below `lower` or above `upper` are beaten by these helpers."""
 
     target: ConditionalVariable
     lower: Fraction
@@ -59,132 +71,154 @@ class ExtensionResult:
     upper_helpers: HelperStakes | None = None
 
 
-@lru_cache(maxsize=256)
+@dataclass(frozen=True)
+class _Bound:
+    """A bound and its certificate: the helper stakes s* that reach it
+    and the direction s' that is strictly negative off the target's
+    event."""
+
+    value: Fraction
+    helpers: Stakes
+    direction: Stakes
+
+
 def _coherent(assessment: Assessment) -> bool:
-    # memoised: one call of `extend` checks the same base, and may
-    # re-check the same extended assessment, more than once
     return check_w_coherence(assessment).passed
 
 
 def _ensure_coherent_base(assessment: Assessment) -> None:
-    if not assessment.entries:
-        return  # the empty assessment is vacuously coherent
-    if not _coherent(assessment):
+    # the empty assessment is vacuously coherent
+    if assessment.entries and not _coherent(assessment):
         raise BaseNotCoherent("the base assessment is not W-coherent")
 
 
-def _with_value(
-    assessment: Assessment, cv: ConditionalVariable, value: Fraction
-) -> Assessment:
-    kept = tuple(e for e in assessment.entries if e.variable != cv)
-    return Assessment(assessment.space, kept).with_entry(cv, value)
+def _net(stakes: Stakes, against: Stakes) -> Stakes:
+    net = dict(stakes)
+    for k, a in against.items():
+        net[k] = net.get(k, _ZERO) - a
+    return {i: s for i, s in net.items() if s}
 
 
-def _extension_coherent(
-    assessment: Assessment, cv: ConditionalVariable, value: Fraction
+def _bound(
+    search: _Search, target: ConditionalVariable, sign: int, combo: tuple[int, ...]
+) -> _Bound | None:
+    """The bound for Y = sign * X and the against-terms `combo` (see the
+    module docstring), certified; None when no bet staking the
+    against-term wins."""
+    members = [el.cv.cond.members for el in search.elements]
+    b = target.cond.members
+    combo_region = frozenset().union(*(members[k] for k in combo))
+    active = list(range(len(members)))
+    direction: Stakes = {}
+    while True:
+        outside = combo_region.union(*(members[i] for i in active)) - b
+        if not outside:
+            break
+        witness, zone, _ = search.violation(active, combo, outside)
+        if witness is not None:
+            direction = _net(*search.direction)
+            break
+        if combo_region & zone:
+            return None
+        kept = [i for i in active if not members[i] & zone]
+        if len(kept) == len(active):
+            raise AssertionError("internal error: support shrinking made no progress")
+        active = kept
+
+    def row(atom: int) -> list[Fraction]:
+        return [search.coeffs[i].get(atom, _ZERO) for i in active] + [
+            -search.coeffs[k].get(atom, _ZERO) for k in combo
+        ]
+
+    y = target.value_map()
+    rows = [constraint(row(a) + [_ONE], "<=", sign * y[a]) for a in sorted(b)]
+    rows += [constraint(row(a) + [_ZERO], "<=", 0) for a in sorted(outside)]
+    n = len(active) + len(combo)
+    outcome = solve(LinearProgram(
+        objective=(_ZERO,) * n + (_ONE,),
+        constraints=tuple(rows),
+        bounds=((_ZERO, None),) * n + ((None, None),),
+    ))
+    # bounded and feasible for a coherent base: s = 0 is feasible, and
+    # an improving ray plus the direction would be a losing bet
+    if not isinstance(outcome, Optimal):
+        raise AssertionError("internal error: an extension program has no optimum")
+    stakes = outcome.point[:-1]
+    helpers = _net(dict(zip(active, stakes)), dict(zip(combo, stakes[len(active):])))
+    bound = _Bound(outcome.value, helpers, direction)
+    if not _certified(search, target, sign, bound):
+        raise AssertionError("internal error: an extension bound fails its certificate")
+    return bound
+
+
+def _int_gain(
+    search: _Search, stakes: Stakes, extra: Sequence[Fraction]
+) -> tuple[dict[int, int], list[int]]:
+    """The gain sum_i s_i g_i by atom and the values `extra`, as ints
+    over one positive denominator."""
+    keys = list(stakes)
+    ints, _ = over_one_denominator(
+        [stakes[i] / search.int_rows[i][1] for i in keys] + list(extra)
+    )
+    gain: dict[int, int] = {}
+    for i, m in zip(keys, ints):
+        for atom, v in search.int_rows[i][0]:
+            gain[atom] = gain.get(atom, 0) + m * v
+    return gain, ints[len(keys):]
+
+
+def _certified(
+    search: _Search, target: ConditionalVariable, sign: int, bound: _Bound
 ) -> bool:
-    return _coherent(_with_value(assessment, cv, value))
+    """The certificate of a bound for Y = sign * X, checked on ints: no
+    stake is negative but at most one against-term, none when the target
+    is itself bet against (sign > 0); bound + sum s* g <= Y on B; and on
+    the carriers' union outside B, sum s* g <= 0 and sum s' g < 0."""
+    signed = [*bound.helpers.items(), *bound.direction.items()]
+    against = {i for i, s in signed if s < 0}
+    if len(against) > (1 if sign < 0 else 0):
+        return False
+    b = sorted(target.cond.members)
+    y = target.value_map()
+    outside = frozenset().union(
+        *(search.elements[i].cv.cond.members for i, _ in signed)
+    ) - target.cond.members
+    gain, (value, *ys) = _int_gain(
+        search, bound.helpers, [bound.value] + [sign * y[a] for a in b]
+    )
+    direction, _ = _int_gain(search, bound.direction, ())
+    return all(value + gain.get(a, 0) <= v for a, v in zip(b, ys)) and all(
+        gain.get(a, 0) <= 0 and direction.get(a, 0) < 0 for a in outside
+    )
 
 
-def _support_unions(member_sets: Sequence[frozenset[int]]) -> list[frozenset[int]]:
-    unions: set[frozenset[int]] = {frozenset()}
-    for members in member_sets:
-        unions |= {u | members for u in unions}
-    return sorted(unions, key=lambda u: (len(u), sorted(u)))
+def _named(search: _Search, stakes: Stakes) -> HelperStakes:
+    return tuple((search.elements[i].cv, s) for i, s in stakes.items())
 
 
-def natural_extension(
-    assessment: Assessment, target: ConditionalVariable, *, verify: bool = True
-) -> Fraction:
-    """Least-committal W-coherent value for the target, exact."""
-    value, _ = _lower_bound_search(assessment, target, verify=verify)
-    return value
-
-
-def _lower_bound_search(
+def _lower_extension(
     assessment: Assessment, target: ConditionalVariable, *, verify: bool
-) -> tuple[Fraction, tuple]:
+) -> tuple[Fraction, HelperStakes]:
     target.space._check(assessment.space)
-    _ensure_coherent_base(assessment)
-    elements = expanded_elements(assessment)
-    coeffs = [el.coefficients() for el in elements]
-    member_sets = [el.cv.cond.members for el in elements]
-    b_members = target.cond.members
-    target_values = target.value_map()
-
-    best: Fraction | None = None
-    helpers: tuple = ()
-    for union in _support_unions(member_sets):
-        carriers = [i for i, m in enumerate(member_sets) if m <= union]
-        n = len(carriers)
-        rows = []
-        for atom in sorted(b_members):
-            # alpha + sum_i s_i g_i(atom) <= X(atom)
-            row = [coeffs[i].get(atom, _ZERO) for i in carriers] + [_ONE]
-            rows.append(constraint(row, "<=", target_values[atom]))
-        for atom in sorted(union - b_members):
-            row = [coeffs[i].get(atom, _ZERO) for i in carriers] + [_ZERO]
-            rows.append(constraint(row, "<=", 0))
-        prog = LinearProgram(
-            objective=tuple([_ZERO] * n + [_ONE]),
-            constraints=tuple(rows),
-            bounds=tuple([(_ZERO, None)] * n + [(None, None)]),
-        )
-        outcome = solve(prog)
-        if isinstance(outcome, Unbounded):
-            # only a slack direction that is null somewhere off B can be
-            # unbounded; the strict betting system has no use for it
-            continue
-        if not isinstance(outcome, Optimal):
-            raise AssertionError("extension program cannot be infeasible")
-        if best is None or outcome.value > best:
-            best = outcome.value
-            helpers = tuple(
-                (elements[i].cv, stake)
-                for i, stake in zip(carriers, outcome.point)
-                if stake > 0
-            )
-    if best is None:
-        raise AssertionError("no bounded support union")
+    search = _Search(expanded_elements(assessment))
+    bound = _bound(search, target, 1, ())
+    assert bound is not None  # only an against-term can end a chain
     if verify:
-        _verify_lower(assessment, target, best)
-    return best, helpers
-
-
-def _verify_lower(
-    assessment: Assessment, target: ConditionalVariable, value: Fraction
-) -> None:
-    entry = assessment.entry_for(target)
-    if entry is not None:
-        if value != entry.lower:
+        entry = assessment.entry_for(target)
+        if entry is not None and bound.value != entry.lower:
             raise AssertionError(
                 "natural extension of an assessed variable must return "
                 "its assessed value"
             )
-        return
-    if not _extension_coherent(assessment, target, value):
-        raise AssertionError("natural extension is not a coherent value")
-    if _extension_coherent(assessment, target, value - RECHECK_STEP):
-        raise AssertionError("a smaller extension value is still coherent")
+        if entry is None and not _coherent(assessment.with_entry(target, bound.value)):
+            raise AssertionError("natural extension is not a coherent value")
+    return bound.value, _named(search, bound.helpers)
 
 
-def upper_extension(
-    assessment: Assessment, target: ConditionalVariable, *, verify: bool = True
-) -> Fraction:
-    """Largest coherent value for the target, exact.
-
-    Located by the threshold programs and confirmed by re-checking
-    coherence at the value and one step above.
-    """
-    value, _ = _upper_bound_search(assessment, target, verify=verify)
-    return value
-
-
-def _upper_bound_search(
+def _upper_extension(
     assessment: Assessment, target: ConditionalVariable, *, verify: bool
-) -> tuple[Fraction, tuple]:
+) -> tuple[Fraction, HelperStakes]:
     target.space._check(assessment.space)
-    _ensure_coherent_base(assessment)
     entry = assessment.entry_for(target)
     if entry is not None and entry.is_precise:
         return entry.lower, ()
@@ -194,87 +228,41 @@ def _upper_bound_search(
             assessment.space,
             tuple(e for e in assessment.entries if e.variable != target),
         )
-    lower = natural_extension(base, target, verify=False) if base.entries else target.inf()
-    hi = target.sup()
-    helpers: tuple = ()
-    if _extension_coherent(base, target, hi):
-        result = hi
-    else:
-        result, helpers = _upper_threshold(base, target, lower, hi)
-    if entry is not None and result < entry.lower:
+    search = _Search(expanded_elements(base))
+    combos = [()] + [(k,) for k in range(len(search.elements))]
+    bounds = [_bound(search, target, -1, combo) for combo in combos]
+    best = max((b for b in bounds if b is not None), key=lambda b: b.value)
+    if entry is not None and -best.value < entry.lower:
         raise AssertionError("assessed lower value exceeds every coherent value")
-    if verify:
-        if not _extension_coherent(base, target, result):
-            raise AssertionError("upper extension is not a coherent value")
-        if _extension_coherent(base, target, result + RECHECK_STEP):
-            raise AssertionError("a larger extension value is still coherent")
-    return result, helpers
+    if verify and not _coherent(base.with_entry(target, -best.value)):
+        raise AssertionError("upper extension is not a coherent value")
+    return -best.value, _named(search, best.helpers)
 
 
-def _upper_threshold(
-    assessment: Assessment,
-    target: ConditionalVariable,
-    lower: Fraction,
-    hi: Fraction,
-) -> tuple[Fraction, HelperStakes]:
-    """Smallest break-even price over all normalised bets buying the
-    target, clamped to [lower, hi], with the helper stakes of the bet
-    that reaches it: for prices above it some bet against the
-    assessment wins uniformly."""
-    elements = expanded_elements(assessment)
-    coeffs = [el.coefficients() for el in elements]
-    member_sets = [el.cv.cond.members for el in elements]
-    b_members = target.cond.members
-    target_values = target.value_map()
+def natural_extension(
+    assessment: Assessment, target: ConditionalVariable, *, verify: bool = True
+) -> Fraction:
+    """Least-committal W-coherent value for the target, exact and
+    certified; ``verify=False`` skips only the coherence re-check at the
+    value, never the certificate."""
+    _ensure_coherent_base(assessment)
+    return _lower_extension(assessment, target, verify=verify)[0]
 
-    best: Fraction | None = None
-    helpers: tuple = ()
-    combos: list[tuple[int, ...]] = [()] + [(i,) for i in range(len(elements))]
-    unions = _support_unions(member_sets)
-    for combo in combos:
-        combo_region = frozenset().union(*(member_sets[k] for k in combo)) if combo else frozenset()
-        for union in unions:
-            carriers = [i for i, m in enumerate(member_sets) if m <= union]
-            n = len(carriers) + len(combo)
-            region = union | combo_region
-            rows = []
-            for atom in sorted(b_members):
-                # t >= X(atom) + sum s_i g_i - s_0 g_0
-                row = [coeffs[i].get(atom, _ZERO) for i in carriers]
-                row += [-coeffs[k].get(atom, _ZERO) for k in combo]
-                row.append(-_ONE)
-                rows.append(constraint(row, "<=", -target_values[atom]))
-            for atom in sorted(region - b_members):
-                row = [coeffs[i].get(atom, _ZERO) for i in carriers]
-                row += [-coeffs[k].get(atom, _ZERO) for k in combo]
-                row.append(_ZERO)
-                rows.append(constraint(row, "<=", 0))
-            prog = LinearProgram(
-                objective=tuple([_ZERO] * (n) + [_ONE]),
-                sense="min",
-                constraints=tuple(rows),
-                bounds=tuple([(_ZERO, None)] * n + [(None, None)]),
-            )
-            outcome = solve(prog)
-            if isinstance(outcome, Unbounded):
-                continue
-            if not isinstance(outcome, Optimal):
-                raise AssertionError("threshold program cannot be infeasible")
-            if best is None or outcome.value < best:
-                best = outcome.value
-                picked = list(zip(carriers, outcome.point))
-                picked += list(zip(combo, outcome.point[len(carriers):]))
-                helpers = tuple(
-                    (elements[i].cv, stake) for i, stake in picked if stake > 0
-                )
-    if best is None:
-        raise AssertionError("no bounded threshold program")
-    return min(max(best, lower), hi), helpers
+
+def upper_extension(
+    assessment: Assessment, target: ConditionalVariable, *, verify: bool = True
+) -> Fraction:
+    """Largest coherent value for the target, exact and certified;
+    ``verify=False`` skips only the coherence re-check at the value,
+    never the certificate."""
+    _ensure_coherent_base(assessment)
+    return _upper_extension(assessment, target, verify=verify)[0]
 
 
 def extend(assessment: Assessment, target: ConditionalVariable) -> ExtensionResult:
-    lower, lower_helpers = _lower_bound_search(assessment, target, verify=True)
-    upper, upper_helpers = _upper_bound_search(assessment, target, verify=True)
+    _ensure_coherent_base(assessment)
+    lower, lower_helpers = _lower_extension(assessment, target, verify=True)
+    upper, upper_helpers = _upper_extension(assessment, target, verify=True)
     return ExtensionResult(target, lower, upper, lower_helpers, upper_helpers)
 
 
@@ -318,13 +306,14 @@ NONNEGATIVE_SCALINGS = tuple(k for k in SCALING_SAMPLES if k >= 0)
 
 
 def natural_extension_prevision(assessment: Assessment) -> PrevisionSource:
-    """A memoised view of the natural extension as a total prevision."""
+    """A memoised view of the natural extension as a total prevision.
+    The base is checked once, here; each value carries its certificate."""
     _ensure_coherent_base(assessment)
     cache: dict[ConditionalVariable, Fraction] = {}
 
     def lookup(cv: ConditionalVariable) -> Fraction:
         if cv not in cache:
-            cache[cv] = natural_extension(assessment, cv, verify=False)
+            cache[cv] = _lower_extension(assessment, cv, verify=False)[0]
         return cache[cv]
 
     return lookup

@@ -14,7 +14,7 @@ from previsio.model import Assessment, Event, PossibilitySpace, restrict
 
 F = Fraction
 
-ATOM_NAMES = ("a", "b", "c", "d", "e")
+ATOM_NAMES = ("a", "b", "c", "d", "e", "f")
 
 
 def random_space(rng: random.Random, min_atoms=3, max_atoms=4) -> PossibilitySpace:

@@ -201,6 +201,44 @@ def test_extend_subcommand(monkeypatch):
     assert body["upper"] == "3/2"
 
 
+def test_extend_subcommand_on_a_conditional_reproducer(monkeypatch):
+    # the upper extension, -69/56, lies above the -3/2 that the programs
+    # of every support union give; the bound is certified, so exit 0
+    atoms = [f"w{i}" for i in range(6)]
+
+    def variable(values):
+        return {a: values.get(a, "0") for a in atoms}
+
+    doc = {
+        "atoms": atoms,
+        "variables": {
+            "X1": variable({"w0": "3", "w2": "3/2", "w3": "1/2", "w4": "1", "w5": "2"}),
+            "X2": variable({"w0": "1", "w3": "-1", "w5": "1/2"}),
+            "X3": variable({"w0": "1", "w1": "-3", "w3": "-1/2"}),
+            "T": variable({"w0": "-1", "w1": "-3/2", "w2": "-3/2", "w4": "-3"}),
+        },
+        "events": {
+            "B1": ["w0", "w2", "w3", "w4", "w5"],
+            "B2": ["w0", "w3", "w5"],
+            "B3": ["w0", "w1", "w3"],
+            "B": ["w0", "w1", "w2", "w4"],
+        },
+        "assessments": [
+            {"var": "X1", "given": "B1", "lower": "11/8"},
+            {"var": "X2", "given": "B2", "lower": "-1/8"},
+            {"var": "X3", "given": "B3", "lower": "-6/7"},
+        ],
+    }
+    code, report = invoke(
+        ["extend", "-f", "-", "--target", "T", "--given", "B"],
+        stdin_text=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    body = report["results"]["extension"]
+    assert body == {"target": "T|B", "lower": "-3", "upper": "-69/56"}
+
+
 def test_envelope_subcommand(monkeypatch):
     doc = {
         "atoms": ["a", "b"],

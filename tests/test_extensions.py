@@ -1,11 +1,20 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from conftest import positive_vector, random_coherent_assessment, random_space
+from conftest import (
+    positive_vector,
+    random_coherent_assessment,
+    random_event,
+    random_space,
+    random_variable,
+)
+from previsio import extensions, lp
 from previsio.bruteforce import natural_extension_grid
-from previsio.checkers import check_w_coherence
+from previsio.checkers import _Search, check_w_coherence, expanded_elements
 from previsio.envelopes import lower_envelope
 from previsio.errors import BaseNotCoherent, DomainNotClosed
 from previsio.extensions import (
@@ -16,9 +25,55 @@ from previsio.extensions import (
     upper_extension,
 )
 from previsio.conglomerability import definetti_example
-from previsio.model import Assessment, PossibilitySpace, restrict
+from previsio.model import Assessment, ConditionalVariable, PossibilitySpace, restrict
 
 F = Fraction
+
+
+def conditional_cases(seed, count=8):
+    """Seeded conditional bases on 4-6 atoms, each with an unassessed
+    target on a random event.  The seeds used below each include a case
+    where a bound read from the programs of every support union, without
+    a strict direction off B, is wrong."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        space = random_space(rng, 4, 6)
+        base = random_coherent_assessment(rng, space=space, max_entries=3)
+        target = restrict(random_variable(rng, space), random_event(rng, space))
+        if base.entry_for(target) is None:
+            cases.append((base, target))
+    return cases
+
+
+def unconditional_cases(rng, count):
+    cases = []
+    for _ in range(count):
+        space = random_space(rng, 3, 3)
+        base = random_coherent_assessment(rng, space=space, max_entries=2)
+        x = space.variable({a: F(rng.randint(-2, 2)) for a in space.atoms})
+        target = restrict(x, space.omega())
+        if base.entry_for(target) is None:
+            cases.append((base, target))
+    return cases
+
+
+def reproducer():
+    """A 6-atom conditional assessment whose upper extension, -69/56,
+    lies above the -3/2 that the programs of every support union give."""
+    s = PossibilitySpace(tuple(f"w{i}" for i in range(6)))
+
+    def cv(atoms, values):
+        return ConditionalVariable(
+            s.event([f"w{i}" for i in atoms]), tuple(map(F, values))
+        )
+
+    a = Assessment.build(s, [
+        (cv([0, 2, 3, 4, 5], ["3", "3/2", "1/2", "1", "2"]), F(11, 8)),
+        (cv([0, 3, 5], ["1", "-1", "1/2"]), F(-1, 8)),
+        (cv([0, 1, 3], ["1", "-3", "-1/2"]), F(-6, 7)),
+    ])
+    return a, cv([0, 1, 2, 4], ["-1", "-3/2", "-3/2", "-3"])
 
 
 @pytest.fixture
@@ -67,14 +122,8 @@ def test_le_without_helpers_is_the_infimum():
 
 
 def test_le_bounded_by_sup_and_dominates_grid():
-    rng = random.Random(223)
-    for _ in range(12):
-        space = random_space(rng, 3, 3)
-        base = random_coherent_assessment(rng, space=space, max_entries=2)
-        x = space.variable({a: F(rng.randint(-2, 2)) for a in space.atoms})
-        target = restrict(x, space.omega())
-        if base.entry_for(target) is not None:
-            continue
+    cases = unconditional_cases(random.Random(223), 12) + conditional_cases(417)
+    for base, target in cases:
         le = natural_extension(base, target)
         assert target.inf() <= le <= target.sup()
         oracle = natural_extension_grid(base, target)
@@ -202,14 +251,8 @@ def test_upper_extension_recheck_definetti():
 
 
 def test_upper_extension_agrees_with_bisection_oracle():
-    rng = random.Random(239)
-    for _ in range(6):
-        space = random_space(rng, 3, 3)
-        base = random_coherent_assessment(rng, space=space, max_entries=2)
-        x = space.variable({a: F(rng.randint(-2, 2)) for a in space.atoms})
-        target = restrict(x, space.omega())
-        if base.entry_for(target) is not None:
-            continue
+    cases = unconditional_cases(random.Random(239), 6) + conditional_cases(300)
+    for base, target in cases:
         lu = upper_extension(base, target)
         lo, hi = natural_extension(base, target), target.sup()
         if check_w_coherence(base.with_entry(target, hi)).passed:
@@ -222,6 +265,149 @@ def test_upper_extension_agrees_with_bisection_oracle():
             else:
                 hi = mid
         assert lo <= lu <= hi
+
+
+def test_reproducer_upper_extension_is_exact_without_the_recheck():
+    base, target = reproducer()
+    assert upper_extension(base, target, verify=False) == F(-69, 56)
+    assert check_w_coherence(base.with_entry(target, F(-69, 56))).passed
+    beyond = base.with_entry(target, F(-69, 56) + F(1, 10**9))
+    assert not check_w_coherence(beyond).passed
+
+
+def test_reproducer_extend_returns_both_bounds():
+    base, target = reproducer()
+    result = extend(base, target)
+    assert (result.lower, result.upper) == (F(-3), F(-69, 56))
+
+
+@pytest.mark.parametrize("gap", [F(1, 2000), F(1, 10**6)], ids=["1/2000", "1/10**6"])
+def test_certificate_rejects_a_bound_beyond_the_natural_extension(gap):
+    # P(x) >= 1/4 and P(y) >= 1/4 put LE(x or y) at 1/2.  A claim just
+    # above it is still a coherent value, while 1/1000 below the claim
+    # 1001/2000 lies under 1/2 and is not, so coherence re-checks at the
+    # claim and one fixed step away cannot tell; the certificate can
+    space = PossibilitySpace(("x", "y", "z"))
+    x, y = (space.indicator(space.event([a])) for a in ("x", "y"))
+    base = Assessment.build(space, [(x.unconditional(), F(1, 4)), (y.unconditional(), F(1, 4))])
+    target = space.indicator(space.event(["x", "y"])).unconditional()
+    search = _Search(expanded_elements(base))
+    bound = extensions._bound(search, target, 1, ())
+    assert bound.value == F(1, 2)
+    assert extensions._certified(search, target, 1, bound)
+    claimed = bound.value + gap
+    assert check_w_coherence(base.with_entry(target, claimed)).passed
+    assert not extensions._certified(search, target, 1, replace(bound, value=claimed))
+    # nor does any other pair of helper stakes on a grid
+    for stakes in product([F(k, 4) for k in range(9)], repeat=2):
+        helpers = {i: s for i, s in enumerate(stakes) if s}
+        other = extensions._Bound(claimed, helpers, {})
+        assert not extensions._certified(search, target, 1, other)
+
+
+@pytest.mark.parametrize(
+    "sign,value,helpers,direction,accepted",
+    [
+        (1, F(0), {}, {}, True),  # bound = inf X on B; nothing outside B
+        (1, F(1, 10**6), {}, {}, False),
+        (1, F(0), {}, {0: F(1), 1: F(3)}, True),
+        (1, F(0), {}, {0: F(1), 1: F(2)}, False),  # gains exactly 0 at c
+        (1, F(-1), {0: F(1), 1: F(2)}, {1: F(1)}, True),  # helpers 0 at c
+        (1, F(-1), {0: F(1), 1: F(2)}, {}, False),
+        (1, F(-1), {0: F(1), 1: F(1)}, {1: F(1)}, False),  # helpers 1/4 at c
+        (1, F(0), {}, {0: F(-1)}, False),  # the target is already against
+        (-1, F(-1), {}, {0: F(-1)}, True),
+        (-1, F(-1), {}, {0: F(-1), 1: F(-1)}, False),  # two against-terms
+        (-1, F(-5, 4), {2: F(-1)}, {}, True),
+        (-1, F(-5, 4), {2: F(-1)}, {0: F(-1)}, False),  # two against-terms
+    ],
+)
+def test_certificate_checks_are_exact_at_the_boundary(sign, value, helpers, direction, accepted):
+    # g_0 = 1{c} - 1/2 and g_1 = 1{b} - 1/4 on {b, c}, g_2 = 1{b} - 1/4
+    # on {a, b}; the target is 1{a} given B = {a, b}, so c is the one
+    # atom outside B
+    space = PossibilitySpace(("a", "b", "c"))
+    b, c = (space.indicator(space.event([a])) for a in ("b", "c"))
+    bc, ab = space.event(["b", "c"]), space.event(["a", "b"])
+    base = Assessment.build(space, [
+        (restrict(c, bc), F(1, 2)), (restrict(b, bc), F(1, 4)), (restrict(b, ab), F(1, 4)),
+    ])
+    target = restrict(space.indicator(space.event(["a"])), ab)
+    search = _Search(expanded_elements(base))
+    bound = extensions._Bound(value, helpers, direction)
+    assert extensions._certified(search, target, sign, bound) is accepted
+
+
+def test_every_bound_passes_its_certificate(monkeypatch):
+    checked = []
+    certified = extensions._certified
+
+    def spy(search, target, sign, bound):
+        ok = certified(search, target, sign, bound)
+        checked.append((sign, bound.value, ok))
+        return ok
+
+    monkeypatch.setattr(extensions, "_certified", spy)
+    base, target = reproducer()
+    result = extend(base, target)
+    assert (1, result.lower, True) in checked
+    assert (-1, -result.upper, True) in checked
+    assert all(ok for _, _, ok in checked)
+
+
+def test_the_base_is_checked_once_per_call(monkeypatch):
+    base, target = reproducer()
+    seen = []
+
+    def counting(assessment):
+        seen.append(assessment)
+        return check_w_coherence(assessment)
+
+    monkeypatch.setattr(extensions, "check_w_coherence", counting)
+    calls = [
+        (lambda: extend(base, target), 3),  # the base, then LE and LU
+        (lambda: natural_extension(base, target), 2),
+        (lambda: natural_extension(base, target, verify=False), 1),
+        (lambda: upper_extension(base, target), 2),
+        (lambda: upper_extension(base, target, verify=False), 1),
+    ]
+    for call, checks in calls:
+        seen.clear()
+        call()
+        assert len(seen) == checks
+        assert seen.count(base) == 1
+    seen.clear()
+    source = natural_extension_prevision(base)
+    source(target)
+    source(restrict(target.as_variable().scale(2), target.cond))
+    assert seen == [base]
+
+
+# lp.counters solves of natural_extension and extend of A from de
+# Finetti (1, 2, n) with A's own entry removed: deterministic, so a
+# change here is a change of algorithm
+PINNED_EXTENSIONS = pytest.mark.parametrize(
+    "n,natural,both",
+    [(4, 11, 27), (5, 13, 32), (6, 15, 37), (7, 17, 42), (8, 19, 47),
+     (9, 21, 52), (10, 23, 57)],
+)
+
+
+@PINNED_EXTENSIONS
+def test_extension_lp_counts_are_pinned(n, natural, both):
+    bundle = definetti_example(1, 2, n)
+    target = bundle.variables["A"].unconditional()
+    base = Assessment(
+        bundle.space,
+        tuple(e for e in bundle.assessment.entries if e.variable != target),
+    )
+    lp.counters.reset()
+    assert natural_extension(base, target) == F(1, 3)
+    assert lp.counters.solves == natural
+    lp.counters.reset()
+    result = extend(base, target)
+    assert (result.lower, result.upper) == (F(1, 3), F(1))
+    assert lp.counters.solves == both
 
 
 def test_conjugacy_observation_on_corpus(product_rule_base):
