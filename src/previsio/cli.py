@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 from typing import Any, Sequence
 
 from . import lp
@@ -195,8 +196,7 @@ def _cmd_envelope(args: argparse.Namespace) -> tuple[int, str | None, dict]:
     doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     mode = "delta" if args.delta is not None else "filter"
-    delta = parse_rational(args.delta) if args.delta is not None else None
-    credal = credal_polytope(problem.assessment, mode=mode, delta=delta)
+    credal = credal_polytope(problem.assessment, mode=mode, delta=args.delta)
     per_entry = credal.per_entry_min(problem.assessment)
     named = {}
     for cv, value in per_entry.items():
@@ -259,6 +259,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_rational(text: str) -> Fraction:
+    try:
+        value = parse_rational(text)
+    except SchemaError:
+        value = Fraction(0)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive rational p/q, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once: parsing leaves it as it was."""
@@ -292,7 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     env = sub.add_parser("envelope", help="credal polytope vertices")
     env.add_argument("-f", "--file", default="-")
-    env.add_argument("--delta", help="positivity margin p/q (default: closed + filter)")
+    env.add_argument(
+        "--delta",
+        type=_positive_rational,
+        help="positivity margin p/q > 0 (default: closed + filter)",
+    )
     env.set_defaults(run=_cmd_envelope)
 
     example = sub.add_parser("example", help="generate a classical example")

@@ -8,6 +8,16 @@ start from the probability simplex and cut one halfspace at a time,
 keeping satisfying vertices and the cuts of edges between kept and
 dropped ones.
 
+The enumeration runs on ints, fraction-free in the way of `lp`'s
+tableau.  Each halfspace is scaled once, when enumeration starts, to its
+nonzero (column, int) terms and an int rhs (`lp.over_one_denominator`).
+Each vertex is an int vector v over one positive int d, the point v / d
+with sum v = d, in lowest terms.  Its slack under a halfspace is the int
+sum_j a_j v_j - r d, whose sign alone is used, and the point where the
+edge (a, b) with slacks s_a > 0 > s_b crosses the cut is
+s_a (v_b, d_b) - s_b (v_a, d_a), divided by its gcd.  Fractions are made
+only when the `CredalSet` is built.
+
 Each vertex carries its tight set as an int bitmask: bit j for
 p_j >= 0 and bit n + i for the i-th halfspace.  A cut adds its bit to
 the kept vertices with zero slack, and a new vertex on the edge (a, b)
@@ -27,8 +37,10 @@ error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .checkers import check_df_precise_conditional
@@ -38,6 +50,7 @@ from .errors import (
     MemberNotCoherent,
     ZeroProbabilityConditioning,
 )
+from .lp import over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -51,6 +64,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 MAX_ATOMS = 12
+
+# the point v / d and its tight-set bitmask
+_Vertex = tuple[tuple[int, ...], int, int]
+# a halfspace's nonzero (column, int) terms and int rhs
+_IntRow = tuple[tuple[tuple[int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -95,11 +113,17 @@ def _conditional_prevision(
     return scaled / mass
 
 
-def _simplex_vertices(n: int) -> list[tuple[tuple[Fraction, ...], int]]:
+def _int_row(halfspace: HalfSpace) -> _IntRow:
+    """`halfspace` times the lcm of its denominators."""
+    ints, _ = over_one_denominator([*halfspace.coeffs, halfspace.rhs])
+    return tuple((j, a) for j, a in enumerate(ints[:-1]) if a), ints[-1]
+
+
+def _simplex_vertices(n: int) -> list[_Vertex]:
     """The unit vectors, each tight at every p_j >= 0 but its own."""
     full = (1 << n) - 1
     return [
-        (tuple(_ONE if j == i else _ZERO for j in range(n)), full & ~(1 << i))
+        (tuple(int(j == i) for j in range(n)), 1, full & ~(1 << i))
         for i in range(n)
     ]
 
@@ -124,46 +148,54 @@ def _is_edge(common: int, masks: Sequence[int], n: int) -> bool:
     return True
 
 
-def _cut(
-    vertices: list[tuple[tuple[Fraction, ...], int]],
-    halfspace: HalfSpace,
-    bit: int,
-    n: int,
-) -> list[tuple[tuple[Fraction, ...], int]]:
-    """Intersect the polytope with `halfspace`, whose tight-set bit is `bit`."""
-    slacks = [halfspace.slack(v) for v, _ in vertices]
+def _cut(vertices: list[_Vertex], row: _IntRow, bit: int, n: int) -> list[_Vertex]:
+    """Intersect the polytope with the halfspace `row`, whose tight-set
+    bit is `bit`."""
+    terms, rhs = row
+    # the slack at v / d times d and the row's scale, both positive
+    slacks = [sum(a * v[j] for j, a in terms) - rhs * d for v, d, _ in vertices]
     kept = [
-        (v, mask | bit if s == 0 else mask)
-        for (v, mask), s in zip(vertices, slacks)
+        (v, d, mask | bit if s == 0 else mask)
+        for (v, d, mask), s in zip(vertices, slacks)
         if s >= 0
     ]
     if len(kept) == len(vertices):
         return kept
-    masks = [mask for _, mask in vertices]
-    above = [(v, mask, s) for (v, mask), s in zip(vertices, slacks) if s > 0]
-    below = [(v, mask, s) for (v, mask), s in zip(vertices, slacks) if s < 0]
-    for a, mask_a, s_a in above:
-        for b, mask_b, s_b in below:
+    masks = [mask for _, _, mask in vertices]
+    above = [(x, s) for x, s in zip(vertices, slacks) if s > 0]
+    below = [(x, s) for x, s in zip(vertices, slacks) if s < 0]
+    for (v_a, d_a, mask_a), s_a in above:
+        for (v_b, d_b, mask_b), s_b in below:
             common = mask_a & mask_b
             if not _is_edge(common, masks, n):
                 continue
             # each edge crosses the hyperplane at its own interior point,
-            # so no point is found twice
-            t = s_a / (s_a - s_b)
-            point = tuple(x + t * (y - x) for x, y in zip(a, b))
-            kept.append((point, common | bit))
+            # so no point is found twice; the coordinates sum to the
+            # denominator, so their gcd divides it
+            point = [s_a * y - s_b * x for x, y in zip(v_a, v_b)]
+            g = math.gcd(*point)
+            kept.append((
+                tuple(x // g for x in point),
+                (s_a * d_b - s_b * d_a) // g,
+                common | bit,
+            ))
     return kept
 
 
 def _enumerate_vertices(
     n: int, halfspaces: Sequence[HalfSpace]
-) -> list[tuple[Fraction, ...]]:
+) -> list[tuple[tuple[int, ...], int]]:
+    """The vertices (v, d), sorted by their points v / d."""
     vertices = _simplex_vertices(n)
-    for i, halfspace in enumerate(halfspaces):
-        vertices = _cut(vertices, halfspace, 1 << (n + i), n)
+    for i, row in enumerate(map(_int_row, halfspaces)):
+        vertices = _cut(vertices, row, 1 << (n + i), n)
         if not vertices:
             return []
-    return sorted(v for v, _ in vertices)
+    common = reduce(math.lcm, (d for _, d, _ in vertices), 1)
+    return sorted(
+        ((v, d) for v, d, _ in vertices),
+        key=lambda vd: [x * (common // vd[1]) for x in vd[0]],
+    )
 
 
 def domination_constraints(assessment: Assessment) -> list[HalfSpace]:
@@ -225,20 +257,21 @@ def credal_polytope(
             halfspaces.append(HalfSpace(tuple(row), d))
     vertices = _enumerate_vertices(space.size, halfspaces)
     if mode == "filter":
+        # v >= 0, so P(B) > 0 iff some coordinate on B is nonzero
         vertices = [
-            v
-            for v in vertices
-            if all(
-                sum((v[i] for i in event.members), _ZERO) > 0
-                for event in required
-            )
+            (v, d)
+            for v, d in vertices
+            if all(any(v[i] for i in event.members) for event in required)
         ]
     if not vertices:
         raise EmptyCredalSet(
             "no dominating prevision exists in the requested positivity "
             "regime (this alone does not prove incoherence)"
         )
-    return CredalSet(space, tuple(vertices), tuple(halfspaces))
+    points = tuple(
+        tuple(Fraction(x, d) if x else _ZERO for x in v) for v, d in vertices
+    )
+    return CredalSet(space, points, tuple(halfspaces))
 
 
 # ---------------------------------------------------------------------------

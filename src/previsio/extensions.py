@@ -21,7 +21,9 @@ The natural extension LE(X|B), the least-committal coherent value, is
 the bound for Y = X with no other against-term (the target is itself
 bet against).  The upper extension LU(X|B), the largest coherent value,
 is minus the largest bound for Y = -X, over no against-term and each
-single one: above LU a bet buying X|B loses uniformly.
+single one: above LU a bet buying X|B loses uniformly.  An assessed
+target's own lower element is left out of these bets, since LU replaces
+it; its upper element stays, so LU never exceeds an assessed upper.
 
 Each bound is certified on ints without a program: helper stakes s*
 with bound + sum s* g <= Y on B and sum s* g <= 0 on their carriers'
@@ -29,7 +31,7 @@ union outside B, and the direction s' of the last shrinking step,
 strictly negative there, so s* + t s' for a small t > 0 beats every
 price beyond the bound, however close.  ``verify=False`` skips only the
 coherence re-check at the bound itself, never the certificate.  The
-base assessment is checked once per public call.
+base assessment is checked, and its search built, once per public call.
 """
 
 from __future__ import annotations
@@ -100,15 +102,19 @@ def _net(stakes: Stakes, against: Stakes) -> Stakes:
 
 
 def _bound(
-    search: _Search, target: ConditionalVariable, sign: int, combo: tuple[int, ...]
+    search: _Search,
+    target: ConditionalVariable,
+    sign: int,
+    combo: tuple[int, ...],
+    usable: Sequence[int] | None = None,
 ) -> _Bound | None:
     """The bound for Y = sign * X and the against-terms `combo` (see the
-    module docstring), certified; None when no bet staking the
-    against-term wins."""
+    module docstring), over the elements `usable` (default: all),
+    certified; None when no bet staking the against-term wins."""
     members = [el.cv.cond.members for el in search.elements]
     b = target.cond.members
     combo_region = frozenset().union(*(members[k] for k in combo))
-    active = list(range(len(members)))
+    active = list(range(len(members)) if usable is None else usable)
     direction: Stakes = {}
     while True:
         outside = combo_region.union(*(members[i] for i in active)) - b
@@ -196,11 +202,16 @@ def _named(search: _Search, stakes: Stakes) -> HelperStakes:
     return tuple((search.elements[i].cv, s) for i, s in stakes.items())
 
 
-def _lower_extension(
-    assessment: Assessment, target: ConditionalVariable, *, verify: bool
-) -> tuple[Fraction, HelperStakes]:
+def _search(assessment: Assessment, target: ConditionalVariable) -> _Search:
+    """The search over the assessment's elements, which both bounds of
+    any target share."""
     target.space._check(assessment.space)
-    search = _Search(expanded_elements(assessment))
+    return _Search(expanded_elements(assessment))
+
+
+def _lower_extension(
+    assessment: Assessment, search: _Search, target: ConditionalVariable, *, verify: bool
+) -> tuple[Fraction, HelperStakes]:
     bound = _bound(search, target, 1, ())
     assert bound is not None  # only an against-term can end a chain
     if verify:
@@ -216,27 +227,31 @@ def _lower_extension(
 
 
 def _upper_extension(
-    assessment: Assessment, target: ConditionalVariable, *, verify: bool
+    assessment: Assessment, search: _Search, target: ConditionalVariable, *, verify: bool
 ) -> tuple[Fraction, HelperStakes]:
-    target.space._check(assessment.space)
+    """The largest lower value of the target that keeps the assessment
+    coherent: the target's own lower element leaves the search, and an
+    assessed upper value stays in it."""
     entry = assessment.entry_for(target)
     if entry is not None and entry.is_precise:
         return entry.lower, ()
-    base = assessment
-    if entry is not None:
-        base = Assessment(
-            assessment.space,
-            tuple(e for e in assessment.entries if e.variable != target),
-        )
-    search = _Search(expanded_elements(base))
-    combos = [()] + [(k,) for k in range(len(search.elements))]
-    bounds = [_bound(search, target, -1, combo) for combo in combos]
+    usable = [
+        i for i, el in enumerate(search.elements)
+        if el.base != target or el.from_upper
+    ]
+    combos = [()] + [(k,) for k in usable]
+    bounds = [_bound(search, target, -1, combo, usable) for combo in combos]
     best = max((b for b in bounds if b is not None), key=lambda b: b.value)
-    if entry is not None and -best.value < entry.lower:
+    value = -best.value
+    if entry is not None and value < entry.lower:
         raise AssertionError("assessed lower value exceeds every coherent value")
-    if verify and not _coherent(base.with_entry(target, -best.value)):
+    others = tuple(e for e in assessment.entries if e.variable != target)
+    extended = Assessment(assessment.space, others).with_entry(
+        target, value, None if entry is None else entry.upper
+    )
+    if verify and not _coherent(extended):
         raise AssertionError("upper extension is not a coherent value")
-    return -best.value, _named(search, best.helpers)
+    return value, _named(search, best.helpers)
 
 
 def natural_extension(
@@ -246,7 +261,8 @@ def natural_extension(
     certified; ``verify=False`` skips only the coherence re-check at the
     value, never the certificate."""
     _ensure_coherent_base(assessment)
-    return _lower_extension(assessment, target, verify=verify)[0]
+    search = _search(assessment, target)
+    return _lower_extension(assessment, search, target, verify=verify)[0]
 
 
 def upper_extension(
@@ -256,13 +272,15 @@ def upper_extension(
     ``verify=False`` skips only the coherence re-check at the value,
     never the certificate."""
     _ensure_coherent_base(assessment)
-    return _upper_extension(assessment, target, verify=verify)[0]
+    search = _search(assessment, target)
+    return _upper_extension(assessment, search, target, verify=verify)[0]
 
 
 def extend(assessment: Assessment, target: ConditionalVariable) -> ExtensionResult:
     _ensure_coherent_base(assessment)
-    lower, lower_helpers = _lower_extension(assessment, target, verify=True)
-    upper, upper_helpers = _upper_extension(assessment, target, verify=True)
+    search = _search(assessment, target)
+    lower, lower_helpers = _lower_extension(assessment, search, target, verify=True)
+    upper, upper_helpers = _upper_extension(assessment, search, target, verify=True)
     return ExtensionResult(target, lower, upper, lower_helpers, upper_helpers)
 
 
@@ -313,7 +331,9 @@ def natural_extension_prevision(assessment: Assessment) -> PrevisionSource:
 
     def lookup(cv: ConditionalVariable) -> Fraction:
         if cv not in cache:
-            cache[cv] = _lower_extension(assessment, cv, verify=False)[0]
+            cache[cv] = _lower_extension(
+                assessment, _search(assessment, cv), cv, verify=False
+            )[0]
         return cache[cv]
 
     return lookup

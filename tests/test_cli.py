@@ -272,6 +272,95 @@ def test_envelope_of_a_precise_entry(monkeypatch):
     assert body["perEntryMin"] == {"Ea": "1/2"}
 
 
+CONDITIONAL_ENVELOPE = json.dumps(
+    {
+        "atoms": ["a", "b", "c", "d"],
+        "variables": {"X": {"a": "1", "b": "3", "c": "0", "d": "2"}},
+        "events": {"Ea": ["a"], "B": ["a", "b", "c"], "C": ["b", "d"]},
+        "assessments": [
+            {"var": "Ea", "given": "B", "lower": "1/4", "upper": "2/3"},
+            {"var": "X", "given": "C", "lower": "5/2"},
+            {"var": "X", "lower": "1"},
+        ],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "flags,vertices",
+    [
+        (
+            [],
+            [
+                ["1/7", "3/7", "0", "3/7"],
+                ["4/19", "3/19", "9/19", "3/19"],
+                ["1/4", "1/4", "1/2", "0"],
+                ["1/4", "3/4", "0", "0"],
+                ["1/2", "1/4", "0", "1/4"],
+                ["8/13", "1/13", "3/13", "1/13"],
+                ["2/3", "1/9", "2/9", "0"],
+                ["2/3", "1/3", "0", "0"],
+            ],
+        ),
+        (
+            ["--delta", "1/5"],
+            [
+                ["1/7", "3/7", "0", "3/7"],
+                ["4/19", "3/19", "9/19", "3/19"],
+                ["1/4", "1/4", "1/2", "0"],
+                ["1/4", "3/4", "0", "0"],
+                ["2/5", "1/5", "2/5", "0"],
+                ["1/2", "1/10", "3/10", "1/10"],
+                ["1/2", "1/4", "0", "1/4"],
+                ["3/5", "1/10", "1/5", "1/10"],
+                ["2/3", "1/5", "2/15", "0"],
+                ["2/3", "1/3", "0", "0"],
+            ],
+        ),
+    ],
+    ids=["filter", "delta"],
+)
+def test_envelope_vertex_order_is_pinned(flags, vertices, monkeypatch):
+    # vertices come sorted by their rationals, coordinate by coordinate,
+    # which is not the order of their strings
+    code, report = invoke(
+        ["envelope", "-f", "-", *flags],
+        stdin_text=CONDITIONAL_ENVELOPE,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    body = report["results"]["envelope"]
+    assert body["vertices"] == vertices
+    assert body["perEntryMin"] == {"Ea|B": "1/4", "X|C": "5/2", "X": "1"}
+
+
+@pytest.mark.parametrize("delta", ["0", "-1/2", "abc", "1/0"])
+def test_nonpositive_delta_exits_two(delta, tmp_path, capsys):
+    path = tmp_path / "a.json"
+    path.write_text(CONDITIONAL_ENVELOPE)
+    with pytest.raises(SystemExit) as exc:
+        run(["envelope", "-f", str(path), f"--delta={delta}"])
+    assert exc.value.code == 2
+    assert "expected a positive rational" in capsys.readouterr().err
+
+
+def test_extend_keeps_an_assessed_upper_value(monkeypatch):
+    # P(Ea) in [1/4, 1/2]: a lower value above 1/2 would exceed the
+    # assessed upper one, so the upper extension is 1/2, not 1
+    doc = {
+        "atoms": ["a", "b"],
+        "events": {"Ea": ["a"]},
+        "assessments": [{"var": "Ea", "lower": "1/4", "upper": "1/2"}],
+    }
+    code, report = invoke(
+        ["extend", "-f", "-", "--target", "Ea"],
+        stdin_text=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert report["results"]["extension"] == {"target": "Ea", "lower": "1/4", "upper": "1/2"}
+
+
 def test_input_digest_belongs_to_its_own_run(tmp_path):
     path = tmp_path / "a.json"
     path.write_text(VACUOUS)

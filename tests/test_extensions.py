@@ -6,8 +6,10 @@ from itertools import product
 import pytest
 
 from conftest import (
+    bayes_value,
     positive_vector,
     random_coherent_assessment,
+    random_domain,
     random_event,
     random_space,
     random_variable,
@@ -250,21 +252,68 @@ def test_upper_extension_recheck_definetti():
     assert not check_w_coherence(nudged).passed
 
 
+def assessed_cases(seed, count=6):
+    """Seeded conditional envelopes with lower and upper values on 3-5
+    atoms, each with one of its imprecise entries as the target."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        space = random_space(rng, 3, 5)
+        domain = random_domain(rng, space, 3)
+        members = [positive_vector(rng, space) for _ in range(rng.randint(2, 3))]
+        items = []
+        for cv in domain:
+            values = [bayes_value(p, cv) for p in members]
+            items.append((cv, min(values), max(values)))
+        base = Assessment.build(space, items)
+        target = rng.choice(domain)
+        if not base.entry_for(target).is_precise:
+            cases.append((base, target))
+    return cases
+
+
+def with_lower(base, target, value):
+    """`base` with `value` as the target's lower value, its assessed
+    upper value kept."""
+    entry = base.entry_for(target)
+    if entry is None:
+        return base.with_entry(target, value)
+    others = tuple(e for e in base.entries if e.variable != target)
+    return Assessment(base.space, others).with_entry(target, value, entry.upper)
+
+
 def test_upper_extension_agrees_with_bisection_oracle():
-    cases = unconditional_cases(random.Random(239), 6) + conditional_cases(300)
+    cases = (
+        unconditional_cases(random.Random(239), 6)
+        + conditional_cases(300)
+        + assessed_cases(307)
+    )
     for base, target in cases:
         lu = upper_extension(base, target)
         lo, hi = natural_extension(base, target), target.sup()
-        if check_w_coherence(base.with_entry(target, hi)).passed:
+        if check_w_coherence(with_lower(base, target, hi)).passed:
             assert lu == hi
             continue
         for _ in range(20):
             mid = (lo + hi) / 2
-            if check_w_coherence(base.with_entry(target, mid)).passed:
+            if check_w_coherence(with_lower(base, target, mid)).passed:
                 lo = mid
             else:
                 hi = mid
         assert lo <= lu <= hi
+        entry = base.entry_for(target)
+        if entry is not None:
+            assert lu <= entry.upper
+
+
+def test_upper_extension_keeps_an_assessed_upper_value():
+    space = PossibilitySpace(("a", "b"))
+    x = space.indicator(space.event(["a"])).unconditional()
+    base = Assessment.build(space, [(x, F(1, 4), F(1, 2))])
+    assert not check_w_coherence(with_lower(base, x, F(3, 4))).passed
+    assert upper_extension(base, x) == F(1, 2)
+    result = extend(base, x)
+    assert (result.lower, result.upper) == (F(1, 4), F(1, 2))
 
 
 def test_reproducer_upper_extension_is_exact_without_the_recheck():
@@ -381,6 +430,24 @@ def test_the_base_is_checked_once_per_call(monkeypatch):
     source(target)
     source(restrict(target.as_variable().scale(2), target.cond))
     assert seen == [base]
+
+
+def test_the_search_is_built_once_per_extend(monkeypatch):
+    built = []
+
+    class Counting(_Search):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(extensions, "_Search", Counting)
+    space = PossibilitySpace(("a", "b"))
+    x = space.indicator(space.event(["a"])).unconditional()
+    interval = Assessment.build(space, [(x, F(1, 4), F(1, 2))])
+    for base, target in [reproducer(), (interval, x)]:
+        built.clear()
+        extend(base, target)
+        assert len(built) == 1
 
 
 # lp.counters solves of natural_extension and extend of A from de
