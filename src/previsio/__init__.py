@@ -50,6 +50,7 @@ from .gains import (
     in_favour,
     income_expense,
 )
+from .lp import Trace
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -78,6 +79,7 @@ __all__ = [
     "PartitionFamily",
     "PossibilitySpace",
     "RandomVariable",
+    "Trace",
     "Verdict",
     "against",
     "as_rational",

@@ -40,7 +40,7 @@ one-sided expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
@@ -60,9 +60,9 @@ from .lp import (
     Infeasible,
     LinearProgram,
     Optimal,
+    Trace,
     constraint,
     over_one_denominator,
-    solve,
 )
 from .model import (
     Assessment,
@@ -104,6 +104,11 @@ class ProbeRecord:
 
 @dataclass(frozen=True)
 class Verdict:
+    """The outcome of a check.  `lp_count` is the number of programs the
+    call solved and `max_pivots` the largest pivot count on its trace
+    when it returned; with a fresh trace, the default, both cover
+    exactly the call's own programs, nested checks included."""
+
     notion: str
     passed: bool
     witness: Bet | None = None
@@ -163,8 +168,7 @@ def expanded_elements(assessment: Assessment) -> tuple[_Element, ...]:
 class _Search:
     elements: tuple[_Element, ...]
     convex: bool = False
-    lp_count: int = 0
-    max_pivots: int = 0
+    trace: Trace = field(default_factory=Trace)
     records: list[ProbeRecord] = field(default_factory=list)
     coeffs: tuple[dict[int, Fraction], ...] = ()
     # each element's coefficients as an `_int_row`
@@ -212,9 +216,7 @@ class _Search:
         norm = [_ONE] * n_for + [_ZERO if self.convex else _ONE] * n_against + [_ZERO]
         rows.append(constraint(norm, "=", 1))
         objective = tuple([_ZERO] * (n - 1) + [_ONE])
-        outcome = solve(LinearProgram(objective=objective, constraints=tuple(rows)))
-        self.lp_count += 1
-        self.max_pivots = max(self.max_pivots, outcome.pivots)
+        outcome = self.trace.solve(LinearProgram(objective=objective, constraints=tuple(rows)))
         if isinstance(outcome, Infeasible):
             self.records.append(ProbeRecord(combo, len(region), None))
             p = outcome.certificate.multipliers[: len(atoms)]
@@ -348,33 +350,33 @@ def _verify_witness(bet: Bet, assessment: Assessment) -> None:
         raise AssertionError("internal error: witness gain is not negative")
 
 
+def _verdict(notion: str, trace: Trace, start: int, **fields) -> Verdict:
+    """A verdict counting the programs solved on `trace` since it had
+    `start` solves."""
+    return Verdict(
+        notion, lp_count=trace.solves - start, max_pivots=trace.max_pivots, **fields
+    )
+
+
 def _generic_check(
     assessment: Assessment,
     notion: str,
     combos_of: Callable[[int], Sequence[tuple[int, ...]]],
+    trace: Trace | None,
     *,
     convex: bool = False,
 ) -> Verdict:
     if not assessment.entries:
         raise EmptyAssessment(f"{notion} needs a nonempty assessment")
     elements = expanded_elements(assessment)
-    search = _Search(elements, convex=convex)
+    search = _Search(elements, convex=convex, trace=trace or Trace())
+    start = search.trace.solves
     witness = search.run(combos_of(len(elements)))
     if witness is not None:
         _verify_witness(witness, assessment)
-        return Verdict(
-            notion,
-            passed=False,
-            witness=witness,
-            lp_count=search.lp_count,
-            max_pivots=search.max_pivots,
-        )
-    return Verdict(
-        notion,
-        passed=True,
-        certificate=tuple(search.records),
-        lp_count=search.lp_count,
-        max_pivots=search.max_pivots,
+        return _verdict(notion, search.trace, start, passed=False, witness=witness)
+    return _verdict(
+        notion, search.trace, start, passed=True, certificate=tuple(search.records)
     )
 
 
@@ -403,55 +405,58 @@ def _require_precise(assessment: Assessment, notion: str) -> None:
             raise NotPrecise(f"{notion} needs lower = upper on every entry")
 
 
-def check_w_coherence(assessment: Assessment) -> Verdict:
+def check_w_coherence(assessment: Assessment, *, trace: Trace | None = None) -> Verdict:
     """Coherence for conditional lower previsions: any number of terms
     in favour, at most one against, gain conditioned on the union of
     the conditioning events."""
-    return _generic_check(assessment, "w-coherence", _single_against)
+    return _generic_check(assessment, "w-coherence", _single_against, trace)
 
 
-def check_aul(assessment: Assessment) -> Verdict:
+def check_aul(assessment: Assessment, *, trace: Trace | None = None) -> Verdict:
     """Avoiding uniform loss: as coherence but with no against-term."""
-    return _generic_check(assessment, "aul", _no_against)
+    return _generic_check(assessment, "aul", _no_against, trace)
 
 
-def check_coherence_unconditional(assessment: Assessment) -> Verdict:
+def check_coherence_unconditional(
+    assessment: Assessment, *, trace: Trace | None = None
+) -> Verdict:
     _require_unconditional(assessment, "coherence-unconditional")
-    return _generic_check(assessment, "coherence-unconditional", _single_against)
+    return _generic_check(assessment, "coherence-unconditional", _single_against, trace)
 
 
-def check_df_precise_conditional(assessment: Assessment) -> Verdict:
+def check_df_precise_conditional(
+    assessment: Assessment, *, trace: Trace | None = None
+) -> Verdict:
     """de Finetti coherence of a precise conditional prevision: betting
     for and against without limits.  Through conjugacy every entry
     already carries both directions, so no against-term is needed."""
     _require_precise(assessment, "df-precise-conditional")
-    return _generic_check(assessment, "df-precise-conditional", _no_against)
+    return _generic_check(assessment, "df-precise-conditional", _no_against, trace)
 
 
-def check_df_precise_unconditional(assessment: Assessment) -> Verdict:
+def check_df_precise_unconditional(
+    assessment: Assessment, *, trace: Trace | None = None
+) -> Verdict:
     _require_precise(assessment, "df-precise-unconditional")
     _require_unconditional(assessment, "df-precise-unconditional")
-    return _generic_check(assessment, "df-precise-unconditional", _no_against)
+    return _generic_check(assessment, "df-precise-unconditional", _no_against, trace)
 
 
-def check_bi_coherence(assessment: Assessment) -> Verdict:
+def check_bi_coherence(assessment: Assessment, *, trace: Trace | None = None) -> Verdict:
     """Coherence with at most two against-terms (unconditional)."""
     _require_unconditional(assessment, "bi-coherence")
-    return _generic_check(assessment, "bi-coherence", _double_against)
+    return _generic_check(assessment, "bi-coherence", _double_against, trace)
 
 
-def check_convex(assessment: Assessment) -> Verdict:
+def check_convex(assessment: Assessment, *, trace: Trace | None = None) -> Verdict:
     """Convexity: exactly one against-term with unit stake, for-stakes
     summing to one."""
     return _generic_check(
-        assessment,
-        "convex",
-        lambda n: [(i,) for i in range(n)],
-        convex=True,
+        assessment, "convex", lambda n: [(i,) for i in range(n)], trace, convex=True
     )
 
 
-def check_centered_convex(assessment: Assessment) -> Verdict:
+def check_centered_convex(assessment: Assessment, *, trace: Trace | None = None) -> Verdict:
     """Convexity plus 0|B assessed at exactly 0 for every conditioning
     event appearing in the domain."""
     if not assessment.entries:
@@ -468,21 +473,16 @@ def check_centered_convex(assessment: Assessment) -> Verdict:
             bad_values.append(
                 f"0|{{{','.join(event.atoms())}}} valued {entry.lower}"
             )
+    trace = trace or Trace()
     if bad_values:
-        return Verdict(
+        return _verdict(
             "centered-convex",
+            trace,
+            trace.solves,
             passed=False,
             structural_failure="; ".join(bad_values),
         )
-    inner = check_convex(assessment)
-    return Verdict(
-        "centered-convex",
-        passed=inner.passed,
-        witness=inner.witness,
-        certificate=inner.certificate,
-        lp_count=inner.lp_count,
-        max_pivots=inner.max_pivots,
-    )
+    return replace(check_convex(assessment, trace=trace), notion="centered-convex")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +527,7 @@ def merged_family(family: Sequence[tuple[Event, Assessment]]) -> Assessment:
 
 
 def check_separate_coherence(
-    family: Sequence[tuple[Event, Assessment]],
+    family: Sequence[tuple[Event, Assessment]], *, trace: Trace | None = None
 ) -> Verdict:
     """Per-cell coherence: the cell's own indicator is priced 1, and the
     remaining values form a coherent unconditional lower prevision on
@@ -536,8 +536,8 @@ def check_separate_coherence(
         raise EmptyAssessment("separate coherence needs at least one cell")
     cells = [cell for cell, _ in family]
     _check_disjoint(cells)
-    lp_count = 0
-    max_pivots = 0
+    trace = trace or Trace()
+    start = trace.solves
     records: list[ProbeRecord] = []
     for cell, assessment in family:
         for entry in assessment.entries:
@@ -552,39 +552,29 @@ def check_separate_coherence(
                 "B|B must be assessed in the cell of B"
             )
         if entry.lower != 1:
-            return Verdict(
+            return _verdict(
                 "separate-coherence",
+                trace,
+                start,
                 passed=False,
                 structural_failure=(
                     f"{{{','.join(cell.atoms())}}} prices its own indicator "
                     f"at {entry.lower}, not 1"
                 ),
-                lp_count=lp_count,
-                max_pivots=max_pivots,
             )
         inner = check_coherence_unconditional(
-            subspace_reading(cell, assessment.entries)
+            subspace_reading(cell, assessment.entries), trace=trace
         )
-        lp_count += inner.lp_count
-        max_pivots = max(max_pivots, inner.max_pivots)
         if not inner.passed:
             witness = _lift_subspace_witness(inner.witness, cell)
             _verify_witness(witness, merged_family(family))
-            return Verdict(
-                "separate-coherence",
-                passed=False,
-                witness=witness,
-                lp_count=lp_count,
-                max_pivots=max_pivots,
+            return _verdict(
+                "separate-coherence", trace, start, passed=False, witness=witness
             )
         if inner.certificate:
             records.extend(inner.certificate)
-    return Verdict(
-        "separate-coherence",
-        passed=True,
-        certificate=tuple(records),
-        lp_count=lp_count,
-        max_pivots=max_pivots,
+    return _verdict(
+        "separate-coherence", trace, start, passed=True, certificate=tuple(records)
     )
 
 
@@ -673,8 +663,7 @@ class PartitionFamily:
 
 
 def check_walley_asl(
-    k: Assessment | None,
-    family: PartitionFamily,
+    k: Assessment | None, family: PartitionFamily, *, trace: Trace | None = None
 ) -> Verdict:
     """Avoiding sure loss in Walley's conglomerative sense.
 
@@ -685,40 +674,36 @@ def check_walley_asl(
     true whatever happens; their supremum is over the whole space.
     """
     notion = "walley-asl"
-    lp_count = 0
-    max_pivots = 0
+    trace = trace or Trace()
+    start = trace.solves
     if k is not None and len(k):
         if not k.is_unconditional:
             raise ConditionalEntriesUnsupported(
                 "the unconditional part contains conditional entries"
             )
-        pre_a = check_coherence_unconditional(k)
-        lp_count += pre_a.lp_count
-        max_pivots = max(max_pivots, pre_a.max_pivots)
+        pre_a = check_coherence_unconditional(k, trace=trace)
         if not pre_a.passed:
-            return Verdict(
+            return _verdict(
                 notion,
+                trace,
+                start,
                 passed=False,
                 witness=pre_a.witness,
                 prerequisite_failure="unconditional part is not coherent",
-                lp_count=lp_count,
-                max_pivots=max_pivots,
             )
     per_cell = family.per_cell_entries()
-    pre_b = check_separate_coherence(per_cell)
-    lp_count += pre_b.lp_count
-    max_pivots = max(max_pivots, pre_b.max_pivots)
+    pre_b = check_separate_coherence(per_cell, trace=trace)
     if not pre_b.passed:
-        return Verdict(
+        return _verdict(
             notion,
+            trace,
+            start,
             passed=False,
             witness=pre_b.witness,
             prerequisite_failure=(
                 pre_b.structural_failure or "per-cell restrictions are not "
                 "separately coherent"
             ),
-            lp_count=lp_count,
-            max_pivots=max_pivots,
         )
 
     owner = family.cell_of_atom()
@@ -766,13 +751,11 @@ def check_walley_asl(
         coeffs = [col.get(atom, _ZERO) for col in columns] + [_ONE]
         rows.append(constraint(coeffs, "<=", 0))
     rows.append(constraint([_ONE] * n + [_ZERO], "=", 1))
-    outcome = solve(
+    outcome = trace.solve(
         LinearProgram(
             objective=tuple([_ZERO] * n + [_ONE]), constraints=tuple(rows)
         )
     )
-    lp_count += 1
-    max_pivots = max(max_pivots, outcome.pivots)
     record = ProbeRecord(
         (), family.space.size,
         outcome.value if isinstance(outcome, Optimal) else None,
@@ -784,17 +767,5 @@ def check_walley_asl(
                 terms.extend(builders[pos](stake))
         witness = Bet(tuple(terms))
         _verify_witness(witness, family.merged_assessment(k))
-        return Verdict(
-            notion,
-            passed=False,
-            witness=witness,
-            lp_count=lp_count,
-            max_pivots=max_pivots,
-        )
-    return Verdict(
-        notion,
-        passed=True,
-        certificate=(record,),
-        lp_count=lp_count,
-        max_pivots=max_pivots,
-    )
+        return _verdict(notion, trace, start, passed=False, witness=witness)
+    return _verdict(notion, trace, start, passed=True, certificate=(record,))

@@ -21,7 +21,6 @@ import time
 from fractions import Fraction
 from typing import Any, Sequence
 
-from . import lp
 from .checkers import (
     PartitionFamily,
     check_aul,
@@ -54,6 +53,7 @@ from .jsonio import (
     verdict_to_json,
     witness_to_json,
 )
+from .lp import Trace
 from .model import Assessment, restrict
 
 CHECKERS = {
@@ -147,7 +147,7 @@ def _partition_family_of(problem: Problem) -> tuple[Assessment, PartitionFamily]
     return k, family
 
 
-def _cmd_check(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+def _cmd_check(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
     doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     results: dict[str, Any] = {}
@@ -161,27 +161,26 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str | None, dict]:
         return (0 if report.conglomerable else 1), digest, results
 
     if args.notion == "separate":
-        verdict = check_separate_coherence(_family_of(problem))
+        verdict = check_separate_coherence(_family_of(problem), trace=trace)
         reference = problem.assessment
     elif args.notion == "walley-asl":
         k, family = _partition_family_of(problem)
-        verdict = check_walley_asl(k if len(k) else None, family)
+        verdict = check_walley_asl(k if len(k) else None, family, trace=trace)
         reference = family.merged_assessment(k if len(k) else None)
     else:
-        checker = CHECKERS[args.notion]
-        verdict = checker(problem.assessment)
+        verdict = CHECKERS[args.notion](problem.assessment, trace=trace)
         reference = problem.assessment
     results["verdict"] = verdict_to_json(verdict, problem, reference)
     return (0 if verdict.passed else 1), digest, results
 
 
-def _cmd_extend(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+def _cmd_extend(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
     doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     variable = problem.variable_named(args.target)
     given = problem.event_named(args.given)
     target = restrict(variable, given)
-    result = extend(problem.assessment, target)
+    result = extend(problem.assessment, target, trace=trace)
     label = args.target if given.is_sure else f"{args.target}|{args.given}"
     return 0, digest, {
         "extension": {
@@ -192,7 +191,7 @@ def _cmd_extend(args: argparse.Namespace) -> tuple[int, str | None, dict]:
     }
 
 
-def _cmd_envelope(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+def _cmd_envelope(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
     doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     mode = "delta" if args.delta is not None else "filter"
@@ -215,7 +214,7 @@ def _cmd_envelope(args: argparse.Namespace) -> tuple[int, str | None, dict]:
     }
 
 
-def _cmd_example(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+def _cmd_example(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
     if args.generator == "definetti":
         bundle = definetti_example(args.odd, args.even, args.n)
     else:
@@ -223,14 +222,13 @@ def _cmd_example(args: argparse.Namespace) -> tuple[int, str | None, dict]:
     return 0, None, dump_bundle(bundle)
 
 
-def _cmd_oracle(args: argparse.Namespace) -> tuple[int, str | None, dict]:
+def _cmd_oracle(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
     doc, digest = _read_document(args.file)
     problem = load_problem(doc)
     notion = GRID_BY_CLI_NOTION.get(args.notion)
     if notion is None:
         raise SchemaError(f"no brute-force oracle for notion {args.notion!r}")
-    checker = CHECKERS[args.notion]
-    verdict = checker(problem.assessment)
+    verdict = CHECKERS[args.notion](problem.assessment, trace=trace)
     bet = find_violation_grid(
         problem.assessment, notion, max_denominator=args.max_denominator
     )
@@ -330,11 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    lp.counters.reset()
-    lp.debug_stream = sys.stderr if args.debug_lp else None
+    trace = Trace(dump=sys.stderr if args.debug_lp else None)
     started = time.monotonic()
     try:
-        code, digest, results = args.run(args)
+        code, digest, results = args.run(args, trace)
     except SchemaError as exc:
         print(f"previsio: {exc}", file=sys.stderr)
         return 2
@@ -345,14 +342,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         detail = str(exc).removeprefix("internal error: ")
         print(f"previsio: internal error: {detail}", file=sys.stderr)
         return 3
-    finally:
-        lp.debug_stream = None
-    solves, max_pivots = lp.counters.snapshot()
     report = {
         "command": list(sys.argv[1:]) if argv is None else list(argv),
         "inputDigest": digest,
         "results": results,
-        "lp": {"solves": solves, "maxPivots": max_pivots},
+        "lp": {"solves": trace.solves, "maxPivots": trace.max_pivots},
         "wallTimeSeconds": round(time.monotonic() - started, 6),
     }
     json.dump(report, sys.stdout, indent=2)

@@ -31,7 +31,9 @@ union outside B, and the direction s' of the last shrinking step,
 strictly negative there, so s* + t s' for a small t > 0 beats every
 price beyond the bound, however close.  ``verify=False`` skips only the
 coherence re-check at the bound itself, never the certificate.  The
-base assessment is checked, and its search built, once per public call.
+base assessment is checked, and its search built, once per public call,
+and every program of the call, re-checks included, is solved on one
+`lp.Trace`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 
 from .checkers import _Search, check_w_coherence, expanded_elements
 from .errors import BaseNotCoherent, DomainNotClosed
-from .lp import LinearProgram, Optimal, constraint, over_one_denominator, solve
+from .lp import LinearProgram, Optimal, Trace, constraint, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -84,13 +86,13 @@ class _Bound:
     direction: Stakes
 
 
-def _coherent(assessment: Assessment) -> bool:
-    return check_w_coherence(assessment).passed
+def _coherent(assessment: Assessment, trace: Trace) -> bool:
+    return check_w_coherence(assessment, trace=trace).passed
 
 
-def _ensure_coherent_base(assessment: Assessment) -> None:
+def _ensure_coherent_base(assessment: Assessment, trace: Trace) -> None:
     # the empty assessment is vacuously coherent
-    if assessment.entries and not _coherent(assessment):
+    if assessment.entries and not _coherent(assessment, trace):
         raise BaseNotCoherent("the base assessment is not W-coherent")
 
 
@@ -140,7 +142,7 @@ def _bound(
     rows = [constraint(row(a) + [_ONE], "<=", sign * y[a]) for a in sorted(b)]
     rows += [constraint(row(a) + [_ZERO], "<=", 0) for a in sorted(outside)]
     n = len(active) + len(combo)
-    outcome = solve(LinearProgram(
+    outcome = search.trace.solve(LinearProgram(
         objective=(_ZERO,) * n + (_ONE,),
         constraints=tuple(rows),
         bounds=((_ZERO, None),) * n + ((None, None),),
@@ -202,16 +204,19 @@ def _named(search: _Search, stakes: Stakes) -> HelperStakes:
     return tuple((search.elements[i].cv, s) for i, s in stakes.items())
 
 
-def _search(assessment: Assessment, target: ConditionalVariable) -> _Search:
-    """The search over the assessment's elements, which both bounds of
-    any target share."""
-    target.space._check(assessment.space)
-    return _Search(expanded_elements(assessment))
+def _search(assessment: Assessment, trace: Trace | None) -> _Search:
+    """The search over the assessment's elements on `trace` (default: a
+    fresh one), built once the base is checked on it; every bound of
+    every target shares it."""
+    trace = trace or Trace()
+    _ensure_coherent_base(assessment, trace)
+    return _Search(expanded_elements(assessment), trace=trace)
 
 
 def _lower_extension(
     assessment: Assessment, search: _Search, target: ConditionalVariable, *, verify: bool
 ) -> tuple[Fraction, HelperStakes]:
+    target.space._check(assessment.space)
     bound = _bound(search, target, 1, ())
     assert bound is not None  # only an against-term can end a chain
     if verify:
@@ -221,7 +226,9 @@ def _lower_extension(
                 "natural extension of an assessed variable must return "
                 "its assessed value"
             )
-        if entry is None and not _coherent(assessment.with_entry(target, bound.value)):
+        if entry is None and not _coherent(
+            assessment.with_entry(target, bound.value), search.trace
+        ):
             raise AssertionError("natural extension is not a coherent value")
     return bound.value, _named(search, bound.helpers)
 
@@ -232,6 +239,7 @@ def _upper_extension(
     """The largest lower value of the target that keeps the assessment
     coherent: the target's own lower element leaves the search, and an
     assessed upper value stays in it."""
+    target.space._check(assessment.space)
     entry = assessment.entry_for(target)
     if entry is not None and entry.is_precise:
         return entry.lower, ()
@@ -249,36 +257,43 @@ def _upper_extension(
     extended = Assessment(assessment.space, others).with_entry(
         target, value, None if entry is None else entry.upper
     )
-    if verify and not _coherent(extended):
+    if verify and not _coherent(extended, search.trace):
         raise AssertionError("upper extension is not a coherent value")
     return value, _named(search, best.helpers)
 
 
 def natural_extension(
-    assessment: Assessment, target: ConditionalVariable, *, verify: bool = True
+    assessment: Assessment,
+    target: ConditionalVariable,
+    *,
+    verify: bool = True,
+    trace: Trace | None = None,
 ) -> Fraction:
     """Least-committal W-coherent value for the target, exact and
     certified; ``verify=False`` skips only the coherence re-check at the
     value, never the certificate."""
-    _ensure_coherent_base(assessment)
-    search = _search(assessment, target)
+    search = _search(assessment, trace)
     return _lower_extension(assessment, search, target, verify=verify)[0]
 
 
 def upper_extension(
-    assessment: Assessment, target: ConditionalVariable, *, verify: bool = True
+    assessment: Assessment,
+    target: ConditionalVariable,
+    *,
+    verify: bool = True,
+    trace: Trace | None = None,
 ) -> Fraction:
     """Largest coherent value for the target, exact and certified;
     ``verify=False`` skips only the coherence re-check at the value,
     never the certificate."""
-    _ensure_coherent_base(assessment)
-    search = _search(assessment, target)
+    search = _search(assessment, trace)
     return _upper_extension(assessment, search, target, verify=verify)[0]
 
 
-def extend(assessment: Assessment, target: ConditionalVariable) -> ExtensionResult:
-    _ensure_coherent_base(assessment)
-    search = _search(assessment, target)
+def extend(
+    assessment: Assessment, target: ConditionalVariable, *, trace: Trace | None = None
+) -> ExtensionResult:
+    search = _search(assessment, trace)
     lower, lower_helpers = _lower_extension(assessment, search, target, verify=True)
     upper, upper_helpers = _upper_extension(assessment, search, target, verify=True)
     return ExtensionResult(target, lower, upper, lower_helpers, upper_helpers)
@@ -323,17 +338,19 @@ SCALING_SAMPLES = (
 NONNEGATIVE_SCALINGS = tuple(k for k in SCALING_SAMPLES if k >= 0)
 
 
-def natural_extension_prevision(assessment: Assessment) -> PrevisionSource:
+def natural_extension_prevision(
+    assessment: Assessment, *, trace: Trace | None = None
+) -> PrevisionSource:
     """A memoised view of the natural extension as a total prevision.
-    The base is checked once, here; each value carries its certificate."""
-    _ensure_coherent_base(assessment)
+    The base is checked and its search built once, here, and every
+    lookup solves on that search's trace; each value carries its
+    certificate."""
+    search = _search(assessment, trace)
     cache: dict[ConditionalVariable, Fraction] = {}
 
     def lookup(cv: ConditionalVariable) -> Fraction:
         if cv not in cache:
-            cache[cv] = _lower_extension(
-                assessment, _search(assessment, cv), cv, verify=False
-            )[0]
+            cache[cv] = _lower_extension(assessment, search, cv, verify=False)[0]
         return cache[cv]
 
     return lookup

@@ -26,6 +26,11 @@ on them too: a point, ray or set of Farkas multipliers is put over one
 common denominator, and only the nonzero terms of each row are summed.
 Every accept or reject is then a sign test on ints, exactly as strict
 as the same test on fractions.
+
+``solve`` is pure: it keeps no count and writes nothing.  The account
+of a call is a :class:`Trace`, passed down to whatever solves for it:
+``Trace.solve`` counts each program and its pivots, and dumps it when
+the trace has a stream.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .errors import MalformedProgram
 from .model import RationalLike, as_rational
@@ -227,32 +232,6 @@ class Unbounded:
     point: tuple[Fraction, ...]
     ray: tuple[Fraction, ...]
     pivots: int = 0
-
-
-class _Counters:
-    """Process-wide LP statistics, reported by the CLI."""
-
-    def __init__(self) -> None:
-        self.solves = 0
-        self.max_pivots = 0
-
-    def record(self, pivots: int) -> None:
-        self.solves += 1
-        if pivots > self.max_pivots:
-            self.max_pivots = pivots
-
-    def reset(self) -> None:
-        self.solves = 0
-        self.max_pivots = 0
-
-    def snapshot(self) -> tuple[int, int]:
-        return self.solves, self.max_pivots
-
-
-counters = _Counters()
-
-# when set to a stream, every solved program is dumped to it
-debug_stream = None
 
 
 class _Tableau:
@@ -496,9 +475,8 @@ def _farkas_from_duals(lp: LinearProgram, tr: _Transform,
 
 
 def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
-    """Two-phase simplex; the returned certificate always re-verifies."""
-    if debug_stream is not None:
-        print(format_lp(lp), file=debug_stream)
+    """Two-phase simplex; the returned certificate always re-verifies.
+    Pure: it neither counts nor prints (see `Trace`)."""
     tr, rows, den = _build(lp)
     ncol, art_start = tr.width, tr.art_start
     tab = _Tableau(rows, den, list(tr.unit))
@@ -520,7 +498,6 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
             outcome = Infeasible(cert, tab.pivots)
             if not verify_farkas(lp, cert):
                 raise AssertionError("internal error: Farkas certificate failed")
-            counters.record(tab.pivots)
             return outcome
         # drive leftover zero-level artificials out of the basis
         for r, b in enumerate(tab.basis):
@@ -544,7 +521,6 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
     for j in range(art_start, ncol):
         eligible[j] = False  # artificials may leave the basis but never enter
     unb = tab.run(eligible)
-    counters.record(tab.pivots)
     shift_const = sum(
         (c * s for c, s in zip(lp.objective, tr.shift) if s), _ZERO
     )
@@ -572,8 +548,32 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
     return Optimal(value, point, tab.pivots, tuple(duals))
 
 
+@dataclass
+class Trace:
+    """The account of the programs solved for one call: how many, the
+    most pivots any took, and, when `dump` is a text stream, each
+    program as `format_lp` writes it, before it is solved.  Library code
+    solves every program through a trace; callers that pass one trace
+    down share one account.  Its counts take no lock, so each thread
+    keeps its own."""
+
+    solves: int = 0
+    max_pivots: int = 0
+    dump: TextIO | None = None
+
+    def solve(self, program: LinearProgram) -> Optimal | Infeasible | Unbounded:
+        if self.dump is not None:
+            print(format_lp(program), file=self.dump)
+        # looked up in the module at each call, so that a wrapper bound
+        # to `lp.solve` sees every program
+        outcome = solve(program)
+        self.solves += 1
+        self.max_pivots = max(self.max_pivots, outcome.pivots)
+        return outcome
+
+
 def format_lp(lp: LinearProgram) -> str:
-    """Plain-text dump, used by the CLI's debug flag."""
+    """Plain-text dump, written by a `Trace` that has a `dump` stream."""
 
     def term(j: int, a: Fraction) -> str:
         return f"{a} x{j}"

@@ -10,7 +10,7 @@ from conftest import (
     random_shifted_assessment,
     random_space,
 )
-from previsio import gains
+from previsio import gains, lp
 from previsio.checkers import (
     PartitionFamily,
     check_aul,
@@ -26,6 +26,7 @@ from previsio.checkers import (
     _Search,
     expanded_elements,
     merged_family,
+    subspace_reading,
 )
 from previsio.conglomerability import definetti_example, walley_666_example
 from previsio.envelopes import convex_envelope, lower_envelope
@@ -665,6 +666,63 @@ def test_walley_asl_prerequisite_failure_reported():
     verdict = check_walley_asl(bad_k, family)
     assert not verdict.passed
     assert verdict.prerequisite_failure
+
+
+def _walley_family(rng):
+    space = random_space(rng, 4, 4)
+    cells = [space.event(space.atoms[:2]), space.event(space.atoms[2:])]
+    x = space.variable({a: F(rng.randint(-3, 3)) for a in space.atoms})
+    members = [space.constant(0), space.indicator(cells[0]), space.indicator(cells[1]), x]
+    p = positive_vector(rng, space)
+    k = Assessment.build(
+        space, [(x.unconditional(), sum(pi * v for pi, v in zip(p, x.values)))]
+    )
+    return k, _bayes_family(space, cells, members, p)
+
+
+def test_nested_checks_count_what_their_inner_checks_count_alone(monkeypatch):
+    # one trace runs through a nested check: its count is the sum of its
+    # inner checks' counts when each is run alone, its pivots their max
+    rng = random.Random(167)
+    for _ in range(10):
+        family = _random_separate_family(rng)
+        inner = []
+        for cell, assessment in family:
+            inner.append(
+                check_coherence_unconditional(subspace_reading(cell, assessment.entries))
+            )
+            if not inner[-1].passed:
+                break
+        verdict = check_separate_coherence(family)
+        assert verdict.passed == all(v.passed for v in inner)
+        assert verdict.lp_count == sum(v.lp_count for v in inner) > 0
+        assert verdict.max_pivots == max(v.max_pivots for v in inner)
+
+    pivots = []
+    solve = lp.solve
+
+    def recording(program):
+        outcome = solve(program)
+        pivots.append(outcome.pivots)
+        return outcome
+
+    passes = 0
+    for _ in range(10):
+        k, family = _walley_family(rng)
+        inner = [
+            check_coherence_unconditional(k),
+            check_separate_coherence(family.per_cell_entries()),
+        ]
+        monkeypatch.setattr(lp, "solve", recording)
+        verdict = check_walley_asl(k, family)
+        monkeypatch.undo()
+        if not verdict.passed:
+            continue
+        passes += 1
+        main = pivots[-1]  # the conglomerative program comes last
+        assert verdict.lp_count == sum(v.lp_count for v in inner) + 1
+        assert verdict.max_pivots == max(main, *(v.max_pivots for v in inner))
+    assert passes > 5
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,9 @@ import pytest
 import previsio
 from previsio import cli
 from previsio.cli import run
+from previsio.extensions import extend
+from previsio.jsonio import load_problem, rational_str
+from previsio.lp import Trace
 
 
 def invoke(argv, stdin_text=None, monkeypatch=None):
@@ -47,7 +50,7 @@ def test_check_pass_exit_zero(tmp_path, monkeypatch):
     assert report["results"]["verdict"]["passed"] is True
     assert report["results"]["verdict"]["lpCount"] > 0
     assert report["inputDigest"].startswith("sha256:")
-    assert report["lp"]["solves"] >= report["results"]["verdict"]["lpCount"]
+    assert report["lp"]["solves"] == report["results"]["verdict"]["lpCount"]
 
 
 def test_check_fail_exit_one_with_witness(monkeypatch):
@@ -72,7 +75,7 @@ def test_check_usage_error_exit_two(tmp_path):
 
 
 def test_internal_error_exit_three(monkeypatch, capsys):
-    def broken(assessment):
+    def broken(assessment, *, trace=None):
         raise AssertionError("internal error: witness gain is not negative")
 
     monkeypatch.setitem(cli.CHECKERS, "w-coherence", broken)
@@ -237,6 +240,31 @@ def test_extend_subcommand_on_a_conditional_reproducer(monkeypatch):
     assert code == 0
     body = report["results"]["extension"]
     assert body == {"target": "T|B", "lower": "-3", "upper": "-69/56"}
+
+
+def test_extend_reports_the_account_of_the_library_call(monkeypatch):
+    doc = {
+        "atoms": ["a", "b", "c"],
+        "variables": {"X": {"a": "2", "b": "-1", "c": "1"}},
+        "events": {"Ea": ["a"], "Eab": ["a", "b"]},
+        "assessments": [
+            {"var": "Ea", "lower": "1/4", "upper": "1/2"},
+            {"var": "X", "given": "Eab", "lower": "0"},
+        ],
+    }
+    code, report = invoke(
+        ["extend", "-f", "-", "--target", "X"],
+        stdin_text=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    problem = load_problem(doc)
+    trace = Trace()
+    result = extend(problem.assessment, problem.variable_named("X").unconditional(), trace=trace)
+    assert report["results"]["extension"]["lower"] == rational_str(result.lower)
+    assert report["results"]["extension"]["upper"] == rational_str(result.upper)
+    assert report["lp"] == {"solves": trace.solves, "maxPivots": trace.max_pivots}
+    assert trace.solves > 3
 
 
 def test_envelope_subcommand(monkeypatch):
@@ -410,6 +438,7 @@ def test_separate_notion_via_cli(monkeypatch):
     )
     assert code == 0
     assert report["results"]["verdict"]["passed"] is True
+    assert report["lp"]["solves"] == report["results"]["verdict"]["lpCount"] > 0
 
 
 def test_walley_asl_via_cli(monkeypatch):
@@ -439,6 +468,7 @@ def test_walley_asl_via_cli(monkeypatch):
     )
     assert code == 0
     assert report["results"]["verdict"]["passed"] is True
+    assert report["lp"]["solves"] == report["results"]["verdict"]["lpCount"] > 1
 
 
 def test_debug_lp_dumps_programs(tmp_path, capsys):

@@ -18,7 +18,7 @@ from previsio import extensions, lp
 from previsio.bruteforce import natural_extension_grid
 from previsio.checkers import _Search, check_w_coherence, expanded_elements
 from previsio.envelopes import lower_envelope
-from previsio.errors import BaseNotCoherent, DomainNotClosed
+from previsio.errors import BaseNotCoherent, DomainNotClosed, SpaceMismatch
 from previsio.extensions import (
     check_a1_a4,
     extend,
@@ -408,9 +408,9 @@ def test_the_base_is_checked_once_per_call(monkeypatch):
     base, target = reproducer()
     seen = []
 
-    def counting(assessment):
+    def counting(assessment, *, trace=None):
         seen.append(assessment)
-        return check_w_coherence(assessment)
+        return check_w_coherence(assessment, trace=trace)
 
     monkeypatch.setattr(extensions, "check_w_coherence", counting)
     calls = [
@@ -450,9 +450,64 @@ def test_the_search_is_built_once_per_extend(monkeypatch):
         assert len(built) == 1
 
 
-# lp.counters solves of natural_extension and extend of A from de
-# Finetti (1, 2, n) with A's own entry removed: deterministic, so a
-# change here is a change of algorithm
+def test_the_prevision_builds_one_search_for_every_lookup(monkeypatch):
+    bundle = definetti_example(1, 2, 3)
+    base = bundle.assessment
+    basis = [bundle.variables["A"]]
+    events = [bundle.events[name] for name in ("Omega", "A", "Brest")]
+    built = []
+
+    class Counting(_Search):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(extensions, "_Search", Counting)
+    source = natural_extension_prevision(base)
+    seen = {}
+
+    def recording(cv):
+        seen[cv] = source(cv)
+        return seen[cv]
+
+    report = check_a1_a4(recording, basis, events)
+    assert len(built) == 1  # one per looked-up target would be 16
+    assert report.passed
+    assert [(c.axiom, c.checked) for c in report.checks] == [
+        ("internality", 15), ("homogeneity", 12),
+        ("superadditivity", 3), ("bayes-compound", 9),
+    ]
+    assert len(seen) > 1
+    for cv, value in seen.items():
+        assert value == natural_extension(base, cv, verify=False)
+    other = PossibilitySpace(("a", "b"))
+    with pytest.raises(SpaceMismatch):
+        source(restrict(other.variable({"a": 1, "b": 0}), other.omega()))
+
+
+def test_an_extension_solves_every_program_on_the_trace_it_is_given(monkeypatch):
+    # the re-checks included: lp.solve, looked up at each call, sees
+    # exactly the programs the trace counts
+    base, target = reproducer()
+    solve = lp.solve
+    pivots = []
+
+    def counting(program):
+        outcome = solve(program)
+        pivots.append(outcome.pivots)
+        return outcome
+
+    monkeypatch.setattr(lp, "solve", counting)
+    for call in (natural_extension, upper_extension, extend):
+        pivots.clear()
+        trace = lp.Trace()
+        call(base, target, trace=trace)
+        assert (trace.solves, trace.max_pivots) == (len(pivots), max(pivots))
+
+
+# programs solved by natural_extension and extend of A from de Finetti
+# (1, 2, n) with A's own entry removed, read from the trace each is
+# given: deterministic, so a change here is a change of algorithm
 PINNED_EXTENSIONS = pytest.mark.parametrize(
     "n,natural,both",
     [(4, 11, 27), (5, 13, 32), (6, 15, 37), (7, 17, 42), (8, 19, 47),
@@ -468,13 +523,13 @@ def test_extension_lp_counts_are_pinned(n, natural, both):
         bundle.space,
         tuple(e for e in bundle.assessment.entries if e.variable != target),
     )
-    lp.counters.reset()
-    assert natural_extension(base, target) == F(1, 3)
-    assert lp.counters.solves == natural
-    lp.counters.reset()
-    result = extend(base, target)
+    trace = lp.Trace()
+    assert natural_extension(base, target, trace=trace) == F(1, 3)
+    assert trace.solves == natural
+    trace = lp.Trace()
+    result = extend(base, target, trace=trace)
     assert (result.lower, result.upper) == (F(1, 3), F(1))
-    assert lp.counters.solves == both
+    assert trace.solves == both
 
 
 def test_conjugacy_observation_on_corpus(product_rule_base):

@@ -1,3 +1,4 @@
+import io
 import random
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from previsio.lp import (
     Infeasible,
     LinearProgram,
     Optimal,
+    Trace,
     Unbounded,
     constraint,
+    format_lp,
     satisfies,
     solve,
     verify_farkas,
@@ -247,12 +250,39 @@ def _assert_solves_the_dual(prog: LinearProgram, out: Optimal) -> None:
     assert sum(row.rhs * y for row, y in zip(rows, out.duals)) == out.value
 
 
-def test_counters_accumulate():
-    lp.counters.reset()
-    solve(LinearProgram(objective=(F(1),), constraints=(constraint([1], "<=", 1),)))
-    solves, max_pivots = lp.counters.snapshot()
-    assert solves == 1
-    assert max_pivots >= 0
+def _two_programs():
+    bounded = LinearProgram(
+        objective=(F(1), F(2)),
+        constraints=(constraint([1, 1], "<=", 3), constraint([1, -1], ">=", F(-1, 2))),
+    )
+    infeasible = LinearProgram(
+        objective=(F(1),),
+        constraints=(constraint([1], ">=", 2), constraint([1], "<=", 1)),
+    )
+    return bounded, infeasible
+
+
+def test_a_trace_counts_and_dumps_each_program_in_order():
+    programs = _two_programs()
+    dump = io.StringIO()
+    trace = Trace(dump=dump)
+    outcomes = [trace.solve(p) for p in programs]
+    assert [type(o) for o in outcomes] == [Optimal, Infeasible]
+    assert outcomes == [solve(p) for p in programs]
+    assert trace.solves == 2
+    assert trace.max_pivots == max(o.pivots for o in outcomes) > 0
+    assert dump.getvalue() == "".join(format_lp(p) + "\n" for p in programs)
+    quiet = Trace()
+    for p in programs:
+        quiet.solve(p)
+    assert (quiet.solves, quiet.max_pivots) == (trace.solves, trace.max_pivots)
+
+
+def test_a_bare_solve_keeps_no_count_and_writes_nothing(capsys):
+    for p in _two_programs():
+        solve(p)
+    assert capsys.readouterr() == ("", "")
+    assert not hasattr(lp, "counters") and not hasattr(lp, "debug_stream")
 
 
 def test_slack_basis_skips_phase_one():
