@@ -15,8 +15,8 @@ event lies inside U to carry stake: a solution with eps > 0 cannot be
 faked by zero stakes, because any atom of U outside the true support
 would have gain 0 >= -eps.  The search starts from the union of all
 entries and shrinks it with the dual of each program that shows no
-violation (`_Search.run`); `bruteforce` keeps the exhaustive
-enumeration of unions as a test oracle.
+violation (`_Search.run`); the exhaustive enumeration of unions is kept
+only as a test oracle.
 
 Chains are shared between single against-terms.  A dual p that shows no
 violation dominates every active entry; an entry j that p's zone touches
@@ -40,6 +40,7 @@ one-sided expansion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -57,11 +58,13 @@ from .errors import (
 )
 from .gains import AGAINST, FOR, LOWER, UPPER, Bet, BetTerm
 from .lp import (
+    Constraint,
     Infeasible,
     LinearProgram,
     Optimal,
     Trace,
     constraint,
+    int_terms,
     over_one_denominator,
 )
 from .model import (
@@ -93,16 +96,6 @@ NOTIONS = (
 
 
 @dataclass(frozen=True)
-class ProbeRecord:
-    """One solved program: which against-terms, how many atoms were
-    constrained, and the optimal margin (None when infeasible)."""
-
-    against: tuple[int, ...]
-    region_size: int
-    epsilon: Fraction | None
-
-
-@dataclass(frozen=True)
 class Verdict:
     """The outcome of a check.  `lp_count` is the number of programs the
     call solved and `max_pivots` the largest pivot count on its trace
@@ -112,11 +105,14 @@ class Verdict:
     notion: str
     passed: bool
     witness: Bet | None = None
-    certificate: tuple[ProbeRecord, ...] | None = None
     lp_count: int = 0
     max_pivots: int = 0
     prerequisite_failure: str | None = None
     structural_failure: str | None = None
+
+
+# a gain as its nonzero values by atom, ints over one positive int
+IntRow = tuple[dict[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -136,18 +132,17 @@ class _Element:
     def coefficients(self) -> dict[int, Fraction]:
         return {i: v - self.value for i, v in self.cv.value_map().items()}
 
+    def int_row(self) -> IntRow:
+        """The gain X - value on the atoms of B."""
+        atoms = sorted(self.cv.cond.members)
+        terms, d = int_terms(self.cv.values, self.value)
+        return {atoms[j]: a for j, a in terms}, d
+
     def term(self, side: str, stake: Fraction) -> BetTerm:
         if not self.from_upper:
             return BetTerm(self.base, stake, side, LOWER)
         flipped = AGAINST if side == FOR else FOR
         return BetTerm(self.base, stake, flipped, UPPER)
-
-
-def _int_row(coeffs: dict[int, Fraction]) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The nonzero coefficients as (atom, int) pairs over one positive
-    int, and that int."""
-    ints, d = over_one_denominator(list(coeffs.values()))
-    return tuple((a, v) for a, v in zip(coeffs, ints) if v), d
 
 
 def expanded_elements(assessment: Assessment) -> tuple[_Element, ...]:
@@ -169,68 +164,69 @@ class _Search:
     elements: tuple[_Element, ...]
     convex: bool = False
     trace: Trace = field(default_factory=Trace)
-    records: list[ProbeRecord] = field(default_factory=list)
-    coeffs: tuple[dict[int, Fraction], ...] = ()
-    # each element's coefficients as an `_int_row`
-    int_rows: tuple[tuple[tuple[tuple[int, int], ...], int], ...] = ()
-    # for- and against-stakes, by element, of the last violation found
-    direction: tuple[dict[int, Fraction], dict[int, Fraction]] | None = None
+    int_rows: tuple[IntRow, ...] = field(init=False)  # each element's gain
 
     def __post_init__(self) -> None:
-        self.coeffs = tuple(el.coefficients() for el in self.elements)
-        self.int_rows = tuple(map(_int_row, self.coeffs))
+        self.int_rows = tuple(el.int_row() for el in self.elements)
+
+    def gain_terms(
+        self,
+        stakes: Sequence[int],
+        against: Sequence[int],
+        atoms: Sequence[int],
+        scale: int,
+    ) -> list[list[tuple[int, int]]]:
+        """One row per atom, whose columns are the gains of the elements
+        `stakes` and then the negated gains of `against`, as (column, int)
+        terms over `scale`, a multiple of each of their denominators."""
+        signed = [(self.int_rows[i], 1) for i in stakes] + [(self.int_rows[k], -1) for k in against]
+        columns = [(g, sign * (scale // d)) for (g, d), sign in signed]
+        return [[(j, f * g[a]) for j, (g, f) in enumerate(columns) if a in g] for a in atoms]
+
+    def program(
+        self, carriers: Sequence[int], combo: tuple[int, ...], region: frozenset[int]
+    ) -> LinearProgram:
+        """Maximise eps with G <= -eps on `region` under normalised
+        stakes: one row per region atom, by atom, then the normalisation."""
+        atoms = sorted(region)
+        against = () if self.convex else combo
+        n = len(carriers) + len(against) + 1  # + eps
+        scale = math.lcm(*(self.int_rows[i][1] for i in (*carriers, *combo)))
+        # the unit against-stake of convexity moves to the rhs
+        fixed = self.gain_terms(combo if self.convex else (), (), atoms, scale)
+        rows = [
+            Constraint((*terms, (n - 1, scale)), scale, sum(v for _, v in f), "<=", n)
+            for terms, f in zip(self.gain_terms(carriers, against, atoms, scale), fixed)
+        ]
+        rows.append(Constraint(tuple((j, 1) for j in range(n - 1)), 1, 1, "=", n))
+        return LinearProgram(objective=(_ZERO,) * (n - 1) + (_ONE,), constraints=tuple(rows))
 
     def violation(
         self,
         carriers: Sequence[int],
         combo: tuple[int, ...],
         region: frozenset[int],
-    ) -> tuple[Bet | None, frozenset[int], dict[int, Fraction]]:
-        """Maximise eps with G <= -eps on `region` under normalised stakes.
+    ) -> tuple[tuple[dict[int, Fraction], ...] | None, frozenset[int], dict[int, Fraction]]:
+        """Solve `program`.  Returns the violating for- and against-stakes,
+        by element, when eps > 0.
 
-        Returns the violating bet when eps > 0.  Otherwise the program's
-        dual is a vector p on the region atoms under which no stake mix
-        expects a gain below zero: its optimal multipliers when eps = 0,
-        its Farkas multipliers when no mix reaches eps >= 0.  The region
-        rows come first, so p is the head of either.  p is checked
-        exactly; the atoms it charges are returned with the expectation
-        p.g_i of every carrier and against-term.
+        Otherwise the program's dual is a vector p on the region atoms
+        under which no stake mix expects a gain below zero: its optimal
+        multipliers when eps = 0, its Farkas multipliers when no mix
+        reaches eps >= 0.  The region rows come first, so p is the head
+        of either.  p is checked exactly; the atoms it charges are
+        returned with the expectation p.g_i of every carrier and
+        against-term.
         """
         atoms = sorted(region)
-        n_for = len(carriers)
-        n_against = 0 if self.convex else len(combo)
-        n = n_for + n_against + 1  # + eps
-        rows = []
-        for atom in atoms:
-            coeffs = [self.coeffs[i].get(atom, _ZERO) for i in carriers]
-            if self.convex:
-                fixed = sum(
-                    (self.coeffs[k].get(atom, _ZERO) for k in combo), _ZERO
-                )
-                rhs = fixed  # the unit against-stake moves to the rhs
-            else:
-                coeffs += [-self.coeffs[k].get(atom, _ZERO) for k in combo]
-                rhs = _ZERO
-            coeffs.append(_ONE)
-            rows.append(constraint(coeffs, "<=", rhs))
-        norm = [_ONE] * n_for + [_ZERO if self.convex else _ONE] * n_against + [_ZERO]
-        rows.append(constraint(norm, "=", 1))
-        objective = tuple([_ZERO] * (n - 1) + [_ONE])
-        outcome = self.trace.solve(LinearProgram(objective=objective, constraints=tuple(rows)))
+        outcome = self.trace.solve(self.program(carriers, combo, region))
         if isinstance(outcome, Infeasible):
-            self.records.append(ProbeRecord(combo, len(region), None))
             p = outcome.certificate.multipliers[: len(atoms)]
         elif isinstance(outcome, Optimal):
-            self.records.append(ProbeRecord(combo, len(region), outcome.value))
             if outcome.value > 0:
-                stakes = {i: outcome.point[pos] for pos, i in enumerate(carriers)}
-                against = (
-                    {k: _ONE for k in combo}
-                    if self.convex
-                    else {k: outcome.point[n_for + pos] for pos, k in enumerate(combo)}
-                )
-                self.direction = (stakes, against)
-                return self._witness(stakes, against), frozenset(), {}
+                point = outcome.point
+                bought = [_ONE] * len(combo) if self.convex else point[len(carriers):-1]
+                return (dict(zip(carriers, point)), dict(zip(combo, bought))), frozenset(), {}
             p = outcome.duals[: len(atoms)]
         else:
             raise AssertionError("stake simplex cannot be unbounded")
@@ -254,7 +250,7 @@ class _Search:
         mass = dict(zip(p, masses))
         # each p.g_i times d and the denominator of g_i's row
         sums = {
-            i: sum(v * mass[a] for a, v in self.int_rows[i][0] if a in mass)
+            i: sum(v * mass[a] for a, v in self.int_rows[i][0].items() if a in mass)
             for i in (*carriers, *combo)
         }
         expects = {
@@ -319,11 +315,11 @@ class _Search:
             active = list(range(len(self.elements)))
             while active:
                 union = frozenset().union(*(member_sets[i] for i in active))
-                witness, zone, expects = self.violation(
+                stakes, zone, expects = self.violation(
                     active, combo, union | combo_region
                 )
-                if witness is not None:
-                    return witness
+                if stakes is not None:
+                    return self._witness(*stakes)
                 if not self.convex:
                     closed.update(
                         (j,) for j in active if expects[j] == 0 and member_sets[j] & zone
@@ -338,9 +334,9 @@ class _Search:
                 # every entry was discarded; the against-terms may still
                 # lose uniformly on their own
                 if combo and not self.convex:
-                    witness, _, _ = self.violation((), combo, combo_region)
-                    if witness is not None:
-                        return witness
+                    stakes, _, _ = self.violation((), combo, combo_region)
+                    if stakes is not None:
+                        return self._witness(*stakes)
         return None
 
 
@@ -375,9 +371,7 @@ def _generic_check(
     if witness is not None:
         _verify_witness(witness, assessment)
         return _verdict(notion, search.trace, start, passed=False, witness=witness)
-    return _verdict(
-        notion, search.trace, start, passed=True, certificate=tuple(search.records)
-    )
+    return _verdict(notion, search.trace, start, passed=True)
 
 
 def _no_against(n: int) -> list[tuple[int, ...]]:
@@ -538,7 +532,6 @@ def check_separate_coherence(
     _check_disjoint(cells)
     trace = trace or Trace()
     start = trace.solves
-    records: list[ProbeRecord] = []
     for cell, assessment in family:
         for entry in assessment.entries:
             if entry.variable.cond != cell:
@@ -571,11 +564,7 @@ def check_separate_coherence(
             return _verdict(
                 "separate-coherence", trace, start, passed=False, witness=witness
             )
-        if inner.certificate:
-            records.extend(inner.certificate)
-    return _verdict(
-        "separate-coherence", trace, start, passed=True, certificate=tuple(records)
-    )
+    return _verdict("separate-coherence", trace, start, passed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +707,8 @@ def check_walley_asl(
 
     def conglomerative(member: RandomVariable, values: Sequence[Fraction],
                        negate: bool) -> dict[int, Fraction]:
-        col = {}
-        for atom in range(family.space.size):
-            v = member.values[atom]
-            price = values[owner[atom]]
-            col[atom] = (-v) - (-price) if negate else v - price
-        return col
+        sign = -1 if negate else 1
+        return {a: sign * (v - values[owner[a]]) for a, v in enumerate(member.values)}
 
     def cell_terms(member: RandomVariable, stake: Fraction, *, upper: bool) -> list[BetTerm]:
         side = AGAINST if upper else FOR
@@ -756,10 +741,6 @@ def check_walley_asl(
             objective=tuple([_ZERO] * n + [_ONE]), constraints=tuple(rows)
         )
     )
-    record = ProbeRecord(
-        (), family.space.size,
-        outcome.value if isinstance(outcome, Optimal) else None,
-    )
     if isinstance(outcome, Optimal) and outcome.value > 0:
         terms: list[BetTerm] = []
         for pos, stake in enumerate(outcome.point[:n]):
@@ -768,4 +749,4 @@ def check_walley_asl(
         witness = Bet(tuple(terms))
         _verify_witness(witness, family.merged_assessment(k))
         return _verdict(notion, trace, start, passed=False, witness=witness)
-    return _verdict(notion, trace, start, passed=True, certificate=(record,))
+    return _verdict(notion, trace, start, passed=True)

@@ -9,14 +9,14 @@ keeping satisfying vertices and the cuts of edges between kept and
 dropped ones.
 
 The enumeration runs on ints, fraction-free in the way of `lp`'s
-tableau.  Each halfspace is scaled once, when enumeration starts, to its
-nonzero (column, int) terms and an int rhs (`lp.over_one_denominator`).
-Each vertex is an int vector v over one positive int d, the point v / d
-with sum v = d, in lowest terms.  Its slack under a halfspace is the int
-sum_j a_j v_j - r d, whose sign alone is used, and the point where the
-edge (a, b) with slacks s_a > 0 > s_b crosses the cut is
-s_a (v_b, d_b) - s_b (v_a, d_a), divided by its gcd.  Fractions are made
-only when the `CredalSet` is built.
+tableau.  Each vertex is an int vector v over one positive int d, the
+point v / d with sum v = d, in lowest terms.  Since sum v = d, the slack
+a.v - r d of a halfspace a.p >= r is (a - r).v, so each halfspace is
+scaled once, when enumeration starts, to the nonzero (column, int) terms
+of a - r (`lp.int_terms`).  The sign of that int sum alone is used, and
+the point where the edge (a, b) with slacks s_a > 0 > s_b crosses the
+cut is s_a (v_b, d_b) - s_b (v_a, d_a), divided by its gcd.  Fractions
+are made only when the `CredalSet` is built.
 
 Each vertex carries its tight set as an int bitmask: bit j for
 p_j >= 0 and bit n + i for the i-th halfspace.  A cut adds its bit to
@@ -43,14 +43,14 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .checkers import check_df_precise_conditional
+from .checkers import check_df_precise_conditional, expanded_elements
 from .errors import (
     DimensionLimitExceeded,
     EmptyCredalSet,
     MemberNotCoherent,
     ZeroProbabilityConditioning,
 )
-from .lp import over_one_denominator
+from .lp import int_terms
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -67,8 +67,6 @@ MAX_ATOMS = 12
 
 # the point v / d and its tight-set bitmask
 _Vertex = tuple[tuple[int, ...], int, int]
-# a halfspace's nonzero (column, int) terms and int rhs
-_IntRow = tuple[tuple[tuple[int, int], ...], int]
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,9 @@ class HalfSpace:
     rhs: Fraction
 
     def slack(self, point: Sequence[Fraction]) -> Fraction:
+        """coeffs . point - rhs, in fractions: the public way to evaluate
+        a row of a returned `CredalSet`, and the `Fraction` oracle of the
+        integer slacks of the enumeration, which does not call it."""
         return sum((a * x for a, x in zip(self.coeffs, point)), _ZERO) - self.rhs
 
 
@@ -113,12 +114,6 @@ def _conditional_prevision(
     return scaled / mass
 
 
-def _int_row(halfspace: HalfSpace) -> _IntRow:
-    """`halfspace` times the lcm of its denominators."""
-    ints, _ = over_one_denominator([*halfspace.coeffs, halfspace.rhs])
-    return tuple((j, a) for j, a in enumerate(ints[:-1]) if a), ints[-1]
-
-
 def _simplex_vertices(n: int) -> list[_Vertex]:
     """The unit vectors, each tight at every p_j >= 0 but its own."""
     full = (1 << n) - 1
@@ -148,12 +143,13 @@ def _is_edge(common: int, masks: Sequence[int], n: int) -> bool:
     return True
 
 
-def _cut(vertices: list[_Vertex], row: _IntRow, bit: int, n: int) -> list[_Vertex]:
-    """Intersect the polytope with the halfspace `row`, whose tight-set
-    bit is `bit`."""
-    terms, rhs = row
+def _cut(
+    vertices: list[_Vertex], row: Sequence[tuple[int, int]], bit: int, n: int
+) -> list[_Vertex]:
+    """Intersect the polytope with the halfspace whose a - r has the int
+    terms `row`, and whose tight-set bit is `bit`."""
     # the slack at v / d times d and the row's scale, both positive
-    slacks = [sum(a * v[j] for j, a in terms) - rhs * d for v, d, _ in vertices]
+    slacks = [sum(a * v[j] for j, a in row) for v, _, _ in vertices]
     kept = [
         (v, d, mask | bit if s == 0 else mask)
         for (v, d, mask), s in zip(vertices, slacks)
@@ -187,7 +183,8 @@ def _enumerate_vertices(
 ) -> list[tuple[tuple[int, ...], int]]:
     """The vertices (v, d), sorted by their points v / d."""
     vertices = _simplex_vertices(n)
-    for i, row in enumerate(map(_int_row, halfspaces)):
+    for i, halfspace in enumerate(halfspaces):
+        row, _ = int_terms(halfspace.coeffs, halfspace.rhs)
         vertices = _cut(vertices, row, 1 << (n + i), n)
         if not vertices:
             return []
@@ -199,23 +196,13 @@ def _enumerate_vertices(
 
 
 def domination_constraints(assessment: Assessment) -> list[HalfSpace]:
-    out: list[HalfSpace] = []
+    """p.(X - LP(X|B))B >= 0 for each direction of each entry, the
+    conjugate (UP(X|B) - X)B of an upper value included."""
     n = assessment.space.size
-    for entry in assessment.entries:
-        cv = entry.variable
-        members = cv.cond.members
-        values = cv.value_map()
-        lower_row = [
-            (values[i] - entry.lower) if i in members else _ZERO for i in range(n)
-        ]
-        out.append(HalfSpace(tuple(lower_row), _ZERO))
-        if entry.upper is not None:
-            upper_row = [
-                (entry.upper - values[i]) if i in members else _ZERO
-                for i in range(n)
-            ]
-            out.append(HalfSpace(tuple(upper_row), _ZERO))
-    return out
+    return [
+        HalfSpace(tuple(gain.get(i, _ZERO) for i in range(n)), _ZERO)
+        for gain in (el.coefficients() for el in expanded_elements(assessment))
+    ]
 
 
 def credal_polytope(

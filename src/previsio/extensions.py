@@ -38,13 +38,14 @@ and every program of the call, re-checks included, is solved on one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .checkers import _Search, check_w_coherence, expanded_elements
 from .errors import BaseNotCoherent, DomainNotClosed
-from .lp import LinearProgram, Optimal, Trace, constraint, over_one_denominator
+from .lp import Constraint, LinearProgram, Optimal, Trace, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -78,22 +79,16 @@ class ExtensionResult:
 @dataclass(frozen=True)
 class _Bound:
     """A bound and its certificate: the helper stakes s* that reach it
-    and the direction s' that is strictly negative off the target's
-    event."""
+    and the stakes s' of the last shrinking step, a direction that is
+    strictly negative off the target's event."""
 
     value: Fraction
     helpers: Stakes
-    direction: Stakes
+    step: Stakes
 
 
 def _coherent(assessment: Assessment, trace: Trace) -> bool:
     return check_w_coherence(assessment, trace=trace).passed
-
-
-def _ensure_coherent_base(assessment: Assessment, trace: Trace) -> None:
-    # the empty assessment is vacuously coherent
-    if assessment.entries and not _coherent(assessment, trace):
-        raise BaseNotCoherent("the base assessment is not W-coherent")
 
 
 def _net(stakes: Stakes, against: Stakes) -> Stakes:
@@ -122,9 +117,9 @@ def _bound(
         outside = combo_region.union(*(members[i] for i in active)) - b
         if not outside:
             break
-        witness, zone, _ = search.violation(active, combo, outside)
-        if witness is not None:
-            direction = _net(*search.direction)
+        stakes, zone, _ = search.violation(active, combo, outside)
+        if stakes is not None:
+            direction = _net(*stakes)
             break
         if combo_region & zone:
             return None
@@ -133,20 +128,7 @@ def _bound(
             raise AssertionError("internal error: support shrinking made no progress")
         active = kept
 
-    def row(atom: int) -> list[Fraction]:
-        return [search.coeffs[i].get(atom, _ZERO) for i in active] + [
-            -search.coeffs[k].get(atom, _ZERO) for k in combo
-        ]
-
-    y = target.value_map()
-    rows = [constraint(row(a) + [_ONE], "<=", sign * y[a]) for a in sorted(b)]
-    rows += [constraint(row(a) + [_ZERO], "<=", 0) for a in sorted(outside)]
-    n = len(active) + len(combo)
-    outcome = search.trace.solve(LinearProgram(
-        objective=(_ZERO,) * n + (_ONE,),
-        constraints=tuple(rows),
-        bounds=((_ZERO, None),) * n + ((None, None),),
-    ))
+    outcome = search.trace.solve(_bound_program(search, target, sign, active, combo, outside))
     # bounded and feasible for a coherent base: s = 0 is feasible, and
     # an improving ray plus the direction would be a losing bet
     if not isinstance(outcome, Optimal):
@@ -157,6 +139,39 @@ def _bound(
     if not _certified(search, target, sign, bound):
         raise AssertionError("internal error: an extension bound fails its certificate")
     return bound
+
+
+def _bound_program(
+    search: _Search,
+    target: ConditionalVariable,
+    sign: int,
+    active: Sequence[int],
+    combo: tuple[int, ...],
+    outside: frozenset[int],
+) -> LinearProgram:
+    """Maximise alpha with alpha + G <= Y on B and G <= 0 on `outside`,
+    for the gain G of the stakes on `active` less those on `combo`: one
+    row per atom of B, by atom, then one per atom outside."""
+    y = target.value_map()
+    atoms = sorted(target.cond.members)
+    n = len(active) + len(combo)
+    scale = math.lcm(
+        *(search.int_rows[i][1] for i in (*active, *combo)),
+        *(y[a].denominator for a in atoms),
+    )
+    rows = [
+        Constraint((*terms, (n, scale)), scale, int(sign * scale * y[a]), "<=", n + 1)
+        for a, terms in zip(atoms, search.gain_terms(active, combo, atoms, scale))
+    ]
+    rows += [
+        Constraint(tuple(terms), scale, 0, "<=", n + 1)
+        for terms in search.gain_terms(active, combo, sorted(outside), scale)
+    ]
+    return LinearProgram(
+        objective=(_ZERO,) * n + (_ONE,),
+        constraints=tuple(rows),
+        bounds=((_ZERO, None),) * n + ((None, None),),
+    )
 
 
 def _int_gain(
@@ -170,7 +185,7 @@ def _int_gain(
     )
     gain: dict[int, int] = {}
     for i, m in zip(keys, ints):
-        for atom, v in search.int_rows[i][0]:
+        for atom, v in search.int_rows[i][0].items():
             gain[atom] = gain.get(atom, 0) + m * v
     return gain, ints[len(keys):]
 
@@ -182,7 +197,7 @@ def _certified(
     stake is negative but at most one against-term, none when the target
     is itself bet against (sign > 0); bound + sum s* g <= Y on B; and on
     the carriers' union outside B, sum s* g <= 0 and sum s' g < 0."""
-    signed = [*bound.helpers.items(), *bound.direction.items()]
+    signed = [*bound.helpers.items(), *bound.step.items()]
     against = {i for i, s in signed if s < 0}
     if len(against) > (1 if sign < 0 else 0):
         return False
@@ -194,7 +209,7 @@ def _certified(
     gain, (value, *ys) = _int_gain(
         search, bound.helpers, [bound.value] + [sign * y[a] for a in b]
     )
-    direction, _ = _int_gain(search, bound.direction, ())
+    direction, _ = _int_gain(search, bound.step, ())
     return all(value + gain.get(a, 0) <= v for a, v in zip(b, ys)) and all(
         gain.get(a, 0) <= 0 and direction.get(a, 0) < 0 for a in outside
     )
@@ -209,7 +224,9 @@ def _search(assessment: Assessment, trace: Trace | None) -> _Search:
     fresh one), built once the base is checked on it; every bound of
     every target shares it."""
     trace = trace or Trace()
-    _ensure_coherent_base(assessment, trace)
+    # the empty assessment is vacuously coherent
+    if assessment.entries and not _coherent(assessment, trace):
+        raise BaseNotCoherent("the base assessment is not W-coherent")
     return _Search(expanded_elements(assessment), trace=trace)
 
 
@@ -374,6 +391,16 @@ def _describe(cv: ConditionalVariable) -> str:
     return f"values {tuple(str(v) for v in cv.values)} given {cv.cond.atoms()}"
 
 
+def _first_failure(axiom: str, cases: Iterator[bool | str]) -> AxiomCheck:
+    """Run `cases` up to the first that fails: each yields True when it
+    holds and its counterexample otherwise."""
+    count = 0
+    for count, outcome in enumerate(cases, 1):
+        if outcome is not True:
+            return AxiomCheck(axiom, False, count, outcome)
+    return AxiomCheck(axiom, True, count)
+
+
 def check_a1_a4(
     prevision: PrevisionSource | Assessment,
     basis: Sequence[RandomVariable],
@@ -395,89 +422,59 @@ def check_a1_a4(
         raise ValueError("at least one nonempty conditioning event is needed")
 
     sums = [x + y for pos, x in enumerate(basis) for y in basis[pos + 1:]]
-    sampled: list[RandomVariable] = list(basis) + sums
+    pool = list(basis) + sums
+    sampled = list(pool)
     for x in basis:
         for k in SCALING_SAMPLES:
             candidate = x.scale(k)
             if candidate not in sampled:
                 sampled.append(candidate)
 
-    checks: list[AxiomCheck] = []
+    def internality() -> Iterator[bool | str]:
+        for x in sampled:
+            for b in conditioning:
+                cv = restrict(x, b)
+                yield source(cv) >= cv.inf() or (
+                    f"price below the infimum for {_describe(cv)}"
+                )
 
-    count = 0
-    failure = None
-    for x in sampled:
-        for b in conditioning:
-            cv = restrict(x, b)
-            count += 1
-            if source(cv) < cv.inf():
-                failure = f"price below the infimum for {_describe(cv)}"
-                break
-        if failure:
-            break
-    checks.append(AxiomCheck("internality", failure is None, count, failure))
-
-    count = 0
-    failure = None
-    for x in basis + sums:
-        for b in conditioning:
-            base_value = source(restrict(x, b))
-            for k in NONNEGATIVE_SCALINGS:
-                count += 1
-                if source(restrict(x.scale(k), b)) != k * base_value:
-                    failure = (
+    def homogeneity() -> Iterator[bool | str]:
+        for x in pool:
+            for b in conditioning:
+                base_value = source(restrict(x, b))
+                for k in NONNEGATIVE_SCALINGS:
+                    yield source(restrict(x.scale(k), b)) == k * base_value or (
                         f"scaling by {k} is not homogeneous for "
                         f"{_describe(restrict(x, b))}"
                     )
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks.append(AxiomCheck("homogeneity", failure is None, count, failure))
 
-    count = 0
-    failure = None
-    pool = basis + sums
-    for pos, x in enumerate(pool):
-        for y in pool[pos:]:
-            for b in conditioning:
-                count += 1
-                total = source(restrict(x + y, b))
-                if total < source(restrict(x, b)) + source(restrict(y, b)):
-                    failure = (
+    def superadditivity() -> Iterator[bool | str]:
+        for pos, x in enumerate(pool):
+            for y in pool[pos:]:
+                for b in conditioning:
+                    total = source(restrict(x + y, b))
+                    yield total >= source(restrict(x, b)) + source(restrict(y, b)) or (
                         f"subadditive prices for {_describe(restrict(x, b))} "
                         f"plus {_describe(restrict(y, b))}"
                     )
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks.append(AxiomCheck("superadditivity", failure is None, count, failure))
 
-    count = 0
-    failure = None
-    for x in basis:
-        for a in conditioning:
-            for b in conditioning:
-                meet = a & b
-                if meet.is_empty:
-                    continue
-                count += 1
-                inner = source(restrict(x, meet))
-                indicator = space.indicator(a)
-                compound = indicator.pointwise_mul(x.shift(-inner))
-                if source(restrict(compound, b)) != 0:
-                    failure = (
+    def bayes_compound() -> Iterator[bool | str]:
+        for x in basis:
+            for a in conditioning:
+                for b in conditioning:
+                    meet = a & b
+                    if meet.is_empty:
+                        continue
+                    inner = source(restrict(x, meet))
+                    compound = space.indicator(a).pointwise_mul(x.shift(-inner))
+                    yield source(restrict(compound, b)) == 0 or (
                         "conditional price not washed out for "
                         f"{_describe(restrict(compound, b))}"
                     )
-                    break
-            if failure:
-                break
-        if failure:
-            break
-    checks.append(AxiomCheck("bayes-compound", failure is None, count, failure))
 
-    return AxiomReport(tuple(checks))
+    return AxiomReport((
+        _first_failure("internality", internality()),
+        _first_failure("homogeneity", homogeneity()),
+        _first_failure("superadditivity", superadditivity()),
+        _first_failure("bayes-compound", bayes_compound()),
+    ))

@@ -96,6 +96,9 @@ def load_problem(doc: Any) -> Problem:
         raise SchemaError(str(exc)) from exc
 
     variables: dict[str, RandomVariable] = {}
+    for key in ("variables", "events"):
+        if not isinstance(doc.get(key) or {}, dict):
+            raise SchemaError(f'"{key}" must be an object of named entries')
     for name, mapping in (doc.get("variables") or {}).items():
         if not isinstance(mapping, dict):
             raise SchemaError(f'variable {name!r} must map atoms to rationals')
@@ -127,6 +130,8 @@ def load_problem(doc: Any) -> Problem:
     for row in rows:
         if not isinstance(row, dict) or "var" not in row or "lower" not in row:
             raise SchemaError('each assessment needs "var" and "lower"')
+        if not isinstance(row["var"], str) or not isinstance(row.get("given"), (str, type(None))):
+            raise SchemaError('"var" must name a variable, and "given" an event or null')
         variable = problem.variable_named(row["var"])
         given = problem.event_named(row.get("given"))
         if given.is_empty:

@@ -19,13 +19,15 @@ certificate before returning it.  The row duals of an optimal outcome
 are not re-verified here; a caller that relies on them checks what it
 uses.
 
-Each :class:`Constraint` is scaled to ints once, when it is made: the
-(column, int) pairs of its nonzero coefficients and an int rhs, over one
-positive scale.  The tableau starts from those rows, and the checks run
-on them too: a point, ray or set of Farkas multipliers is put over one
-common denominator, and only the nonzero terms of each row are summed.
-Every accept or reject is then a sign test on ints, exactly as strict
-as the same test on fractions.
+Each :class:`Constraint` is stored once, in ints: the (column, int)
+pairs of its nonzero coefficients and an int rhs, over one positive
+scale, divided through by their gcd so that a row has one form however
+it was built.  Its `coeffs` and `rhs` are `Fraction` views, computed on
+read, and `constraint` builds a row from rationals.  The tableau starts
+from those ints, and the checks run on them too: a point, ray or set of
+Farkas multipliers is put over one common denominator, and only the
+nonzero terms of each row are summed.  Every accept or reject is then a
+sign test on ints, exactly as strict as the same test on fractions.
 
 ``solve`` is pure: it keeps no count and writes nothing.  The account
 of a call is a :class:`Trace`, passed down to whatever solves for it:
@@ -52,30 +54,43 @@ Bound = tuple[Fraction | None, Fraction | None]
 
 @dataclass(frozen=True)
 class Constraint:
-    """The row coeffs.x `relation` rhs, also scaled to ints once:
-    `terms` holds the (column, int) pairs of the nonzero coefficients and
-    `int_rhs` the rhs, each times `scale`, the lcm of the row's
-    denominators.  Only the row itself is compared, hashed and shown."""
+    """The row sum_j (a_j / scale) x_j `relation` int_rhs / scale over
+    `arity` columns: `terms` holds the (column, a_j) pairs of its nonzero
+    coefficients, by column, and `scale` is positive.  The row is divided
+    through by the gcd of its ints and its scale when it is made, so two
+    rows are equal, and hash alike, exactly when they are the same row."""
 
-    coeffs: tuple[Fraction, ...]
+    terms: tuple[tuple[int, int], ...]
+    scale: int
+    int_rhs: int
     relation: str  # "<=", "=", ">="
-    rhs: Fraction
-    terms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    scale: int = field(init=False, repr=False, compare=False)
-    int_rhs: int = field(init=False, repr=False, compare=False)
+    arity: int
 
     def __post_init__(self) -> None:
         if self.relation not in ("<=", "=", ">="):
             raise MalformedProgram(f"unknown relation {self.relation!r}")
-        coeffs = tuple(map(as_rational, self.coeffs))
-        rhs = as_rational(self.rhs)
-        ints, scale = over_one_denominator((*coeffs, rhs))
-        terms = tuple((j, a) for j, a in enumerate(ints[:-1]) if a)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "int_rhs", ints[-1])
+        if self.scale <= 0:
+            raise MalformedProgram("a row's scale must be positive")
+        g, last = math.gcd(self.scale, self.int_rhs), -1
+        for j, a in self.terms:
+            if not (a and last < j < self.arity):
+                raise MalformedProgram("terms need nonzero ints by increasing column, below the arity")
+            g, last = math.gcd(g, a), j
+        if g > 1:
+            object.__setattr__(self, "terms", tuple((j, a // g) for j, a in self.terms))
+            object.__setattr__(self, "scale", self.scale // g)
+            object.__setattr__(self, "int_rhs", self.int_rhs // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        row = [_ZERO] * self.arity
+        for j, a in self.terms:
+            row[j] = Fraction(a, self.scale)
+        return tuple(row)
+
+    @property
+    def rhs(self) -> Fraction:
+        return Fraction(self.int_rhs, self.scale)
 
 
 @dataclass(frozen=True)
@@ -99,7 +114,7 @@ class LinearProgram:
         if n == 0:
             raise MalformedProgram("a program needs at least one variable")
         for c in self.constraints:
-            if len(c.coeffs) != n:
+            if c.arity != n:
                 raise MalformedProgram("constraint arity differs from objective")
         if self.bounds is None:
             object.__setattr__(self, "bounds", ((_ZERO, None),) * n)
@@ -125,8 +140,22 @@ def over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
+def int_terms(
+    values: Sequence[Fraction], less: Fraction = _ZERO
+) -> tuple[list[tuple[int, int]], int]:
+    """Each nonzero values[j] - less as a pair (j, int) over one positive
+    int, the lcm of every denominator: the subtraction is made on the
+    ints.  This is the one scaling of a row to ints."""
+    (base, *ints), d = over_one_denominator([less, *values])
+    return [(j, a - base) for j, a in enumerate(ints) if a != base], d
+
+
 def constraint(coeffs: Sequence[RationalLike], relation: str, rhs: RationalLike) -> Constraint:
-    return Constraint(coeffs, relation, rhs)
+    """The row coeffs.x `relation` rhs, from rationals."""
+    n = len(coeffs)
+    terms, scale = int_terms([*map(as_rational, coeffs), as_rational(rhs)])
+    int_rhs = terms.pop()[1] if terms and terms[-1][0] == n else 0
+    return Constraint(tuple(terms), scale, int_rhs, relation, n)
 
 
 @dataclass(frozen=True)
@@ -439,15 +468,6 @@ def _point_back(lp: LinearProgram, tr: _Transform, tab: _Tableau) -> tuple[Fract
     return tuple(point)
 
 
-def _ray_back(lp: LinearProgram, tr: _Transform, direction: list[Fraction]) -> tuple[Fraction, ...]:
-    ray = []
-    for j in range(lp.arity):
-        pos, neg = tr.col_of_var[j]
-        d = direction[pos] - (direction[neg] if neg >= 0 else _ZERO)
-        ray.append(d)
-    return tuple(ray)
-
-
 def _farkas_from_duals(lp: LinearProgram, tr: _Transform,
                        duals: list[Fraction]) -> FarkasCertificate:
     """Orient equality-form duals into canonical >=-row multipliers."""
@@ -465,9 +485,9 @@ def _farkas_from_duals(lp: LinearProgram, tr: _Transform,
             excess[index] += y
             continue
         mult[slots["row", index, -1 if y > 0 else 1]] += abs(y)
-        for j, a in enumerate(lp.constraints[index].coeffs):
-            if a:
-                excess[j] += y * a
+        c = lp.constraints[index]
+        for j, a in c.terms:
+            excess[j] += y * a / c.scale
     for j, w in enumerate(excess):
         if w and lp.bounds[j][0] is not None:
             mult[slots["lb", j, 1]] += w
@@ -485,8 +505,7 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
     if art_start < ncol:
         # phase 1: maximize -(sum of artificials)
         tab.set_objective([0] * art_start + [-1] * (ncol - art_start))
-        eligible = [True] * ncol
-        unb = tab.run(eligible)
+        unb = tab.run([True] * ncol)
         if unb is not None:  # phase-1 objective is bounded above by zero
             raise AssertionError("internal error: unbounded feasibility phase")
         if tab.obj[-1] != 0:
@@ -517,10 +536,8 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
             if neg >= 0:
                 cost[neg] = -cost[pos]
     tab.set_objective(cost)
-    eligible = [True] * ncol
-    for j in range(art_start, ncol):
-        eligible[j] = False  # artificials may leave the basis but never enter
-    unb = tab.run(eligible)
+    # artificials may leave the basis but never enter
+    unb = tab.run([j < art_start for j in range(ncol)])
     shift_const = sum(
         (c * s for c, s in zip(lp.objective, tr.shift) if s), _ZERO
     )
@@ -530,7 +547,10 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
         for r, b in enumerate(tab.basis):
             direction[b] = Fraction(-tab.rows[r][unb], tab.den[r])
         point = _point_back(lp, tr, tab)
-        ray = _ray_back(lp, tr, direction)
+        ray = tuple(
+            direction[pos] - (direction[neg] if neg >= 0 else _ZERO)
+            for pos, neg in tr.col_of_var
+        )
         outcome = Unbounded(point, ray, tab.pivots)
         if not (satisfies(lp, point) and verify_ray(lp, ray)):
             raise AssertionError("internal error: unbounded certificate failed")
@@ -575,12 +595,9 @@ class Trace:
 def format_lp(lp: LinearProgram) -> str:
     """Plain-text dump, written by a `Trace` that has a `dump` stream."""
 
-    def term(j: int, a: Fraction) -> str:
-        return f"{a} x{j}"
-
-    lines = [f"{lp.sense} " + " + ".join(term(j, a) for j, a in enumerate(lp.objective))]
+    lines = [f"{lp.sense} " + " + ".join(f"{a} x{j}" for j, a in enumerate(lp.objective))]
     for c in lp.constraints:
-        lhs = " + ".join(term(j, a) for j, a in enumerate(c.coeffs) if a != 0) or "0"
+        lhs = " + ".join(f"{a} x{j}" for j, a in enumerate(c.coeffs) if a != 0) or "0"
         lines.append(f"  {lhs} {c.relation} {c.rhs}")
     for j, (lo, up) in enumerate(lp.bounds):
         lo_s = str(lo) if lo is not None else "-inf"

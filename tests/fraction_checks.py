@@ -1,16 +1,19 @@
-"""Reference certificate checks on `Fraction`s, as test oracles.
+"""Reference certificate checks and programs on `Fraction`s, as test oracles.
 
 These are the plain formulas that `lp.satisfies`, `lp.verify_ray`,
 `lp.verify_farkas` and `checkers._Search._dominates` compute on integer
 rows: every coefficient times every value, zeros included, summed in
 exact rationals.  The integer checks must accept and reject exactly
-what these accept and reject.
+what these accept and reject.  The checkers' violation programs and the
+extension bound programs are built here from `Fraction` coefficients,
+through `lp.constraint`; the programs built from the int rows of the
+elements must be the same, row for row.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from previsio.lp import FarkasCertificate, LinearProgram
+from previsio.lp import FarkasCertificate, LinearProgram, constraint
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,3 +115,44 @@ def dominates(
             expects[k] <= 0 for k in combo
         )
     return expects if ok else None
+
+
+def violation_program(search, carriers, combo, region) -> LinearProgram:
+    """`_Search.program` on `Fraction` rows: each row is the elements'
+    gain coefficients at one atom, made with `lp.constraint`."""
+    coeffs = [el.coefficients() for el in search.elements]
+    n_for = len(carriers)
+    n_against = 0 if search.convex else len(combo)
+    n = n_for + n_against + 1  # + eps
+    rows = []
+    for atom in sorted(region):
+        row = [coeffs[i].get(atom, _ZERO) for i in carriers]
+        if search.convex:
+            rhs = sum((coeffs[k].get(atom, _ZERO) for k in combo), _ZERO)
+        else:
+            row += [-coeffs[k].get(atom, _ZERO) for k in combo]
+            rhs = _ZERO
+        rows.append(constraint(row + [_ONE], "<=", rhs))
+    rows.append(constraint([_ONE] * (n_for + n_against) + [_ZERO], "=", 1))
+    objective = tuple([_ZERO] * (n - 1) + [_ONE])
+    return LinearProgram(objective=objective, constraints=tuple(rows))
+
+
+def bound_program(search, target, sign, active, combo, outside) -> LinearProgram:
+    """`extensions._bound_program` on `Fraction` rows."""
+    coeffs = [el.coefficients() for el in search.elements]
+
+    def row(atom: int) -> list[Fraction]:
+        return [coeffs[i].get(atom, _ZERO) for i in active] + [
+            -coeffs[k].get(atom, _ZERO) for k in combo
+        ]
+
+    y = target.value_map()
+    rows = [constraint(row(a) + [_ONE], "<=", sign * y[a]) for a in sorted(target.cond.members)]
+    rows += [constraint(row(a) + [_ZERO], "<=", 0) for a in sorted(outside)]
+    n = len(active) + len(combo)
+    return LinearProgram(
+        objective=(_ZERO,) * n + (_ONE,),
+        constraints=tuple(rows),
+        bounds=((_ZERO, None),) * n + ((None, None),),
+    )

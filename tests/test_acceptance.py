@@ -12,12 +12,9 @@ from fractions import Fraction
 
 from conftest import positive_vector, random_space
 from corpus import small_corpus
+from enumeration_oracle import find_violation_enumeration, natural_extension_grid
 from previsio import gains
-from previsio.bruteforce import (
-    find_violation_enumeration,
-    find_violation_grid,
-    natural_extension_grid,
-)
+from previsio.bruteforce import find_violation_grid
 from previsio.checkers import (
     PartitionFamily,
     check_aul,

@@ -361,5 +361,6 @@ def _searches(draw):
 @given(made=_searches())
 def test_dominates_agrees_with_the_fraction_formula(made):
     search, p, carriers, combo = made
-    expected = ref.dominates(search.coeffs, search.convex, p, carriers, combo)
+    coeffs = [el.coefficients() for el in search.elements]
+    expected = ref.dominates(coeffs, search.convex, p, carriers, combo)
     assert search._dominates(p, carriers, combo) == expected

@@ -63,7 +63,6 @@ def test_w_coherence_vacuous_passes():
     ]
     verdict = check_w_coherence(vacuous(space, domain))
     assert verdict.passed
-    assert verdict.certificate
 
 
 def test_w_coherence_price_above_sup_fails_with_witness():
@@ -780,12 +779,11 @@ PINNED_CHECKS = pytest.mark.parametrize(
 
 @PINNED_CHECKS
 def test_shrinking_lp_counts_are_pinned(example, checker, lp_count, max_pivots):
-    # one program per shrinking step, each recorded once; the counts are
-    # deterministic, so a change here is a change of algorithm
+    # one program per shrinking step; the counts are deterministic, so a
+    # change here is a change of algorithm
     verdict = checker(example().assessment)
     assert verdict.passed
     assert verdict.lp_count == lp_count
-    assert len(verdict.certificate) == lp_count
 
 
 @PINNED_CHECKS

@@ -481,6 +481,50 @@ def test_debug_lp_dumps_programs(tmp_path, capsys):
     assert "<=" in captured.err
 
 
+DEBUG_LP_SHA256 = {
+    ("check", "--notion", "w-coherence"):
+        "d70f046ca65e4ea8a9aef28061daed0f5fc703dbc5ca1922e50b003a306f8379",
+    ("check", "--notion", "convex"):
+        "914d11568b64a1d5d80a3a41b285fc327ef4577deafe5915760384fdcd42dfc2",
+    ("extend", "--target", "A"):
+        "950194c0cafce0b493a4aad0e924cac1decf0f4a7a1951b181e3f6e5f7c75326",
+    ("extend", "--target", "A", "--given", "Brest"):
+        "5909ca7459ce019f04628be2749b2653eb3964fb2b91d56118b235d2884e316c",
+}
+
+
+@pytest.mark.parametrize("argv,digest", DEBUG_LP_SHA256.items())
+def test_debug_lp_text_is_pinned(argv, digest, tmp_path, capsys):
+    # the programs of de Finetti(1,1,2) as `format_lp` writes them, from
+    # the `Fraction` views of each int row, byte for byte
+    assert run(["example", "definetti", "--h", "1", "--k", "1", "--n", "2"]) == 0
+    path = tmp_path / "df.json"
+    path.write_text(capsys.readouterr().out)
+    assert run(["--debug-lp", *argv, "-f", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert hashlib.sha256(err.encode()).hexdigest() == digest
+
+
+MALFORMED = {
+    "variables-list": {"variables": [1, 2], "assessments": []},
+    "events-list": {"events": [1], "assessments": []},
+    "var-list": {"assessments": [{"var": ["x"], "lower": "0"}]},
+    "var-object": {"assessments": [{"var": {"x": 1}, "lower": "0"}]},
+    "given-list": {"assessments": [{"var": "x", "given": ["a"], "lower": "0"}]},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_documents_exit_two(doc, tmp_path, capsys):
+    # exit 1 means that the notion failed; a malformed document is an
+    # input error, reported in one line
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"atoms": ["a"], "events": {"x": ["a"]}, **doc}))
+    assert run(["check", "--notion", "w-coherence", "-f", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("previsio: ") and "Traceback" not in err
+
+
 def test_the_parser_is_built_once_and_carries_nothing_between_runs(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(VACUOUS)

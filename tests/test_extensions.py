@@ -14,8 +14,8 @@ from conftest import (
     random_space,
     random_variable,
 )
+from enumeration_oracle import natural_extension_grid
 from previsio import extensions, lp
-from previsio.bruteforce import natural_extension_grid
 from previsio.checkers import _Search, check_w_coherence, expanded_elements
 from previsio.envelopes import lower_envelope
 from previsio.errors import BaseNotCoherent, DomainNotClosed, SpaceMismatch

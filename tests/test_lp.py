@@ -126,18 +126,47 @@ def test_malformed_arity_rejected():
     with pytest.raises(MalformedProgram):
         LinearProgram(objective=(F(1),), sense="sideways")
     with pytest.raises(MalformedProgram):
-        Constraint((F(1),), "<", F(0))
+        Constraint(((0, 1),), 1, 0, "<", 1)
+    with pytest.raises(MalformedProgram):
+        Constraint(((0, 1),), 0, 0, "<=", 1)
+    # one form per row: terms are nonzero, by increasing column, in range
+    for terms in (((1, 2), (0, 1)), ((0, 1), (0, 2)), ((0, 0),), ((2, 1),), ((-1, 1),)):
+        with pytest.raises(MalformedProgram):
+            Constraint(terms, 1, 0, "<=", 2)
 
 
 def test_constraint_normalises_its_row():
     row = constraint([1, "1/2"], "<=", "3")
     assert row.coeffs == (F(1), F(1, 2)) and row.rhs == F(3)
     assert all(type(c) is F for c in (*row.coeffs, row.rhs))
-    assert Constraint([2, F(1, 3)], ">=", 0).coeffs == (F(2), F(1, 3))
+    assert Constraint(((0, 6), (1, 1)), 3, 0, ">=", 2).coeffs == (F(2), F(1, 3))
     with pytest.raises(MalformedProgram):
         constraint([1], "<", 0)
     with pytest.raises(TypeError):
         constraint([1.5], "<=", 0)
+
+
+@pytest.mark.parametrize(
+    "terms,scale,int_rhs,coeffs,rhs",
+    [
+        (((0, 4), (2, -6)), 2, 8, [2, 0, -3], 4),
+        (((1, 3),), 9, 0, [0, F(1, 3), 0], 0),
+        (((0, 10), (1, 5), (2, 15)), 20, -25, [F(1, 2), F(1, 4), F(3, 4)], F(-5, 4)),
+        ((), 7, 14, [0, 0, 0], 2),
+    ],
+)
+def test_a_row_built_from_ints_has_the_one_form(terms, scale, int_rhs, coeffs, rhs):
+    # the ints share a factor above 1 with their scale; once divided
+    # through, the row is the one `constraint` makes from its fractions
+    for relation in ("<=", "=", ">="):
+        row = Constraint(terms, scale, int_rhs, relation, 3)
+        same = constraint(coeffs, relation, rhs)
+        assert row == same and hash(row) == hash(same)
+        assert (row.terms, row.scale, row.int_rhs) == (same.terms, same.scale, same.int_rhs)
+        assert row.coeffs == tuple(map(F, coeffs)) and row.rhs == F(rhs)
+        assert constraint(row.coeffs, relation, row.rhs) == row
+    assert Constraint(terms, scale, int_rhs, "<=", 3) != constraint(coeffs, ">=", rhs)
+    assert Constraint(terms, scale, int_rhs, "<=", 4) != constraint(coeffs, "<=", rhs)
 
 
 def _random_program(rng: random.Random) -> LinearProgram:

@@ -5,8 +5,9 @@ enumeration of every support union and the brute-force stake grid."""
 import pytest
 
 from corpus import small_corpus
+from enumeration_oracle import find_violation_enumeration
 from previsio import gains
-from previsio.bruteforce import find_violation_enumeration, find_violation_grid
+from previsio.bruteforce import find_violation_grid
 from previsio.checkers import (
     check_aul,
     check_bi_coherence,
