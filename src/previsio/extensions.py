@@ -11,6 +11,8 @@ supremum of the prices alpha beaten by a bet with s >= 0 and
 Its non-strict relaxation is one program over the entries still
 active, with R the union of their events and k's: maximise alpha with
 the first line as "<=" on B and the second as "<= 0" on R outside B.
+The price is measured from min_B Y, which s = 0 already attains, so the
+program starts feasible at the origin and never ends infeasible.
 The relaxation can only err upward when no active bet is strictly
 negative on R outside B, so the routine first asks `_Search.violation`
 for such a direction; while there is none, the entries its dual
@@ -128,14 +130,19 @@ def _bound(
             raise AssertionError("internal error: support shrinking made no progress")
         active = kept
 
-    outcome = search.trace.solve(_bound_program(search, target, sign, active, combo, outside))
-    # bounded and feasible for a coherent base: s = 0 is feasible, and
-    # an improving ray plus the direction would be a losing bet
+    # the price that s = 0 attains; the program prices above it
+    floor = min(sign * v for v in target.values)
+    outcome = search.trace.solve(
+        _bound_program(search, target, sign, active, combo, outside, floor)
+    )
+    # bounded and feasible for a coherent base: s = 0 with the price at
+    # `floor` is the starting point, and an improving ray plus the
+    # direction would be a losing bet
     if not isinstance(outcome, Optimal):
         raise AssertionError("internal error: an extension program has no optimum")
     stakes = outcome.point[:-1]
     helpers = _net(dict(zip(active, stakes)), dict(zip(combo, stakes[len(active):])))
-    bound = _Bound(outcome.value, helpers, direction)
+    bound = _Bound(outcome.value + floor, helpers, direction)
     if not _certified(search, target, sign, bound):
         raise AssertionError("internal error: an extension bound fails its certificate")
     return bound
@@ -148,10 +155,14 @@ def _bound_program(
     active: Sequence[int],
     combo: tuple[int, ...],
     outside: frozenset[int],
+    floor: Fraction,
 ) -> LinearProgram:
-    """Maximise alpha with alpha + G <= Y on B and G <= 0 on `outside`,
-    for the gain G of the stakes on `active` less those on `combo`: one
-    row per atom of B, by atom, then one per atom outside."""
+    """Maximise alpha with floor + alpha + G <= Y on B and G <= 0 on
+    `outside`, for the gain G of the stakes on `active` less those on
+    `combo`: one row per atom of B, by atom, then one per atom outside.
+    With `floor` the least value of Y on B, every rhs is nonnegative and
+    alpha >= 0 loses no optimum, since s = 0 reaches alpha = 0: every row
+    is "<=" from the origin, and the simplex needs no phase 1."""
     y = target.value_map()
     atoms = sorted(target.cond.members)
     n = len(active) + len(combo)
@@ -160,18 +171,14 @@ def _bound_program(
         *(y[a].denominator for a in atoms),
     )
     rows = [
-        Constraint((*terms, (n, scale)), scale, int(sign * scale * y[a]), "<=", n + 1)
+        Constraint((*terms, (n, scale)), scale, int(scale * (sign * y[a] - floor)), "<=", n + 1)
         for a, terms in zip(atoms, search.gain_terms(active, combo, atoms, scale))
     ]
     rows += [
         Constraint(tuple(terms), scale, 0, "<=", n + 1)
         for terms in search.gain_terms(active, combo, sorted(outside), scale)
     ]
-    return LinearProgram(
-        objective=(_ZERO,) * n + (_ONE,),
-        constraints=tuple(rows),
-        bounds=((_ZERO, None),) * n + ((None, None),),
-    )
+    return LinearProgram(objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows))
 
 
 def _int_gain(

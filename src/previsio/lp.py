@@ -365,7 +365,7 @@ class _Transform:
     """Bookkeeping to map the equality-form problem back to the original."""
 
     col_of_var: list[tuple[int, int]] = field(default_factory=list)  # (pos col, neg col or -1)
-    shift: list[Fraction] = field(default_factory=list)
+    shift: dict[int, Fraction] = field(default_factory=dict)  # variable -> its nonzero lower bound
     row_origin: list[tuple[str, int, int]] = field(default_factory=list)  # (kind, index, sign)
     unit: list[int] = field(default_factory=list)  # each row's starting basic column
     art_start: int = 0  # columns from here on are artificial
@@ -380,14 +380,14 @@ def _build(lp: LinearProgram):
     """
     tr = _Transform()
     ncol = 0
-    for lo, up in lp.bounds:
+    for j, (lo, up) in enumerate(lp.bounds):
         if lo is None:
             tr.col_of_var.append((ncol, ncol + 1))
-            tr.shift.append(_ZERO)
             ncol += 2
         else:
             tr.col_of_var.append((ncol, -1))
-            tr.shift.append(lo)
+            if lo:
+                tr.shift[j] = lo
             ncol += 1
 
     # (terms, scale, rhs, relation, origin) of every row, in the ints of
@@ -409,7 +409,7 @@ def _build(lp: LinearProgram):
         # x_j = y_j + shift_j moves terms.shift to the rhs, and a fraction
         # left there multiplies the whole row by its denominator
         q = 1
-        moved = sum(a * tr.shift[j] for j, a in terms if tr.shift[j])
+        moved = sum(a * tr.shift[j] for j, a in terms if j in tr.shift) if tr.shift else 0
         if moved:
             b -= moved
             q, b = b.denominator, b.numerator
@@ -460,11 +460,13 @@ def _point_back(lp: LinearProgram, tr: _Transform, tab: _Tableau) -> tuple[Fract
         if tab.rows[r][-1]:
             values[b] = Fraction(tab.rows[r][-1], tab.den[r])
     point = []
-    for (pos, neg), shift in zip(tr.col_of_var, tr.shift):
+    for pos, neg in tr.col_of_var:
         x = values[pos]
         if neg >= 0 and values[neg]:
             x -= values[neg]
-        point.append(x + shift if shift else x)
+        point.append(x)
+    for j, shift in tr.shift.items():
+        point[j] += shift
     return tuple(point)
 
 
@@ -538,9 +540,7 @@ def solve(lp: LinearProgram) -> Optimal | Infeasible | Unbounded:
     tab.set_objective(cost)
     # artificials may leave the basis but never enter
     unb = tab.run([j < art_start for j in range(ncol)])
-    shift_const = sum(
-        (c * s for c, s in zip(lp.objective, tr.shift) if s), _ZERO
-    )
+    shift_const = sum((lp.objective[j] * s for j, s in tr.shift.items()), _ZERO)
     if unb is not None:
         direction = [_ZERO] * ncol
         direction[unb] = _ONE

@@ -9,6 +9,9 @@ variable range and may be inconsistent.
 import random
 from fractions import Fraction
 
+import pytest
+
+from previsio import lp
 from previsio.envelopes import lower_envelope
 from previsio.model import Assessment, Event, PossibilitySpace, restrict
 
@@ -118,3 +121,29 @@ def random_shifted_assessment(rng: random.Random, space=None, max_entries=4):
             value += F(rng.choice((-1, 1)), rng.randint(2, 5))
         items.append((cv, value, value))
     return Assessment.build(space, items)
+
+
+@pytest.fixture
+def solved_programs(monkeypatch):
+    """Every program solved through a trace, with its outcome."""
+    seen = []
+    real = lp.Trace.solve
+
+    def solve(trace, program):
+        outcome = real(trace, program)
+        seen.append((program, outcome))
+        return outcome
+
+    monkeypatch.setattr(lp.Trace, "solve", solve)
+    return seen
+
+
+def starts_feasible(program, outcome) -> bool:
+    """The origin is feasible and the simplex starts on its slacks: every
+    row "<=" with a nonnegative rhs and every column at its default
+    bound, so there is no phase 1 and no Farkas certificate."""
+    return (
+        all(c.relation == "<=" and c.int_rhs >= 0 for c in program.constraints)
+        and program.bounds == ((0, None),) * program.arity
+        and isinstance(outcome, lp.Optimal)
+    )

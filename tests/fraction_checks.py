@@ -133,13 +133,16 @@ def violation_program(search, carriers, combo, region) -> LinearProgram:
             row += [-coeffs[k].get(atom, _ZERO) for k in combo]
             rhs = _ZERO
         rows.append(constraint(row + [_ONE], "<=", rhs))
-    rows.append(constraint([_ONE] * (n_for + n_against) + [_ZERO], "=", 1))
+    # stakes sum to at most one, exactly one under convexity
+    relation = "=" if search.convex else "<="
+    rows.append(constraint([_ONE] * (n_for + n_against) + [_ZERO], relation, 1))
     objective = tuple([_ZERO] * (n - 1) + [_ONE])
     return LinearProgram(objective=objective, constraints=tuple(rows))
 
 
-def bound_program(search, target, sign, active, combo, outside) -> LinearProgram:
-    """`extensions._bound_program` on `Fraction` rows."""
+def bound_program(search, target, sign, active, combo, outside, floor) -> LinearProgram:
+    """`extensions._bound_program` on `Fraction` rows: the price alpha
+    is measured from `floor`, with its default bound alpha >= 0."""
     coeffs = [el.coefficients() for el in search.elements]
 
     def row(atom: int) -> list[Fraction]:
@@ -148,11 +151,10 @@ def bound_program(search, target, sign, active, combo, outside) -> LinearProgram
         ]
 
     y = target.value_map()
-    rows = [constraint(row(a) + [_ONE], "<=", sign * y[a]) for a in sorted(target.cond.members)]
+    rows = [
+        constraint(row(a) + [_ONE], "<=", sign * y[a] - floor)
+        for a in sorted(target.cond.members)
+    ]
     rows += [constraint(row(a) + [_ZERO], "<=", 0) for a in sorted(outside)]
     n = len(active) + len(combo)
-    return LinearProgram(
-        objective=(_ZERO,) * n + (_ONE,),
-        constraints=tuple(rows),
-        bounds=((_ZERO, None),) * n + ((None, None),),
-    )
+    return LinearProgram(objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows))

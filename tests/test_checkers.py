@@ -5,10 +5,12 @@ import pytest
 
 from conftest import (
     positive_vector,
+    random_arbitrary_assessment,
     random_coherent_assessment,
     random_precise_assessment,
     random_shifted_assessment,
     random_space,
+    starts_feasible,
 )
 from previsio import gains, lp
 from previsio.checkers import (
@@ -765,9 +767,9 @@ def test_every_failed_verdict_witness_reverifies():
 PINNED_CHECKS = pytest.mark.parametrize(
     "example,checker,lp_count,max_pivots",
     [
-        (lambda: walley_666_example(2), check_w_coherence, 1, 7),
-        (lambda: walley_666_example(4), check_w_coherence, 1, 11),
-        (lambda: definetti_example(1, 1, 4), check_w_coherence, 4, 3),
+        (lambda: walley_666_example(2), check_w_coherence, 1, 6),
+        (lambda: walley_666_example(4), check_w_coherence, 1, 10),
+        (lambda: definetti_example(1, 1, 4), check_w_coherence, 4, 2),
         (lambda: definetti_example(1, 2, 3), check_df_precise_conditional, 3, 6),
         (lambda: definetti_example(1, 2, 16), check_w_coherence, 16, 19),
     ],
@@ -788,10 +790,49 @@ def test_shrinking_lp_counts_are_pinned(example, checker, lp_count, max_pivots):
 
 @PINNED_CHECKS
 def test_shrinking_max_pivots_are_pinned(example, checker, lp_count, max_pivots):
-    # a checker's program has one "=" row, so phase 1 drives out a single
-    # artificial; the pivot counts are deterministic
+    # a checker's program starts feasible on its slacks, every row "<="
+    # with a nonnegative rhs, so it has no phase 1; the pivot counts are
+    # deterministic
     verdict = checker(example().assessment)
     assert verdict.max_pivots == max_pivots
+
+
+def test_stake_programs_start_feasible(solved_programs):
+    # stakes sum to at most one, so zero stakes are a feasible start of
+    # every program but convexity's; a violation still stakes exactly one
+    rng = random.Random(41)
+    failed = 0
+    for _ in range(30):
+        conditional = random_arbitrary_assessment(rng)
+        unconditional = random_arbitrary_assessment(rng, conditional=False)
+        checks = [
+            (check_w_coherence, conditional),
+            (check_aul, conditional),
+            (check_w_coherence, random_coherent_assessment(rng)),
+            (check_df_precise_conditional, random_precise_assessment(rng)),
+            (check_df_precise_conditional, random_shifted_assessment(rng)),
+            (check_coherence_unconditional, unconditional),
+            (check_bi_coherence, unconditional),
+        ]
+        for checker, assessment in checks:
+            verdict = checker(assessment)
+            if not verdict.passed:
+                failed += 1
+                assert witness_is_sound(verdict, assessment)
+                assert sum(t.stake for t in verdict.witness.terms) == 1
+    space = PossibilitySpace(("a", "b", "c", "d"))
+    cells = [space.event(["a", "b"]), space.event(["c", "d"])]
+    x = space.variable({"a": 1, "b": 0, "c": 1, "d": 0})
+    members = [space.constant(0), space.indicator(cells[0]), space.indicator(cells[1]), x]
+    family = PartitionFamily.precise(
+        space, cells, members, [[0, 0], [1, 0], [0, 1], [F(9, 10), F(9, 10)]]
+    )
+    k = Assessment.build(space, [(x.unconditional(), F(1, 2), F(1, 2))])
+    before = len(solved_programs)
+    assert not check_walley_asl(k, family).passed
+    assert len(solved_programs) > before
+    assert failed > 40 and len(solved_programs) > 200
+    assert all(starts_feasible(*solved) for solved in solved_programs)
 
 
 def test_convexity_runs_one_chain_per_against_term():

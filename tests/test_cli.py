@@ -483,13 +483,13 @@ def test_debug_lp_dumps_programs(tmp_path, capsys):
 
 DEBUG_LP_SHA256 = {
     ("check", "--notion", "w-coherence"):
-        "d70f046ca65e4ea8a9aef28061daed0f5fc703dbc5ca1922e50b003a306f8379",
+        "1f1086ebfa5931f16e40fa2dda00de808cb9b5c758da0fd4ea99a721cc1ad466",
     ("check", "--notion", "convex"):
         "914d11568b64a1d5d80a3a41b285fc327ef4577deafe5915760384fdcd42dfc2",
     ("extend", "--target", "A"):
-        "950194c0cafce0b493a4aad0e924cac1decf0f4a7a1951b181e3f6e5f7c75326",
+        "69a9f3d5d100470ac6abb602eee0a66214a0ceb5ca123cc4d29bd87b727b0f1d",
     ("extend", "--target", "A", "--given", "Brest"):
-        "5909ca7459ce019f04628be2749b2653eb3964fb2b91d56118b235d2884e316c",
+        "a41965af66961c78b78946f2e15a6f95ad771d2f3981c20ee3beeeae8ef7174c",
 }
 
 

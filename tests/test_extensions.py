@@ -13,6 +13,7 @@ from conftest import (
     random_event,
     random_space,
     random_variable,
+    starts_feasible,
 )
 from enumeration_oracle import natural_extension_grid
 from previsio import extensions, lp
@@ -402,6 +403,20 @@ def test_every_bound_passes_its_certificate(monkeypatch):
     assert (1, result.lower, True) in checked
     assert (-1, -result.upper, True) in checked
     assert all(ok for _, _, ok in checked)
+
+
+def test_extension_programs_start_feasible(solved_programs):
+    # the bound program prices from min_B Y, which zero stakes attain;
+    # the shrinking steps and the re-checks are checker programs
+    rng = random.Random(43)
+    for _ in range(12):
+        base = random_coherent_assessment(rng, space=random_space(rng, 3, 5))
+        for conditional in (False, True):
+            target = random_domain(rng, base.space, 1, conditional)[0]
+            result = extend(base, target)
+            assert result.lower <= result.upper
+    assert len(solved_programs) > 200
+    assert all(starts_feasible(*solved) for solved in solved_programs)
 
 
 def test_the_base_is_checked_once_per_call(monkeypatch):

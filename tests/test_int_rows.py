@@ -42,12 +42,12 @@ def programs(monkeypatch):
 
     def program(search, *args):
         out = real_program(search, *args)
-        built.append((out, ref.violation_program(search, *args)))
+        built.append((out, ref.violation_program(search, *args), "violation"))
         return out
 
     def bound_program(*args):
         out = real_bound(*args)
-        built.append((out, ref.bound_program(*args)))
+        built.append((out, ref.bound_program(*args), "bound"))
         return out
 
     monkeypatch.setattr(lp.Trace, "solve", solve)
@@ -69,10 +69,9 @@ def test_every_program_equals_the_fraction_oracle(programs):
         check_bi_coherence(unconditional)
         extend(coherent, random_domain(rng, coherent.space, 1)[0])
     assert len(solved) == len(built) > 600
-    assert all(s is b for s, (b, _) in zip(solved, built))
-    # bound programs end on the free column alpha, violation programs do not
-    assert {b.bounds[-1] == (None, None) for b, _ in built} == {True, False}
-    for got, want in built:
+    assert all(s is b for s, (b, _, _) in zip(solved, built))
+    assert {kind for _, _, kind in built} == {"violation", "bound"}
+    for got, want, _ in built:
         assert _fields(got) == _fields(want)
         assert got == want
 
