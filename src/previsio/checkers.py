@@ -117,6 +117,20 @@ class Verdict:
 IntRow = tuple[dict[int, int], int]
 
 
+def _masses(atoms: Sequence[int], p: Sequence[Fraction]) -> dict[int, int]:
+    """The nonzero masses of p by atom, as ints over one positive
+    denominator, which is dropped: it changes the sign of no
+    expectation."""
+    ints, _ = over_one_denominator(p)
+    return {a: m for a, m in zip(atoms, ints) if m}
+
+
+def _expects(p: dict[int, int], row: dict[int, int]) -> int:
+    """p.g for the int masses p and the int gain row g, up to a
+    positive factor."""
+    return sum(m * row[a] for a, m in p.items() if a in row)
+
+
 @dataclass(frozen=True)
 class _Element:
     """One direction of an assessed value: bet for `cv` at `value`.
@@ -219,7 +233,7 @@ class _Search:
         carriers: Sequence[int],
         combo: tuple[int, ...],
         region: frozenset[int],
-    ) -> tuple[tuple[dict[int, Fraction], ...] | None, frozenset[int], dict[int, Fraction]]:
+    ) -> tuple[tuple[dict[int, Fraction], ...] | None, dict[int, int], dict[int, Fraction]]:
         """Solve `program`.  Returns the violating for- and against-stakes,
         by element, when eps > 0.
 
@@ -231,8 +245,9 @@ class _Search:
         an against column p.g_k <= 0.  Under convexity it can also be
         the Farkas multipliers, when no unit-stake mix reaches eps >= 0.
         The region rows come first, so p is the head of either.  p is
-        checked exactly; the atoms it charges are returned with the
-        expectation p.g_i of every carrier and against-term.
+        checked exactly, and returned as the ints of its positive masses
+        by atom, over one positive denominator that is dropped, with
+        the expectation p.g_i of every carrier and against-term.
         """
         atoms = sorted(region)
         outcome = self.trace.solve(self.program(carriers, combo, region))
@@ -242,14 +257,14 @@ class _Search:
             if outcome.value > 0:
                 point = outcome.point
                 bought = [_ONE] * len(combo) if self.convex else point[len(carriers):-1]
-                return (dict(zip(carriers, point)), dict(zip(combo, bought))), frozenset(), {}
+                return (dict(zip(carriers, point)), dict(zip(combo, bought))), {}, {}
             p = outcome.duals[: len(atoms)]
         else:
             raise AssertionError("stake simplex cannot be unbounded")
         expects = self._dominates(dict(zip(atoms, p)), carriers, combo)
         if expects is None:
             raise AssertionError("internal error: dual vector does not dominate")
-        return None, frozenset(a for a, w in zip(atoms, p) if w > 0), expects
+        return None, _masses(atoms, p), expects
 
     def _dominates(
         self, p: dict[int, Fraction], carriers: Sequence[int], combo: Sequence[int]
@@ -263,12 +278,9 @@ class _Search:
         masses, d = over_one_denominator(list(p.values()))
         if any(m < 0 for m in masses) or not any(masses):
             return None
-        mass = dict(zip(p, masses))
+        mass = {a: m for a, m in zip(p, masses) if m}
         # each p.g_i times d and the denominator of g_i's row
-        sums = {
-            i: sum(v * mass[a] for a, v in self.int_rows[i][0].items() if a in mass)
-            for i in (*carriers, *combo)
-        }
+        sums = {i: _expects(mass, self.int_rows[i][0]) for i in (*carriers, *combo)}
         expects = {
             i: Fraction(s, d * self.int_rows[i][1]) if s else _ZERO
             for i, s in sums.items()
@@ -338,11 +350,12 @@ class _Search:
                     return self._witness(*stakes)
                 if not self.convex:
                     closed.update(
-                        (j,) for j in active if expects[j] == 0 and member_sets[j] & zone
+                        (j,) for j in active
+                        if expects[j] == 0 and not member_sets[j].isdisjoint(zone)
                     )
-                if combo_region & zone:
+                if not combo_region.isdisjoint(zone):
                     break
-                kept = [i for i in active if not (member_sets[i] & zone)]
+                kept = [i for i in active if member_sets[i].isdisjoint(zone)]
                 if len(kept) == len(active):
                     raise AssertionError("support shrinking made no progress")
                 active = kept

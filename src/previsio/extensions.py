@@ -27,15 +27,49 @@ single one: above LU a bet buying X|B loses uniformly.  An assessed
 target's own lower element is left out of these bets, since LU replaces
 it; its upper element stays, so LU never exceeds an assessed upper.
 
-Each bound is certified on ints without a program: helper stakes s*
-with bound + sum s* g <= Y on B and sum s* g <= 0 on their carriers'
-union outside B, and the direction s' of the last shrinking step,
-strictly negative there, so s* + t s' for a small t > 0 beats every
-price beyond the bound, however close.  ``verify=False`` skips only the
-coherence re-check at the bound itself, never the certificate.  The
-base assessment is checked, and its search built, once per public call,
-and every program of the call, re-checks included, is solved on one
-`lp.Trace`.
+Each bound is certified on ints without a program, on both sides.
+Beyond it: helper stakes s* with bound + sum s* g <= Y on B and
+sum s* g <= 0 on their carriers' union outside B, and the direction s'
+of the last shrinking step, strictly negative there, so s* + l s' for a
+small l > 0 beats every price beyond the bound, however close
+(`_certified`).
+
+At it: the extended assessment is W-coherent, as the envelope theorem
+and Williams (1975) say it must be, and the chains the bounds ran show
+it.  Let t be the new element, X|B at its price v.  A chain for a
+combination of the active elements and t is a list of vectors p >= 0
+on the atoms with p.g >= 0 for every active for-element and p.g <= 0
+for the against-term, t's gain being X - v on B.  A losing bet of the
+combination has gain G <= 0 everywhere and < 0 on its support, so
+p.G >= 0 forces its support to miss p's: every element whose event
+meets p's support stakes nothing and is dropped.  Once p's support
+meets the against-term's event, or B when t is bet for, that term
+stakes nothing either, and what is left is a bet of the base, which
+its own check covers.  `_closes` checks a chain on ints, recomputes
+every drop, and accepts only at such a step.  `_bound` returns its
+chain: the dual p of each shrinking step, which has no mass on B, then
+the bound program's row duals, q on B and r outside it.  The dual
+constraints of the stake, against and price columns give
+(q, r).g_i >= 0, (q, r).g_k <= 0 and sum q >= 1, and at the optimum
+q.(Y - bound) = 0.  So every combination with t in it is closed:
+
+- at LE, t against: LE's own chain, since q.(X - LE) = 0;
+- at LE, t for: (X - LE)1_B >= s*.g everywhere, by the certificate on
+  B and as s*.g <= 0 wherever else the helpers reach.  So a losing bet
+  s_t (X - LE)1_B + sum s_i g_i - s_k g_k still loses on its support
+  with s_t (X - LE)1_B replaced by s_t (s* + l s').g for a small l > 0,
+  and on the atoms this adds, which lie off B where s*.g <= 0 and
+  s'.g < 0.  That is a bet of the base, with stakes s + s_t (s* + l s')
+  and the same against-term, which the base check rules out;
+- at LU, t against: the same reduction with the best bound's
+  certificate, LU - X >= s*.g on B; its against-term, if any, takes
+  t's place as the only one;
+- at LU, t for, with no against-term or a single k: that
+  combination's own chain, which ends on k's event or has
+  q.(X - LU) = sum q (best - bound) >= 0.
+
+The base assessment is checked, and its search built, once per public
+call, and every program of the call is solved on one `lp.Trace`.
 """
 
 from __future__ import annotations
@@ -45,9 +79,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .checkers import _Search, check_w_coherence, expanded_elements
+from .checkers import _expects, _masses, _Search, check_w_coherence, expanded_elements
 from .errors import BaseNotCoherent, DomainNotClosed
-from .lp import Constraint, LinearProgram, Optimal, Trace, over_one_denominator
+from .lp import Constraint, LinearProgram, Optimal, Trace, int_terms, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -63,6 +97,8 @@ _ONE = Fraction(1)
 HelperStakes = tuple[tuple[ConditionalVariable, Fraction], ...]
 # element index -> stake; a negative stake bets against the element
 Stakes = dict[int, Fraction]
+# the vectors p of a shrinking chain, each its nonzero masses by atom
+Chain = tuple[dict[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -89,10 +125,6 @@ class _Bound:
     step: Stakes
 
 
-def _coherent(assessment: Assessment, trace: Trace) -> bool:
-    return check_w_coherence(assessment, trace=trace).passed
-
-
 def _net(stakes: Stakes, against: Stakes) -> Stakes:
     net = dict(stakes)
     for k, a in against.items():
@@ -106,26 +138,29 @@ def _bound(
     sign: int,
     combo: tuple[int, ...],
     usable: Sequence[int] | None = None,
-) -> _Bound | None:
+) -> tuple[_Bound | None, Chain]:
     """The bound for Y = sign * X and the against-terms `combo` (see the
     module docstring), over the elements `usable` (default: all),
-    certified; None when no bet staking the against-term wins."""
+    certified, and the chain that ran to it; None for the bound when
+    no bet staking the against-term wins."""
     members = [el.cv.cond.members for el in search.elements]
     b = target.cond.members
     combo_region = frozenset().union(*(members[k] for k in combo))
     active = list(range(len(members)) if usable is None else usable)
     direction: Stakes = {}
+    chain: list[dict[int, int]] = []
     while True:
         outside = combo_region.union(*(members[i] for i in active)) - b
         if not outside:
             break
-        stakes, zone, _ = search.violation(active, combo, outside)
+        stakes, p, _ = search.violation(active, combo, outside)
         if stakes is not None:
             direction = _net(*stakes)
             break
-        if combo_region & zone:
-            return None
-        kept = [i for i in active if not members[i] & zone]
+        chain.append(p)
+        if not combo_region.isdisjoint(p):
+            return None, tuple(chain)
+        kept = [i for i in active if members[i].isdisjoint(p)]
         if len(kept) == len(active):
             raise AssertionError("internal error: support shrinking made no progress")
         active = kept
@@ -145,7 +180,9 @@ def _bound(
     bound = _Bound(outcome.value + floor, helpers, direction)
     if not _certified(search, target, sign, bound):
         raise AssertionError("internal error: an extension bound fails its certificate")
-    return bound
+    # the program's rows are B's atoms, then those outside, each by atom
+    chain.append(_masses([*sorted(b), *sorted(outside)], outcome.duals))
+    return bound, tuple(chain)
 
 
 def _bound_program(
@@ -222,6 +259,46 @@ def _certified(
     )
 
 
+def _closes(
+    search: _Search,
+    target: ConditionalVariable,
+    sign: int,
+    value: Fraction,
+    combo: tuple[int, ...],
+    chain: Chain,
+    usable: Sequence[int] | None = None,
+) -> bool:
+    """Whether `chain` closes the combination of the elements `usable`
+    (default: all), the against-terms `combo` and t, a bet against
+    Y|B at `value` for Y = sign * X: X|B at the price sign * value, bet
+    against when sign > 0 and for when sign < 0 (see the module
+    docstring).  Checked on ints, with no program: each p is
+    nonnegative, expects a gain >= 0 from every active for-element and
+    <= 0 from each against-term and from Y - value on B; a p whose
+    support meets B or an against-term's event closes the chain, and
+    any other drops the active elements whose events meet its
+    support."""
+    members = [el.cv.cond.members for el in search.elements]
+    b = target.cond.members
+    atoms = sorted(b)
+    terms, _ = int_terms([sign * y for y in target.values], value)
+    against = [search.int_rows[k][0] for k in combo]
+    against.append({atoms[j]: a for j, a in terms})
+    closing = b.union(*(members[k] for k in combo))
+    active = [i for i in (range(len(members)) if usable is None else usable) if i not in combo]
+    for p in chain:
+        if (
+            any(m < 0 for m in p.values())
+            or any(_expects(p, search.int_rows[i][0]) < 0 for i in active)
+            or any(_expects(p, row) > 0 for row in against)
+        ):
+            return False
+        if not closing.isdisjoint(p):
+            return True
+        active = [i for i in active if members[i].isdisjoint(p)]
+    return False
+
+
 def _named(search: _Search, stakes: Stakes) -> HelperStakes:
     return tuple((search.elements[i].cv, s) for i, s in stakes.items())
 
@@ -232,37 +309,37 @@ def _search(assessment: Assessment, trace: Trace | None) -> _Search:
     every target shares it."""
     trace = trace or Trace()
     # the empty assessment is vacuously coherent
-    if assessment.entries and not _coherent(assessment, trace):
+    if assessment.entries and not check_w_coherence(assessment, trace=trace).passed:
         raise BaseNotCoherent("the base assessment is not W-coherent")
     return _Search(expanded_elements(assessment), trace=trace)
 
 
 def _lower_extension(
-    assessment: Assessment, search: _Search, target: ConditionalVariable, *, verify: bool
+    assessment: Assessment, search: _Search, target: ConditionalVariable
 ) -> tuple[Fraction, HelperStakes]:
+    """LE and its helpers.  An assessed target keeps its assessed value;
+    for a new one, the bound's own chain shows that LE is coherent."""
     target.space._check(assessment.space)
-    bound = _bound(search, target, 1, ())
+    bound, chain = _bound(search, target, 1, ())
     assert bound is not None  # only an against-term can end a chain
-    if verify:
-        entry = assessment.entry_for(target)
-        if entry is not None and bound.value != entry.lower:
-            raise AssertionError(
-                "natural extension of an assessed variable must return "
-                "its assessed value"
-            )
-        if entry is None and not _coherent(
-            assessment.with_entry(target, bound.value), search.trace
-        ):
-            raise AssertionError("natural extension is not a coherent value")
+    entry = assessment.entry_for(target)
+    if entry is not None and bound.value != entry.lower:
+        raise AssertionError(
+            "natural extension of an assessed variable must return "
+            "its assessed value"
+        )
+    if entry is None and not _closes(search, target, 1, bound.value, (), chain):
+        raise AssertionError("natural extension is not a coherent value")
     return bound.value, _named(search, bound.helpers)
 
 
 def _upper_extension(
-    assessment: Assessment, search: _Search, target: ConditionalVariable, *, verify: bool
+    assessment: Assessment, search: _Search, target: ConditionalVariable
 ) -> tuple[Fraction, HelperStakes]:
     """The largest lower value of the target that keeps the assessment
     coherent: the target's own lower element leaves the search, and an
-    assessed upper value stays in it."""
+    assessed upper value stays in it.  The chain of every combination
+    shows that LU is coherent."""
     target.space._check(assessment.space)
     entry = assessment.entry_for(target)
     if entry is not None and entry.is_precise:
@@ -272,54 +349,43 @@ def _upper_extension(
         if el.base != target or el.from_upper
     ]
     combos = [()] + [(k,) for k in usable]
-    bounds = [_bound(search, target, -1, combo, usable) for combo in combos]
-    best = max((b for b in bounds if b is not None), key=lambda b: b.value)
+    runs = [_bound(search, target, -1, combo, usable) for combo in combos]
+    best = max((b for b, _ in runs if b is not None), key=lambda b: b.value)
     value = -best.value
     if entry is not None and value < entry.lower:
         raise AssertionError("assessed lower value exceeds every coherent value")
-    others = tuple(e for e in assessment.entries if e.variable != target)
-    extended = Assessment(assessment.space, others).with_entry(
-        target, value, None if entry is None else entry.upper
-    )
-    if verify and not _coherent(extended, search.trace):
+    if not all(
+        _closes(search, target, -1, best.value, combo, chain, usable)
+        for combo, (_, chain) in zip(combos, runs)
+    ):
         raise AssertionError("upper extension is not a coherent value")
     return value, _named(search, best.helpers)
 
 
 def natural_extension(
-    assessment: Assessment,
-    target: ConditionalVariable,
-    *,
-    verify: bool = True,
-    trace: Trace | None = None,
+    assessment: Assessment, target: ConditionalVariable, *, trace: Trace | None = None
 ) -> Fraction:
     """Least-committal W-coherent value for the target, exact and
-    certified; ``verify=False`` skips only the coherence re-check at the
-    value, never the certificate."""
+    certified on both sides."""
     search = _search(assessment, trace)
-    return _lower_extension(assessment, search, target, verify=verify)[0]
+    return _lower_extension(assessment, search, target)[0]
 
 
 def upper_extension(
-    assessment: Assessment,
-    target: ConditionalVariable,
-    *,
-    verify: bool = True,
-    trace: Trace | None = None,
+    assessment: Assessment, target: ConditionalVariable, *, trace: Trace | None = None
 ) -> Fraction:
-    """Largest coherent value for the target, exact and certified;
-    ``verify=False`` skips only the coherence re-check at the value,
-    never the certificate."""
+    """Largest coherent value for the target, exact and certified on
+    both sides."""
     search = _search(assessment, trace)
-    return _upper_extension(assessment, search, target, verify=verify)[0]
+    return _upper_extension(assessment, search, target)[0]
 
 
 def extend(
     assessment: Assessment, target: ConditionalVariable, *, trace: Trace | None = None
 ) -> ExtensionResult:
     search = _search(assessment, trace)
-    lower, lower_helpers = _lower_extension(assessment, search, target, verify=True)
-    upper, upper_helpers = _upper_extension(assessment, search, target, verify=True)
+    lower, lower_helpers = _lower_extension(assessment, search, target)
+    upper, upper_helpers = _upper_extension(assessment, search, target)
     return ExtensionResult(target, lower, upper, lower_helpers, upper_helpers)
 
 
@@ -374,7 +440,7 @@ def natural_extension_prevision(
 
     def lookup(cv: ConditionalVariable) -> Fraction:
         if cv not in cache:
-            cache[cv] = _lower_extension(assessment, search, cv, verify=False)[0]
+            cache[cv] = _lower_extension(assessment, search, cv)[0]
         return cache[cv]
 
     return lookup

@@ -401,10 +401,10 @@ def _build(lp: LinearProgram):
         for j, (lo, up) in enumerate(lp.bounds) if up is not None
     ]
 
-    rows: list[list[int]] = []
-    den: list[int] = []
-    rhs: list[int] = []
-    relations: list[str] = []
+    # each row with its rhs made nonnegative: (terms, factor, denominator,
+    # rhs, relation, origin), the factor multiplying every term
+    made = []
+    n_slack = n_art = 0
     for terms, scale, b, rel, (kind, index) in int_rows:
         # x_j = y_j + shift_j moves terms.shift to the rhs, and a fraction
         # left there multiplies the whole row by its denominator
@@ -418,39 +418,39 @@ def _build(lp: LinearProgram):
             b = -b
             rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
             sign = -1
-        expanded = [0] * ncol
-        for j, a in terms:
-            v = sign * q * a
-            pos, neg = tr.col_of_var[j]
-            expanded[pos] = v
-            if neg >= 0:
-                expanded[neg] = -v
-        rows.append(expanded)
-        den.append(scale * q)
-        rhs.append(b)
-        relations.append(rel)
-        tr.row_origin.append((kind, index, sign))
+        made.append((terms, sign * q, scale * q, b, rel, (kind, index, sign)))
+        n_slack += rel != "="
+        n_art += rel != "<="
 
-    # a slack (+1) or surplus (-1) column per inequality, then the
-    # artificials of the "=" and ">=" rows, then the rhs
-    n_slack = sum(rel != "=" for rel in relations)
-    n_art = sum(rel != "<=" for rel in relations)
+    # the columns of the variables, a slack (+1) or surplus (-1) column
+    # per inequality, then the artificials of the "=" and ">=" rows, then
+    # the rhs: each row is allocated once, at that width
     slack = ncol
     art = tr.art_start = ncol + n_slack
-    tr.width = tr.art_start + n_art
-    for r, rel in enumerate(relations):
-        row = rows[r]
-        row.extend([0] * (n_slack + n_art))
-        row.append(rhs[r])
+    tr.width = art + n_art
+    rows: list[list[int]] = []
+    den: list[int] = []
+    for terms, f, d, b, rel, origin in made:
+        row = [0] * (tr.width + 1)
+        for j, a in terms:
+            v = f * a
+            pos, neg = tr.col_of_var[j]
+            row[pos] = v
+            if neg >= 0:
+                row[neg] = -v
+        row[-1] = b
         if rel != "=":
-            row[slack] = den[r] if rel == "<=" else -den[r]
+            row[slack] = d if rel == "<=" else -d
             if rel == "<=":
                 tr.unit.append(slack)
             slack += 1
         if rel != "<=":
-            row[art] = den[r]
+            row[art] = d
             tr.unit.append(art)
             art += 1
+        rows.append(row)
+        den.append(d)
+        tr.row_origin.append(origin)
     return tr, rows, den
 
 

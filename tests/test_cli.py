@@ -489,7 +489,7 @@ DEBUG_LP_SHA256 = {
     ("extend", "--target", "A"):
         "69a9f3d5d100470ac6abb602eee0a66214a0ceb5ca123cc4d29bd87b727b0f1d",
     ("extend", "--target", "A", "--given", "Brest"):
-        "a41965af66961c78b78946f2e15a6f95ad771d2f3981c20ee3beeeae8ef7174c",
+        "765bd1068aec7372564151c248840c90cc5f6d5a4b2735a2cabde101f3e4fa3d",
 }
 
 

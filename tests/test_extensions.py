@@ -317,9 +317,9 @@ def test_upper_extension_keeps_an_assessed_upper_value():
     assert (result.lower, result.upper) == (F(1, 4), F(1, 2))
 
 
-def test_reproducer_upper_extension_is_exact_without_the_recheck():
+def test_reproducer_upper_extension_is_exact():
     base, target = reproducer()
-    assert upper_extension(base, target, verify=False) == F(-69, 56)
+    assert upper_extension(base, target) == F(-69, 56)
     assert check_w_coherence(base.with_entry(target, F(-69, 56))).passed
     beyond = base.with_entry(target, F(-69, 56) + F(1, 10**9))
     assert not check_w_coherence(beyond).passed
@@ -342,7 +342,7 @@ def test_certificate_rejects_a_bound_beyond_the_natural_extension(gap):
     base = Assessment.build(space, [(x.unconditional(), F(1, 4)), (y.unconditional(), F(1, 4))])
     target = space.indicator(space.event(["x", "y"])).unconditional()
     search = _Search(expanded_elements(base))
-    bound = extensions._bound(search, target, 1, ())
+    bound, _ = extensions._bound(search, target, 1, ())
     assert bound.value == F(1, 2)
     assert extensions._certified(search, target, 1, bound)
     claimed = bound.value + gap
@@ -405,9 +405,176 @@ def test_every_bound_passes_its_certificate(monkeypatch):
     assert all(ok for _, _, ok in checked)
 
 
+# -- the attained side: chains -----------------------------------------------
+
+BEYOND = F(1, 10**9)
+
+
+def upper_runs(search, target):
+    """The elements of the upper extension, its best bound, and each
+    combination with the chain its bound ran, as `_upper_extension`
+    computes them."""
+    usable = [
+        i for i, el in enumerate(search.elements)
+        if el.base != target or el.from_upper
+    ]
+    combos = [()] + [(k,) for k in usable]
+    runs = [extensions._bound(search, target, -1, c, usable) for c in combos]
+    best = max(b.value for b, _ in runs if b is not None)
+    return usable, best, [(c, chain) for c, (_, chain) in zip(combos, runs)]
+
+
+def closes_every_upper_combination(search, target, value, usable, runs):
+    return all(
+        extensions._closes(search, target, -1, value, c, chain, usable)
+        for c, chain in runs
+    )
+
+
+def test_chains_close_at_the_bounds_and_not_beyond():
+    cases = (
+        unconditional_cases(random.Random(431), 12)
+        + conditional_cases(433, 12)
+        + conditional_cases(417)
+        + assessed_cases(439, 10)
+        + [reproducer()]
+    )
+    shrinking = 0
+    for base, target in cases:
+        search = _Search(expanded_elements(base))
+        le, chain = extensions._bound(search, target, 1, ())
+        assert extensions._closes(search, target, 1, le.value, (), chain)
+        assert not extensions._closes(search, target, 1, le.value - BEYOND, (), chain)
+        usable, best, runs = upper_runs(search, target)
+        assert closes_every_upper_combination(search, target, best, usable, runs)
+        # LU + 1e-9 is the price -(LU + 1e-9) of a bet against -X
+        assert not closes_every_upper_combination(search, target, best - BEYOND, usable, runs)
+        result = extend(base, target)
+        assert (result.lower, result.upper) == (le.value, -best)
+        shrinking += (len(chain) > 1) + sum(len(c) > 1 for _, c in runs)
+    assert shrinking >= 40
+
+
+def reproducer_chains():
+    """The reproducer's search, LE's bound and chain, and the chain of
+    each upper combination by its against-terms."""
+    base, target = reproducer()
+    search = _Search(expanded_elements(base))
+    le, chain = extensions._bound(search, target, 1, ())
+    usable, best, runs = upper_runs(search, target)
+    assert -best == F(-69, 56) and usable == [0, 1, 2]
+    return search, target, le.value, chain, best, dict(runs)
+
+
+def test_the_reproducer_chains_are_pinned():
+    # the first step, 5 and 7 on atoms 3 and 5, expects 0 from g_0 and
+    # g_1 and 25/14 > 0 from g_2, and every element meets {3, 5}; LE's
+    # last step sits on atom 4, where X = LE = -3.  LU's chain for (2,)
+    # drops elements 0 and 1, then charges atoms 0 and 1 with p.g_2 = 0
+    # and p.(X - LU) = 0
+    search, target, le, chain, best, runs = reproducer_chains()
+    assert (le, chain) == (F(-3), ({3: 5, 5: 7}, {4: 1}))
+    assert runs == {
+        (): ({3: 5, 5: 7}, {0: 1}),
+        (0,): ({3: 5, 5: 7},),
+        (1,): ({3: 5, 5: 7},),
+        (2,): ({5: 1}, {0: 15, 1: 13}),
+    }
+    # positive scaling changes no sign the verifier tests
+    scaled = tuple({a: 3 * m for a, m in p.items()} for p in chain)
+    assert extensions._closes(search, target, 1, le, (), scaled)
+
+
+def test_a_negative_mass_is_rejected():
+    # X - LE is 3/2 > 0 at atom 1, so a negative mass there keeps
+    # p.(X - LE) <= 0, and no element is active at the last step
+    search, target, le, chain, _, _ = reproducer_chains()
+    assert extensions._closes(search, target, 1, le, (), chain)
+    mutated = (chain[0], {**chain[1], 1: -1})
+    assert not extensions._closes(search, target, 1, le, (), mutated)
+
+
+def test_a_chain_without_its_bound_step_is_rejected():
+    search, target, le, chain, best, runs = reproducer_chains()
+    assert not extensions._closes(search, target, 1, le, (), chain[:-1])
+    assert extensions._closes(search, target, -1, best, (2,), runs[2,], [0, 1, 2])
+    assert not extensions._closes(search, target, -1, best, (2,), runs[2,][:-1], [0, 1, 2])
+
+
+def test_a_chain_swapped_to_another_against_term_is_rejected():
+    # (2,)'s first step charges atom 5, where g_0 = 5/8 > 0, so it
+    # cannot bet against element 0; ()'s charges atom 3, where g_2 > 0
+    search, target, _, _, best, runs = reproducer_chains()
+    assert not extensions._closes(search, target, -1, best, (0,), runs[2,], [0, 1, 2])
+    assert not extensions._closes(search, target, -1, best, (2,), runs[()], [0, 1, 2])
+
+
+def test_a_step_with_a_negative_expectation_is_rejected():
+    # one more unit on atom 3 pushes p.g_0 and p.g_1 to -7/8 while
+    # p.g_2 stays positive and the support stays {3, 5}, off B
+    search, target, le, chain, _, _ = reproducer_chains()
+    mutated = ({3: 6, 5: 7}, chain[1])
+    assert not extensions._closes(search, target, 1, le, (), mutated)
+
+
+def test_an_element_no_step_has_touched_is_still_checked():
+    # element 0, 3|{b} at 3, gains 0 and leaves with the first step, on
+    # b; element 1, X|{a, c} at 7/4, stays active, so the last step, on
+    # B = {c}, must still expect a gain >= 0 from it: one unit more on
+    # a, where it gains -3/4, is rejected
+    space = PossibilitySpace(("a", "b", "c"))
+    base = Assessment.build(space, [
+        (restrict(space.variable({"a": 0, "b": 3, "c": 0}), space.event(["b"])), F(3)),
+        (restrict(space.variable({"a": 1, "b": 0, "c": 2}), space.event(["a", "c"])), F(7, 4)),
+    ])
+    target = restrict(space.constant(-3), space.event(["c"]))
+    search = _Search(expanded_elements(base))
+    le, chain = extensions._bound(search, target, 1, ())
+    assert (le.value, chain) == (F(-3), ({1: 1}, {2: 1}))
+    assert extensions._closes(search, target, 1, le.value, (), chain)
+    assert not extensions._closes(search, target, 1, le.value, (), (chain[0], {2: 1, 0: 1}))
+
+
+def test_every_extension_checks_the_chain_of_every_combination(monkeypatch):
+    checked = []
+    closes = extensions._closes
+
+    def spy(search, target, sign, value, combo, chain, usable=None):
+        ok = closes(search, target, sign, value, combo, chain, usable)
+        checked.append((sign, value, combo, ok))
+        return ok
+
+    monkeypatch.setattr(extensions, "_closes", spy)
+    base, target = reproducer()
+    result = extend(base, target)
+    assert checked == [(1, result.lower, (), True)] + [
+        (-1, -result.upper, combo, True) for combo in [(), (0,), (1,), (2,)]
+    ]
+    # an assessed target's LE is its assessed value: nothing to check
+    checked.clear()
+    assert natural_extension(base, base.entries[0].variable) == base.entries[0].lower
+    assert checked == []
+
+
+def test_extended_assessments_pass_the_w_coherence_oracle():
+    # the re-check the chains replace, kept as an oracle: the base with
+    # the target's lower value at LE, and at LU, is W-coherent
+    rng = random.Random(443)
+    for _ in range(300):
+        space = random_space(rng, 3, 5)
+        base = random_coherent_assessment(rng, space=space, max_entries=3)
+        if rng.random() < 0.25:
+            target = rng.choice(base.entries).variable
+        else:
+            target = random_domain(rng, space, 1, rng.random() < 0.5)[0]
+        result = extend(base, target)
+        for value in {result.lower, result.upper}:
+            assert check_w_coherence(with_lower(base, target, value)).passed
+
+
 def test_extension_programs_start_feasible(solved_programs):
     # the bound program prices from min_B Y, which zero stakes attain;
-    # the shrinking steps and the re-checks are checker programs
+    # the shrinking steps and the base check are checker programs
     rng = random.Random(43)
     for _ in range(12):
         base = random_coherent_assessment(rng, space=random_space(rng, 3, 5))
@@ -428,18 +595,12 @@ def test_the_base_is_checked_once_per_call(monkeypatch):
         return check_w_coherence(assessment, trace=trace)
 
     monkeypatch.setattr(extensions, "check_w_coherence", counting)
-    calls = [
-        (lambda: extend(base, target), 3),  # the base, then LE and LU
-        (lambda: natural_extension(base, target), 2),
-        (lambda: natural_extension(base, target, verify=False), 1),
-        (lambda: upper_extension(base, target), 2),
-        (lambda: upper_extension(base, target, verify=False), 1),
-    ]
-    for call, checks in calls:
+    # the bounds are certified from their own chains: only the base is
+    # checked
+    for call in (extend, natural_extension, upper_extension):
         seen.clear()
-        call()
-        assert len(seen) == checks
-        assert seen.count(base) == 1
+        call(base, target)
+        assert seen == [base]
     seen.clear()
     source = natural_extension_prevision(base)
     source(target)
@@ -494,14 +655,14 @@ def test_the_prevision_builds_one_search_for_every_lookup(monkeypatch):
     ]
     assert len(seen) > 1
     for cv, value in seen.items():
-        assert value == natural_extension(base, cv, verify=False)
+        assert value == natural_extension(base, cv)
     other = PossibilitySpace(("a", "b"))
     with pytest.raises(SpaceMismatch):
         source(restrict(other.variable({"a": 1, "b": 0}), other.omega()))
 
 
 def test_an_extension_solves_every_program_on_the_trace_it_is_given(monkeypatch):
-    # the re-checks included: lp.solve, looked up at each call, sees
+    # the base check included: lp.solve, looked up at each call, sees
     # exactly the programs the trace counts
     base, target = reproducer()
     solve = lp.solve
@@ -520,9 +681,12 @@ def test_an_extension_solves_every_program_on_the_trace_it_is_given(monkeypatch)
         assert (trace.solves, trace.max_pivots) == (len(pivots), max(pivots))
 
 
-# programs solved by natural_extension and extend of A from de Finetti
-# (1, 2, n) with A's own entry removed, read from the trace each is
-# given: deterministic, so a change here is a change of algorithm
+# programs solved for A from de Finetti (1, 2, n) with A's own entry
+# removed, read from one trace: natural_extension (the base check and
+# LE's bound, n + 2 programs) and then the oracle W-coherence check at
+# LE, in all `natural`; extend (the base check and both bounds, 3n + 5)
+# and then the oracle checks at LE and LU, in all `both`.
+# Deterministic, so a change here is a change of algorithm
 PINNED_EXTENSIONS = pytest.mark.parametrize(
     "n,natural,both",
     [(4, 11, 27), (5, 13, 32), (6, 15, 37), (7, 17, 42), (8, 19, 47),
@@ -540,10 +704,15 @@ def test_extension_lp_counts_are_pinned(n, natural, both):
     )
     trace = lp.Trace()
     assert natural_extension(base, target, trace=trace) == F(1, 3)
+    assert trace.solves == n + 2
+    assert check_w_coherence(with_lower(base, target, F(1, 3)), trace=trace).passed
     assert trace.solves == natural
     trace = lp.Trace()
     result = extend(base, target, trace=trace)
     assert (result.lower, result.upper) == (F(1, 3), F(1))
+    assert trace.solves == 3 * n + 5
+    for value in (result.lower, result.upper):
+        assert check_w_coherence(with_lower(base, target, value), trace=trace).passed
     assert trace.solves == both
 
 
