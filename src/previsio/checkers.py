@@ -4,11 +4,14 @@ All notions share one search: a bet is a choice of "against" terms (none
 for avoiding uniform loss, at most one for coherence, two for
 bi-coherence, exactly one with unit stake for convexity) plus
 nonnegative stakes on "for" terms.  The gain is positively homogeneous,
-so stakes can be normalised to sum to at most one (exactly one under
-convexity), which turns the strict condition sup(G|B) < 0 into a
-decidable one: maximise eps subject to G <= -eps on the relevant atoms;
-there is a violation iff eps > 0.  Zero stakes are then feasible, so no
-program but convexity's needs a first phase or ends infeasible.
+so stakes can be normalised to sum to at most one, which turns the
+strict condition sup(G|B) < 0 into a decidable one: maximise eps subject
+to G <= -eps on the relevant atoms; there is a violation iff eps > 0.
+Convexity asks the for-stakes to sum to exactly one; with the
+against-term k always staked for too, s_k = 1 - sum_{i != k} s_i leaves
+G = sum_{i != k} s_i (g_i - g_k), homogeneous in the other stakes, so
+the same normalisation applies.  Zero stakes are then feasible, so no
+program needs a first phase or ends infeasible.
 
 The conditioning event of a bet is the union of the conditioning events
 of its terms, so the search must find the right support union.  For a
@@ -29,10 +32,11 @@ complete shrinking chain for the combination (j,), which is closed
 without a program.  On a precise assessment the conjugate directions
 force p.g_j = 0 everywhere, so W-coherence costs what the dF check costs,
 the computational side of the reduction of W-coherence to de Finetti
-coherence on precise assessments.  Convexity does not share: its unit
-against-stake asks min_i p.g_i >= p.g_k, which an earlier p need not
-meet for j.  Pairs of bi-coherence are never closed; that would need its
-own proof.
+coherence on precise assessments.  Convexity shares too: its unit
+against-stake on k asks min_i p.g_i >= p.g_k, every earlier step of k's
+chain charged nothing in B_k, so p.g_k = 0 = p.g_j there, and the chain
+closes (j,) when p.g_j = p.g_k at the step that first touches B_j.
+Pairs of bi-coherence are never closed; that would need its own proof.
 
 Assessed upper previsions enter through conjugacy: an upper value u for
 X|B is the lower value -u for -X|B, and precise entries contribute both
@@ -61,7 +65,6 @@ from .errors import (
 from .gains import AGAINST, FOR, LOWER, UPPER, Bet, BetTerm
 from .lp import (
     Constraint,
-    Infeasible,
     LinearProgram,
     Optimal,
     Trace,
@@ -191,41 +194,59 @@ class _Search:
         against: Sequence[int],
         atoms: Sequence[int],
         scale: int,
+        less: int | None = None,
     ) -> list[list[tuple[int, int]]]:
         """One row per atom, whose columns are the gains of the elements
-        `stakes` and then the negated gains of `against`, as (column, int)
+        `stakes`, each less the gain of the element `less` when one is
+        given, and then the negated gains of `against`, as (column, int)
         terms over `scale`, a multiple of each of their denominators."""
         signed = [(self.int_rows[i], 1) for i in stakes] + [(self.int_rows[k], -1) for k in against]
         columns = [(g, sign * (scale // d)) for (g, d), sign in signed]
-        return [[(j, f * g[a]) for j, (g, f) in enumerate(columns) if a in g] for a in atoms]
+        h, d = ({}, 1) if less is None else self.int_rows[less]
+        rows = []
+        for a in atoms:
+            base = scale // d * h.get(a, 0)
+            rows.append([(j, v) for j, (g, f) in enumerate(columns) if (v := f * g.get(a, 0) - base)])
+        return rows
+
+    def _columns(
+        self, carriers: Sequence[int], combo: tuple[int, ...]
+    ) -> tuple[Sequence[int], tuple[int, ...], int | None]:
+        """The elements staked for and against in `program`'s columns,
+        and the element whose gain every stake column is less of, if
+        any.  Under convexity the against-term's own for-stake is one
+        less the others, so it has no column, and neither has its unit
+        against-stake."""
+        if self.convex:
+            return [i for i in carriers if i not in combo], (), combo[0]
+        return carriers, combo, None
 
     def program(
         self, carriers: Sequence[int], combo: tuple[int, ...], region: frozenset[int]
     ) -> LinearProgram:
-        """Maximise eps with G <= -eps on `region` under normalised
-        stakes: one row per region atom, by atom, then the normalisation.
+        """Maximise eps with G <= -eps on `region` under stakes that sum
+        to at most one: one row per region atom, by atom, then the
+        normalisation.
 
-        With free against-stakes the normalisation is sum s <= 1, so
         s = 0, eps = 0 is a feasible start and every row is "<=" with rhs
         0: the simplex needs no phase 1.  An optimum with eps > 0 has
-        sum s = 1, since scaling s up would raise eps.  Convexity keeps
-        sum s = 1: its unit against-stake sits in the rhs, so s = 0 is
-        not feasible there.  A homogenised form (the against-stake t as a
-        column, sum s = t, t <= 1) gives the same verdicts, but its duals
-        have smaller support, and de Finetti(1,2,32) then took 1,060
-        programs instead of 68."""
-        atoms = sorted(region)
-        against = () if self.convex else combo
-        n = len(carriers) + len(against) + 1  # + eps
+        sum s = 1, since scaling s up would raise eps.  Under convexity
+        the columns are g_i - g_k for the carriers i other than the
+        against-term k, whose for-stake 1 - sum s completes the unit sum:
+        the origin is the bet s_k = 1 against k, whose gain is 0.  k is
+        staked for even when it is not a carrier, which is sound since
+        B_k lies in the region.  The for-stakes still sum to exactly one,
+        unlike a homogenised form (the against-stake t as a column,
+        sum s = t, t <= 1), whose duals have smaller support: de
+        Finetti(1,2,32) took 1,060 programs with it, not 68."""
+        stakes, against, less = self._columns(carriers, combo)
+        n = len(stakes) + len(against) + 1  # + eps
         scale = math.lcm(*(self.int_rows[i][1] for i in (*carriers, *combo)))
-        # the unit against-stake of convexity moves to the rhs
-        fixed = self.gain_terms(combo if self.convex else (), (), atoms, scale)
         rows = [
-            Constraint((*terms, (n - 1, scale)), scale, sum(v for _, v in f), "<=", n)
-            for terms, f in zip(self.gain_terms(carriers, against, atoms, scale), fixed)
+            Constraint((*terms, (n - 1, scale)), scale, 0, "<=", n)
+            for terms in self.gain_terms(stakes, against, sorted(region), scale, less)
         ]
-        relation = "=" if self.convex else "<="
-        rows.append(Constraint(tuple((j, 1) for j in range(n - 1)), 1, 1, relation, n))
+        rows.append(Constraint(tuple((j, 1) for j in range(n - 1)), 1, 1, "<=", n))
         return LinearProgram(objective=(_ZERO,) * (n - 1) + (_ONE,), constraints=tuple(rows))
 
     def violation(
@@ -237,30 +258,26 @@ class _Search:
         """Solve `program`.  Returns the violating for- and against-stakes,
         by element, when eps > 0.
 
-        Otherwise the program's dual is a vector p on the region atoms
-        under which no stake mix expects a gain below zero: its optimal
-        multipliers when eps = 0, which with free against-stakes is the
-        only other outcome.  There the dual constraint of the eps column
-        gives sum p >= 1, that of a stake column p.g_i >= 0 and that of
-        an against column p.g_k <= 0.  Under convexity it can also be
-        the Farkas multipliers, when no unit-stake mix reaches eps >= 0.
-        The region rows come first, so p is the head of either.  p is
-        checked exactly, and returned as the ints of its positive masses
-        by atom, over one positive denominator that is dropped, with
-        the expectation p.g_i of every carrier and against-term.
+        Otherwise eps = 0 is optimal, and the program's row multipliers
+        on the region atoms are a vector p under which no stake mix
+        expects a gain below zero.  The dual constraint of the eps column
+        gives sum p >= 1, and that of a stake column p.g_i >= 0, or
+        p.g_i >= p.g_k for the column g_i - g_k of convexity; that of an
+        against column gives p.g_k <= 0.  p is checked exactly, and
+        returned as the ints of its positive masses by atom, over one
+        positive denominator that is dropped, with the expectation p.g_i
+        of every carrier and against-term.
         """
-        atoms = sorted(region)
         outcome = self.trace.solve(self.program(carriers, combo, region))
-        if isinstance(outcome, Infeasible):
-            p = outcome.certificate.multipliers[: len(atoms)]
-        elif isinstance(outcome, Optimal):
-            if outcome.value > 0:
-                point = outcome.point
-                bought = [_ONE] * len(combo) if self.convex else point[len(carriers):-1]
-                return (dict(zip(carriers, point)), dict(zip(combo, bought))), {}, {}
-            p = outcome.duals[: len(atoms)]
-        else:
-            raise AssertionError("stake simplex cannot be unbounded")
+        if not isinstance(outcome, Optimal):
+            raise AssertionError("internal error: a stake program has no optimum")
+        if outcome.value > 0:
+            stakes = self._columns(carriers, combo)[0]
+            point = outcome.point
+            bought = [_ONE] if self.convex else point[len(stakes):-1]
+            return (dict(zip(stakes, point)), dict(zip(combo, bought))), {}, {}
+        atoms = sorted(region)
+        p = outcome.duals[: len(atoms)]
         expects = self._dominates(dict(zip(atoms, p)), carriers, combo)
         if expects is None:
             raise AssertionError("internal error: dual vector does not dominate")
@@ -325,14 +342,28 @@ class _Search:
         is the union of the active entries, with or without j against.
         Hence every step so far is also a shrinking step for (j,), and
         when this step's zone touches B_j with p.g_j = 0 exactly, p ends
-        (j,)'s chain: the combination is closed and never run.  Under
-        convexity the unit against-stake changes the dominance condition
-        to min_i p.g_i >= p.g_k, which earlier steps need not meet for
-        j, so convexity shares nothing; pairs of against-terms are never
-        closed.  A combination that is not closed runs its own chain
-        from the full active set, and the order of combinations is kept,
-        so the first violating one runs the same chain and finds the
-        same witness as without sharing.
+        (j,)'s chain: the combination is closed and never run.
+
+        Convexity shares by the same argument with its own dominance
+        condition.  Under a unit against-stake on j, a step proves (j,)
+        when min_i p.g_i >= p.g_j over the active i (see `violation`).
+        The chain of (k,) runs on only while its zones miss B_k, so every
+        earlier step had p.g_k = 0, and there min_i p.g_i = p.g_k = 0 =
+        p.g_j, since k is active.  If this step's zone touches B_j with
+        p.g_j = p.g_k, then p.g_j = min_i p.g_i here too, so every step so
+        far proves (j,) and this one ends its chain: (j,) is closed.  The
+        earlier-step condition needs no test of its own, as it holds
+        whenever the chain has not ended.  Such a chain rules out every
+        bet with unit stake against j and for-stakes on some S: its gain
+        is < 0 on its conditioning event U, which holds B_j, and 0 off
+        it.  While S is active each p expects that gain to be >= 0, so p
+        charges nothing in U and S stays active; the closing step
+        charges B_j, a contradiction.
+
+        Pairs of against-terms are never closed.  A combination that is
+        not closed runs its own chain from the full active set, and the
+        order of combinations is kept, so the first violating one runs
+        the same chain and finds the same witness as without sharing.
         """
         member_sets = [el.cv.cond.members for el in self.elements]
         closed: set[tuple[int, ...]] = set()
@@ -348,11 +379,12 @@ class _Search:
                 )
                 if stakes is not None:
                     return self._witness(*stakes)
-                if not self.convex:
-                    closed.update(
-                        (j,) for j in active
-                        if expects[j] == 0 and not member_sets[j].isdisjoint(zone)
-                    )
+                # the p.g_j that proves (j,): 0, or p.g_k under convexity
+                level = expects[combo[0]] if self.convex else 0
+                closed.update(
+                    (j,) for j in active
+                    if expects[j] == level and not member_sets[j].isdisjoint(zone)
+                )
                 if not combo_region.isdisjoint(zone):
                     break
                 kept = [i for i in active if member_sets[i].isdisjoint(zone)]
@@ -360,9 +392,10 @@ class _Search:
                     raise AssertionError("support shrinking made no progress")
                 active = kept
             else:
-                # every entry was discarded; the against-terms may still
-                # lose uniformly on their own
-                if combo and not self.convex:
+                # every entry was discarded, which convexity's active
+                # against-term prevents; the against-terms may still lose
+                # uniformly on their own
+                if combo:
                     stakes, _, _ = self.violation((), combo, combo_region)
                     if stakes is not None:
                         return self._witness(*stakes)

@@ -7,13 +7,17 @@ exact rationals.  The integer checks must accept and reject exactly
 what these accept and reject.  The checkers' violation programs and the
 extension bound programs are built here from `Fraction` coefficients,
 through `lp.constraint`; the programs built from the int rows of the
-elements must be the same, row for row.
+elements must be the same, row for row.  `convex_violation` decides
+convexity from its definition, on programs of its own.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
-from previsio.lp import FarkasCertificate, LinearProgram, constraint
+from previsio.checkers import expanded_elements
+from previsio.gains import AGAINST, FOR, Bet
+from previsio.lp import FarkasCertificate, LinearProgram, Optimal, constraint, solve
+from previsio.model import Assessment
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -119,24 +123,25 @@ def dominates(
 
 def violation_program(search, carriers, combo, region) -> LinearProgram:
     """`_Search.program` on `Fraction` rows: each row is the elements'
-    gain coefficients at one atom, made with `lp.constraint`."""
+    gain coefficients at one atom, made with `lp.constraint`.  Under
+    convexity each column is a carrier's gain less the against-term's,
+    and the against-term itself has no column."""
     coeffs = [el.coefficients() for el in search.elements]
-    n_for = len(carriers)
-    n_against = 0 if search.convex else len(combo)
-    n = n_for + n_against + 1  # + eps
+    if search.convex:
+        (k,) = combo
+        stakes, against, less = [i for i in carriers if i != k], [], coeffs[k]
+    else:
+        stakes, against, less = list(carriers), list(combo), {}
+    n = len(stakes) + len(against)
     rows = []
     for atom in sorted(region):
-        row = [coeffs[i].get(atom, _ZERO) for i in carriers]
-        if search.convex:
-            rhs = sum((coeffs[k].get(atom, _ZERO) for k in combo), _ZERO)
-        else:
-            row += [-coeffs[k].get(atom, _ZERO) for k in combo]
-            rhs = _ZERO
-        rows.append(constraint(row + [_ONE], "<=", rhs))
-    # stakes sum to at most one, exactly one under convexity
-    relation = "=" if search.convex else "<="
-    rows.append(constraint([_ONE] * (n_for + n_against) + [_ZERO], relation, 1))
-    objective = tuple([_ZERO] * (n - 1) + [_ONE])
+        base = less.get(atom, _ZERO)
+        row = [coeffs[i].get(atom, _ZERO) - base for i in stakes]
+        row += [-coeffs[k].get(atom, _ZERO) for k in against]
+        rows.append(constraint(row + [_ONE], "<=", 0))
+    # stakes sum to at most one
+    rows.append(constraint([_ONE] * n + [_ZERO], "<=", 1))
+    objective = tuple([_ZERO] * n + [_ONE])
     return LinearProgram(objective=objective, constraints=tuple(rows))
 
 
@@ -158,3 +163,50 @@ def bound_program(search, target, sign, active, combo, outside, floor) -> Linear
     rows += [constraint(row(a) + [_ZERO], "<=", 0) for a in sorted(outside)]
     n = len(active) + len(combo)
     return LinearProgram(objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows))
+
+
+def convex_violation(assessment: Assessment) -> Bet | None:
+    """A bet that shows `assessment` is not convex, or None.
+
+    For every against-term k and every union U of conditioning events,
+    maximise eps >= 0 over stakes s >= 0 with sum s = 1 exactly, one for
+    every element whose event lies in R = U | B_k, k included, and
+    sum s_i g_i - g_k <= -eps on R.  A bet whose stakes sum to one and
+    whose gain is negative on its own support is found on R = that
+    support, and a bet found on any R loses on its support, which lies
+    in R.  The sum is an equality row and k is not folded into the
+    others, unlike `violation_program`, so this shares no program form
+    with the checkers; where no stakes keep the gain <= 0 on R the
+    program is infeasible, which is no violation on R."""
+    elements = expanded_elements(assessment)
+    coeffs = [el.coefficients() for el in elements]
+    members = [el.cv.cond.members for el in elements]
+    unions: set[frozenset[int]] = {frozenset()}
+    for m in members:
+        unions |= {u | m for u in unions}
+    for k in range(len(elements)):
+        for region in sorted({u | members[k] for u in unions}, key=sorted):
+            carriers = [i for i, m in enumerate(members) if m <= region]
+            n = len(carriers)
+            rows = [
+                constraint(
+                    [coeffs[i].get(a, _ZERO) for i in carriers] + [_ONE],
+                    "<=",
+                    coeffs[k].get(a, _ZERO),
+                )
+                for a in sorted(region)
+            ]
+            rows.append(constraint([_ONE] * n + [_ZERO], "=", 1))
+            result = solve(
+                LinearProgram(
+                    objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows)
+                )
+            )
+            if isinstance(result, Optimal) and result.value > 0:
+                terms = [
+                    elements[i].term(FOR, s)
+                    for i, s in zip(carriers, result.point)
+                    if s > 0
+                ]
+                return Bet((*terms, elements[k].term(AGAINST, _ONE)))
+    return None

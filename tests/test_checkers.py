@@ -285,16 +285,20 @@ def test_bi_coherence_negative_scaling_property():
 # convexity
 
 
+def with_zeros(a):
+    """`a` with 0|B assessed at 0 for every conditioning event B."""
+    items = [(e.variable, e.lower, e.upper) for e in a.entries]
+    for event in a.conditioning_events():
+        zero = zero_given(event)
+        if a.entry_for(zero) is None:
+            items.append((zero, 0, None))
+    return Assessment.build(a.space, items)
+
+
 def test_w_coherent_with_zeros_is_centered_convex():
     rng = random.Random(127)
     for _ in range(15):
-        a = random_coherent_assessment(rng)
-        items = [(e.variable, e.lower, e.upper) for e in a.entries]
-        for event in a.conditioning_events():
-            zero = zero_given(event)
-            if a.entry_for(zero) is None:
-                items.append((zero, 0, None))
-        enriched = Assessment.build(a.space, items)
+        enriched = with_zeros(random_coherent_assessment(rng))
         assert check_w_coherence(enriched).passed
         assert check_convex(enriched).passed
         assert check_centered_convex(enriched).passed
@@ -772,10 +776,13 @@ PINNED_CHECKS = pytest.mark.parametrize(
         (lambda: definetti_example(1, 1, 4), check_w_coherence, 4, 2),
         (lambda: definetti_example(1, 2, 3), check_df_precise_conditional, 3, 6),
         (lambda: definetti_example(1, 2, 16), check_w_coherence, 16, 19),
+        (lambda: walley_666_example(4), check_convex, 3, 9),
+        (lambda: definetti_example(1, 2, 16), check_convex, 33, 19),
     ],
     ids=["walley666-2-w-coherence", "walley666-4-w-coherence",
          "definetti-1-1-4-w-coherence", "definetti-1-2-3-df-conditional",
-         "definetti-1-2-16-w-coherence"],
+         "definetti-1-2-16-w-coherence", "walley666-4-convex",
+         "definetti-1-2-16-convex"],
 )
 
 
@@ -799,9 +806,10 @@ def test_shrinking_max_pivots_are_pinned(example, checker, lp_count, max_pivots)
 
 def test_stake_programs_start_feasible(solved_programs):
     # stakes sum to at most one, so zero stakes are a feasible start of
-    # every program but convexity's; a violation still stakes exactly one
+    # every program; a violation still stakes exactly one, and convexity
+    # one more against its against-term
     rng = random.Random(41)
-    failed = 0
+    failed = convex_failed = 0
     for _ in range(30):
         conditional = random_arbitrary_assessment(rng)
         unconditional = random_arbitrary_assessment(rng, conditional=False)
@@ -813,13 +821,19 @@ def test_stake_programs_start_feasible(solved_programs):
             (check_df_precise_conditional, random_shifted_assessment(rng)),
             (check_coherence_unconditional, unconditional),
             (check_bi_coherence, unconditional),
+            (check_convex, conditional),
+            (check_convex, unconditional),
+            (check_centered_convex, with_zeros(conditional)),
+            (check_centered_convex, with_zeros(random_coherent_assessment(rng))),
         ]
         for checker, assessment in checks:
             verdict = checker(assessment)
             if not verdict.passed:
                 failed += 1
                 assert witness_is_sound(verdict, assessment)
-                assert sum(t.stake for t in verdict.witness.terms) == 1
+                convex = checker in (check_convex, check_centered_convex)
+                convex_failed += convex
+                assert sum(t.stake for t in verdict.witness.terms) == 1 + convex
     space = PossibilitySpace(("a", "b", "c", "d"))
     cells = [space.event(["a", "b"]), space.event(["c", "d"])]
     x = space.variable({"a": 1, "b": 0, "c": 1, "d": 0})
@@ -831,17 +845,18 @@ def test_stake_programs_start_feasible(solved_programs):
     before = len(solved_programs)
     assert not check_walley_asl(k, family).passed
     assert len(solved_programs) > before
-    assert failed > 40 and len(solved_programs) > 200
+    assert failed > 40 and convex_failed > 20 and len(solved_programs) > 200
     assert all(starts_feasible(*solved) for solved in solved_programs)
 
 
 def test_convexity_runs_one_chain_per_against_term():
-    # the chain of against-term X|{a,b,c} ends at a p with p.g = 0 on
-    # 2|{c}; with a unit against-stake that p proves nothing for 2|{c},
-    # whose own chain finds the violation
+    # the chain of against-term X|{a,b,c} ends at a p on {a}, which
+    # expects 0 of 2|{a} and less of X|{a,b,c}; with a unit
+    # against-stake that p proves nothing for 2|{a}, whose own chain
+    # finds the violation
     space = PossibilitySpace(("a", "b", "c", "d"))
     x = space.variable({"a": 3, "b": F(-3, 2), "c": F(-1, 2), "d": 0})
-    two = restrict(space.constant(2), space.event(["c"]))
+    two = restrict(space.constant(2), space.event(["a"]))
     a = Assessment.build(
         space, [(restrict(x, space.event(["a", "b", "c"])), F(33, 8)), (two, 2)]
     )
@@ -849,6 +864,14 @@ def test_convexity_runs_one_chain_per_against_term():
     assert not verdict.passed
     assert witness_is_sound(verdict, a)
     assert verdict.lp_count == 2
+
+
+def test_convexity_programs_do_not_grow_with_walley_666():
+    # one chain closes every against-term it reaches with p.g_j = p.g_k,
+    # so the count stays flat where it was 8n + 8
+    counts = [check_convex(walley_666_example(n).assessment) for n in (2, 4, 6, 8)]
+    assert all(v.passed for v in counts)
+    assert [v.lp_count for v in counts] == [3, 3, 3, 3]
 
 
 def _precise_corpus():

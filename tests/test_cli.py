@@ -485,7 +485,7 @@ DEBUG_LP_SHA256 = {
     ("check", "--notion", "w-coherence"):
         "1f1086ebfa5931f16e40fa2dda00de808cb9b5c758da0fd4ea99a721cc1ad466",
     ("check", "--notion", "convex"):
-        "914d11568b64a1d5d80a3a41b285fc327ef4577deafe5915760384fdcd42dfc2",
+        "c0431594cda41332c6495830b9199aad1a647d79ede4d6c145ff7ff01ca7f63a",
     ("extend", "--target", "A"):
         "69a9f3d5d100470ac6abb602eee0a66214a0ceb5ca123cc4d29bd87b727b0f1d",
     ("extend", "--target", "A", "--given", "Brest"):

@@ -59,7 +59,7 @@ def programs(monkeypatch):
 def test_every_program_equals_the_fraction_oracle(programs):
     solved, built = programs
     rng = random.Random(20)
-    for _ in range(28):
+    for _ in range(32):
         coherent = random_coherent_assessment(rng, max_entries=4)
         arbitrary = random_arbitrary_assessment(rng, max_entries=4)
         unconditional = random_arbitrary_assessment(rng, max_entries=3, conditional=False)

@@ -1,11 +1,24 @@
 """Cross-validation of the checkers' support shrinking, the only
 production path, against two oracles on the small corpus: the
-enumeration of every support union and the brute-force stake grid."""
+enumeration of every support union and the brute-force stake grid.
+Convexity is also checked on a seeded corpus of 4-5 atoms, where its
+chains share the most, against the enumeration and against
+`fraction_checks.convex_violation`, which shares no program form with
+the checkers."""
+
+import random
 
 import pytest
 
+from conftest import (
+    random_arbitrary_assessment,
+    random_coherent_assessment,
+    random_precise_assessment,
+    random_space,
+)
 from corpus import small_corpus
 from enumeration_oracle import find_violation_enumeration
+from fraction_checks import convex_violation
 from previsio import gains
 from previsio.bruteforce import find_violation_grid
 from previsio.checkers import (
@@ -20,6 +33,7 @@ from previsio.checkers import (
 CHECKS = {
     "w-coherence": check_w_coherence,
     "aul": check_aul,
+    "convex": check_convex,
 }
 
 CORPUS = small_corpus()
@@ -56,7 +70,6 @@ def test_unconditional_notions_agree_where_defined(name, assessment):
     for notion, checker in (
         ("coherence-unconditional", check_coherence_unconditional),
         ("bi-coherence", check_bi_coherence),
-        ("convex", check_convex),
     ):
         verdict = checker(assessment)
         enumerated = find_violation_enumeration(assessment, notion)
@@ -69,3 +82,32 @@ def test_unconditional_notions_agree_where_defined(name, assessment):
             assessment, "df-precise-conditional", max_denominator=8
         )
         assert (bet is None) == plain.passed
+
+
+def _convex_corpus():
+    """160 seeded inputs on 4-5 atoms: arbitrary lower values,
+    conditional and not, W-coherent envelopes and precise assessments."""
+    rng = random.Random(2003)
+    for i in range(160):
+        space = random_space(rng, 4, 5)
+        if i % 4 < 2:
+            yield random_arbitrary_assessment(rng, space, conditional=i % 4 == 0)
+        elif i % 4 == 2:
+            yield random_coherent_assessment(rng, space)
+        else:
+            yield random_precise_assessment(rng, space, conditional=i % 8 == 3)
+
+
+def test_convexity_agrees_with_both_oracles_on_a_seeded_corpus():
+    failed = 0
+    for assessment in _convex_corpus():
+        verdict = check_convex(assessment)
+        bet = find_violation_enumeration(assessment, "convex")
+        direct = convex_violation(assessment)
+        assert (bet is None) == verdict.passed
+        assert (direct is None) == verdict.passed
+        for witness in (verdict.witness, bet, direct):
+            if witness is not None:
+                assert gains.gain(witness, assessment).sup_on_conditioning() < 0
+        failed += not verdict.passed
+    assert 25 < failed < 135
