@@ -10,8 +10,8 @@ to G <= -eps on the relevant atoms; there is a violation iff eps > 0.
 Convexity asks the for-stakes to sum to exactly one; with the
 against-term k always staked for too, s_k = 1 - sum_{i != k} s_i leaves
 G = sum_{i != k} s_i (g_i - g_k), homogeneous in the other stakes, so
-the same normalisation applies.  Zero stakes are then feasible, so no
-program needs a first phase or ends infeasible.
+the same normalisation applies.  Zero stakes are then feasible: every
+program starts at the origin.
 
 The conditioning event of a bet is the union of the conditioning events
 of its terms, so the search must find the right support union.  For a
@@ -66,7 +66,6 @@ from .gains import AGAINST, FOR, LOWER, UPPER, Bet, BetTerm
 from .lp import (
     Constraint,
     LinearProgram,
-    Optimal,
     Trace,
     constraint,
     int_terms,
@@ -228,25 +227,25 @@ class _Search:
         to at most one: one row per region atom, by atom, then the
         normalisation.
 
-        s = 0, eps = 0 is a feasible start and every row is "<=" with rhs
-        0: the simplex needs no phase 1.  An optimum with eps > 0 has
-        sum s = 1, since scaling s up would raise eps.  Under convexity
-        the columns are g_i - g_k for the carriers i other than the
-        against-term k, whose for-stake 1 - sum s completes the unit sum:
-        the origin is the bet s_k = 1 against k, whose gain is 0.  k is
-        staked for even when it is not a carrier, which is sound since
-        B_k lies in the region.  The for-stakes still sum to exactly one,
-        unlike a homogenised form (the against-stake t as a column,
-        sum s = t, t <= 1), whose duals have smaller support: de
-        Finetti(1,2,32) took 1,060 programs with it, not 68."""
+        Every row is "<=" with rhs 0 or 1, so the origin s = 0, eps = 0
+        is feasible.  An optimum with eps > 0 has sum s = 1, since
+        scaling s up would raise eps.  Under convexity the columns are
+        g_i - g_k for the carriers i other than the against-term k, whose
+        for-stake 1 - sum s completes the unit sum: the origin is the bet
+        s_k = 1 against k, whose gain is 0.  k is staked for even when it
+        is not a carrier, which is sound since B_k lies in the region.
+        The for-stakes still sum to exactly one, unlike a homogenised
+        form (the against-stake t as a column, sum s = t, t <= 1), whose
+        duals have smaller support: de Finetti(1,2,32) took 1,060
+        programs with it, not 68."""
         stakes, against, less = self._columns(carriers, combo)
         n = len(stakes) + len(against) + 1  # + eps
         scale = math.lcm(*(self.int_rows[i][1] for i in (*carriers, *combo)))
         rows = [
-            Constraint((*terms, (n - 1, scale)), scale, 0, "<=", n)
+            Constraint((*terms, (n - 1, scale)), scale, 0, n)
             for terms in self.gain_terms(stakes, against, sorted(region), scale, less)
         ]
-        rows.append(Constraint(tuple((j, 1) for j in range(n - 1)), 1, 1, "<=", n))
+        rows.append(Constraint(tuple((j, 1) for j in range(n - 1)), 1, 1, n))
         return LinearProgram(objective=(_ZERO,) * (n - 1) + (_ONE,), constraints=tuple(rows))
 
     def violation(
@@ -269,8 +268,6 @@ class _Search:
         of every carrier and against-term.
         """
         outcome = self.trace.solve(self.program(carriers, combo, region))
-        if not isinstance(outcome, Optimal):
-            raise AssertionError("internal error: a stake program has no optimum")
         if outcome.value > 0:
             stakes = self._columns(carriers, combo)[0]
             point = outcome.point
@@ -796,14 +793,14 @@ def check_walley_asl(
     rows = []
     for atom in range(family.space.size):
         coeffs = [col.get(atom, _ZERO) for col in columns] + [_ONE]
-        rows.append(constraint(coeffs, "<=", 0))
-    rows.append(constraint([_ONE] * n + [_ZERO], "<=", 1))
+        rows.append(constraint(coeffs, 0))
+    rows.append(constraint([_ONE] * n + [_ZERO], 1))
     outcome = trace.solve(
         LinearProgram(
             objective=tuple([_ZERO] * n + [_ONE]), constraints=tuple(rows)
         )
     )
-    if isinstance(outcome, Optimal) and outcome.value > 0:
+    if outcome.value > 0:
         terms: list[BetTerm] = []
         for pos, stake in enumerate(outcome.point[:n]):
             if stake > 0:

@@ -56,7 +56,9 @@ class BaseNotCoherent(PrevisioError):
 
 
 class MalformedProgram(PrevisioError):
-    """A linear program has inconsistent dimensions or senses."""
+    """A linear program has inconsistent dimensions, or a row outside
+    the one form: nonzero terms by increasing column, a positive scale
+    and a nonnegative rhs."""
 
 
 class EmptyCredalSet(PrevisioError):

@@ -12,12 +12,11 @@ Its non-strict relaxation is one program over the entries still
 active, with R the union of their events and k's: maximise alpha with
 the first line as "<=" on B and the second as "<= 0" on R outside B.
 The price is measured from min_B Y, which s = 0 already attains, so the
-program starts feasible at the origin and never ends infeasible.
-The relaxation can only err upward when no active bet is strictly
-negative on R outside B, so the routine first asks `_Search.violation`
-for such a direction; while there is none, the entries its dual
-charges carry no winning bet and are dropped, as in the checkers, and
-if it charges k's event the combination adds nothing.
+origin is feasible.  The relaxation can only err upward when no active
+bet is strictly negative on R outside B, so the routine first asks
+`_Search.violation` for such a direction; while there is none, the
+entries its dual charges carry no winning bet and are dropped, as in
+the checkers, and if it charges k's event the combination adds nothing.
 
 The natural extension LE(X|B), the least-committal coherent value, is
 the bound for Y = X with no other against-term (the target is itself
@@ -81,7 +80,7 @@ from typing import Callable, Iterator, Sequence
 
 from .checkers import _expects, _masses, _Search, check_w_coherence, expanded_elements
 from .errors import BaseNotCoherent, DomainNotClosed
-from .lp import Constraint, LinearProgram, Optimal, Trace, int_terms, over_one_denominator
+from .lp import Constraint, LinearProgram, Trace, int_terms, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -170,11 +169,8 @@ def _bound(
     outcome = search.trace.solve(
         _bound_program(search, target, sign, active, combo, outside, floor)
     )
-    # bounded and feasible for a coherent base: s = 0 with the price at
-    # `floor` is the starting point, and an improving ray plus the
-    # direction would be a losing bet
-    if not isinstance(outcome, Optimal):
-        raise AssertionError("internal error: an extension program has no optimum")
+    # bounded for a coherent base: an improving ray plus the direction
+    # would be a losing bet
     stakes = outcome.point[:-1]
     helpers = _net(dict(zip(active, stakes)), dict(zip(combo, stakes[len(active):])))
     bound = _Bound(outcome.value + floor, helpers, direction)
@@ -199,7 +195,7 @@ def _bound_program(
     `combo`: one row per atom of B, by atom, then one per atom outside.
     With `floor` the least value of Y on B, every rhs is nonnegative and
     alpha >= 0 loses no optimum, since s = 0 reaches alpha = 0: every row
-    is "<=" from the origin, and the simplex needs no phase 1."""
+    is "<=", and the origin is feasible."""
     y = target.value_map()
     atoms = sorted(target.cond.members)
     n = len(active) + len(combo)
@@ -208,11 +204,11 @@ def _bound_program(
         *(y[a].denominator for a in atoms),
     )
     rows = [
-        Constraint((*terms, (n, scale)), scale, int(scale * (sign * y[a] - floor)), "<=", n + 1)
+        Constraint((*terms, (n, scale)), scale, int(scale * (sign * y[a] - floor)), n + 1)
         for a, terms in zip(atoms, search.gain_terms(active, combo, atoms, scale))
     ]
     rows += [
-        Constraint(tuple(terms), scale, 0, "<=", n + 1)
+        Constraint(tuple(terms), scale, 0, n + 1)
         for terms in search.gain_terms(active, combo, sorted(outside), scale)
     ]
     return LinearProgram(objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows))

@@ -137,13 +137,3 @@ def solved_programs(monkeypatch):
     monkeypatch.setattr(lp.Trace, "solve", solve)
     return seen
 
-
-def starts_feasible(program, outcome) -> bool:
-    """The origin is feasible and the simplex starts on its slacks: every
-    row "<=" with a nonnegative rhs and every column at its default
-    bound, so there is no phase 1 and no Farkas certificate."""
-    return (
-        all(c.relation == "<=" and c.int_rhs >= 0 for c in program.constraints)
-        and program.bounds == ((0, None),) * program.arity
-        and isinstance(outcome, lp.Optimal)
-    )

@@ -25,8 +25,8 @@ from previsio.extensions import extend, natural_extension_prevision
 
 
 def _fields(program: lp.LinearProgram):
-    rows = [(c.terms, c.scale, c.int_rhs, c.relation, c.arity) for c in program.constraints]
-    return rows, program.objective, program.sense, program.bounds
+    rows = [(c.terms, c.scale, c.int_rhs, c.arity) for c in program.constraints]
+    return rows, program.objective
 
 
 @pytest.fixture
