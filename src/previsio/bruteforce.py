@@ -72,7 +72,7 @@ def find_violation_grid(
         raise ValueError(f"no grid search for notion {notion!r}")
     elements = expanded_elements(assessment)
     coeffs = [el.coefficients() for el in elements]
-    members = [el.cv.cond.members for el in elements]
+    members = [el.members for el in elements]
     n = len(elements)
     combos = _against_combos(notion, n)
     convex = notion == "convex"
@@ -104,11 +104,12 @@ def find_violation_grid(
                             sup = value
                     if sup is not None and sup < 0:
                         terms = [
-                            elements[i].term(FOR, stakes[pos])
-                            for pos, i in enumerate(subset)
+                            t for pos, i in enumerate(subset)
+                            for t in elements[i].staked(FOR, stakes[pos])
                         ]
                         terms += [
-                            elements[k].term(AGAINST, w) for w, k in zip(weights, combo) if w > 0
+                            t for w, k in zip(weights, combo) if w > 0
+                            for t in elements[k].staked(AGAINST, w)
                         ]
                         return Bet(tuple(terms))
     return None

@@ -38,6 +38,11 @@ chain charged nothing in B_k, so p.g_k = 0 = p.g_j there, and the chain
 closes (j,) when p.g_j = p.g_k at the step that first touches B_j.
 Pairs of bi-coherence are never closed; that would need its own proof.
 
+Walley's avoiding sure loss for a partition family runs the same search
+with no against-term.  A member of the family bet for on every cell is
+one element, with the gain X less its value on the cell of each atom,
+on the whole space, so one program decides it (`check_walley_asl`).
+
 Assessed upper previsions enter through conjugacy: an upper value u for
 X|B is the lower value -u for -X|B, and precise entries contribute both
 directions.  The quantifiers of each notion then range over this
@@ -63,14 +68,7 @@ from .errors import (
     NotPrecise,
 )
 from .gains import AGAINST, FOR, LOWER, UPPER, Bet, BetTerm
-from .lp import (
-    Constraint,
-    LinearProgram,
-    Trace,
-    constraint,
-    int_terms,
-    over_one_denominator,
-)
+from .lp import Constraint, LinearProgram, Trace, int_terms, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -133,47 +131,59 @@ def _expects(p: dict[int, int], row: dict[int, int]) -> int:
     return sum(m * row[a] for a, m in p.items() if a in row)
 
 
+_OTHER_SIDE = {FOR: AGAINST, AGAINST: FOR}
+
+
 @dataclass(frozen=True)
 class _Element:
-    """One direction of an assessed value: bet for `cv` at `value`.
+    """A gain the search can stake on, and the bet it stands for.
 
-    Conjugate elements carry the negated variable at the negated upper
-    prevision; `base` and `from_upper` remember how to spell a bet term
-    in terms of the original assessment.
+    `row` is the gain, `members` the atoms of the event it lives on, and
+    `terms` the (variable, side, price) of each bet term it stands for
+    when it is staked for.  A direction of an entry stands for one term:
+    X|B bet for at its lower value, or, for the conjugate gain u - X on
+    B of an upper value u, X|B bet against at u.  A member X of a
+    partition family stands for one term per cell; its gain is X less
+    its value on the atom's cell, or that value less X for an upper
+    value, on every atom.
     """
 
-    cv: ConditionalVariable
-    value: Fraction
-    base: ConditionalVariable
-    from_upper: bool
+    row: IntRow
+    members: frozenset[int]
+    terms: tuple[tuple[ConditionalVariable, str, str], ...]
 
     def coefficients(self) -> dict[int, Fraction]:
-        return {i: v - self.value for i, v in self.cv.value_map().items()}
+        """The gain by atom as `Fraction`s, zeros left out."""
+        gain, d = self.row
+        return {a: Fraction(v, d) for a, v in gain.items()}
 
-    def int_row(self) -> IntRow:
-        """The gain X - value on the atoms of B."""
-        atoms = sorted(self.cv.cond.members)
-        terms, d = int_terms(self.cv.values, self.value)
-        return {atoms[j]: a for j, a in terms}, d
+    def staked(self, side: str, stake: Fraction) -> list[BetTerm]:
+        """The terms at `stake`; bet against, each term changes side."""
+        return [
+            BetTerm(x, stake, own if side == FOR else _OTHER_SIDE[own], price)
+            for x, own, price in self.terms
+        ]
 
-    def term(self, side: str, stake: Fraction) -> BetTerm:
-        if not self.from_upper:
-            return BetTerm(self.base, stake, side, LOWER)
-        flipped = AGAINST if side == FOR else FOR
-        return BetTerm(self.base, stake, flipped, UPPER)
+
+def _direction(
+    x: ConditionalVariable, values: Sequence[Fraction], value: Fraction, side: str, price: str
+) -> _Element:
+    """The element of the gain `values` less `value` on B, which stands
+    for X|B bet on `side` at `price`."""
+    atoms = sorted(x.cond.members)
+    terms, d = int_terms(values, value)
+    return _Element(({atoms[j]: a for j, a in terms}, d), x.cond.members, ((x, side, price),))
 
 
 def expanded_elements(assessment: Assessment) -> tuple[_Element, ...]:
     """The one-sided (lower-prevision) expansion of an assessment."""
     out: list[_Element] = []
     for entry in assessment.entries:
-        out.append(_Element(entry.variable, entry.lower, entry.variable, False))
+        x = entry.variable
+        out.append(_direction(x, x.values, entry.lower, FOR, LOWER))
         if entry.upper is not None:
-            negated = ConditionalVariable(
-                entry.variable.cond,
-                tuple(-v for v in entry.variable.values),
-            )
-            out.append(_Element(negated, -entry.upper, entry.variable, True))
+            negated = [-v for v in x.values]
+            out.append(_direction(x, negated, -entry.upper, AGAINST, UPPER))
     return tuple(out)
 
 
@@ -185,7 +195,7 @@ class _Search:
     int_rows: tuple[IntRow, ...] = field(init=False)  # each element's gain
 
     def __post_init__(self) -> None:
-        self.int_rows = tuple(el.int_row() for el in self.elements)
+        self.int_rows = tuple(el.row for el in self.elements)
 
     def gain_terms(
         self,
@@ -311,11 +321,9 @@ class _Search:
     def _witness(
         self, stakes: dict[int, Fraction], against: dict[int, Fraction]
     ) -> Bet:
-        terms = [
-            self.elements[i].term(FOR, s) for i, s in stakes.items() if s > 0
-        ]
+        terms = [t for i, s in stakes.items() if s > 0 for t in self.elements[i].staked(FOR, s)]
         terms += [
-            self.elements[k].term(AGAINST, a) for k, a in against.items() if a > 0
+            t for k, a in against.items() if a > 0 for t in self.elements[k].staked(AGAINST, a)
         ]
         return Bet(tuple(terms))
 
@@ -361,8 +369,12 @@ class _Search:
         not closed runs its own chain from the full active set, and the
         order of combinations is kept, so the first violating one runs
         the same chain and finds the same witness as without sharing.
+
+        The active set empties only for the empty combination: an
+        against-term is dropped only by a zone that meets its event,
+        and such a zone ends the chain first.
         """
-        member_sets = [el.cv.cond.members for el in self.elements]
+        member_sets = [el.members for el in self.elements]
         closed: set[tuple[int, ...]] = set()
         for combo in combos:
             if combo in closed:
@@ -388,14 +400,6 @@ class _Search:
                 if len(kept) == len(active):
                     raise AssertionError("support shrinking made no progress")
                 active = kept
-            else:
-                # every entry was discarded, which convexity's active
-                # against-term prevents; the against-terms may still lose
-                # uniformly on their own
-                if combo:
-                    stakes, _, _ = self.violation((), combo, combo_region)
-                    if stakes is not None:
-                        return self._witness(*stakes)
         return None
 
 
@@ -719,7 +723,12 @@ def check_walley_asl(
     and the per-cell restrictions are separately coherent.  The main
     test then rules out gains combining unconditional terms with
     conglomerative ones, expanded per atom since exactly one cell is
-    true whatever happens; their supremum is over the whole space.
+    true whatever happens; their supremum is over the whole space.  It
+    is the search with no against-term over the elements of the
+    unconditional part and one element per family member and side,
+    which stands for the member's terms on every cell.  Every element
+    lives on the whole space, so the first program decides: its dual,
+    when it shows no violation, drops them all.
     """
     notion = "walley-asl"
     trace = trace or Trace()
@@ -755,57 +764,21 @@ def check_walley_asl(
         )
 
     owner = family.cell_of_atom()
-    columns: list[dict[int, Fraction]] = []
-    builders: list[Callable[[Fraction], list[BetTerm]]] = []
-    if k is not None:
-        for element in expanded_elements(k):
-            columns.append(element.coefficients())
-            builders.append(
-                lambda s, el=element: [el.term(FOR, s)]
-            )
-
-    def conglomerative(member: RandomVariable, values: Sequence[Fraction],
-                       negate: bool) -> dict[int, Fraction]:
-        sign = -1 if negate else 1
-        return {a: sign * (v - values[owner[a]]) for a, v in enumerate(member.values)}
-
-    def cell_terms(member: RandomVariable, stake: Fraction, *, upper: bool) -> list[BetTerm]:
-        side = AGAINST if upper else FOR
-        price = UPPER if upper else LOWER
-        return [
-            BetTerm(restrict(member, cell), stake, side, price)
-            for cell in family.cells
-        ]
-
+    everywhere = frozenset(range(family.space.size))
+    elements = list(expanded_elements(k)) if k is not None else []
     for i, member in enumerate(family.members):
-        columns.append(conglomerative(member, family.lower[i], False))
-        builders.append(
-            lambda s, m=member: cell_terms(m, s, upper=False)
-        )
+        sides = [(1, family.lower[i], FOR, LOWER)]
         if all(u is not None for u in family.upper[i]) and family.upper[i] != family.lower[i]:
-            uppers = tuple(u for u in family.upper[i] if u is not None)
-            columns.append(conglomerative(member, uppers, True))
-            builders.append(
-                lambda s, m=member: cell_terms(m, s, upper=True)
+            sides.append((-1, family.upper[i], AGAINST, UPPER))
+        for sign, values, side, price in sides:
+            gain, d = over_one_denominator(
+                [sign * (v - values[owner[a]]) for a, v in enumerate(member.values)]
             )
-
-    n = len(columns)
-    rows = []
-    for atom in range(family.space.size):
-        coeffs = [col.get(atom, _ZERO) for col in columns] + [_ONE]
-        rows.append(constraint(coeffs, 0))
-    rows.append(constraint([_ONE] * n + [_ZERO], 1))
-    outcome = trace.solve(
-        LinearProgram(
-            objective=tuple([_ZERO] * n + [_ONE]), constraints=tuple(rows)
-        )
-    )
-    if outcome.value > 0:
-        terms: list[BetTerm] = []
-        for pos, stake in enumerate(outcome.point[:n]):
-            if stake > 0:
-                terms.extend(builders[pos](stake))
-        witness = Bet(tuple(terms))
+            terms = tuple((restrict(member, c), side, price) for c in family.cells)
+            row = {a: g for a, g in enumerate(gain) if g}
+            elements.append(_Element((row, d), everywhere, terms))
+    witness = _Search(tuple(elements), trace=trace).run([()])
+    if witness is not None:
         _verify_witness(witness, family.merged_assessment(k))
         return _verdict(notion, trace, start, passed=False, witness=witness)
     return _verdict(notion, trace, start, passed=True)

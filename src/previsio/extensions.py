@@ -80,6 +80,7 @@ from typing import Callable, Iterator, Sequence
 
 from .checkers import _expects, _masses, _Search, check_w_coherence, expanded_elements
 from .errors import BaseNotCoherent, DomainNotClosed
+from .gains import FOR, LOWER
 from .lp import Constraint, LinearProgram, Trace, int_terms, over_one_denominator
 from .model import (
     Assessment,
@@ -142,7 +143,7 @@ def _bound(
     module docstring), over the elements `usable` (default: all),
     certified, and the chain that ran to it; None for the bound when
     no bet staking the against-term wins."""
-    members = [el.cv.cond.members for el in search.elements]
+    members = [el.members for el in search.elements]
     b = target.cond.members
     combo_region = frozenset().union(*(members[k] for k in combo))
     active = list(range(len(members)) if usable is None else usable)
@@ -244,7 +245,7 @@ def _certified(
     b = sorted(target.cond.members)
     y = target.value_map()
     outside = frozenset().union(
-        *(search.elements[i].cv.cond.members for i, _ in signed)
+        *(search.elements[i].members for i, _ in signed)
     ) - target.cond.members
     gain, (value, *ys) = _int_gain(
         search, bound.helpers, [bound.value] + [sign * y[a] for a in b]
@@ -274,7 +275,7 @@ def _closes(
     support meets B or an against-term's event closes the chain, and
     any other drops the active elements whose events meet its
     support."""
-    members = [el.cv.cond.members for el in search.elements]
+    members = [el.members for el in search.elements]
     b = target.cond.members
     atoms = sorted(b)
     terms, _ = int_terms([sign * y for y in target.values], value)
@@ -296,7 +297,15 @@ def _closes(
 
 
 def _named(search: _Search, stakes: Stakes) -> HelperStakes:
-    return tuple((search.elements[i].cv, s) for i, s in stakes.items())
+    """Each helper by the variable its element bets for: -X|B for the
+    conjugate direction of an upper value on X|B."""
+    named = []
+    for i, s in stakes.items():
+        ((x, side, _),) = search.elements[i].terms
+        if side != FOR:
+            x = ConditionalVariable(x.cond, tuple(-v for v in x.values))
+        named.append((x, s))
+    return tuple(named)
 
 
 def _search(assessment: Assessment, trace: Trace | None) -> _Search:
@@ -342,7 +351,7 @@ def _upper_extension(
         return entry.lower, ()
     usable = [
         i for i, el in enumerate(search.elements)
-        if el.base != target or el.from_upper
+        if el.terms != ((target, FOR, LOWER),)
     ]
     combos = [()] + [(k,) for k in usable]
     runs = [_bound(search, target, -1, combo, usable) for combo in combos]

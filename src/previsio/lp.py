@@ -19,8 +19,8 @@ objective, so an unbounded one is an internal error.
 Each :class:`Constraint` is stored once, in ints: the (column, int)
 pairs of its nonzero coefficients and an int rhs, over one positive
 scale, divided through by their gcd so that a row has one form however
-it was built.  Its `coeffs` and `rhs` are `Fraction` views, computed on
-read, and `constraint` builds a row from rationals.  The tableau starts
+it was built.  Callers build rows from the int gains they already hold;
+only `format_lp` reads a row back as `Fraction`s.  The tableau starts
 from those ints, and `satisfies` checks on them too: a point is put
 over one common denominator, and only the nonzero terms of each row are
 summed.  Every accept or reject is then a sign test on ints, exactly as
@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence, TextIO
 
 from .errors import MalformedProgram
-from .model import RationalLike, as_rational
+from .model import as_rational
 
 _ZERO = Fraction(0)
 
@@ -74,17 +74,6 @@ class Constraint:
             object.__setattr__(self, "terms", tuple((j, a // g) for j, a in self.terms))
             object.__setattr__(self, "scale", self.scale // g)
             object.__setattr__(self, "int_rhs", self.int_rhs // g)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        row = [_ZERO] * self.arity
-        for j, a in self.terms:
-            row[j] = Fraction(a, self.scale)
-        return tuple(row)
-
-    @property
-    def rhs(self) -> Fraction:
-        return Fraction(self.int_rhs, self.scale)
 
 
 @dataclass(frozen=True)
@@ -124,14 +113,6 @@ def int_terms(
     ints.  This is the one scaling of a row to ints."""
     (base, *ints), d = over_one_denominator([less, *values])
     return [(j, a - base) for j, a in enumerate(ints) if a != base], d
-
-
-def constraint(coeffs: Sequence[RationalLike], rhs: RationalLike) -> Constraint:
-    """The row coeffs.x <= rhs, from rationals."""
-    n = len(coeffs)
-    terms, scale = int_terms([*map(as_rational, coeffs), as_rational(rhs)])
-    int_rhs = terms.pop()[1] if terms and terms[-1][0] == n else 0
-    return Constraint(tuple(terms), scale, int_rhs, n)
 
 
 def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
@@ -276,7 +257,7 @@ def format_lp(lp: LinearProgram) -> str:
 
     lines = ["max " + " + ".join(f"{a} x{j}" for j, a in enumerate(lp.objective))]
     for c in lp.constraints:
-        lhs = " + ".join(f"{a} x{j}" for j, a in enumerate(c.coeffs) if a != 0) or "0"
-        lines.append(f"  {lhs} <= {c.rhs}")
+        lhs = " + ".join(f"{Fraction(a, c.scale)} x{j}" for j, a in c.terms) or "0"
+        lines.append(f"  {lhs} <= {Fraction(c.int_rhs, c.scale)}")
     lines += [f"  0 <= x{j} <= +inf" for j in range(lp.arity)]
     return "\n".join(lines)

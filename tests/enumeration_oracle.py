@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from fraction_checks import fraction_gains
 from previsio.bruteforce import GRID_NOTIONS, _against_combos, _subsets
 from previsio.checkers import _Search, expanded_elements
 from previsio.gains import Bet
@@ -34,7 +35,7 @@ def find_violation_enumeration(assessment: Assessment, notion: str) -> Bet | Non
     if notion not in GRID_NOTIONS:
         raise ValueError(f"no enumeration oracle for notion {notion!r}")
     search = _Search(expanded_elements(assessment), convex=notion == "convex")
-    member_sets = [el.cv.cond.members for el in search.elements]
+    member_sets = [el.members for el in search.elements]
     unions = _support_unions(member_sets)
     for combo in _against_combos(notion, len(member_sets)):
         combo_region = frozenset().union(*(member_sets[k] for k in combo))
@@ -63,13 +64,12 @@ def natural_extension_grid(
     min over the event of (target - helper gain).  The estimate is the
     best such bound and never exceeds the true natural extension.
     """
-    elements = expanded_elements(assessment)
-    coeffs = [el.coefficients() for el in elements]
-    members = [el.cv.cond.members for el in elements]
+    coeffs = fraction_gains(assessment)
+    members = [el.members for el in expanded_elements(assessment)]
     b_members = target.cond.members
     values = target.value_map()
     best = target.inf()
-    n = len(elements)
+    n = len(coeffs)
     for subset in _subsets(n):
         if not subset:
             continue

@@ -4,46 +4,83 @@ These are the plain formulas that `lp.satisfies` and
 `checkers._Search._dominates` compute on integer rows: every
 coefficient times every value, zeros included, summed in exact
 rationals.  The integer checks must accept and reject exactly
-what these accept and reject.  The checkers' violation programs and the
-extension bound programs are built here from `Fraction` coefficients,
-through `lp.constraint`; the programs built from the int rows of the
-elements must be the same, row for row.  `convex_violation` decides
-convexity from its definition, on programs of its own.
+what these accept and reject.  The checkers' violation programs, the
+extension bound programs and the program of walley-asl are built here
+from `Fraction` gains, taken from the model's values and never from an
+element's int row, through `constraint`; the programs built from the
+int rows of the elements must be the same, row for row.
+`convex_violation` decides convexity from its definition, on programs
+of its own.
 """
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from previsio.checkers import expanded_elements
+from previsio.checkers import PartitionFamily, expanded_elements
 from previsio.gains import AGAINST, FOR, Bet
-from previsio.lp import LinearProgram, constraint, solve
-from previsio.model import Assessment
+from previsio.lp import Constraint, LinearProgram, solve
+from previsio.model import Assessment, RationalLike, as_rational
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def constraint(coeffs: Sequence[RationalLike], rhs: RationalLike) -> Constraint:
+    """The row coeffs.x <= rhs, from rationals, over the lcm of their
+    denominators."""
+    values = [*map(as_rational, coeffs), as_rational(rhs)]
+    scale = math.lcm(*(v.denominator for v in values))
+    *ints, int_rhs = (v.numerator * (scale // v.denominator) for v in values)
+    return Constraint(tuple((j, a) for j, a in enumerate(ints) if a), scale, int_rhs, len(coeffs))
+
+
+def coeffs(row: Constraint) -> tuple[Fraction, ...]:
+    """The row's coefficients as `Fraction`s, zeros included."""
+    out = [_ZERO] * row.arity
+    for j, a in row.terms:
+        out[j] = Fraction(a, row.scale)
+    return tuple(out)
+
+
+def rhs(row: Constraint) -> Fraction:
+    return Fraction(row.int_rhs, row.scale)
 
 
 def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
     if len(point) != lp.arity or any(x < 0 for x in point):
         return False
     return all(
-        sum((a * x for a, x in zip(c.coeffs, point)), _ZERO) <= c.rhs
+        sum((a * x for a, x in zip(coeffs(c), point)), _ZERO) <= rhs(c)
         for c in lp.constraints
     )
 
 
+def fraction_gains(assessment: Assessment) -> list[dict[int, Fraction]]:
+    """The gain of each element of the assessment's expansion, in its
+    order, from the entries' values: X - lower on B, then upper - X on
+    B for an assessed upper value."""
+    out = []
+    for entry in assessment.entries:
+        x = entry.variable.value_map()
+        out.append({a: v - entry.lower for a, v in x.items()})
+        if entry.upper is not None:
+            out.append({a: entry.upper - v for a, v in x.items()})
+    return out
+
+
 def dominates(
-    coeffs: Sequence[dict[int, Fraction]],
+    gains: Sequence[dict[int, Fraction]],
     convex: bool,
     p: dict[int, Fraction],
     carriers: Sequence[int],
     combo: Sequence[int],
 ) -> dict[int, Fraction] | None:
-    """`_Search._dominates` over the elements' coefficient maps."""
+    """`_Search._dominates` over the elements' `Fraction` gains."""
     if any(w < 0 for w in p.values()) or not any(p.values()):
         return None
     expects = {
-        i: sum((w * coeffs[i].get(a, _ZERO) for a, w in p.items()), _ZERO)
+        i: sum((w * gains[i].get(a, _ZERO) for a, w in p.items()), _ZERO)
         for i in (*carriers, *combo)
     }
     if convex:
@@ -56,23 +93,22 @@ def dominates(
     return expects if ok else None
 
 
-def violation_program(search, carriers, combo, region) -> LinearProgram:
+def violation_program(gains, convex, carriers, combo, region) -> LinearProgram:
     """`_Search.program` on `Fraction` rows: each row is the elements'
-    gain coefficients at one atom, made with `lp.constraint`.  Under
-    convexity each column is a carrier's gain less the against-term's,
-    and the against-term itself has no column."""
-    coeffs = [el.coefficients() for el in search.elements]
-    if search.convex:
+    gains at one atom.  Under convexity each column is a carrier's gain
+    less the against-term's, and the against-term itself has no
+    column."""
+    if convex:
         (k,) = combo
-        stakes, against, less = [i for i in carriers if i != k], [], coeffs[k]
+        stakes, against, less = [i for i in carriers if i != k], [], gains[k]
     else:
         stakes, against, less = list(carriers), list(combo), {}
     n = len(stakes) + len(against)
     rows = []
     for atom in sorted(region):
         base = less.get(atom, _ZERO)
-        row = [coeffs[i].get(atom, _ZERO) - base for i in stakes]
-        row += [-coeffs[k].get(atom, _ZERO) for k in against]
+        row = [gains[i].get(atom, _ZERO) - base for i in stakes]
+        row += [-gains[k].get(atom, _ZERO) for k in against]
         rows.append(constraint(row + [_ONE], 0))
     # stakes sum to at most one
     rows.append(constraint([_ONE] * n + [_ZERO], 1))
@@ -80,14 +116,13 @@ def violation_program(search, carriers, combo, region) -> LinearProgram:
     return LinearProgram(objective=objective, constraints=tuple(rows))
 
 
-def bound_program(search, target, sign, active, combo, outside, floor) -> LinearProgram:
+def bound_program(gains, target, sign, active, combo, outside, floor) -> LinearProgram:
     """`extensions._bound_program` on `Fraction` rows: the price alpha
     is measured from `floor`, with its default bound alpha >= 0."""
-    coeffs = [el.coefficients() for el in search.elements]
 
     def row(atom: int) -> list[Fraction]:
-        return [coeffs[i].get(atom, _ZERO) for i in active] + [
-            -coeffs[k].get(atom, _ZERO) for k in combo
+        return [gains[i].get(atom, _ZERO) for i in active] + [
+            -gains[k].get(atom, _ZERO) for k in combo
         ]
 
     y = target.value_map()
@@ -98,6 +133,27 @@ def bound_program(search, target, sign, active, combo, outside, floor) -> Linear
     rows += [constraint(row(a) + [_ZERO], 0) for a in sorted(outside)]
     n = len(active) + len(combo)
     return LinearProgram(objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows))
+
+
+def walley_program(k: Assessment | None, family: PartitionFamily) -> LinearProgram:
+    """The main program of walley-asl, from the family's table: a column
+    per element of `k`, then per member its gain X less its lower value
+    on each atom's cell, and, for an imprecise upper row, that upper
+    value less X; one row per atom with the eps column, then the
+    stakes' sum at most one."""
+    owner = family.cell_of_atom()
+    columns = fraction_gains(k) if k is not None else []
+    for member, lower, upper in zip(family.members, family.lower, family.upper):
+        columns.append({a: v - lower[owner[a]] for a, v in enumerate(member.values)})
+        if None not in upper and upper != lower:
+            columns.append({a: upper[owner[a]] - v for a, v in enumerate(member.values)})
+    n = len(columns)
+    rows = [
+        constraint([col.get(atom, _ZERO) for col in columns] + [_ONE], 0)
+        for atom in range(family.space.size)
+    ]
+    rows.append(constraint([_ONE] * n + [_ZERO], 1))
+    return LinearProgram(objective=tuple([_ZERO] * n + [_ONE]), constraints=tuple(rows))
 
 
 def convex_violation(assessment: Assessment) -> Bet | None:
@@ -116,8 +172,8 @@ def convex_violation(assessment: Assessment) -> Bet | None:
     `violation_program`, so this shares no program form with the
     checkers."""
     elements = expanded_elements(assessment)
-    coeffs = [el.coefficients() for el in elements]
-    members = [el.cv.cond.members for el in elements]
+    gains = fraction_gains(assessment)
+    members = [el.members for el in elements]
     unions: set[frozenset[int]] = {frozenset()}
     for m in members:
         unions |= {u | m for u in unions}
@@ -128,8 +184,8 @@ def convex_violation(assessment: Assessment) -> Bet | None:
             # columns: the stakes s on the carriers, then t, then eps
             rows = [
                 constraint(
-                    [coeffs[i].get(a, _ZERO) for i in carriers]
-                    + [-coeffs[k].get(a, _ZERO), _ONE],
+                    [gains[i].get(a, _ZERO) for i in carriers]
+                    + [-gains[k].get(a, _ZERO), _ONE],
                     0,
                 )
                 for a in sorted(region)
@@ -145,9 +201,10 @@ def convex_violation(assessment: Assessment) -> Bet | None:
             if result.value > 0:
                 t = result.point[n]
                 terms = [
-                    elements[i].term(FOR, s / t)
+                    term
                     for i, s in zip(carriers, result.point)
                     if s > 0
+                    for term in elements[i].staked(FOR, s / t)
                 ]
-                return Bet((*terms, elements[k].term(AGAINST, _ONE)))
+                return Bet((*terms, *elements[k].staked(AGAINST, _ONE)))
     return None

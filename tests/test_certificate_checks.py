@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_checks as ref
+from fraction_checks import constraint
 from previsio.checkers import _Search, expanded_elements
-from previsio.lp import LinearProgram, constraint, satisfies, solve
+from previsio.lp import LinearProgram, satisfies, solve
 from previsio.model import Assessment, PossibilitySpace, restrict
 
 F = Fraction
@@ -218,22 +219,19 @@ def _searches(draw):
         lower = fair + draw(_OFFSET)
         upper = draw(st.sampled_from([None, fair, fair + _UNIT, fair - _UNIT]))
         items[cv] = (cv, lower, upper)
-    search = _Search(
-        expanded_elements(Assessment.build(space, list(items.values()))),
-        convex=draw(st.booleans()),
-    )
+    assessment = Assessment.build(space, list(items.values()))
+    search = _Search(expanded_elements(assessment), convex=draw(st.booleans()))
     indices = range(len(search.elements))
     carriers = draw(st.lists(st.sampled_from(indices), unique=True))
     size = 1 if search.convex else draw(st.integers(0, min(2, len(indices))))
     combo = tuple(draw(st.lists(st.sampled_from(indices), min_size=size,
                                 max_size=size, unique=True)))
-    return search, p, carriers, combo
+    return search, ref.fraction_gains(assessment), p, carriers, combo
 
 
 @settings(max_examples=300, deadline=None)
 @given(made=_searches())
 def test_dominates_agrees_with_the_fraction_formula(made):
-    search, p, carriers, combo = made
-    coeffs = [el.coefficients() for el in search.elements]
-    expected = ref.dominates(coeffs, search.convex, p, carriers, combo)
+    search, gains, p, carriers, combo = made
+    expected = ref.dominates(gains, search.convex, p, carriers, combo)
     assert search._dominates(p, carriers, combo) == expected

@@ -620,6 +620,12 @@ def test_walley_asl_detects_sure_loss():
     verdict = check_walley_asl(k, family)
     assert not verdict.passed
     assert verdict.prerequisite_failure is None
+    # sell X at its upper value, and buy it on each cell at its lower
+    assert [(t.variable, t.stake, t.side, t.price) for t in verdict.witness.terms] == [
+        (x.unconditional(), F(1, 2), "against", "upper"),
+        (restrict(x, cells[0]), F(1, 2), "for", "lower"),
+        (restrict(x, cells[1]), F(1, 2), "for", "lower"),
+    ]
     table_ = gains.gain(verdict.witness, family.merged_assessment(k))
     assert table_.sup_on_conditioning() < 0
 

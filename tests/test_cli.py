@@ -441,29 +441,31 @@ def test_separate_notion_via_cli(monkeypatch):
     assert report["lp"]["solves"] == report["results"]["verdict"]["lpCount"] > 0
 
 
+WALLEY_ASL_DOC = {
+    "atoms": ["a", "b"],
+    "variables": {
+        "zero": {"a": "0", "b": "0"},
+        "X": {"a": "1", "b": "0"},
+    },
+    "events": {"L": ["a"], "R": ["b"]},
+    "assessments": [
+        {"var": "zero", "given": "L", "lower": "0", "upper": "0"},
+        {"var": "zero", "given": "R", "lower": "0", "upper": "0"},
+        {"var": "L", "given": "L", "lower": "1", "upper": "1"},
+        {"var": "L", "given": "R", "lower": "0", "upper": "0"},
+        {"var": "R", "given": "L", "lower": "0", "upper": "0"},
+        {"var": "R", "given": "R", "lower": "1", "upper": "1"},
+        {"var": "X", "given": "L", "lower": "1", "upper": "1"},
+        {"var": "X", "given": "R", "lower": "0", "upper": "0"},
+        {"var": "X", "lower": "1/2", "upper": "1/2"},
+    ],
+}
+
+
 def test_walley_asl_via_cli(monkeypatch):
-    doc = {
-        "atoms": ["a", "b"],
-        "variables": {
-            "zero": {"a": "0", "b": "0"},
-            "X": {"a": "1", "b": "0"},
-        },
-        "events": {"L": ["a"], "R": ["b"]},
-        "assessments": [
-            {"var": "zero", "given": "L", "lower": "0", "upper": "0"},
-            {"var": "zero", "given": "R", "lower": "0", "upper": "0"},
-            {"var": "L", "given": "L", "lower": "1", "upper": "1"},
-            {"var": "L", "given": "R", "lower": "0", "upper": "0"},
-            {"var": "R", "given": "L", "lower": "0", "upper": "0"},
-            {"var": "R", "given": "R", "lower": "1", "upper": "1"},
-            {"var": "X", "given": "L", "lower": "1", "upper": "1"},
-            {"var": "X", "given": "R", "lower": "0", "upper": "0"},
-            {"var": "X", "lower": "1/2", "upper": "1/2"},
-        ],
-    }
     code, report = invoke(
         ["check", "--notion", "walley-asl", "-f", "-"],
-        stdin_text=json.dumps(doc),
+        stdin_text=json.dumps(WALLEY_ASL_DOC),
         monkeypatch=monkeypatch,
     )
     assert code == 0
@@ -490,16 +492,23 @@ DEBUG_LP_SHA256 = {
         "69a9f3d5d100470ac6abb602eee0a66214a0ceb5ca123cc4d29bd87b727b0f1d",
     ("extend", "--target", "A", "--given", "Brest"):
         "765bd1068aec7372564151c248840c90cc5f6d5a4b2735a2cabde101f3e4fa3d",
+    ("check", "--notion", "walley-asl"):
+        "2003269f4daabae628e98586a03290f1203b7476dc4c17bc51ec653757fd54b3",
 }
 
 
 @pytest.mark.parametrize("argv,digest", DEBUG_LP_SHA256.items())
 def test_debug_lp_text_is_pinned(argv, digest, tmp_path, capsys):
-    # the programs of de Finetti(1,1,2) as `format_lp` writes them, from
-    # the `Fraction` views of each int row, byte for byte
-    assert run(["example", "definetti", "--h", "1", "--k", "1", "--n", "2"]) == 0
-    path = tmp_path / "df.json"
-    path.write_text(capsys.readouterr().out)
+    # the programs as `format_lp` writes them, from each int row over
+    # its scale, byte for byte: of `WALLEY_ASL_DOC` for walley-asl, of
+    # de Finetti(1,1,2) for the rest
+    if "walley-asl" in argv:
+        text = json.dumps(WALLEY_ASL_DOC)
+    else:
+        assert run(["example", "definetti", "--h", "1", "--k", "1", "--n", "2"]) == 0
+        text = capsys.readouterr().out
+    path = tmp_path / "doc.json"
+    path.write_text(text)
     assert run(["--debug-lp", *argv, "-f", str(path)]) == 0
     err = capsys.readouterr().err
     assert hashlib.sha256(err.encode()).hexdigest() == digest

@@ -27,6 +27,7 @@ from previsio.extensions import (
     upper_extension,
 )
 from previsio.conglomerability import definetti_example
+from previsio.gains import FOR, LOWER
 from previsio.model import Assessment, ConditionalVariable, PossibilitySpace, restrict
 
 F = Fraction
@@ -415,7 +416,7 @@ def upper_runs(search, target):
     computes them."""
     usable = [
         i for i, el in enumerate(search.elements)
-        if el.base != target or el.from_upper
+        if el.terms != ((target, FOR, LOWER),)
     ]
     combos = [()] + [(k,) for k in usable]
     runs = [extensions._bound(search, target, -1, c, usable) for c in combos]

@@ -1,27 +1,36 @@
 """The programs built from int rows, against the `Fraction` oracle.
 
 Every program a checker or an extension solves is built from the int
-rows of the assessment's elements (`_Search.program`,
-`extensions._bound_program`).  `fraction_checks` builds the same
-programs from `Fraction` coefficients through `lp.constraint`; both must
-give the same rows, field for field, and every solved program must come
+rows of the elements (`_Search.program`, `extensions._bound_program`).
+`fraction_checks` builds the same programs from `Fraction` gains taken
+from the model's values, through its own `constraint`; both must give
+the same rows, field for field, and every solved program must come
 from one of those two functions.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import fraction_checks as ref
-from conftest import random_arbitrary_assessment, random_coherent_assessment, random_domain
+from conftest import (
+    positive_vector,
+    random_arbitrary_assessment,
+    random_coherent_assessment,
+    random_domain,
+)
 from previsio import extensions, lp
 from previsio.checkers import (
+    PartitionFamily,
     _Search,
     check_bi_coherence,
     check_convex,
     check_w_coherence,
+    check_walley_asl,
 )
 from previsio.extensions import extend, natural_extension_prevision
+from previsio.model import Assessment, PossibilitySpace
 
 
 def _fields(program: lp.LinearProgram):
@@ -31,7 +40,8 @@ def _fields(program: lp.LinearProgram):
 
 @pytest.fixture
 def programs(monkeypatch):
-    """Each solved program, and each built one with its oracle."""
+    """Each solved program, and each built one with the oracle that
+    rebuilds it from an assessment's `Fraction` gains."""
     solved, built = [], []
     real_solve, real_program = lp.Trace.solve, _Search.program
     real_bound = extensions._bound_program
@@ -42,12 +52,14 @@ def programs(monkeypatch):
 
     def program(search, *args):
         out = real_program(search, *args)
-        built.append((out, ref.violation_program(search, *args), "violation"))
+        built.append(
+            (out, "violation", lambda gains: ref.violation_program(gains, search.convex, *args))
+        )
         return out
 
-    def bound_program(*args):
-        out = real_bound(*args)
-        built.append((out, ref.bound_program(*args), "bound"))
+    def bound_program(search, *args):
+        out = real_bound(search, *args)
+        built.append((out, "bound", lambda gains: ref.bound_program(gains, *args)))
         return out
 
     monkeypatch.setattr(lp.Trace, "solve", solve)
@@ -56,24 +68,72 @@ def programs(monkeypatch):
     return solved, built
 
 
+def _walley_family(rng: random.Random) -> tuple[Assessment, PartitionFamily]:
+    """Bayes cell values of a positive p on 4-5 atoms and two cells, one
+    member sometimes widened to lower < upper, and X priced anywhere
+    between its least and greatest value."""
+    space = PossibilitySpace(("a", "b", "c", "d", "e")[: rng.randint(4, 5)])
+    cells = [space.event(space.atoms[:2]), space.event(space.atoms[2:])]
+    # never 0 or 1, so that X coincides with no other member on a cell
+    x = space.variable({a: Fraction(rng.choice([-3, -2, -1, 2, 3])) for a in space.atoms})
+    members = [space.constant(0), space.indicator(cells[0]), space.indicator(cells[1]), x]
+    p = positive_vector(rng, space)
+    table = [
+        tuple(
+            sum(p[i] * m.values[i] for i in c.members) / sum(p[i] for i in c.members)
+            for c in cells
+        )
+        for m in members
+    ]
+    widen = Fraction(rng.choice([0, 0, 1]), 4)
+    lower = (*table[:3], tuple(v - widen for v in table[3]))
+    upper = (*table[:3], tuple(v + widen for v in table[3]))
+    family = PartitionFamily(space, tuple(cells), tuple(members), lower, upper)
+    price = min(x.values) + (max(x.values) - min(x.values)) * Fraction(rng.randint(0, 8), 8)
+    return Assessment.build(space, [(x.unconditional(), price, price)]), family
+
+
 def test_every_program_equals_the_fraction_oracle(programs):
     solved, built = programs
+
+    def compare(start: int, assessment) -> None:
+        # every program built since `start` is over `assessment`
+        for got, _, oracle in built[start:]:
+            want = oracle(ref.fraction_gains(assessment))
+            assert _fields(got) == _fields(want)
+            assert got == want
+
     rng = random.Random(20)
     for _ in range(32):
         coherent = random_coherent_assessment(rng, max_entries=4)
         arbitrary = random_arbitrary_assessment(rng, max_entries=4)
         unconditional = random_arbitrary_assessment(rng, max_entries=3, conditional=False)
         for assessment in (coherent, arbitrary):
+            start = len(built)
             check_w_coherence(assessment)
             check_convex(assessment)
+            compare(start, assessment)
+        start = len(built)
         check_bi_coherence(unconditional)
+        compare(start, unconditional)
+        start = len(built)
         extend(coherent, random_domain(rng, coherent.space, 1)[0])
+        compare(start, coherent)
+    # the main step of walley-asl comes last; its prerequisites are
+    # coherence checks of the forms above
+    main_steps = 0
+    for _ in range(24):
+        k, family = _walley_family(rng)
+        if check_walley_asl(k, family).prerequisite_failure is None:
+            got = built[-1][0]
+            want = ref.walley_program(k, family)
+            assert _fields(got) == _fields(want)
+            assert got == want
+            main_steps += 1
+    assert main_steps > 8
     assert len(solved) == len(built) > 600
     assert all(s is b for s, (b, _, _) in zip(solved, built))
-    assert {kind for _, _, kind in built} == {"violation", "bound"}
-    for got, want, _ in built:
-        assert _fields(got) == _fields(want)
-        assert got == want
+    assert {kind for _, kind, _ in built} == {"violation", "bound"}
 
 
 def test_a_long_lived_search_keeps_no_state(monkeypatch):

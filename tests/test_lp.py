@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_checks as ref
+from fraction_checks import constraint
 from previsio import lp
 from previsio.errors import MalformedProgram
 from previsio.lp import (
@@ -13,7 +15,6 @@ from previsio.lp import (
     LinearProgram,
     Optimal,
     Trace,
-    constraint,
     format_lp,
     satisfies,
     solve,
@@ -88,10 +89,16 @@ def test_a_row_with_a_negative_rhs_is_refused():
 
 
 def test_constraint_normalises_its_row():
+    # a row built from rationals, in tests, is the row of ints over the
+    # lcm of their denominators, divided through by their gcd
     row = constraint([1, "1/2"], "3")
-    assert row.coeffs == (F(1), F(1, 2)) and row.rhs == F(3)
-    assert all(type(c) is F for c in (*row.coeffs, row.rhs))
-    assert Constraint(((0, 6), (1, 1)), 3, 0, 2).coeffs == (F(2), F(1, 3))
+    assert (row.terms, row.scale, row.int_rhs) == (((0, 2), (1, 1)), 2, 6)
+    assert ref.coeffs(row) == (F(1), F(1, 2)) and ref.rhs(row) == F(3)
+    assert all(type(c) is F for c in (*ref.coeffs(row), ref.rhs(row)))
+    same = Constraint(((0, 6), (1, 1)), 3, 0, 2)
+    assert (same.terms, same.scale) == (((0, 6), (1, 1)), 3)
+    assert Constraint(((0, 12), (1, 2)), 6, 0, 2) == same
+    assert ref.coeffs(same) == (F(2), F(1, 3))
     with pytest.raises(TypeError):
         constraint([1.5], 0)
 
@@ -112,8 +119,8 @@ def test_a_row_built_from_ints_has_the_one_form(terms, scale, int_rhs, coeffs, r
     same = constraint(coeffs, rhs)
     assert row == same and hash(row) == hash(same)
     assert (row.terms, row.scale, row.int_rhs) == (same.terms, same.scale, same.int_rhs)
-    assert row.coeffs == tuple(map(F, coeffs)) and row.rhs == F(rhs)
-    assert constraint(row.coeffs, row.rhs) == row
+    assert ref.coeffs(row) == tuple(map(F, coeffs)) and ref.rhs(row) == F(rhs)
+    assert constraint(ref.coeffs(row), ref.rhs(row)) == row
     assert Constraint(terms, scale, int_rhs, 4) != constraint(coeffs, rhs)
     assert Constraint(terms, scale, int_rhs + scale, 3) != constraint(coeffs, rhs)
 
@@ -137,8 +144,8 @@ def _assert_solves_the_dual(prog: LinearProgram, out: Optimal) -> None:
     assert len(out.duals) == len(rows)
     assert all(y >= 0 for y in out.duals)
     for j, c in enumerate(prog.objective):
-        assert sum(row.coeffs[j] * y for row, y in zip(rows, out.duals)) >= c
-    assert sum(row.rhs * y for row, y in zip(rows, out.duals)) == out.value
+        assert sum(ref.coeffs(row)[j] * y for row, y in zip(rows, out.duals)) >= c
+    assert sum(ref.rhs(row) * y for row, y in zip(rows, out.duals)) == out.value
     assert sum(c * x for c, x in zip(prog.objective, out.point)) == out.value
 
 
@@ -259,13 +266,13 @@ def test_solving_twice_is_repeatable_and_leaves_the_program_alone(rhs, kind):
         constraint([3, 0, F(-2, 5)], 1),
     )
     prog = LinearProgram(objective=(F(1), F(-2), F(3, 4)), constraints=rows)
-    snapshot = [(tuple(c.coeffs), c.rhs) for c in rows]
+    snapshot = [(c.terms, c.scale, c.int_rhs) for c in rows]
     first = solve(prog)
     second = solve(prog)
     assert isinstance(first, kind)
     assert first.pivots > 0
     assert first == second
-    assert [(tuple(c.coeffs), c.rhs) for c in prog.constraints] == snapshot
+    assert [(c.terms, c.scale, c.int_rhs) for c in prog.constraints] == snapshot
 
 
 # -- golden outcomes ---------------------------------------------------------
@@ -427,7 +434,7 @@ def test_scaling_a_row_changes_no_verdict(rows, objective, which, k):
     cons = [constraint(coeffs, b) for coeffs, b in rows]
     which %= len(cons)
     c = cons[which]
-    scaled_row = constraint([k * a for a in c.coeffs], k * c.rhs)
+    scaled_row = constraint([k * a for a in ref.coeffs(c)], k * ref.rhs(c))
     programs = [
         LinearProgram(
             objective=tuple(map(F, objective)),
