@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -68,7 +69,7 @@ from .errors import (
     NotPrecise,
 )
 from .gains import AGAINST, FOR, LOWER, UPPER, Bet, BetTerm
-from .lp import Constraint, LinearProgram, Trace, int_terms, over_one_denominator
+from .lp import Constraint, LinearProgram, Optimal, Trace, int_terms, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -117,12 +118,13 @@ class Verdict:
 IntRow = tuple[dict[int, int], int]
 
 
-def _masses(atoms: Sequence[int], p: Sequence[Fraction]) -> dict[int, int]:
-    """The nonzero masses of p by atom, as ints over one positive
-    denominator, which is dropped: it changes the sign of no
-    expectation."""
-    ints, _ = over_one_denominator(p)
-    return {a: m for a, m in zip(atoms, ints) if m}
+def _dual_masses(atoms: Sequence[int], outcome: Optimal) -> dict[int, int]:
+    """The nonzero duals of `outcome`'s first rows by atom, as ints over
+    their least common denominator, which is dropped: it changes the
+    sign of no expectation."""
+    ys = outcome.ys[: len(atoms)]
+    g = reduce(math.gcd, ys, outcome.y_den)
+    return {a: y // g for a, y in zip(atoms, ys) if y}
 
 
 def _expects(p: dict[int, int], row: dict[int, int]) -> int:
@@ -263,7 +265,7 @@ class _Search:
         carriers: Sequence[int],
         combo: tuple[int, ...],
         region: frozenset[int],
-    ) -> tuple[tuple[dict[int, Fraction], ...] | None, dict[int, int], dict[int, Fraction]]:
+    ) -> tuple[tuple[dict[int, Fraction], ...] | None, dict[int, int], dict[int, int]]:
         """Solve `program`.  Returns the violating for- and against-stakes,
         by element, when eps > 0.
 
@@ -273,9 +275,9 @@ class _Search:
         gives sum p >= 1, and that of a stake column p.g_i >= 0, or
         p.g_i >= p.g_k for the column g_i - g_k of convexity; that of an
         against column gives p.g_k <= 0.  p is checked exactly, and
-        returned as the ints of its positive masses by atom, over one
-        positive denominator that is dropped, with the expectation p.g_i
-        of every carrier and against-term.
+        returned as its positive masses by atom (see `_dual_masses`), with
+        the expectation of every carrier and against-term (see
+        `_dominates`).
         """
         outcome = self.trace.solve(self.program(carriers, combo, region))
         if outcome.value > 0:
@@ -283,39 +285,31 @@ class _Search:
             point = outcome.point
             bought = [_ONE] if self.convex else point[len(stakes):-1]
             return (dict(zip(stakes, point)), dict(zip(combo, bought))), {}, {}
-        atoms = sorted(region)
-        p = outcome.duals[: len(atoms)]
-        expects = self._dominates(dict(zip(atoms, p)), carriers, combo)
+        p = _dual_masses(sorted(region), outcome)
+        expects = self._dominates(p, carriers, combo)
         if expects is None:
             raise AssertionError("internal error: dual vector does not dominate")
-        return None, _masses(atoms, p), expects
+        return None, p, expects
 
     def _dominates(
-        self, p: dict[int, Fraction], carriers: Sequence[int], combo: Sequence[int]
-    ) -> dict[int, Fraction] | None:
+        self, p: dict[int, int], carriers: Sequence[int], combo: Sequence[int]
+    ) -> dict[int, int] | None:
         """p >= 0, p != 0, and no stake mix expects a negative gain under
-        p: with free against-stakes p.g_i >= 0 for every for direction
-        and p.g_k <= 0 for every against-term; with the unit
-        against-stake of convexity min_i p.g_i >= p.g_k.  Returns the
-        expectation p.g_i of every carrier and against-term when p
-        dominates, None otherwise."""
-        masses, d = over_one_denominator(list(p.values()))
-        if any(m < 0 for m in masses) or not any(masses):
+        the int masses p: with free against-stakes p.g_i >= 0 for every
+        for direction and p.g_k <= 0 for every against-term; with the
+        unit against-stake of convexity min_i p.g_i >= p.g_k.  Returns
+        p.g_i for every carrier and against-term when p dominates, None
+        otherwise, each times the denominator of g_i's row (and that of
+        p's masses, which is dropped)."""
+        if any(m < 0 for m in p.values()) or not any(p.values()):
             return None
-        mass = {a: m for a, m in zip(p, masses) if m}
-        # each p.g_i times d and the denominator of g_i's row
-        sums = {i: _expects(mass, self.int_rows[i][0]) for i in (*carriers, *combo)}
-        expects = {
-            i: Fraction(s, d * self.int_rows[i][1]) if s else _ZERO
-            for i, s in sums.items()
-        }
+        rows = self.int_rows
+        expects = {i: _expects(p, rows[i][0]) for i in (*carriers, *combo)}
         if self.convex:
-            fixed = sum((expects[k] for k in combo), _ZERO)
-            ok = all(expects[i] >= fixed for i in carriers)
+            k = combo[0]
+            ok = all(expects[i] * rows[k][1] >= expects[k] * rows[i][1] for i in carriers)
         else:
-            ok = all(sums[i] >= 0 for i in carriers) and all(
-                sums[k] <= 0 for k in combo
-            )
+            ok = all(expects[i] >= 0 for i in carriers) and all(expects[k] <= 0 for k in combo)
         return expects if ok else None
 
     def _witness(
@@ -388,11 +382,13 @@ class _Search:
                 )
                 if stakes is not None:
                     return self._witness(*stakes)
-                # the p.g_j that proves (j,): 0, or p.g_k under convexity
-                level = expects[combo[0]] if self.convex else 0
+                # p.g_j = 0 proves (j,), or p.g_j = p.g_k under convexity
+                k = combo[0] if self.convex else None
+                level, d = (expects[k], self.int_rows[k][1]) if self.convex else (0, 1)
                 closed.update(
                     (j,) for j in active
-                    if expects[j] == level and not member_sets[j].isdisjoint(zone)
+                    if expects[j] * d == level * self.int_rows[j][1]
+                    and not member_sets[j].isdisjoint(zone)
                 )
                 if not combo_region.isdisjoint(zone):
                     break

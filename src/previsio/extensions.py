@@ -12,8 +12,12 @@ Its non-strict relaxation is one program over the entries still
 active, with R the union of their events and k's: maximise alpha with
 the first line as "<=" on B and the second as "<= 0" on R outside B.
 The price is measured from min_B Y, which s = 0 already attains, so the
-origin is feasible.  The relaxation can only err upward when no active
-bet is strictly negative on R outside B, so the routine first asks
+origin is feasible.  Y less that floor is put over one denominator
+once per target and sign, as the payoff's ints on B (`_Payoff`): they
+are the program's right-hand sides on B, and both certificates below
+compare against them, so no atom's value is taken as a `Fraction`.
+The relaxation can only err upward when no active bet is strictly
+negative on R outside B, so the routine first asks
 `_Search.violation` for such a direction; while there is none, the
 entries its dual charges carry no winning bet and are dropped, as in
 the checkers, and if it charges k's event the combination adds nothing.
@@ -78,10 +82,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .checkers import _expects, _masses, _Search, check_w_coherence, expanded_elements
+from .checkers import _dual_masses, _expects, _Search, check_w_coherence, expanded_elements
 from .errors import BaseNotCoherent, DomainNotClosed
 from .gains import FOR, LOWER
-from .lp import Constraint, LinearProgram, Trace, int_terms, over_one_denominator
+from .lp import Constraint, LinearProgram, Trace, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -125,26 +129,44 @@ class _Bound:
     step: Stakes
 
 
+@dataclass(frozen=True)
+class _Payoff:
+    """Y = sign * X on the target's event B, less `floor`, its least
+    value there: `ints` by atom of B, none negative, over `den`."""
+
+    target: ConditionalVariable
+    sign: int
+    floor: Fraction
+    ints: dict[int, int]
+    den: int
+
+
+def _payoff(target: ConditionalVariable, sign: int) -> _Payoff:
+    ints, den = over_one_denominator([sign * v for v in target.values])
+    low = min(ints)
+    atoms = sorted(target.cond.members)
+    return _Payoff(target, sign, Fraction(low, den), {a: v - low for a, v in zip(atoms, ints)}, den)
+
+
 def _net(stakes: Stakes, against: Stakes) -> Stakes:
     net = dict(stakes)
     for k, a in against.items():
-        net[k] = net.get(k, _ZERO) - a
+        net[k] = net.get(k, 0) - a
     return {i: s for i, s in net.items() if s}
 
 
 def _bound(
     search: _Search,
-    target: ConditionalVariable,
-    sign: int,
+    payoff: _Payoff,
     combo: tuple[int, ...],
     usable: Sequence[int] | None = None,
 ) -> tuple[_Bound | None, Chain]:
-    """The bound for Y = sign * X and the against-terms `combo` (see the
-    module docstring), over the elements `usable` (default: all),
+    """The bound for the payoff's Y and the against-terms `combo` (see
+    the module docstring), over the elements `usable` (default: all),
     certified, and the chain that ran to it; None for the bound when
     no bet staking the against-term wins."""
     members = [el.members for el in search.elements]
-    b = target.cond.members
+    b = payoff.target.cond.members
     combo_region = frozenset().union(*(members[k] for k in combo))
     active = list(range(len(members)) if usable is None else usable)
     direction: Stakes = {}
@@ -165,47 +187,40 @@ def _bound(
             raise AssertionError("internal error: support shrinking made no progress")
         active = kept
 
-    # the price that s = 0 attains; the program prices above it
-    floor = min(sign * v for v in target.values)
-    outcome = search.trace.solve(
-        _bound_program(search, target, sign, active, combo, outside, floor)
-    )
+    outcome = search.trace.solve(_bound_program(search, payoff, active, combo, outside))
     # bounded for a coherent base: an improving ray plus the direction
     # would be a losing bet
-    stakes = outcome.point[:-1]
-    helpers = _net(dict(zip(active, stakes)), dict(zip(combo, stakes[len(active):])))
-    bound = _Bound(outcome.value + floor, helpers, direction)
-    if not _certified(search, target, sign, bound):
+    xs = outcome.xs[:-1]
+    net = _net(dict(zip(active, xs)), dict(zip(combo, xs[len(active):])))
+    helpers = {i: Fraction(x, outcome.x_den) for i, x in net.items()}
+    # the program prices above the floor, which s = 0 attains
+    bound = _Bound(outcome.value + payoff.floor, helpers, direction)
+    if not _certified(search, payoff, bound):
         raise AssertionError("internal error: an extension bound fails its certificate")
     # the program's rows are B's atoms, then those outside, each by atom
-    chain.append(_masses([*sorted(b), *sorted(outside)], outcome.duals))
+    chain.append(_dual_masses([*sorted(b), *sorted(outside)], outcome))
     return bound, tuple(chain)
 
 
 def _bound_program(
     search: _Search,
-    target: ConditionalVariable,
-    sign: int,
+    payoff: _Payoff,
     active: Sequence[int],
     combo: tuple[int, ...],
     outside: frozenset[int],
-    floor: Fraction,
 ) -> LinearProgram:
     """Maximise alpha with floor + alpha + G <= Y on B and G <= 0 on
     `outside`, for the gain G of the stakes on `active` less those on
     `combo`: one row per atom of B, by atom, then one per atom outside.
-    With `floor` the least value of Y on B, every rhs is nonnegative and
+    The rhs on B is the payoff's Y - floor, which is nonnegative, and
     alpha >= 0 loses no optimum, since s = 0 reaches alpha = 0: every row
     is "<=", and the origin is feasible."""
-    y = target.value_map()
-    atoms = sorted(target.cond.members)
+    atoms = sorted(payoff.ints)
     n = len(active) + len(combo)
-    scale = math.lcm(
-        *(search.int_rows[i][1] for i in (*active, *combo)),
-        *(y[a].denominator for a in atoms),
-    )
+    scale = math.lcm(*(search.int_rows[i][1] for i in (*active, *combo)), payoff.den)
+    f = scale // payoff.den
     rows = [
-        Constraint((*terms, (n, scale)), scale, int(scale * (sign * y[a] - floor)), n + 1)
+        Constraint((*terms, (n, scale)), scale, f * payoff.ints[a], n + 1)
         for a, terms in zip(atoms, search.gain_terms(active, combo, atoms, scale))
     ]
     rows += [
@@ -217,49 +232,43 @@ def _bound_program(
 
 def _int_gain(
     search: _Search, stakes: Stakes, extra: Sequence[Fraction]
-) -> tuple[dict[int, int], list[int]]:
+) -> tuple[dict[int, int], list[int], int]:
     """The gain sum_i s_i g_i by atom and the values `extra`, as ints
-    over one positive denominator."""
+    over one positive denominator, and that denominator."""
     keys = list(stakes)
-    ints, _ = over_one_denominator(
+    ints, d = over_one_denominator(
         [stakes[i] / search.int_rows[i][1] for i in keys] + list(extra)
     )
     gain: dict[int, int] = {}
     for i, m in zip(keys, ints):
         for atom, v in search.int_rows[i][0].items():
             gain[atom] = gain.get(atom, 0) + m * v
-    return gain, ints[len(keys):]
+    return gain, ints[len(keys):], d
 
 
-def _certified(
-    search: _Search, target: ConditionalVariable, sign: int, bound: _Bound
-) -> bool:
-    """The certificate of a bound for Y = sign * X, checked on ints: no
+def _certified(search: _Search, payoff: _Payoff, bound: _Bound) -> bool:
+    """The certificate of a bound for the payoff's Y, checked on ints: no
     stake is negative but at most one against-term, none when the target
     is itself bet against (sign > 0); bound + sum s* g <= Y on B; and on
-    the carriers' union outside B, sum s* g <= 0 and sum s' g < 0."""
+    the carriers' union outside B, sum s* g <= 0 and sum s' g < 0.  The
+    condition on B is taken less the floor, against the payoff's ints."""
     signed = [*bound.helpers.items(), *bound.step.items()]
     against = {i for i, s in signed if s < 0}
-    if len(against) > (1 if sign < 0 else 0):
+    if len(against) > (1 if payoff.sign < 0 else 0):
         return False
-    b = sorted(target.cond.members)
-    y = target.value_map()
     outside = frozenset().union(
         *(search.elements[i].members for i, _ in signed)
-    ) - target.cond.members
-    gain, (value, *ys) = _int_gain(
-        search, bound.helpers, [bound.value] + [sign * y[a] for a in b]
-    )
-    direction, _ = _int_gain(search, bound.step, ())
-    return all(value + gain.get(a, 0) <= v for a, v in zip(b, ys)) and all(
-        gain.get(a, 0) <= 0 and direction.get(a, 0) < 0 for a in outside
-    )
+    ) - payoff.target.cond.members
+    gain, (price,), d = _int_gain(search, bound.helpers, [bound.value - payoff.floor])
+    direction, _, _ = _int_gain(search, bound.step, ())
+    return all(
+        (price + gain.get(a, 0)) * payoff.den <= y * d for a, y in payoff.ints.items()
+    ) and all(gain.get(a, 0) <= 0 and direction.get(a, 0) < 0 for a in outside)
 
 
 def _closes(
     search: _Search,
-    target: ConditionalVariable,
-    sign: int,
+    payoff: _Payoff,
     value: Fraction,
     combo: tuple[int, ...],
     chain: Chain,
@@ -267,20 +276,22 @@ def _closes(
 ) -> bool:
     """Whether `chain` closes the combination of the elements `usable`
     (default: all), the against-terms `combo` and t, a bet against
-    Y|B at `value` for Y = sign * X: X|B at the price sign * value, bet
-    against when sign > 0 and for when sign < 0 (see the module
-    docstring).  Checked on ints, with no program: each p is
+    Y|B at `value` for the payoff's Y = sign * X: X|B at the price
+    sign * value, bet against when sign > 0 and for when sign < 0 (see
+    the module docstring).  Checked on ints, with no program: each p is
     nonnegative, expects a gain >= 0 from every active for-element and
     <= 0 from each against-term and from Y - value on B; a p whose
     support meets B or an against-term's event closes the chain, and
     any other drops the active elements whose events meet its
     support."""
     members = [el.members for el in search.elements]
-    b = target.cond.members
-    atoms = sorted(b)
-    terms, _ = int_terms([sign * y for y in target.values], value)
+    b = payoff.target.cond.members
+    # Y - value on B, times the payoff's denominator and that of value - floor
+    price = value - payoff.floor
     against = [search.int_rows[k][0] for k in combo]
-    against.append({atoms[j]: a for j, a in terms})
+    against.append({
+        a: y * price.denominator - price.numerator * payoff.den for a, y in payoff.ints.items()
+    })
     closing = b.union(*(members[k] for k in combo))
     active = [i for i in (range(len(members)) if usable is None else usable) if i not in combo]
     for p in chain:
@@ -325,7 +336,8 @@ def _lower_extension(
     """LE and its helpers.  An assessed target keeps its assessed value;
     for a new one, the bound's own chain shows that LE is coherent."""
     target.space._check(assessment.space)
-    bound, chain = _bound(search, target, 1, ())
+    payoff = _payoff(target, 1)
+    bound, chain = _bound(search, payoff, ())
     assert bound is not None  # only an against-term can end a chain
     entry = assessment.entry_for(target)
     if entry is not None and bound.value != entry.lower:
@@ -333,7 +345,7 @@ def _lower_extension(
             "natural extension of an assessed variable must return "
             "its assessed value"
         )
-    if entry is None and not _closes(search, target, 1, bound.value, (), chain):
+    if entry is None and not _closes(search, payoff, bound.value, (), chain):
         raise AssertionError("natural extension is not a coherent value")
     return bound.value, _named(search, bound.helpers)
 
@@ -354,13 +366,14 @@ def _upper_extension(
         if el.terms != ((target, FOR, LOWER),)
     ]
     combos = [()] + [(k,) for k in usable]
-    runs = [_bound(search, target, -1, combo, usable) for combo in combos]
+    payoff = _payoff(target, -1)
+    runs = [_bound(search, payoff, combo, usable) for combo in combos]
     best = max((b for b, _ in runs if b is not None), key=lambda b: b.value)
     value = -best.value
     if entry is not None and value < entry.lower:
         raise AssertionError("assessed lower value exceeds every coherent value")
     if not all(
-        _closes(search, target, -1, best.value, combo, chain, usable)
+        _closes(search, payoff, best.value, combo, chain, usable)
         for combo, (_, chain) in zip(combos, runs)
     ):
         raise AssertionError("upper extension is not a coherent value")

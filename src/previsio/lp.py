@@ -4,16 +4,18 @@ Every program the library solves maximises c.x over x >= 0 under rows
 a.x <= b with b >= 0: a stake program of a check, or an extension
 bound.  The origin is feasible, so ``solve`` starts from the basis of
 the rows' slacks and runs the simplex with Bland's anti-cycling rule
-from there.  The tableau is fraction-free: each row is a list of Python
-ints, its rhs last, over one positive denominator, and the objective
-row is kept the same way.  A pivot cross-multiplies the rows it changes
-and divides each through by its gcd, so every sign test and ratio
-comparison is made on ints, and a `fractions.Fraction` is made only
-when a result is read out.
+from there.  The tableau is condensed (Tucker's form): it keeps only
+the columns of the nonbasic variables, each labelled by its variable.
+It is fraction-free: each row is a list of Python ints, its rhs last,
+over one positive denominator, and the objective row is kept the same
+way.  A pivot cross-multiplies the rows it changes and divides each
+through by its gcd, so every sign test and ratio comparison is made on
+ints.  An :class:`Optimal` holds ints too, and a `fractions.Fraction`
+is made only when a result is read out.
 
-An :class:`Optimal` point is checked against every row before it is
-returned.  Its row duals are not re-verified here; a caller that relies
-on them checks what it uses.  Each program previsio builds bounds its
+The optimal point is checked against every row before it is returned.
+Its row duals are not re-verified here; a caller that relies on them
+checks what it uses.  Each program previsio builds bounds its
 objective, so an unbounded one is an internal error.
 
 Each :class:`Constraint` is stored once, in ints: the (column, int)
@@ -21,9 +23,8 @@ pairs of its nonzero coefficients and an int rhs, over one positive
 scale, divided through by their gcd so that a row has one form however
 it was built.  Callers build rows from the int gains they already hold;
 only `format_lp` reads a row back as `Fraction`s.  The tableau starts
-from those ints, and `satisfies` checks on them too: a point is put
-over one common denominator, and only the nonzero terms of each row are
-summed.  Every accept or reject is then a sign test on ints, exactly as
+from those ints, and `satisfies` sums only the nonzero terms of each
+row.  Every accept or reject is then a sign test on ints, exactly as
 strict as the same test on fractions.
 
 ``solve`` is pure: it keeps no count and writes nothing.  The account
@@ -115,27 +116,34 @@ def int_terms(
     return [(j, a - base) for j, a in enumerate(ints) if a != base], d
 
 
-def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
-    """The point is nonnegative and meets every row; both sides of a row
-    are taken times its scale and the point's common denominator."""
-    if len(point) != lp.arity:
-        return False
-    xs, d = over_one_denominator(point)
-    return all(x >= 0 for x in xs) and all(
-        sum(a * xs[j] for j, a in c.terms) <= c.int_rhs * d for c in lp.constraints
+def satisfies(lp: LinearProgram, xs: Sequence[int], den: int) -> bool:
+    """The point xs / den, for an int den > 0, is nonnegative and meets
+    every row; both sides of a row are taken times its scale and den."""
+    return len(xs) == lp.arity and all(x >= 0 for x in xs) and all(
+        sum(a * xs[j] for j, a in c.terms) <= c.int_rhs * den for c in lp.constraints
     )
 
 
 @dataclass(frozen=True)
 class Optimal:
-    """An optimal point and its value.  `duals` holds one multiplier per
-    row; they solve the dual (y >= 0, A^T y >= c) with b.y equal to the
-    value."""
+    """An optimal point xs / x_den and its value.  ys / y_den holds one
+    multiplier per row; they solve the dual (y >= 0, A^T y >= c) with
+    b.y equal to the value.  `point` and `duals` read them out."""
 
     value: Fraction
-    point: tuple[Fraction, ...]
+    xs: tuple[int, ...]
+    x_den: int
+    ys: tuple[int, ...]
+    y_den: int
     pivots: int
-    duals: tuple[Fraction, ...]
+
+    @property
+    def point(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.x_den) for x in self.xs)
+
+    @property
+    def duals(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(y, self.y_den) for y in self.ys)
 
 
 def _eliminate(row: list[int], d: int, f: int, prow: list[int], q: int) -> tuple[list[int], int]:
@@ -160,42 +168,43 @@ def solve(lp: LinearProgram) -> Optimal:
     """Bland's simplex from the slack basis.  Pure: it neither counts
     nor prints (see `Trace`).
 
-    The columns are the variables, then one slack per row.  Row r of the
-    tableau is a list of ints, its rhs last, that stands for
-    ``rows[r][j] / den[r]``; its basic column holds ``den[r]``.  The
-    objective row (reduced costs cB.B^-1.A_j - c_j, then cB.B^-1.b) is
-    kept the same way in ``obj`` over ``obj_den``.  No denominator is
-    negative, so every sign test and ratio comparison is made on ints.
-    A pivot is fraction-free, in the style of Edmonds (1967) and Bareiss
-    (1968): the pivot row keeps its ints and takes the pivot entry as
-    its denominator, and every other row it changes is divided through
-    by the gcd of its ints and its denominator."""
+    The variables are labelled 0..n-1, then n + i for the slack of row
+    i.  The tableau keeps a column for each nonbasic variable only, with
+    its label in ``labels``.  Row r is a list of ints, its rhs last,
+    that stands for ``rows[r][j] / den[r]``, with ``basis[r]`` the label
+    of its basic variable.  The objective row (reduced costs
+    cB.B^-1.A_j - c_j, then cB.B^-1.b) is kept the same way in ``obj``
+    over ``obj_den``.  No denominator is negative, so every sign test
+    and ratio comparison is made on ints.  A pivot is fraction-free, in
+    the style of Edmonds (1967) and Bareiss (1968): the pivot row keeps
+    its ints and takes the pivot entry q as its denominator, and every
+    other row it changes is divided through by the gcd of its ints and
+    its denominator.  The leaving variable takes the entering column:
+    d_r, the pivot row's old denominator, in the pivot row, and -f·d_r
+    in a row whose entry was f.  Bland's rule enters the smallest label,
+    so the path is the full tableau's, pivot for pivot.  A row's dual is
+    its slack's objective entry while the slack is nonbasic, else 0."""
     n, m = lp.arity, len(lp.constraints)
     rows: list[list[int]] = []
     den: list[int] = []
-    for i, c in enumerate(lp.constraints):
-        row = [0] * (n + m + 1)
+    for c in lp.constraints:
+        row = [0] * (n + 1)
         for j, a in c.terms:
             row[j] = a
-        row[n + i] = c.scale
         row[-1] = c.int_rhs
         rows.append(row)
         den.append(c.scale)
+    labels = list(range(n))
     basis = list(range(n, n + m))
     # the slacks cost nothing, so the objective row starts as -c
     obj_den = reduce(math.lcm, [c.denominator for c in lp.objective])
-    obj = [-c.numerator * (obj_den // c.denominator) for c in lp.objective] + [0] * (m + 1)
+    obj = [-c.numerator * (obj_den // c.denominator) for c in lp.objective] + [0]
     pivots = 0
     while True:
-        # the last entry is the value so far, which starts at 0 and
-        # never falls, so it never enters
-        enter = -1
-        for j, rc in enumerate(obj):
-            if rc < 0:
-                enter = j
-                break
-        if enter < 0:
+        entering = [j for j in range(n) if obj[j] < 0]
+        if not entering:
             break
+        enter = min(entering, key=labels.__getitem__)
         # rhs_r / a_r against rhs_best / a_best: the row denominators
         # cancel, and cross-multiplying keeps the comparison in ints
         leave = -1
@@ -210,22 +219,29 @@ def solve(lp: LinearProgram) -> Optimal:
             raise AssertionError("internal error: an unbounded program")
         pivots += 1
         prow = rows[leave]
-        q = den[leave] = prow[enter]
+        q = prow[enter]
+        prow[enter], den[leave] = den[leave], q
         for r, arow in enumerate(rows):
             f = arow[enter]
             if f and r != leave:
+                arow[enter] = 0
                 rows[r], den[r] = _eliminate(arow, den[r], f, prow, q)
-        obj, obj_den = _eliminate(obj, obj_den, obj[enter], prow, q)
-        basis[leave] = enter
-    point = [_ZERO] * n
-    for r, b in enumerate(basis):
-        if b < n and rows[r][-1]:
-            point[b] = Fraction(rows[r][-1], den[r])
-    if not satisfies(lp, point):
+        f, obj[enter] = obj[enter], 0
+        obj, obj_den = _eliminate(obj, obj_den, f, prow, q)
+        labels[enter], basis[leave] = basis[leave], labels[enter]
+    # the point over the lcm of its values' least denominators
+    basic = [(b, rows[r][-1], den[r]) for r, b in enumerate(basis) if b < n and rows[r][-1]]
+    x_den = reduce(math.lcm, [d // math.gcd(v, d) for _, v, d in basic], 1)
+    xs = [0] * n
+    for b, v, d in basic:
+        xs[b] = v * x_den // d
+    # looked up in the module at each call, so that a wrapper bound to
+    # `lp.satisfies` sees every check
+    if not satisfies(lp, xs, x_den):
         raise AssertionError("internal error: optimal point infeasible")
-    # the reduced cost of a row's slack is that row's dual
-    duals = tuple(Fraction(obj[n + i], obj_den) for i in range(m))
-    return Optimal(Fraction(obj[-1], obj_den), tuple(point), pivots, duals)
+    slacks = {label - n: obj[j] for j, label in enumerate(labels) if label >= n}
+    ys = tuple(slacks.get(i, 0) for i in range(m))
+    return Optimal(Fraction(obj[-1], obj_den), tuple(xs), x_den, ys, obj_den, pivots)
 
 
 @dataclass

@@ -10,7 +10,9 @@ from `Fraction` gains, taken from the model's values and never from an
 element's int row, through `constraint`; the programs built from the
 int rows of the elements must be the same, row for row.
 `convex_violation` decides convexity from its definition, on programs
-of its own.
+of its own.  `bland_slack_simplex` is the textbook simplex that
+`lp.solve` must agree with, step for step, on a full `Fraction`
+tableau.
 """
 
 import math
@@ -54,6 +56,51 @@ def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
         sum((a * x for a, x in zip(coeffs(c), point)), _ZERO) <= rhs(c)
         for c in lp.constraints
     )
+
+
+def bland_slack_simplex(
+    lp: LinearProgram,
+) -> tuple[Fraction, tuple[Fraction, ...], int, tuple[Fraction, ...]] | None:
+    """Bland's simplex on a full `Fraction` tableau, from the slack basis:
+    the columns are the variables, then one slack per row, each row
+    holds every column and its rhs, and every basic column is a unit
+    column.  The entering column is the first with a negative reduced
+    cost; among the rows tied in the ratio test, the one whose basic
+    column comes first leaves.  Returns the value, the point, the number
+    of pivots and the row duals, the reduced costs of the slacks; None
+    when an entering column has no positive entry."""
+    n, m = lp.arity, len(lp.constraints)
+    tableau = [
+        [*coeffs(c), *(_ONE if k == i else _ZERO for k in range(m)), rhs(c)]
+        for i, c in enumerate(lp.constraints)
+    ]
+    reduced = [-c for c in lp.objective] + [_ZERO] * (m + 1)
+    basis = list(range(n, n + m))
+    pivots = 0
+    while True:
+        enter = next((j for j in range(n + m) if reduced[j] < 0), None)
+        if enter is None:
+            break
+        ratios = [
+            (row[-1] / row[enter], basis[r], r) for r, row in enumerate(tableau) if row[enter] > 0
+        ]
+        if not ratios:
+            return None
+        _, _, leave = min(ratios)
+        pivot_row = [a / tableau[leave][enter] for a in tableau[leave]]
+        tableau = [
+            pivot_row if r == leave else [a - row[enter] * p for a, p in zip(row, pivot_row)]
+            for r, row in enumerate(tableau)
+        ]
+        f = reduced[enter]
+        reduced = [a - f * p for a, p in zip(reduced, pivot_row)]
+        basis[leave] = enter
+        pivots += 1
+    point = [_ZERO] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            point[b] = tableau[r][-1]
+    return reduced[-1], tuple(point), pivots, tuple(reduced[n:n + m])
 
 
 def fraction_gains(assessment: Assessment) -> list[dict[int, Fraction]]:
@@ -116,9 +163,10 @@ def violation_program(gains, convex, carriers, combo, region) -> LinearProgram:
     return LinearProgram(objective=objective, constraints=tuple(rows))
 
 
-def bound_program(gains, target, sign, active, combo, outside, floor) -> LinearProgram:
+def bound_program(gains, target, sign, active, combo, outside) -> LinearProgram:
     """`extensions._bound_program` on `Fraction` rows: the price alpha
-    is measured from `floor`, with its default bound alpha >= 0."""
+    is measured from the least value of sign * X on B, with its default
+    bound alpha >= 0."""
 
     def row(atom: int) -> list[Fraction]:
         return [gains[i].get(atom, _ZERO) for i in active] + [
@@ -126,6 +174,7 @@ def bound_program(gains, target, sign, active, combo, outside, floor) -> LinearP
         ]
 
     y = target.value_map()
+    floor = min(sign * v for v in y.values())
     rows = [
         constraint(row(a) + [_ONE], sign * y[a] - floor)
         for a in sorted(target.cond.members)

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import fraction_checks as ref
 from fraction_checks import constraint
 from previsio.checkers import _Search, expanded_elements
-from previsio.lp import LinearProgram, satisfies, solve
+from previsio import lp
+from previsio.lp import LinearProgram, over_one_denominator, solve
 from previsio.model import Assessment, PossibilitySpace, restrict
 
 F = Fraction
@@ -32,6 +33,11 @@ _X = (1 + F(3, _BIG), F(1, 2), F(15, _BIG), F(3))
 _Z = (F(3, _BIG), F(1, 2), F(15, _BIG), F(3))
 _STEP = F(1, 2 * _BIG)
 _UNIT = F(1, 42 * _BIG**2)
+
+
+def satisfies(prog, point):
+    """`lp.satisfies` at a `Fraction` point, put over one denominator."""
+    return lp.satisfies(prog, *over_one_denominator(point))
 
 
 def _moved(vector, step):
@@ -106,6 +112,16 @@ def _search(extra=(), convex=False):
     return _Search(expanded_elements(Assessment.build(_SPACE, items)), convex=convex)
 
 
+def _dominates(search, p, carriers, combo):
+    """`_Search._dominates` at a `Fraction` vector p, given as int masses
+    over one denominator, with each expectation read back as p.g_i."""
+    masses, d = over_one_denominator(list(p.values()))
+    sums = search._dominates(dict(zip(p, masses)), carriers, combo)
+    if sums is None:
+        return None
+    return {i: Fraction(s, d * search.int_rows[i][1]) for i, s in sums.items()}
+
+
 def _p(t):
     return {0: t, 1: 1 - t, 2: F(0)}
 
@@ -118,17 +134,17 @@ def _p_expecting(e):
 
 def test_an_expectation_of_zero_dominates():
     search = _search()
-    assert search._dominates(_p_expecting(0), [0], ()) == {0: 0}
-    assert search._dominates(_p_expecting(0), [], (0,)) == {0: 0}
+    assert _dominates(search, _p_expecting(0), [0], ()) == {0: 0}
+    assert _dominates(search, _p_expecting(0), [], (0,)) == {0: 0}
 
 
 def test_an_expectation_of_minus_one_millionth_fails():
     search = _search()
     p = _p_expecting(F(-1, 10**6))
     assert p[0] * _GX["a"] + p[1] * _GX["b"] == F(-1, 10**6)
-    assert search._dominates(p, [0], ()) is None
-    assert search._dominates(_p_expecting(F(1, 10**6)), [], (0,)) is None
-    assert search._dominates(_p_expecting(F(1, 10**6)), [0], ()) == {0: F(1, 10**6)}
+    assert _dominates(search, p, [0], ()) is None
+    assert _dominates(search, _p_expecting(F(1, 10**6)), [], (0,)) is None
+    assert _dominates(search, _p_expecting(F(1, 10**6)), [0], ()) == {0: F(1, 10**6)}
 
 
 def test_convexity_compares_expectations_exactly():
@@ -136,18 +152,18 @@ def test_convexity_compares_expectations_exactly():
     y = restrict(_SPACE.variable({a: v + 1 for a, v in _GX.items()}), _AB)
     p = _p_expecting(F(1, 3))
     level = _search([(y, 1)], convex=True)
-    assert level._dominates(p, [0], (1,)) == {0: F(1, 3), 1: F(1, 3)}
+    assert _dominates(level, p, [0], (1,)) == {0: F(1, 3), 1: F(1, 3)}
     above = _search([(y, 1 - F(1, 10**6))], convex=True)
-    assert above._dominates(p, [0], (1,)) is None
+    assert _dominates(above, p, [0], (1,)) is None
     below = _search([(y, 1 + F(1, 10**6))], convex=True)
-    assert below._dominates(p, [0], (1,)) == {0: F(1, 3), 1: F(1, 3) - F(1, 10**6)}
+    assert _dominates(below, p, [0], (1,)) == {0: F(1, 3), 1: F(1, 3) - F(1, 10**6)}
 
 
 def test_a_dominating_vector_may_have_zeros_but_no_negative_mass():
     search = _search()
     p = _p_expecting(0)
-    assert search._dominates({**p, 2: -F(1, _BIG**2)}, [0], ()) is None
-    assert search._dominates({0: F(0), 1: F(0), 2: F(0)}, [0], ()) is None
+    assert _dominates(search, {**p, 2: -F(1, _BIG**2)}, [0], ()) is None
+    assert _dominates(search, {0: F(0), 1: F(0), 2: F(0)}, [0], ()) is None
 
 
 # -- differential: the integer checks against the Fraction formulas ----------
@@ -234,4 +250,4 @@ def _searches(draw):
 def test_dominates_agrees_with_the_fraction_formula(made):
     search, gains, p, carriers, combo = made
     expected = ref.dominates(gains, search.convex, p, carriers, combo)
-    assert search._dominates(p, carriers, combo) == expected
+    assert _dominates(search, p, carriers, combo) == expected

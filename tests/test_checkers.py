@@ -907,15 +907,17 @@ def test_dominating_vector_is_checked_exactly():
     x = space.variable({"a": 1, "b": -1}).unconditional()
     y = space.variable({"a": 0, "b": 2}).unconditional()
     search = _Search(expanded_elements(Assessment.build(space, [(x, 0), (y, 1)])))
-    half = F(1, 2)
-    # x - 0 and y - 1 both expect 0 under the uniform vector
-    assert search._dominates({0: half, 1: half}, [0, 1], ())
-    assert search._dominates({0: half, 1: half}, [0], (1,)) == {0: 0, 1: 0}
-    assert not search._dominates({0: F(0), 1: F(0)}, [0, 1], ())
-    assert not search._dominates({0: F(3, 2), 1: -half}, [0, 1], ())
-    assert not search._dominates({0: F(1), 1: F(0)}, [0, 1], ())  # y - 1 expects -1
-    assert search._dominates({0: half, 1: half}, [0], (1,))
-    assert not search._dominates({0: F(0), 1: F(1)}, [], (1,))  # y - 1 expects 1
+    # p is int masses over a dropped denominator; x - 0 and y - 1 both
+    # expect 0 under the uniform vector
+    assert search._dominates({0: 1, 1: 1}, [0, 1], ())
+    assert search._dominates({0: 1, 1: 1}, [0], (1,)) == {0: 0, 1: 0}
+    assert not search._dominates({0: 0, 1: 0}, [0, 1], ())
+    assert not search._dominates({}, [0, 1], ())
+    assert not search._dominates({0: 3, 1: -1}, [0, 1], ())
+    assert not search._dominates({0: 1, 1: -1}, [], ())  # a negative mass, nothing to expect
+    assert not search._dominates({0: 1, 1: 0}, [0, 1], ())  # y - 1 expects -1
+    assert search._dominates({0: 5, 1: 5}, [0], (1,))
+    assert not search._dominates({0: 0, 1: 1}, [], (1,))  # y - 1 expects 1
     convex = _Search(search.elements, convex=True)
-    assert convex._dominates({0: F(1), 1: F(0)}, [0], (1,))  # 1 >= -1
-    assert not convex._dominates({0: F(0), 1: F(1)}, [0], (1,))  # -1 < 1
+    assert convex._dominates({0: 1, 1: 0}, [0], (1,))  # 1 >= -1
+    assert not convex._dominates({0: 0, 1: 1}, [0], (1,))  # -1 < 1

@@ -342,17 +342,18 @@ def test_certificate_rejects_a_bound_beyond_the_natural_extension(gap):
     base = Assessment.build(space, [(x.unconditional(), F(1, 4)), (y.unconditional(), F(1, 4))])
     target = space.indicator(space.event(["x", "y"])).unconditional()
     search = _Search(expanded_elements(base))
-    bound, _ = extensions._bound(search, target, 1, ())
+    payoff = extensions._payoff(target, 1)
+    bound, _ = extensions._bound(search, payoff, ())
     assert bound.value == F(1, 2)
-    assert extensions._certified(search, target, 1, bound)
+    assert extensions._certified(search, payoff, bound)
     claimed = bound.value + gap
     assert check_w_coherence(base.with_entry(target, claimed)).passed
-    assert not extensions._certified(search, target, 1, replace(bound, value=claimed))
+    assert not extensions._certified(search, payoff, replace(bound, value=claimed))
     # nor does any other pair of helper stakes on a grid
     for stakes in product([F(k, 4) for k in range(9)], repeat=2):
         helpers = {i: s for i, s in enumerate(stakes) if s}
         other = extensions._Bound(claimed, helpers, {})
-        assert not extensions._certified(search, target, 1, other)
+        assert not extensions._certified(search, payoff, other)
 
 
 @pytest.mark.parametrize(
@@ -385,16 +386,16 @@ def test_certificate_checks_are_exact_at_the_boundary(sign, value, helpers, dire
     target = restrict(space.indicator(space.event(["a"])), ab)
     search = _Search(expanded_elements(base))
     bound = extensions._Bound(value, helpers, direction)
-    assert extensions._certified(search, target, sign, bound) is accepted
+    assert extensions._certified(search, extensions._payoff(target, sign), bound) is accepted
 
 
 def test_every_bound_passes_its_certificate(monkeypatch):
     checked = []
     certified = extensions._certified
 
-    def spy(search, target, sign, bound):
-        ok = certified(search, target, sign, bound)
-        checked.append((sign, bound.value, ok))
+    def spy(search, payoff, bound):
+        ok = certified(search, payoff, bound)
+        checked.append((payoff.sign, bound.value, ok))
         return ok
 
     monkeypatch.setattr(extensions, "_certified", spy)
@@ -419,14 +420,15 @@ def upper_runs(search, target):
         if el.terms != ((target, FOR, LOWER),)
     ]
     combos = [()] + [(k,) for k in usable]
-    runs = [extensions._bound(search, target, -1, c, usable) for c in combos]
+    upper = extensions._payoff(target, -1)
+    runs = [extensions._bound(search, upper, c, usable) for c in combos]
     best = max(b.value for b, _ in runs if b is not None)
     return usable, best, [(c, chain) for c, (_, chain) in zip(combos, runs)]
 
 
 def closes_every_upper_combination(search, target, value, usable, runs):
     return all(
-        extensions._closes(search, target, -1, value, c, chain, usable)
+        extensions._closes(search, extensions._payoff(target, -1), value, c, chain, usable)
         for c, chain in runs
     )
 
@@ -442,9 +444,10 @@ def test_chains_close_at_the_bounds_and_not_beyond():
     shrinking = 0
     for base, target in cases:
         search = _Search(expanded_elements(base))
-        le, chain = extensions._bound(search, target, 1, ())
-        assert extensions._closes(search, target, 1, le.value, (), chain)
-        assert not extensions._closes(search, target, 1, le.value - BEYOND, (), chain)
+        lower = extensions._payoff(target, 1)
+        le, chain = extensions._bound(search, lower, ())
+        assert extensions._closes(search, lower, le.value, (), chain)
+        assert not extensions._closes(search, lower, le.value - BEYOND, (), chain)
         usable, best, runs = upper_runs(search, target)
         assert closes_every_upper_combination(search, target, best, usable, runs)
         # LU + 1e-9 is the price -(LU + 1e-9) of a bet against -X
@@ -456,14 +459,16 @@ def test_chains_close_at_the_bounds_and_not_beyond():
 
 
 def reproducer_chains():
-    """The reproducer's search, LE's bound and chain, and the chain of
-    each upper combination by its against-terms."""
+    """The reproducer's search, its payoffs for LE and LU, LE's bound and
+    chain, and the chain of each upper combination by its
+    against-terms."""
     base, target = reproducer()
     search = _Search(expanded_elements(base))
-    le, chain = extensions._bound(search, target, 1, ())
+    lower, upper = extensions._payoff(target, 1), extensions._payoff(target, -1)
+    le, chain = extensions._bound(search, lower, ())
     usable, best, runs = upper_runs(search, target)
     assert -best == F(-69, 56) and usable == [0, 1, 2]
-    return search, target, le.value, chain, best, dict(runs)
+    return search, (lower, upper), le.value, chain, best, dict(runs)
 
 
 def test_the_reproducer_chains_are_pinned():
@@ -472,7 +477,7 @@ def test_the_reproducer_chains_are_pinned():
     # last step sits on atom 4, where X = LE = -3.  LU's chain for (2,)
     # drops elements 0 and 1, then charges atoms 0 and 1 with p.g_2 = 0
     # and p.(X - LU) = 0
-    search, target, le, chain, best, runs = reproducer_chains()
+    search, (lower, _), le, chain, best, runs = reproducer_chains()
     assert (le, chain) == (F(-3), ({3: 5, 5: 7}, {4: 1}))
     assert runs == {
         (): ({3: 5, 5: 7}, {0: 1}),
@@ -482,39 +487,39 @@ def test_the_reproducer_chains_are_pinned():
     }
     # positive scaling changes no sign the verifier tests
     scaled = tuple({a: 3 * m for a, m in p.items()} for p in chain)
-    assert extensions._closes(search, target, 1, le, (), scaled)
+    assert extensions._closes(search, lower, le, (), scaled)
 
 
 def test_a_negative_mass_is_rejected():
     # X - LE is 3/2 > 0 at atom 1, so a negative mass there keeps
     # p.(X - LE) <= 0, and no element is active at the last step
-    search, target, le, chain, _, _ = reproducer_chains()
-    assert extensions._closes(search, target, 1, le, (), chain)
+    search, (lower, _), le, chain, _, _ = reproducer_chains()
+    assert extensions._closes(search, lower, le, (), chain)
     mutated = (chain[0], {**chain[1], 1: -1})
-    assert not extensions._closes(search, target, 1, le, (), mutated)
+    assert not extensions._closes(search, lower, le, (), mutated)
 
 
 def test_a_chain_without_its_bound_step_is_rejected():
-    search, target, le, chain, best, runs = reproducer_chains()
-    assert not extensions._closes(search, target, 1, le, (), chain[:-1])
-    assert extensions._closes(search, target, -1, best, (2,), runs[2,], [0, 1, 2])
-    assert not extensions._closes(search, target, -1, best, (2,), runs[2,][:-1], [0, 1, 2])
+    search, (lower, upper), le, chain, best, runs = reproducer_chains()
+    assert not extensions._closes(search, lower, le, (), chain[:-1])
+    assert extensions._closes(search, upper, best, (2,), runs[2,], [0, 1, 2])
+    assert not extensions._closes(search, upper, best, (2,), runs[2,][:-1], [0, 1, 2])
 
 
 def test_a_chain_swapped_to_another_against_term_is_rejected():
     # (2,)'s first step charges atom 5, where g_0 = 5/8 > 0, so it
     # cannot bet against element 0; ()'s charges atom 3, where g_2 > 0
-    search, target, _, _, best, runs = reproducer_chains()
-    assert not extensions._closes(search, target, -1, best, (0,), runs[2,], [0, 1, 2])
-    assert not extensions._closes(search, target, -1, best, (2,), runs[()], [0, 1, 2])
+    search, (_, upper), _, _, best, runs = reproducer_chains()
+    assert not extensions._closes(search, upper, best, (0,), runs[2,], [0, 1, 2])
+    assert not extensions._closes(search, upper, best, (2,), runs[()], [0, 1, 2])
 
 
 def test_a_step_with_a_negative_expectation_is_rejected():
     # one more unit on atom 3 pushes p.g_0 and p.g_1 to -7/8 while
     # p.g_2 stays positive and the support stays {3, 5}, off B
-    search, target, le, chain, _, _ = reproducer_chains()
+    search, (lower, _), le, chain, _, _ = reproducer_chains()
     mutated = ({3: 6, 5: 7}, chain[1])
-    assert not extensions._closes(search, target, 1, le, (), mutated)
+    assert not extensions._closes(search, lower, le, (), mutated)
 
 
 def test_an_element_no_step_has_touched_is_still_checked():
@@ -529,19 +534,20 @@ def test_an_element_no_step_has_touched_is_still_checked():
     ])
     target = restrict(space.constant(-3), space.event(["c"]))
     search = _Search(expanded_elements(base))
-    le, chain = extensions._bound(search, target, 1, ())
+    lower = extensions._payoff(target, 1)
+    le, chain = extensions._bound(search, lower, ())
     assert (le.value, chain) == (F(-3), ({1: 1}, {2: 1}))
-    assert extensions._closes(search, target, 1, le.value, (), chain)
-    assert not extensions._closes(search, target, 1, le.value, (), (chain[0], {2: 1, 0: 1}))
+    assert extensions._closes(search, lower, le.value, (), chain)
+    assert not extensions._closes(search, lower, le.value, (), (chain[0], {2: 1, 0: 1}))
 
 
 def test_every_extension_checks_the_chain_of_every_combination(monkeypatch):
     checked = []
     closes = extensions._closes
 
-    def spy(search, target, sign, value, combo, chain, usable=None):
-        ok = closes(search, target, sign, value, combo, chain, usable)
-        checked.append((sign, value, combo, ok))
+    def spy(search, payoff, value, combo, chain, usable=None):
+        ok = closes(search, payoff, value, combo, chain, usable)
+        checked.append((payoff.sign, value, combo, ok))
         return ok
 
     monkeypatch.setattr(extensions, "_closes", spy)

@@ -57,9 +57,11 @@ def programs(monkeypatch):
         )
         return out
 
-    def bound_program(search, *args):
-        out = real_bound(search, *args)
-        built.append((out, "bound", lambda gains: ref.bound_program(gains, *args)))
+    def bound_program(search, payoff, *args):
+        out = real_bound(search, payoff, *args)
+        built.append(
+            (out, "bound", lambda gains: ref.bound_program(gains, payoff.target, payoff.sign, *args))
+        )
         return out
 
     monkeypatch.setattr(lp.Trace, "solve", solve)

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -160,7 +161,7 @@ def test_strong_duality_spot_check():
             assert str(error) == _UNBOUNDED
             unbounded += 1
             continue
-        assert satisfies(prog, out.point)
+        assert satisfies(prog, out.xs, out.x_den)
         _assert_solves_the_dual(prog, out)
         checked += 1
     assert checked > 20 and unbounded > 5
@@ -190,7 +191,7 @@ def test_every_outcome_carries_a_valid_certificate(rows, objective):
     )
     out = _solved(prog)
     if out is not None:
-        assert satisfies(prog, out.point)
+        assert satisfies(prog, out.xs, out.x_den)
         assert sum(c * x for c, x in zip(prog.objective, out.point)) == out.value
 
 
@@ -416,6 +417,86 @@ def test_golden_outcomes_are_reproduced_exactly(index):
         assert _encode(solve(corpus[index])) == _GOLDEN[index]
 
 
+def test_the_textbook_simplex_reproduces_the_golden_outcomes():
+    for prog, golden in zip(_golden_corpus(), _GOLDEN):
+        out = ref.bland_slack_simplex(prog)
+        if golden == ("unbounded",):
+            assert out is None
+        else:
+            value, point, pivots, duals = out
+            text = " ".join
+            assert golden == ("optimal", pivots, str(value), text(map(str, point)),
+                              text(map(str, duals)))
+
+
+# -- the int outcome ---------------------------------------------------------
+
+
+def _optimal_golden_programs() -> list[LinearProgram]:
+    return [p for p, g in zip(_golden_corpus(), _GOLDEN) if g != ("unbounded",)]
+
+
+def test_point_and_duals_read_the_ints_over_their_denominators():
+    programs = _optimal_golden_programs()
+    assert len(programs) == 35
+    for prog in programs:
+        out = solve(prog)
+        assert out.point == tuple(F(x, out.x_den) for x in out.xs)
+        assert out.duals == tuple(F(y, out.y_den) for y in out.ys)
+        assert (len(out.xs), len(out.ys)) == (prog.arity, len(prog.constraints))
+        assert all(type(v) is int for v in (*out.xs, out.x_den, *out.ys, out.y_den))
+        # the point is over the least common denominator of its values
+        assert out.x_den == math.lcm(*(x.denominator for x in out.point))
+        assert out.y_den > 0
+
+
+def test_every_solve_checks_its_point_through_lp_satisfies(monkeypatch):
+    # perfbench's lp.cert span wraps `previsio.lp.satisfies`, so `solve`
+    # must look it up in the module: one call per solve, on its ints
+    calls = []
+    real = lp.satisfies
+
+    def spy(prog, xs, den):
+        calls.append((prog, xs, den))
+        return real(prog, xs, den)
+
+    monkeypatch.setattr(lp, "satisfies", spy)
+    programs = _optimal_golden_programs()
+    trace = Trace()
+    outcomes = [trace.solve(p) for p in programs]
+    assert len(calls) == trace.solves == len(programs)
+    for (prog, xs, den), p, out in zip(calls, programs, outcomes):
+        assert prog is p and (tuple(xs), den) == (out.xs, out.x_den)
+
+
+_COEFF = st.integers(-3, 4) | st.builds(F, st.integers(-3, 4), st.sampled_from([2, 3, _BIG]))
+
+
+@st.composite
+def _bounded_programs(draw):
+    """A program of the one form, often degenerate, kept bounded by a row
+    of positive coefficients at a drawn place among the others."""
+    n = draw(st.integers(1, 5))
+    rhs = st.sampled_from([F(0), F(0), F(1), F(5, 3), F(6)])
+    rows = [
+        ([draw(_COEFF) for _ in range(n)], draw(rhs)) for _ in range(draw(st.integers(0, 4)))
+    ]
+    bounding = ([draw(st.integers(1, 3)) for _ in range(n)], draw(rhs))
+    rows.insert(draw(st.integers(0, len(rows))), bounding)
+    return LinearProgram(
+        objective=tuple(F(draw(_COEFF)) for _ in range(n)),
+        constraints=tuple(constraint(coeffs, b) for coeffs, b in rows),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(prog=_bounded_programs())
+def test_solve_takes_the_textbook_simplex_path(prog):
+    # the oracle shares no code with the condensed int tableau
+    out = solve(prog)
+    assert (out.value, out.point, out.pivots, out.duals) == ref.bland_slack_simplex(prog)
+
+
 # -- scaling a row -----------------------------------------------------------
 
 _FACTOR = st.builds(F, st.integers(1, _BIG), st.sampled_from([1, 3, _BIG]))
@@ -447,5 +528,5 @@ def test_scaling_a_row_changes_no_verdict(rows, objective, which, k):
     if scaled is not None:
         prog = programs[1]
         assert scaled.value == plain.value
-        assert satisfies(prog, scaled.point)
+        assert satisfies(prog, scaled.xs, scaled.x_den)
         assert sum(a * x for a, x in zip(prog.objective, scaled.point)) == scaled.value
