@@ -69,7 +69,7 @@ from .errors import (
     NotPrecise,
 )
 from .gains import AGAINST, FOR, LOWER, UPPER, Bet, BetTerm
-from .lp import Constraint, LinearProgram, Optimal, Trace, int_terms, over_one_denominator
+from .lp import Constraint, LinearProgram, Optimal, Trace, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -167,25 +167,25 @@ class _Element:
         ]
 
 
-def _direction(
-    x: ConditionalVariable, values: Sequence[Fraction], value: Fraction, side: str, price: str
-) -> _Element:
-    """The element of the gain `values` less `value` on B, which stands
-    for X|B bet on `side` at `price`."""
-    atoms = sorted(x.cond.members)
-    terms, d = int_terms(values, value)
-    return _Element(({atoms[j]: a for j, a in terms}, d), x.cond.members, ((x, side, price),))
-
-
 def expanded_elements(assessment: Assessment) -> tuple[_Element, ...]:
-    """The one-sided (lower-prevision) expansion of an assessment."""
+    """The one-sided (lower-prevision) expansion of an assessment.
+
+    An entry's prices and its values on B are put over one denominator
+    in one pass, and both of its directions, X less the lower value and
+    the upper value less X, are read off those ints."""
     out: list[_Element] = []
     for entry in assessment.entries:
         x = entry.variable
-        out.append(_direction(x, x.values, entry.lower, FOR, LOWER))
+        prices = (entry.lower,) if entry.upper is None else (entry.lower, entry.upper)
+        ints, d = over_one_denominator([*prices, *x.values])
+        values = list(zip(sorted(x.cond.members), ints[len(prices):]))
+        lower = ints[0]
+        gain = {a: v - lower for a, v in values if v != lower}
+        out.append(_Element((gain, d), x.cond.members, ((x, FOR, LOWER),)))
         if entry.upper is not None:
-            negated = [-v for v in x.values]
-            out.append(_direction(x, negated, -entry.upper, AGAINST, UPPER))
+            upper = ints[1]
+            gain = {a: upper - v for a, v in values if v != upper}
+            out.append(_Element((gain, d), x.cond.members, ((x, AGAINST, UPPER),)))
     return tuple(out)
 
 

@@ -91,7 +91,10 @@ def _read_document(path: str) -> tuple[Any, str]:
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
         return json.loads(raw), digest
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides malformed JSON: bytes that are not UTF-8, an integer
+        # literal past Python's int-string limit, nesting deeper than
+        # the stack
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 

@@ -15,6 +15,7 @@ denominator), never as decimals.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -33,22 +34,31 @@ from .model import (
 )
 
 
-_RATIONAL_FORM = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_FORM = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+# a value echoed in an error message is cut short: a document may hold
+# thousands of digits
+_ECHO = reprlib.Repr()
+_ECHO.maxstring = _ECHO.maxother = 60
 
 
 def parse_rational(raw: Any) -> Fraction:
+    if isinstance(raw, str):
+        form = _RATIONAL_FORM.match(raw.strip())
+        if not form:
+            raise SchemaError(f'rationals are "p/q" strings, got {_ECHO.repr(raw)}')
+        numerator, denominator = form.groups()
+        try:
+            # int() reads every digit that `\d` matches, and a sign, so
+            # this is the value that Fraction(raw) parses
+            return Fraction(int(numerator), int(denominator or 1))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"not an exact rational: {_ECHO.repr(raw)}") from exc
     if isinstance(raw, bool):
         raise SchemaError("booleans are not rationals")
     if isinstance(raw, int):
         return Fraction(raw)
-    if isinstance(raw, str):
-        if not _RATIONAL_FORM.match(raw.strip()):
-            raise SchemaError(f'rationals are "p/q" strings, got {raw!r}')
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"not an exact rational: {raw!r}") from exc
-    raise SchemaError(f"rationals must be strings or integers, got {raw!r}")
+    raise SchemaError(f"rationals must be strings or integers, got {_ECHO.repr(raw)}")
 
 
 def rational_str(value: Fraction) -> str:
@@ -141,12 +151,11 @@ def load_problem(doc: Any) -> Problem:
         upper = parse_rational(row["upper"]) if "upper" in row and row["upper"] is not None else None
         # rows that restrict to one and the same conditional variable
         # (BX = BY makes X|B and Y|B identical) must agree and collapse
-        if cv in priced and priced[cv] != (lower, upper):
+        if priced.setdefault(cv, (lower, upper)) != (lower, upper):
             raise SchemaError(
                 f'conflicting values for {row["var"]!r} given '
                 f'{row.get("given") or "the sure event"!r}'
             )
-        priced[cv] = (lower, upper)
         names.setdefault(cv, (row["var"], row.get("given")))
     try:
         assessment = Assessment.build(

@@ -21,6 +21,10 @@ from .errors import (
 
 RationalLike = Union[Fraction, int, str]
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_FRACTIONS_ONLY = {Fraction}
+
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, "p/q" strings and Fractions to an exact Fraction."""
@@ -31,6 +35,15 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _rationals(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
+    """`values` through `as_rational`, as a tuple; a tuple of nothing
+    but `Fraction`s, the common case, is returned with one type test."""
+    values = tuple(values)
+    if set(map(type, values)) == _FRACTIONS_ONLY:
+        return values
+    return tuple(map(as_rational, values))
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,10 @@ class PossibilitySpace:
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atoms must be pairwise distinct")
         object.__setattr__(self, "atoms", tuple(self.atoms))
+        # made once per space; not fields, so equality, hashing, repr and
+        # `dataclasses.asdict` never follow the sure event back here
+        object.__setattr__(self, "_position", {a: i for i, a in enumerate(self.atoms)})
+        object.__setattr__(self, "_omega", Event(self, frozenset(range(self.size))))
 
     @property
     def size(self) -> int:
@@ -52,29 +69,26 @@ class PossibilitySpace:
 
     def index(self, atom: str) -> int:
         try:
-            return self.atoms.index(atom)
-        except ValueError:
+            return self._position[atom]
+        except (KeyError, TypeError):
             raise KeyError(f"unknown atom {atom!r}") from None
 
     def omega(self) -> Event:
-        return Event(self, frozenset(range(self.size)))
+        return self._omega
 
     def empty_event(self) -> Event:
         return Event(self, frozenset())
 
     def event(self, atoms: Iterable[str]) -> Event:
-        return Event(self, frozenset(self.index(a) for a in atoms))
+        return Event(self, frozenset(map(self.index, atoms)))
 
     def variable(self, values: Mapping[str, RationalLike]) -> RandomVariable:
-        missing = set(self.atoms) - set(values)
-        if missing:
-            raise ValueError(f"no value for atoms {sorted(missing)}")
-        extra = set(values) - set(self.atoms)
-        if extra:
-            raise KeyError(f"unknown atoms {sorted(extra)}")
-        return RandomVariable(
-            self, tuple(as_rational(values[a]) for a in self.atoms)
-        )
+        if values.keys() != self._position.keys():
+            missing = set(self.atoms) - set(values)
+            if missing:
+                raise ValueError(f"no value for atoms {sorted(missing)}")
+            raise KeyError(f"unknown atoms {sorted(set(values) - set(self.atoms))}")
+        return RandomVariable(self, tuple(map(values.__getitem__, self.atoms)))
 
     def constant(self, value: RationalLike) -> RandomVariable:
         return RandomVariable(self, (as_rational(value),) * self.size)
@@ -82,14 +96,13 @@ class PossibilitySpace:
     def indicator(self, event: Event) -> RandomVariable:
         """The 0/1 variable of an event (de Finetti's convention)."""
         self._check(event.space)
-        one, zero = Fraction(1), Fraction(0)
+        members = event.members
         return RandomVariable(
-            self,
-            tuple(one if i in event.members else zero for i in range(self.size)),
+            self, tuple([_ONE if i in members else _ZERO for i in range(len(self.atoms))])
         )
 
     def _check(self, other: PossibilitySpace) -> None:
-        if other != self:
+        if other is not self and other != self:
             raise SpaceMismatch("objects live on different possibility spaces")
 
 
@@ -102,7 +115,7 @@ class Event:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", frozenset(self.members))
-        if any(i < 0 or i >= self.space.size for i in self.members):
+        if self.members and (min(self.members) < 0 or max(self.members) >= len(self.space.atoms)):
             raise ValueError("event members outside the atom index range")
 
     @property
@@ -125,9 +138,7 @@ class Event:
         return Event(self.space, self.members | other.members)
 
     def __invert__(self) -> Event:
-        return Event(
-            self.space, frozenset(range(self.space.size)) - self.members
-        )
+        return Event(self.space, self.space.omega().members - self.members)
 
     def implies(self, other: Event) -> bool:
         self.space._check(other.space)
@@ -147,7 +158,7 @@ class RandomVariable:
     def __post_init__(self) -> None:
         if len(self.values) != self.space.size:
             raise ValueError("one value per atom is required")
-        object.__setattr__(self, "values", tuple(map(as_rational, self.values)))
+        object.__setattr__(self, "values", _rationals(self.values))
 
     def __getitem__(self, atom_index: int) -> Fraction:
         return self.values[atom_index]
@@ -211,7 +222,21 @@ class ConditionalVariable:
             )
         if len(self.values) != len(self.cond.members):
             raise ValueError("one value per conditioning atom is required")
-        object.__setattr__(self, "values", tuple(map(as_rational, self.values)))
+        object.__setattr__(self, "values", _rationals(self.values))
+
+    def __hash__(self) -> int:
+        # hashing the values runs `Fraction.__hash__` on each, so it is
+        # done once per object; threads that race store the same value
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.cond, self.values))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # a string's hash differs between processes, so the memo is
+        # never copied or pickled along
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def space(self) -> PossibilitySpace:
@@ -247,7 +272,7 @@ def restrict(variable: RandomVariable, event: Event) -> ConditionalVariable:
             "cannot condition on the impossible event"
         )
     return ConditionalVariable(
-        event, tuple(variable.values[i] for i in sorted(event.members))
+        event, tuple(map(variable.values.__getitem__, sorted(event.members)))
     )
 
 
@@ -344,8 +369,7 @@ class Assessment:
         lower: RationalLike,
         upper: RationalLike | None = None,
     ) -> Assessment:
-        extra = Entry(cv, as_rational(lower), None if upper is None else as_rational(upper))
-        return Assessment(self.space, self.entries + (extra,))
+        return Assessment(self.space, self.entries + (Entry(cv, lower, upper),))
 
     @classmethod
     def build(
@@ -354,11 +378,5 @@ class Assessment:
         items: Sequence[tuple[ConditionalVariable, RationalLike]
                         | tuple[ConditionalVariable, RationalLike, RationalLike | None]],
     ) -> Assessment:
-        entries = []
-        for item in items:
-            cv, lower = item[0], as_rational(item[1])
-            upper = None
-            if len(item) > 2 and item[2] is not None:
-                upper = as_rational(item[2])  # type: ignore[arg-type]
-            entries.append(Entry(cv, lower, upper))
-        return cls(space, tuple(entries))
+        # `Entry` coerces the values
+        return cls(space, tuple(Entry(*item) for item in items))

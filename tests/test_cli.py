@@ -547,3 +547,45 @@ def test_the_parser_is_built_once_and_carries_nothing_between_runs(tmp_path, cap
     for key in ("inputDigest", "results", "lp"):
         assert first[key] == second[key]
     assert cli.build_parser() is cli.build_parser()
+
+
+# documents that `json.loads` itself refuses beyond a syntax error: an
+# integer literal past Python's int-string limit (4,300 digits) and
+# nesting deeper than the interpreter's stack
+UNREADABLE = {
+    "long-integer": '{"atoms": ["a"], "variables": {"X": {"a": ' + "7" * 5001 + "}}}",
+    "deep-nesting": "[" * 200_000 + "]" * 200_000,
+    "invalid-utf-8": '{"atoms": ["\xff"]}',
+}
+COMMANDS = {
+    "check": ["check", "--notion", "w-coherence"],
+    "extend": ["extend", "--target", "X"],
+    "envelope": ["envelope"],
+    "oracle": ["oracle", "--notion", "w-coherence"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS.keys())
+@pytest.mark.parametrize("text", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_documents_json_cannot_read_exit_two(text, command, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("latin-1"))
+    assert run([*command, "-f", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("previsio: invalid JSON: ") and "Traceback" not in err
+    assert len(err) < 300
+
+
+def test_a_long_rational_is_echoed_short(tmp_path, capsys):
+    digits = "7" * 5001
+    doc = {
+        "atoms": ["a"],
+        "variables": {"X": {"a": digits}},
+        "assessments": [{"var": "X", "lower": "0"}],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--notion", "w-coherence", "-f", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("previsio: not an exact rational: '777")
+    assert len(err) < 100

@@ -15,10 +15,13 @@ import pytest
 
 import fraction_checks as ref
 from conftest import (
+    bayes_value,
     positive_vector,
     random_arbitrary_assessment,
     random_coherent_assessment,
     random_domain,
+    random_precise_assessment,
+    random_space,
 )
 from previsio import extensions, lp
 from previsio.checkers import (
@@ -26,10 +29,13 @@ from previsio.checkers import (
     _Search,
     check_bi_coherence,
     check_convex,
+    check_df_precise_conditional,
     check_w_coherence,
     check_walley_asl,
 )
+from previsio.conglomerability import definetti_example, walley_666_example
 from previsio.extensions import extend, natural_extension_prevision
+from previsio.jsonio import dump_bundle, load_problem
 from previsio.model import Assessment, PossibilitySpace
 
 
@@ -95,6 +101,20 @@ def _walley_family(rng: random.Random) -> tuple[Assessment, PartitionFamily]:
     return Assessment.build(space, [(x.unconditional(), price, price)]), family
 
 
+def _interval_assessment(rng: random.Random) -> Assessment:
+    """The least and greatest Bayes value of two or three positive
+    vectors on a conditional domain, the greatest sometimes moved, so
+    that lower < upper over different denominators, coherent or not."""
+    space = random_space(rng)
+    vectors = [positive_vector(rng, space) for _ in range(rng.randint(2, 3))]
+    items = []
+    for cv in random_domain(rng, space, 4):
+        values = [bayes_value(p, cv) for p in vectors]
+        moved = Fraction(rng.choice([0, 0, -1, 1]), rng.randint(2, 7))
+        items.append((cv, min(values), max(values) + moved))
+    return Assessment.build(space, items)
+
+
 def test_every_program_equals_the_fraction_oracle(programs):
     solved, built = programs
 
@@ -110,7 +130,10 @@ def test_every_program_equals_the_fraction_oracle(programs):
         coherent = random_coherent_assessment(rng, max_entries=4)
         arbitrary = random_arbitrary_assessment(rng, max_entries=4)
         unconditional = random_arbitrary_assessment(rng, max_entries=3, conditional=False)
-        for assessment in (coherent, arbitrary):
+        # both directions of every entry: precise, and lower < upper
+        precise = random_precise_assessment(rng, max_entries=4)
+        interval = _interval_assessment(rng)
+        for assessment in (coherent, arbitrary, precise, interval):
             start = len(built)
             check_w_coherence(assessment)
             check_convex(assessment)
@@ -121,6 +144,13 @@ def test_every_program_equals_the_fraction_oracle(programs):
         start = len(built)
         extend(coherent, random_domain(rng, coherent.space, 1)[0])
         compare(start, coherent)
+    # the paper's counterexamples, read from their documents
+    for bundle in (definetti_example(1, 1, 3), walley_666_example(2)):
+        assessment = load_problem(dump_bundle(bundle)).assessment
+        start = len(built)
+        for check in (check_w_coherence, check_convex, check_df_precise_conditional):
+            assert check(assessment).passed
+        compare(start, assessment)
     # the main step of walley-asl comes last; its prerequisites are
     # coherence checks of the forms above
     main_steps = 0

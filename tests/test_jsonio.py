@@ -35,10 +35,29 @@ DOC = {
 
 
 def test_parse_rational_accepts_exact_forms():
-    assert parse_rational("3/4") == F(3, 4)
-    assert parse_rational("-2") == F(-2)
+    # parse_rational reads the ints of the form it validates; every
+    # accepted string must keep the value that Fraction(raw) parses
+    accepted = {
+        "3/4": F(3, 4),
+        "-2": F(-2),
+        "+3": F(3),
+        " 3/4 ": F(3, 4),
+        "\t-6/8\n": F(-3, 4),
+        "007/010": F(7, 10),
+        "-0": F(0),
+        "0/5": F(0),
+        "\u0663/\u0664": F(3, 4),  # Arabic-Indic digits
+        "12345678901234567890/3": F(12345678901234567890, 3),
+    }
+    for raw, value in accepted.items():
+        got = parse_rational(raw)
+        assert got == value == F(raw) and type(got) is F
     assert parse_rational(5) == F(5)
-    for bad in ("0.5", "a", True, 1.5, "1/0"):
+    rejected = (
+        "0.5", "a", "1/0", "1_0", "1/-2", "1e3", "0x1", "", "/", " ", "3/", "/4", "- 3",
+        True, 1.5, None, [1],
+    )
+    for bad in rejected:
         with pytest.raises(SchemaError):
             parse_rational(bad)
 

@@ -1,4 +1,10 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +52,47 @@ def test_equal_on_event_means_equal_conditional(space):
     y = space.variable({"a": 1, "b": 0, "c": 99})
     assert restrict(x, b) == restrict(y, b)
     assert restrict(x, space.omega()) != restrict(y, space.omega())
+
+
+def test_equal_restrictions_hash_alike_and_find_each_other(space):
+    b = space.event(["a", "b"])
+    x = space.variable({"a": F(1, 2), "b": 0, "c": 5})
+    y = space.variable({"a": F(2, 4), "b": 0, "c": -7})
+    bx, by = restrict(x, b), restrict(y, b)
+    assert bx is not by and bx == by and hash(bx) == hash(by)
+    assessment = Assessment.build(space, [(bx, F(1, 3), F(2, 3))])
+    assert assessment.entry_for(by) is assessment.entries[0]
+    assert by in assessment and assessment.lower(by) == F(1, 3)
+    assert restrict(x, space.omega()) not in assessment
+    # the hash is kept once made; copies and pickles still agree
+    for cv in (bx, restrict(y, b)):
+        for again in (copy.copy(cv), copy.deepcopy(cv), pickle.loads(pickle.dumps(cv))):
+            assert again == cv and hash(again) == hash(cv) == hash(bx)
+            assert assessment.entry_for(again) is assessment.entries[0]
+
+
+def test_a_pickled_restriction_hashes_afresh_in_another_process(space):
+    # a string hashes differently in another process, so a hash made
+    # here must not travel with the pickle
+    cv = restrict(space.variable({"a": 1, "b": F(1, 2), "c": 5}), space.event(["a", "c"]))
+    hash(cv)
+    script = (
+        "import pickle, sys\n"
+        "from fractions import Fraction\n"
+        "from previsio.model import PossibilitySpace, restrict\n"
+        "cv = pickle.loads(sys.stdin.buffer.read())\n"
+        "space = PossibilitySpace(('a', 'b', 'c'))\n"
+        "x = space.variable({'a': 1, 'b': Fraction(1, 2), 'c': 5})\n"
+        "fresh = restrict(x, space.event(['a', 'c']))\n"
+        "assert cv == fresh and hash(cv) == hash(fresh), 'hash travelled'\n"
+        "assert {fresh: 1}[cv] == 1\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "12345"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(cv), env=env, capture_output=True
+    )
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_restrict_to_sure_event_keeps_everything(space):
