@@ -20,23 +20,15 @@ event lies inside U to carry stake: a solution with eps > 0 cannot be
 faked by zero stakes, because any atom of U outside the true support
 would have gain 0 >= -eps.  The search starts from the union of all
 entries and shrinks it with the dual of each program that shows no
-violation (`_Search.run`); the exhaustive enumeration of unions is kept
-only as a test oracle.
-
-Chains are shared between single against-terms.  A dual p that shows no
-violation dominates every active entry; an entry j that p's zone touches
-for the first time had p.g_j = 0 at every earlier step, because earlier
-vectors charged nothing in B_j, and every region so far was the union of
-the active entries.  If also p.g_j = 0 now, the chain run so far is a
-complete shrinking chain for the combination (j,), which is closed
-without a program.  On a precise assessment the conjugate directions
-force p.g_j = 0 everywhere, so W-coherence costs what the dF check costs,
-the computational side of the reduction of W-coherence to de Finetti
-coherence on precise assessments.  Convexity shares too: its unit
-against-stake on k asks min_i p.g_i >= p.g_k, every earlier step of k's
-chain charged nothing in B_k, so p.g_k = 0 = p.g_j there, and the chain
-closes (j,) when p.g_j = p.g_k at the step that first touches B_j.
-Pairs of bi-coherence are never closed; that would need its own proof.
+violation (`_Search.shrink`), and `_Search.closes` checks such a chain
+on ints; the exhaustive enumeration of unions is kept only as a test
+oracle.  Chains are shared between single against-terms, under
+W-coherence and under convexity (`_Search.run`), so on a precise
+assessment, whose conjugate directions force p.g_j = 0 everywhere,
+W-coherence costs what the dF check costs: the computational side of
+the reduction of W-coherence to de Finetti coherence on precise
+assessments.  Pairs of bi-coherence are never closed; that would need
+its own proof.
 
 Walley's avoiding sure loss for a partition family runs the same search
 with no against-term.  A member of the family bet for on every cell is
@@ -84,20 +76,6 @@ from .model import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-NOTIONS = (
-    "df-precise-unconditional",
-    "df-precise-conditional",
-    "coherence-unconditional",
-    "w-coherence",
-    "aul",
-    "convex",
-    "centered-convex",
-    "bi-coherence",
-    "separate-coherence",
-    "walley-asl",
-)
-
-
 @dataclass(frozen=True)
 class Verdict:
     """The outcome of a check.  `lp_count` is the number of programs the
@@ -116,6 +94,9 @@ class Verdict:
 
 # a gain as its nonzero values by atom, ints over one positive int
 IntRow = tuple[dict[int, int], int]
+# a shrinking step: the int masses p by atom, p.g of each element it
+# dominates (see `_Search._dominates`), and the elements active there
+Step = tuple[dict[int, int], dict[int, int], list[int]]
 
 
 def _dual_masses(atoms: Sequence[int], outcome: Optimal) -> dict[int, int]:
@@ -195,9 +176,11 @@ class _Search:
     convex: bool = False
     trace: Trace = field(default_factory=Trace)
     int_rows: tuple[IntRow, ...] = field(init=False)  # each element's gain
+    events: tuple[frozenset[int], ...] = field(init=False)  # and its atoms
 
     def __post_init__(self) -> None:
         self.int_rows = tuple(el.row for el in self.elements)
+        self.events = tuple(el.members for el in self.elements)
 
     def gain_terms(
         self,
@@ -321,18 +304,95 @@ class _Search:
         ]
         return Bet(tuple(terms))
 
-    def run(self, combos: Sequence[tuple[int, ...]]) -> Bet | None:
-        """Iterative support shrinking, the direct algorithm of Walley,
-        Pelessoni & Vicig (J. Stat. Plan. Inference 126, 2004).
+    def _untouched(self, active: Sequence[int], zone: dict[int, int]) -> list[int]:
+        """The drop rule of a shrinking step: the elements of `active`
+        whose events miss the atoms `zone` charges."""
+        return [i for i in active if self.events[i].isdisjoint(zone)]
 
-        When the program over every active entry shows no violation, its
-        dual p dominates them (see `violation`).  Any violating sub-bet
-        has gain <= 0 on the whole region and < 0 on its own support,
-        so under p its expected gain would be negative unless its
-        support misses the atoms p charges; entries touching those
-        atoms are discarded and the search repeats, one program per
-        step.  If p charges an against-term's event, no bet staking that
-        term can win and the combination is done.
+    def shrink(
+        self,
+        active: Sequence[int],
+        combo: tuple[int, ...],
+        excluded: frozenset[int] = frozenset(),
+    ) -> tuple[
+        tuple[dict[int, Fraction], ...] | None,
+        list[Step],
+        tuple[list[int], frozenset[int]] | None,
+    ]:
+        """Iterative support shrinking, the direct algorithm of Walley,
+        Pelessoni & Vicig (J. Stat. Plan. Inference 126, 2004): the chain
+        of the against-terms `combo` from the elements `active`, which
+        hold them.
+
+        Each step solves `program` over the region, the union of the
+        events of the active elements and of `combo`, less `excluded`.
+        When it shows no violation, its dual p dominates every active
+        element (see `violation`).  Any violating sub-bet has gain <= 0
+        on the whole region and < 0 on its own support, so under p its
+        expected gain would be negative unless its support misses the
+        atoms p charges; the elements whose events meet them are dropped
+        (`_untouched`) and the search repeats, one program per step.  If
+        p charges an against-term's event, no bet staking that term can
+        win and the chain ends.  The active set empties only for the
+        empty combination: an against-term is dropped only by a p that
+        meets its event, and such a p ends the chain first.
+
+        Returns the violating for- and against-stakes of the step that
+        finds them, or None; the steps that found none, each as p, its
+        expectations (see `_dominates`) and the elements active there;
+        and what is left, the active elements and the last region, or
+        None when the chain ended on an against-term's event.  The chain also stops, with no stakes, once the region is
+        empty."""
+        combo_region = frozenset().union(*(self.events[k] for k in combo))
+        steps: list[Step] = []
+        while True:
+            region = combo_region.union(*(self.events[i] for i in active)) - excluded
+            if not region:
+                return None, steps, (active, region)
+            stakes, p, expects = self.violation(active, combo, region)
+            if stakes is not None:
+                return stakes, steps, (active, region)
+            steps.append((p, expects, active))
+            if not combo_region.isdisjoint(p):
+                return None, steps, None
+            kept = self._untouched(active, p)
+            if len(kept) == len(active):
+                raise AssertionError("internal error: support shrinking made no progress")
+            active = kept
+
+    def closes(
+        self,
+        chain: Sequence[dict[int, int]],
+        carriers: Sequence[int],
+        combo: tuple[int, ...],
+        against: Sequence[dict[int, int]] = (),
+        closing: frozenset[int] = frozenset(),
+    ) -> bool:
+        """Whether `chain`, each p int masses by atom, is a shrinking
+        chain (see `shrink`) that closes a combination: the elements
+        `carriers` staked for, the against-terms `combo`, and further
+        against-terms given by their int gains by atom, `against`, whose
+        events make up `closing`.  Checked on ints, with no program:
+        every p dominates the active elements (`_dominates`) and expects
+        a gain <= 0 from each of `against`; a p that charges an
+        against-term's event or `closing` closes the chain, and any other
+        drops the elements it touches.  A chain that ends before it
+        closes is rejected."""
+        closing = closing.union(*(self.events[k] for k in combo))
+        active = [i for i in carriers if i not in combo]
+        for p in chain:
+            if self._dominates(p, active, combo) is None or any(
+                _expects(p, row) > 0 for row in against
+            ):
+                return False
+            if not closing.isdisjoint(p):
+                return True
+            active = self._untouched(active, p)
+        return False
+
+    def run(self, combos: Sequence[tuple[int, ...]]) -> Bet | None:
+        """The first violating bet over the combinations `combos`, each
+        shrinking from every element (see `shrink`), or None.
 
         Chains are shared between single against-terms.  An active entry
         j untouched by every earlier zone has p.g_j = 0 at every earlier
@@ -363,39 +423,23 @@ class _Search:
         not closed runs its own chain from the full active set, and the
         order of combinations is kept, so the first violating one runs
         the same chain and finds the same witness as without sharing.
-
-        The active set empties only for the empty combination: an
-        against-term is dropped only by a zone that meets its event,
-        and such a zone ends the chain first.
         """
-        member_sets = [el.members for el in self.elements]
+        everything = list(range(len(self.elements)))
+        rows = self.int_rows
         closed: set[tuple[int, ...]] = set()
         for combo in combos:
             if combo in closed:
                 continue
-            combo_region = frozenset().union(*(member_sets[k] for k in combo))
-            active = list(range(len(self.elements)))
-            while active:
-                union = frozenset().union(*(member_sets[i] for i in active))
-                stakes, zone, expects = self.violation(
-                    active, combo, union | combo_region
-                )
-                if stakes is not None:
-                    return self._witness(*stakes)
-                # p.g_j = 0 proves (j,), or p.g_j = p.g_k under convexity
-                k = combo[0] if self.convex else None
-                level, d = (expects[k], self.int_rows[k][1]) if self.convex else (0, 1)
+            stakes, steps, _ = self.shrink(everything, combo)
+            if stakes is not None:
+                return self._witness(*stakes)
+            # p.g_j = 0 proves (j,), or p.g_j = p.g_k under convexity
+            for p, expects, active in steps:
+                level, d = (expects[combo[0]], rows[combo[0]][1]) if self.convex else (0, 1)
                 closed.update(
                     (j,) for j in active
-                    if expects[j] * d == level * self.int_rows[j][1]
-                    and not member_sets[j].isdisjoint(zone)
+                    if expects[j] * d == level * rows[j][1] and not self.events[j].isdisjoint(p)
                 )
-                if not combo_region.isdisjoint(zone):
-                    break
-                kept = [i for i in active if member_sets[i].isdisjoint(zone)]
-                if len(kept) == len(active):
-                    raise AssertionError("support shrinking made no progress")
-                active = kept
         return None
 
 
@@ -551,26 +595,6 @@ def _check_disjoint(cells: Sequence[Event]) -> None:
             raise InvalidPartition("cells must be nonempty")
 
 
-def subspace_reading(cell: Event, entries: Sequence[Entry]) -> Assessment:
-    """Read the X|B entries of one cell as an unconditional assessment
-    on the subspace of B's atoms."""
-    space = cell.space
-    sub = PossibilitySpace(tuple(space.atoms[i] for i in sorted(cell.members)))
-    out = []
-    for entry in entries:
-        rv = RandomVariable(sub, entry.variable.values)
-        out.append(Entry(rv.unconditional(), entry.lower, entry.upper))
-    return Assessment(sub, tuple(out))
-
-
-def _lift_subspace_witness(bet: Bet, cell: Event) -> Bet:
-    terms = []
-    for term in bet.terms:
-        lifted = ConditionalVariable(cell, term.variable.values)
-        terms.append(BetTerm(lifted, term.stake, term.side, term.price))
-    return Bet(tuple(terms))
-
-
 def merged_family(family: Sequence[tuple[Event, Assessment]]) -> Assessment:
     entries: list[Entry] = []
     space = family[0][0].space
@@ -583,8 +607,10 @@ def check_separate_coherence(
     family: Sequence[tuple[Event, Assessment]], *, trace: Trace | None = None
 ) -> Verdict:
     """Per-cell coherence: the cell's own indicator is priced 1, and the
-    remaining values form a coherent unconditional lower prevision on
-    the subspace of the cell."""
+    cell's entries, each conditioned on the cell, are W-coherent.  Their
+    programs are those of the same values read as an unconditional lower
+    prevision on the subspace of the cell: the rows are the cell's atoms
+    in the same order, the columns its entries."""
     if not family:
         raise EmptyAssessment("separate coherence needs at least one cell")
     cells = [cell for cell, _ in family]
@@ -614,14 +640,11 @@ def check_separate_coherence(
                     f"at {entry.lower}, not 1"
                 ),
             )
-        inner = check_coherence_unconditional(
-            subspace_reading(cell, assessment.entries), trace=trace
-        )
+        inner = check_w_coherence(assessment, trace=trace)
         if not inner.passed:
-            witness = _lift_subspace_witness(inner.witness, cell)
-            _verify_witness(witness, merged_family(family))
+            _verify_witness(inner.witness, merged_family(family))
             return _verdict(
-                "separate-coherence", trace, start, passed=False, witness=witness
+                "separate-coherence", trace, start, passed=False, witness=inner.witness
             )
     return _verdict("separate-coherence", trace, start, passed=True)
 

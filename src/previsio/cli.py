@@ -113,7 +113,6 @@ def _family_of(problem: Problem) -> list[tuple]:
 
 
 def _partition_family_of(problem: Problem) -> tuple[Assessment, PartitionFamily]:
-    omega = problem.space.omega()
     k_entries = []
     per_cell: dict = {}
     for entry in problem.assessment.entries:

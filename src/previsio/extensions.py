@@ -17,10 +17,11 @@ once per target and sign, as the payoff's ints on B (`_Payoff`): they
 are the program's right-hand sides on B, and both certificates below
 compare against them, so no atom's value is taken as a `Fraction`.
 The relaxation can only err upward when no active bet is strictly
-negative on R outside B, so the routine first asks
-`_Search.violation` for such a direction; while there is none, the
-entries its dual charges carry no winning bet and are dropped, as in
-the checkers, and if it charges k's event the combination adds nothing.
+negative on R outside B, so the routine first runs the checkers'
+shrinking chain, `_Search.shrink`, with B left out of every region:
+it stops at such a direction or once nothing is left outside B, and
+the program runs over the elements still active.  If the chain ends on
+k's event, the combination adds nothing.
 
 The natural extension LE(X|B), the least-committal coherent value, is
 the bound for Y = X with no other against-term (the target is itself
@@ -39,22 +40,20 @@ small l > 0 beats every price beyond the bound, however close
 
 At it: the extended assessment is W-coherent, as the envelope theorem
 and Williams (1975) say it must be, and the chains the bounds ran show
-it.  Let t be the new element, X|B at its price v.  A chain for a
-combination of the active elements and t is a list of vectors p >= 0
-on the atoms with p.g >= 0 for every active for-element and p.g <= 0
-for the against-term, t's gain being X - v on B.  A losing bet of the
-combination has gain G <= 0 everywhere and < 0 on its support, so
-p.G >= 0 forces its support to miss p's: every element whose event
-meets p's support stakes nothing and is dropped.  Once p's support
-meets the against-term's event, or B when t is bet for, that term
-stakes nothing either, and what is left is a bet of the base, which
-its own check covers.  `_closes` checks a chain on ints, recomputes
-every drop, and accepts only at such a step.  `_bound` returns its
-chain: the dual p of each shrinking step, which has no mass on B, then
-the bound program's row duals, q on B and r outside it.  The dual
-constraints of the stake, against and price columns give
-(q, r).g_i >= 0, (q, r).g_k <= 0 and sum q >= 1, and at the optimum
-q.(Y - bound) = 0.  So every combination with t in it is closed:
+it.  Let t be the new element, X|B at its price v.  A combination of
+the active elements and t is closed by a shrinking chain of the
+checkers (`_Search.closes`) whose every step also has
+p.(Y - value) <= 0 on B, that is p.(X - v) <= 0 when t is bet against
+and >= 0 when it is bet for, and which B ends as an against-term's
+event does.  Once a step charges the against-term's event, or B when t
+is bet for, that term stakes nothing either, and what is left is a bet
+of the base, which its own check covers.  `_closes` builds t's row and
+asks that verifier.  `_bound` returns its chain: the dual p of each
+shrinking step, which has no mass on B, then the bound program's row
+duals, q on B and r outside it.  The dual constraints of the stake,
+against and price columns give (q, r).g_i >= 0, (q, r).g_k <= 0 and
+sum q >= 1, and at the optimum q.(Y - bound) = 0.  So every
+combination with t in it is closed:
 
 - at LE, t against: LE's own chain, since q.(X - LE) = 0;
 - at LE, t for: (X - LE)1_B >= s*.g everywhere, by the certificate on
@@ -82,7 +81,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .checkers import _dual_masses, _expects, _Search, check_w_coherence, expanded_elements
+from .checkers import _dual_masses, _Search, check_w_coherence, expanded_elements
 from .errors import BaseNotCoherent, DomainNotClosed
 from .gains import FOR, LOWER
 from .lp import Constraint, LinearProgram, Trace, over_one_denominator
@@ -165,34 +164,20 @@ def _bound(
     the module docstring), over the elements `usable` (default: all),
     certified, and the chain that ran to it; None for the bound when
     no bet staking the against-term wins."""
-    members = [el.members for el in search.elements]
     b = payoff.target.cond.members
-    combo_region = frozenset().union(*(members[k] for k in combo))
-    active = list(range(len(members)) if usable is None else usable)
-    direction: Stakes = {}
-    chain: list[dict[int, int]] = []
-    while True:
-        outside = combo_region.union(*(members[i] for i in active)) - b
-        if not outside:
-            break
-        stakes, p, _ = search.violation(active, combo, outside)
-        if stakes is not None:
-            direction = _net(*stakes)
-            break
-        chain.append(p)
-        if not combo_region.isdisjoint(p):
-            return None, tuple(chain)
-        kept = [i for i in active if members[i].isdisjoint(p)]
-        if len(kept) == len(active):
-            raise AssertionError("internal error: support shrinking made no progress")
-        active = kept
-
+    active = list(range(len(search.elements)) if usable is None else usable)
+    stakes, steps, left = search.shrink(active, combo, b)
+    chain = [p for p, _, _ in steps]
+    if left is None:
+        return None, tuple(chain)
+    active, outside = left
     outcome = search.trace.solve(_bound_program(search, payoff, active, combo, outside))
     # bounded for a coherent base: an improving ray plus the direction
     # would be a losing bet
     xs = outcome.xs[:-1]
     net = _net(dict(zip(active, xs)), dict(zip(combo, xs[len(active):])))
     helpers = {i: Fraction(x, outcome.x_den) for i, x in net.items()}
+    direction = {} if stakes is None else _net(*stakes)
     # the program prices above the floor, which s = 0 attains
     bound = _Bound(outcome.value + payoff.floor, helpers, direction)
     if not _certified(search, payoff, bound):
@@ -278,33 +263,14 @@ def _closes(
     (default: all), the against-terms `combo` and t, a bet against
     Y|B at `value` for the payoff's Y = sign * X: X|B at the price
     sign * value, bet against when sign > 0 and for when sign < 0 (see
-    the module docstring).  Checked on ints, with no program: each p is
-    nonnegative, expects a gain >= 0 from every active for-element and
-    <= 0 from each against-term and from Y - value on B; a p whose
-    support meets B or an against-term's event closes the chain, and
-    any other drops the active elements whose events meet its
-    support."""
-    members = [el.members for el in search.elements]
-    b = payoff.target.cond.members
+    the module docstring).  t is one more against-term for
+    `_Search.closes`: its row Y - value on B, and B among the events
+    that close the chain."""
     # Y - value on B, times the payoff's denominator and that of value - floor
     price = value - payoff.floor
-    against = [search.int_rows[k][0] for k in combo]
-    against.append({
-        a: y * price.denominator - price.numerator * payoff.den for a, y in payoff.ints.items()
-    })
-    closing = b.union(*(members[k] for k in combo))
-    active = [i for i in (range(len(members)) if usable is None else usable) if i not in combo]
-    for p in chain:
-        if (
-            any(m < 0 for m in p.values())
-            or any(_expects(p, search.int_rows[i][0]) < 0 for i in active)
-            or any(_expects(p, row) > 0 for row in against)
-        ):
-            return False
-        if not closing.isdisjoint(p):
-            return True
-        active = [i for i in active if members[i].isdisjoint(p)]
-    return False
+    t = {a: y * price.denominator - price.numerator * payoff.den for a, y in payoff.ints.items()}
+    carriers = range(len(search.elements)) if usable is None else usable
+    return search.closes(chain, carriers, combo, [t], payoff.target.cond.members)
 
 
 def _named(search: _Search, stakes: Stakes) -> HelperStakes:

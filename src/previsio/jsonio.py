@@ -42,6 +42,14 @@ _ECHO = reprlib.Repr()
 _ECHO.maxstring = _ECHO.maxother = 60
 
 
+def _cut(text: str) -> str:
+    """`text` cut short in its middle, as `_ECHO` cuts a string."""
+    if len(text) <= _ECHO.maxstring:
+        return text
+    head = (_ECHO.maxstring - 3) // 2
+    return text[:head] + "..." + text[len(text) - (_ECHO.maxstring - 3 - head):]
+
+
 def parse_rational(raw: Any) -> Fraction:
     if isinstance(raw, str):
         form = _RATIONAL_FORM.match(raw.strip())
@@ -81,11 +89,11 @@ class Problem:
             return self.events[name]
         if name is None or name == "" or name == "Omega":
             return self.space.omega()
-        raise SchemaError(f"unknown event {name!r}")
+        raise SchemaError(f"unknown event {_ECHO.repr(name)}")
 
     def variable_named(self, name: str) -> RandomVariable:
         if name not in self.variables:
-            raise SchemaError(f"unknown variable {name!r}")
+            raise SchemaError(f"unknown variable {_ECHO.repr(name)}")
         return self.variables[name]
 
 
@@ -111,22 +119,22 @@ def load_problem(doc: Any) -> Problem:
             raise SchemaError(f'"{key}" must be an object of named entries')
     for name, mapping in (doc.get("variables") or {}).items():
         if not isinstance(mapping, dict):
-            raise SchemaError(f'variable {name!r} must map atoms to rationals')
+            raise SchemaError(f"variable {_ECHO.repr(name)} must map atoms to rationals")
         try:
             variables[name] = space.variable(
                 {a: parse_rational(v) for a, v in mapping.items()}
             )
         except (KeyError, ValueError) as exc:
-            raise SchemaError(f"variable {name!r}: {exc}") from exc
+            raise SchemaError(f"variable {_ECHO.repr(name)}: {_cut(str(exc))}") from exc
 
     events: dict[str, Event] = {}
     for name, listed in (doc.get("events") or {}).items():
         if not isinstance(listed, list):
-            raise SchemaError(f"event {name!r} must list atoms")
+            raise SchemaError(f"event {_ECHO.repr(name)} must list atoms")
         try:
             events[name] = space.event(listed)
         except KeyError as exc:
-            raise SchemaError(f"event {name!r}: {exc}") from exc
+            raise SchemaError(f"event {_ECHO.repr(name)}: {_cut(str(exc))}") from exc
         # events double as 0/1 variables when referenced by name
         if name not in variables:
             variables[name] = space.indicator(events[name])
@@ -153,8 +161,8 @@ def load_problem(doc: Any) -> Problem:
         # (BX = BY makes X|B and Y|B identical) must agree and collapse
         if priced.setdefault(cv, (lower, upper)) != (lower, upper):
             raise SchemaError(
-                f'conflicting values for {row["var"]!r} given '
-                f'{row.get("given") or "the sure event"!r}'
+                f'conflicting values for {_ECHO.repr(row["var"])} given '
+                f'{_ECHO.repr(row.get("given") or "the sure event")}'
             )
         names.setdefault(cv, (row["var"], row.get("given")))
     try:
@@ -179,13 +187,9 @@ def dump_bundle(bundle: ExampleBundle) -> dict:
     name_of_event = {}
     for name, event in bundle.events.items():
         name_of_event.setdefault(event, name)
-    name_of_var = {}
-    for name, var in bundle.variables.items():
-        name_of_var.setdefault(var, name)
     rows = []
     for entry in bundle.assessment.entries:
         cond = entry.variable.cond
-        filler = entry.variable.as_variable()
         var_name = None
         for name, var in bundle.variables.items():
             if restrict(var, cond) == entry.variable:

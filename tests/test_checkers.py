@@ -27,7 +27,6 @@ from previsio.checkers import (
     _Search,
     expanded_elements,
     merged_family,
-    subspace_reading,
 )
 from previsio.conglomerability import definetti_example, walley_666_example
 from previsio.envelopes import convex_envelope, lower_envelope
@@ -698,9 +697,7 @@ def test_nested_checks_count_what_their_inner_checks_count_alone(monkeypatch):
         family = _random_separate_family(rng)
         inner = []
         for cell, assessment in family:
-            inner.append(
-                check_coherence_unconditional(subspace_reading(cell, assessment.entries))
-            )
+            inner.append(check_w_coherence(assessment))
             if not inner[-1].passed:
                 break
         verdict = check_separate_coherence(family)
@@ -921,3 +918,36 @@ def test_dominating_vector_is_checked_exactly():
     convex = _Search(search.elements, convex=True)
     assert convex._dominates({0: 1, 1: 0}, [0], (1,))  # 1 >= -1
     assert not convex._dominates({0: 0, 1: 1}, [0], (1,))  # -1 < 1
+
+
+def test_the_chain_verifier_accepts_the_checkers_own_chains(monkeypatch):
+    # every chain a check runs for one against-term of W-coherence, or
+    # for a term of convexity, that ends on the term's event closes that
+    # term; cut short, or with one mass made negative, it does not
+    chains = []
+    shrink = _Search.shrink
+
+    def spy(search, active, combo, excluded=frozenset()):
+        stakes, steps, left = shrink(search, active, combo, excluded)
+        if combo and left is None:
+            chains.append((search, combo, [p for p, _, _ in steps]))
+        return stakes, steps, left
+
+    monkeypatch.setattr(_Search, "shrink", spy)
+    rng = random.Random(3)
+    for i in range(400):
+        space = random_space(rng, 3, 6)
+        make = random_precise_assessment if i % 2 else random_coherent_assessment
+        assessment = make(rng, space, max_entries=5)
+        assert check_w_coherence(assessment).passed and check_convex(assessment).passed
+    assert len(chains) > 900
+    assert {search.convex for search, _, _ in chains} == {False, True}
+    for search, combo, chain in chains:
+        everything = range(len(search.elements))
+        assert search.closes(chain, everything, combo)
+        assert not search.closes(chain[:-1], everything, combo)
+        negative = [dict(p) for p in chain]
+        step = rng.randrange(len(chain))
+        atom = rng.choice(sorted(negative[step]))
+        negative[step][atom] = -negative[step][atom]
+        assert not search.closes(negative, everything, combo)

@@ -589,3 +589,25 @@ def test_a_long_rational_is_echoed_short(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("previsio: not an exact rational: '777")
     assert len(err) < 100
+
+
+LONG_NAME = "v" * 5000
+LONG_NAMED = {
+    "unknown-variable": {"assessments": [{"var": LONG_NAME, "lower": "0"}]},
+    "unknown-event": {"assessments": [{"var": "X", "given": LONG_NAME, "lower": "0"}]},
+    "unknown-atom": {
+        "events": {"E": ["a", LONG_NAME]},
+        "assessments": [{"var": "X", "lower": "0"}],
+    },
+}
+
+
+@pytest.mark.parametrize("extra", LONG_NAMED.values(), ids=LONG_NAMED.keys())
+def test_a_long_name_is_echoed_short(extra, tmp_path, capsys):
+    doc = {"atoms": ["a", "b"], "variables": {"X": {"a": "1", "b": "0"}}, **extra}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--notion", "aul", "-f", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("previsio: ") and "vvv...vvv" in err
+    assert len(err) < 200
