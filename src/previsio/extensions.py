@@ -66,9 +66,22 @@ combination with t in it is closed:
 - at LU, t against: the same reduction with the best bound's
   certificate, LU - X >= s*.g on B; its against-term, if any, takes
   t's place as the only one;
-- at LU, t for, with no against-term or a single k: that
-  combination's own chain, which ends on k's event or has
+- at LU, t for, with no against-term or a single k: a chain the
+  verifier accepts for it.  Its own chain ends on k's event or has
   q.(X - LU) = sum q (best - bound) >= 0.
+
+So the upper extension shares chains, as the checks do (Walley,
+Pelessoni & Vicig 2004).  It runs each (k,), then (), and solves no
+combination that a chain already run closes at the best bound so far.
+A closure is monotone in the bound: p >= 0 on B, so p.(Y - v) only
+falls as v rises, and a chain that closes a combination at the running
+best also closes it at LU, where every combination is checked again
+with its recorded chain.  () is dominated: the shrinking steps of a
+(k,) chain miss B_k, so p.g_k = 0 and each dominates with k for as
+well; its bound program holds k's column for and against, so
+(q, r).g_k = 0, and its last step charges B with q.(Y - v) <= 0 at
+every v at or above its bound.  So () is solved only when every (k,)
+chain ends on k's event.
 
 The base assessment is checked, and its search built, once per public
 call, and every program of the call is solved on one `lp.Trace`.
@@ -321,8 +334,9 @@ def _upper_extension(
 ) -> tuple[Fraction, HelperStakes]:
     """The largest lower value of the target that keeps the assessment
     coherent: the target's own lower element leaves the search, and an
-    assessed upper value stays in it.  The chain of every combination
-    shows that LU is coherent."""
+    assessed upper value stays in it.  A combination that a chain
+    already run closes at the best bound so far is not solved; every
+    combination is checked with its recorded chain at LU."""
     target.space._check(assessment.space)
     entry = assessment.entry_for(target)
     if entry is not None and entry.is_precise:
@@ -331,16 +345,29 @@ def _upper_extension(
         i for i, el in enumerate(search.elements)
         if el.terms != ((target, FOR, LOWER),)
     ]
-    combos = [()] + [(k,) for k in usable]
+    # () last: a (k,) chain that reaches its bound program closes it
+    combos = [(k,) for k in usable] + [()]
     payoff = _payoff(target, -1)
-    runs = [_bound(search, payoff, combo, usable) for combo in combos]
-    best = max((b for b, _ in runs if b is not None), key=lambda b: b.value)
+    best: _Bound | None = None
+    ran: list[Chain] = []
+    chains: list[Chain] = []
+    for combo in combos:
+        chain = None if best is None else next(
+            (c for c in ran if _closes(search, payoff, best.value, combo, c, usable)), None
+        )
+        if chain is None:
+            bound, chain = _bound(search, payoff, combo, usable)
+            ran.append(chain)
+            if bound is not None and (best is None or bound.value > best.value):
+                best = bound
+        chains.append(chain)
+    assert best is not None  # () has no against-term to end its chain
     value = -best.value
     if entry is not None and value < entry.lower:
         raise AssertionError("assessed lower value exceeds every coherent value")
     if not all(
         _closes(search, payoff, best.value, combo, chain, usable)
-        for combo, (_, chain) in zip(combos, runs)
+        for combo, chain in zip(combos, chains)
     ):
         raise AssertionError("upper extension is not a coherent value")
     return value, _named(search, best.helpers)

@@ -491,7 +491,7 @@ DEBUG_LP_SHA256 = {
     ("extend", "--target", "A"):
         "69a9f3d5d100470ac6abb602eee0a66214a0ceb5ca123cc4d29bd87b727b0f1d",
     ("extend", "--target", "A", "--given", "Brest"):
-        "765bd1068aec7372564151c248840c90cc5f6d5a4b2735a2cabde101f3e4fa3d",
+        "45649ad5afb4db54e9d700be4e77859281c7388fd1dccdafe5cecabefa541c81",
     ("check", "--notion", "walley-asl"):
         "2003269f4daabae628e98586a03290f1203b7476dc4c17bc51ec653757fd54b3",
 }

@@ -11,6 +11,7 @@ from conftest import (
     random_coherent_assessment,
     random_domain,
     random_event,
+    random_precise_assessment,
     random_space,
     random_variable,
 )
@@ -411,15 +412,19 @@ def test_every_bound_passes_its_certificate(monkeypatch):
 BEYOND = F(1, 10**9)
 
 
+def upper_combos(elements, target):
+    """The upper extension's combinations in the order it runs them:
+    each (k,) but the target's own lower element, then ()."""
+    own = ((target, FOR, LOWER),)
+    return [(k,) for k, el in enumerate(elements) if el.terms != own] + [()]
+
+
 def upper_runs(search, target):
     """The elements of the upper extension, its best bound, and each
-    combination with the chain its bound ran, as `_upper_extension`
-    computes them."""
-    usable = [
-        i for i, el in enumerate(search.elements)
-        if el.terms != ((target, FOR, LOWER),)
-    ]
-    combos = [()] + [(k,) for k in usable]
+    combination with the chain its bound ran, each run on its own, with
+    no sharing."""
+    combos = upper_combos(search.elements, target)
+    usable = [k for (k,) in combos[:-1]]
     upper = extensions._payoff(target, -1)
     runs = [extensions._bound(search, upper, c, usable) for c in combos]
     best = max(b.value for b, _ in runs if b is not None)
@@ -541,25 +546,138 @@ def test_an_element_no_step_has_touched_is_still_checked():
     assert not extensions._closes(search, lower, le.value, (), (chain[0], {2: 1, 0: 1}))
 
 
-def test_every_extension_checks_the_chain_of_every_combination(monkeypatch):
-    checked = []
-    closes = extensions._closes
+@pytest.fixture
+def extension_log(monkeypatch):
+    """Every `_bound` and `_closes` call of the extensions, in order:
+    ("bound", sign, combo, chain) and ("closes", sign, value, combo,
+    chain, accepted)."""
+    log = []
+    bound, closes = extensions._bound, extensions._closes
 
-    def spy(search, payoff, value, combo, chain, usable=None):
+    def bound_spy(search, payoff, combo, usable=None):
+        result = bound(search, payoff, combo, usable)
+        log.append(("bound", payoff.sign, combo, result[1]))
+        return result
+
+    def closes_spy(search, payoff, value, combo, chain, usable=None):
         ok = closes(search, payoff, value, combo, chain, usable)
-        checked.append((payoff.sign, value, combo, ok))
+        log.append(("closes", payoff.sign, value, combo, chain, ok))
         return ok
 
-    monkeypatch.setattr(extensions, "_closes", spy)
+    monkeypatch.setattr(extensions, "_bound", bound_spy)
+    monkeypatch.setattr(extensions, "_closes", closes_spy)
+    return log
+
+
+def test_every_extension_checks_the_chain_of_every_combination(extension_log):
     base, target = reproducer()
     result = extend(base, target)
-    assert checked == [(1, result.lower, (), True)] + [
-        (-1, -result.upper, combo, True) for combo in [(), (0,), (1,), (2,)]
-    ]
+    lu = -result.upper
+    own = {e[2]: e[3] for e in extension_log if e[0] == "bound"}
+    # (0,) and (1,) end on their own events; (2,) reaches LU, and its
+    # chain, tried after the two that fail, closes () at that value
+    assert [e[:4] if e[0] == "bound" else e[:4] + e[5:] for e in extension_log] == [
+        ("bound", 1, (), own[()]),
+        ("closes", 1, result.lower, (), True),
+        ("bound", -1, (0,), own[0,]),
+        ("bound", -1, (1,), own[1,]),
+        ("bound", -1, (2,), own[2,]),
+        ("closes", -1, lu, (), False),
+        ("closes", -1, lu, (), False),
+        ("closes", -1, lu, (), True),
+    ] + [("closes", -1, lu, c, True) for c in [(0,), (1,), (2,), ()]]
+    assert [e[4] for e in extension_log[-4:]] == [own[0,], own[1,], own[2,], own[2,]]
     # an assessed target's LE is its assessed value: nothing to check
-    checked.clear()
+    extension_log.clear()
     assert natural_extension(base, base.entries[0].variable) == base.entries[0].lower
-    assert checked == []
+    assert [e[0] for e in extension_log] == ["bound"]
+
+
+def sharing_cases(count):
+    """The seeded `extend` inputs of the sharing tests on 3-6 atoms:
+    W-coherent and precise bases, conditional or not, with a
+    conditional or unconditional target."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        space = random_space(rng, 3, 6)
+        draw = random_precise_assessment if seed % 3 == 2 else random_coherent_assessment
+        base = draw(rng, space=space, max_entries=4, conditional=bool(seed % 2))
+        yield base, random_domain(rng, space, 1, conditional=seed % 4 != 0)[0]
+
+
+def test_each_combination_is_solved_or_closed_by_an_earlier_chain(extension_log):
+    skipped = 0
+    for base, target in sharing_cases(300):
+        extension_log.clear()
+        result = extend(base, target)
+        upper = [e for e in extension_log if e[1] == -1]
+        if not upper:
+            continue  # a precise target keeps its value
+        combos = upper_combos(expanded_elements(base), target)
+        # the last checks verify every combination once, at LU
+        tail = upper[len(upper) - len(combos):]
+        assert [(e[2], e[3], e[5]) for e in tail] == [(-result.upper, c, True) for c in combos]
+        probes = upper[:len(upper) - len(combos)]
+        for combo in combos:
+            closed = [e for e in probes if e[0] == "closes" and e[3] == combo and e[5]]
+            solved = [e for e in probes if e[0] == "bound" and e[2] == combo]
+            # closed by an earlier chain, then never solved; or solved once
+            assert len(closed) + len(solved) == 1
+            skipped += len(closed)
+            if closed:
+                assert closed[0][4] in [e[3] for e in probes[:probes.index(closed[0])]
+                                        if e[0] == "bound"]
+    assert skipped > 600
+
+
+def test_extend_refusing_every_shared_chain_solves_every_combination(monkeypatch):
+    cases = list(sharing_cases(300))
+    shared = [extend(base, target) for base, target in cases]
+    owners = {}
+    bound, closes = extensions._bound, extensions._closes
+    solved = []
+
+    def owned(search, payoff, combo, usable=None):
+        result = bound(search, payoff, combo, usable)
+        owners[id(result[1])] = (combo, result[1])  # kept alive: no id reuse
+        solved.append(combo)
+        return result
+
+    def own_only(search, payoff, value, combo, chain, usable=None):
+        return owners[id(chain)][0] == combo and closes(search, payoff, value, combo, chain, usable)
+
+    monkeypatch.setattr(extensions, "_bound", owned)
+    monkeypatch.setattr(extensions, "_closes", own_only)
+    for (base, target), expected in zip(cases, shared):
+        solved.clear()
+        assert extend(base, target) == expected
+        entry = base.entry_for(target)
+        if entry is None or not entry.is_precise:
+            # LE's () and every combination of the upper extension
+            assert solved == [()] + upper_combos(expanded_elements(base), target)
+
+
+def test_upper_extension_is_the_largest_bound_of_every_combination(extension_log):
+    # the oracle runs each combination on its own, with no sharing
+    empty_run = 0
+    for base, target in [*sharing_cases(300), reproducer()]:
+        extension_log.clear()
+        lu = upper_extension(base, target)
+        entry = base.entry_for(target)
+        if entry is not None and entry.is_precise:
+            assert lu == entry.lower
+            continue
+        solved_empty = ("bound", -1, ()) in [e[:3] for e in extension_log]
+        search = _Search(expanded_elements(base))
+        combos = upper_combos(search.elements, target)
+        usable = [k for (k,) in combos[:-1]]
+        payoff = extensions._payoff(target, -1)
+        bounds = [extensions._bound(search, payoff, c, usable)[0] for c in combos]
+        assert lu == -max(b.value for b in bounds if b is not None)
+        # () is solved exactly when every (k,) chain ends on its own event
+        assert solved_empty == all(b is None for b in bounds[:-1])
+        empty_run += solved_empty
+    assert empty_run >= 40
 
 
 def test_extended_assessments_pass_the_w_coherence_oracle():
@@ -580,9 +698,10 @@ def test_extended_assessments_pass_the_w_coherence_oracle():
 
 def test_extension_programs_start_feasible(solved_programs):
     # the bound program prices from min_B Y, which zero stakes attain;
-    # the shrinking steps and the base check are checker programs
+    # the shrinking steps and the base check are checker programs.  20
+    # draws, as shared chains leave 142 programs in the first 12
     rng = random.Random(43)
-    for _ in range(12):
+    for _ in range(20):
         base = random_coherent_assessment(rng, space=random_space(rng, 3, 5))
         for conditional in (False, True):
             target = random_domain(rng, base.space, 1, conditional)[0]
@@ -692,13 +811,14 @@ def test_an_extension_solves_every_program_on_the_trace_it_is_given(monkeypatch)
 # programs solved for A from de Finetti (1, 2, n) with A's own entry
 # removed, read from one trace: natural_extension (the base check and
 # LE's bound, n + 2 programs) and then the oracle W-coherence check at
-# LE, in all `natural`; extend (the base check and both bounds, 3n + 5)
-# and then the oracle checks at LE and LU, in all `both`.
+# LE, in all `natural`; extend (the base check and both bounds, n + 3:
+# the upper bound's first chain closes every other combination) and
+# then the oracle checks at LE and LU, in all `both`.
 # Deterministic, so a change here is a change of algorithm
 PINNED_EXTENSIONS = pytest.mark.parametrize(
     "n,natural,both",
-    [(4, 11, 27), (5, 13, 32), (6, 15, 37), (7, 17, 42), (8, 19, 47),
-     (9, 21, 52), (10, 23, 57)],
+    [(4, 11, 17), (5, 13, 20), (6, 15, 23), (7, 17, 26), (8, 19, 29),
+     (9, 21, 32), (10, 23, 35)],
 )
 
 
@@ -718,10 +838,34 @@ def test_extension_lp_counts_are_pinned(n, natural, both):
     trace = lp.Trace()
     result = extend(base, target, trace=trace)
     assert (result.lower, result.upper) == (F(1, 3), F(1))
-    assert trace.solves == 3 * n + 5
+    assert trace.solves == n + 3
     for value in (result.lower, result.upper):
         assert check_w_coherence(with_lower(base, target, value), trace=trace).passed
     assert trace.solves == both
+
+
+def scale_recipe(atoms, entries):
+    """The scale recipe's input and `extend` target at atoms x entries:
+    from rng 1, a conditional envelope of three members, drawn until it
+    has at least 3/4 of `entries`, and a conditional target."""
+    rng = random.Random(1)
+    space = PossibilitySpace(tuple(f"w{i}" for i in range(atoms)))
+    while True:
+        base = random_coherent_assessment(rng, space, max_entries=entries, members=3)
+        if 4 * len(base.entries) >= 3 * entries:
+            return base, random_domain(rng, space, 1)[0]
+
+
+def test_extend_program_count_is_pinned_on_the_scale_recipe():
+    # 14 entries, all lower: the base check takes 5 programs and LE's
+    # bound 2; the upper extension solves 6 of its 15 combinations, 2
+    # programs each (37 programs in all when each was solved).
+    # Deterministic, like the counts above
+    base, target = scale_recipe(8, 15)
+    assert len(base.entries) == 14
+    trace = lp.Trace()
+    extend(base, target, trace=trace)
+    assert trace.solves == 19
 
 
 def test_conjugacy_observation_on_corpus(product_rule_base):
