@@ -376,10 +376,14 @@ class _Search:
         every p dominates the active elements (`_dominates`) and expects
         a gain <= 0 from each of `against`; a p that charges an
         against-term's event or `closing` closes the chain, and any other
-        drops the elements it touches.  A chain that ends before it
-        closes is rejected."""
+        drops the elements it touches.  With no against-term at all, a
+        p whose drops empty the active set closes it: a losing bet of
+        active elements has gain < 0 on its support U and 0 off it, so a
+        p that dominates them charges nothing in U and they all stay
+        active.  A chain that ends before it closes is rejected."""
         closing = closing.union(*(self.events[k] for k in combo))
         active = [i for i in carriers if i not in combo]
+        empties = not combo and not against
         for p in chain:
             if self._dominates(p, active, combo) is None or any(
                 _expects(p, row) > 0 for row in against
@@ -388,11 +392,19 @@ class _Search:
             if not closing.isdisjoint(p):
                 return True
             active = self._untouched(active, p)
+            if empties and not active:
+                return True
         return False
 
-    def run(self, combos: Sequence[tuple[int, ...]]) -> Bet | None:
+    def run(
+        self,
+        combos: Sequence[tuple[int, ...]],
+        given: Sequence[Sequence[dict[int, int]]] = (),
+    ) -> Bet | None:
         """The first violating bet over the combinations `combos`, each
-        shrinking from every element (see `shrink`), or None.
+        shrinking from every element (see `shrink`), or None.  A
+        combination that one of the chains `given` closes, with every
+        element a carrier (`closes`), is not run.
 
         Chains are shared between single against-terms.  An active entry
         j untouched by every earlier zone has p.g_j = 0 at every earlier
@@ -428,7 +440,7 @@ class _Search:
         rows = self.int_rows
         closed: set[tuple[int, ...]] = set()
         for combo in combos:
-            if combo in closed:
+            if combo in closed or given and any(self.closes(c, everything, combo) for c in given):
                 continue
             stakes, steps, _ = self.shrink(everything, combo)
             if stakes is not None:

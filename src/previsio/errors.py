@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .gains import Bet
+
 
 class PrevisioError(Exception):
     """Base class for all errors raised by this package."""
@@ -52,7 +57,12 @@ class MalformedFamily(PrevisioError):
 
 
 class BaseNotCoherent(PrevisioError):
-    """An extension was requested from a base assessment that is not W-coherent."""
+    """An extension was requested from a base assessment that is not
+    W-coherent.  `witness` is a losing bet of the base."""
+
+    def __init__(self, message: str, witness: Bet | None = None) -> None:
+        super().__init__(message)
+        self.witness = witness
 
 
 class MalformedProgram(PrevisioError):

@@ -47,7 +47,7 @@ p.(Y - value) <= 0 on B, that is p.(X - v) <= 0 when t is bet against
 and >= 0 when it is bet for, and which B ends as an against-term's
 event does.  Once a step charges the against-term's event, or B when t
 is bet for, that term stakes nothing either, and what is left is a bet
-of the base, which its own check covers.  `_closes` builds t's row and
+of the base, which its certification covers.  `_closes` builds t's row and
 asks that verifier.  `_bound` returns its chain: the dual p of each
 shrinking step, which has no mass on B, then the bound program's row
 duals, q on B and r outside it.  The dual constraints of the stake,
@@ -62,7 +62,7 @@ combination with t in it is closed:
   with s_t (X - LE)1_B replaced by s_t (s* + l s').g for a small l > 0,
   and on the atoms this adds, which lie off B where s*.g <= 0 and
   s'.g < 0.  That is a bet of the base, with stakes s + s_t (s* + l s')
-  and the same against-term, which the base check rules out;
+  and the same against-term, which the base's certification rules out;
 - at LU, t against: the same reduction with the best bound's
   certificate, LU - X >= s*.g on B; its against-term, if any, takes
   t's place as the only one;
@@ -76,15 +76,50 @@ combination that a chain already run closes at the best bound so far.
 A closure is monotone in the bound: p >= 0 on B, so p.(Y - v) only
 falls as v rises, and a chain that closes a combination at the running
 best also closes it at LU, where every combination is checked again
-with its recorded chain.  () is dominated: the shrinking steps of a
+with its recorded chain, unless its probe was made at LU; no chain is
+probed twice.  () is dominated: the shrinking steps of a
 (k,) chain miss B_k, so p.g_k = 0 and each dominates with k for as
 well; its bound program holds k's column for and against, so
 (q, r).g_k = 0, and its last step charges B with q.(Y - v) <= 0 at
 every v at or above its bound.  So () is solved only when every (k,)
 chain ends on k's event.
 
-The base assessment is checked, and its search built, once per public
-call, and every program of the call is solved on one `lp.Trace`.
+The base is certified once per public call, by the chains its bounds
+ran (`_certify`), and not checked before them.  Its search is built
+once, and every program of the call is solved on one `lp.Trace`.
+
+- A bound's chain is a chain of the base.  Each shrinking step's p has
+  no mass on B, as B is left out of every region, and it dominates the
+  active elements with k against, as a step of the base's own chain
+  would: dominance reads only the atoms p charges.  The last vector
+  (q, r) meets the same dual constraints, (q, r).g_i >= 0 for the
+  active elements and (q, r).g_k <= 0.  So the base's run
+  (`_Search.run`) skips each combination of at most one against-term
+  that one of these chains closes with every element a carrier, as
+  `_Search.closes` checks it on ints, and runs the chain of each other
+  one, as the check of the base would.  A violated combination is
+  closed by no chain, and the order of the combinations is kept, so an
+  incoherent base gives the check's own witness.
+- An unbounded bound is a losing bet of the base.  Its program has an
+  improving ray: stakes s >= 0 on the active elements and k, with a
+  price rise a > 0 and a + G_s <= 0 on B, G_s <= 0 on R outside B; so
+  G_s < 0 on B.  The last shrinking step left a direction s' with
+  G_s' < 0 on R outside B, or R lies in B.  For a small l > 0,
+  s + l s' is then negative on B and on R outside B, which hold the
+  events of all its terms, and it bets against k alone: a losing bet
+  of W-coherence.  So `lp.Unbounded` from a bound makes the call
+  certify the base, which finds a witness; a base certified after it
+  is an internal error.
+- The order is bounds, certification, then the comparison of an
+  assessed target with its bounds.  A bound, its certificate and its
+  chain rest only on its program's primal and dual, coherent base or
+  not, and the certification needs the chains.  But an assessed lower
+  value is the natural extension, and at most the upper extension,
+  only over a coherent base; over an incoherent one either comparison
+  can fail, and made first it would report an internal error where
+  the base must be refused.  `natural_extension_prevision` certifies
+  before any target is known, with no chains, so it solves what the
+  check of the base solves.
 """
 
 from __future__ import annotations
@@ -94,13 +129,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .checkers import _dual_masses, _Search, check_w_coherence, expanded_elements
+from .checkers import (
+    _dual_masses,
+    _Search,
+    _single_against,
+    _verify_witness,
+    expanded_elements,
+)
 from .errors import BaseNotCoherent, DomainNotClosed
 from .gains import FOR, LOWER
-from .lp import Constraint, LinearProgram, Trace, over_one_denominator
+from .lp import Constraint, LinearProgram, Trace, Unbounded, over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
+    Entry,
     Event,
     RandomVariable,
     restrict,
@@ -111,6 +153,8 @@ _ONE = Fraction(1)
 
 
 HelperStakes = tuple[tuple[ConditionalVariable, Fraction], ...]
+# an extension's value and its helpers
+Extension = tuple[Fraction, HelperStakes]
 # element index -> stake; a negative stake bets against the element
 Stakes = dict[int, Fraction]
 # the vectors p of a shrinking chain, each its nonzero masses by atom
@@ -298,47 +342,45 @@ def _named(search: _Search, stakes: Stakes) -> HelperStakes:
     return tuple(named)
 
 
-def _search(assessment: Assessment, trace: Trace | None) -> _Search:
-    """The search over the assessment's elements on `trace` (default: a
-    fresh one), built once the base is checked on it; every bound of
-    every target shares it."""
-    trace = trace or Trace()
+def _certify(assessment: Assessment, search: _Search, chains: Sequence[Chain]) -> None:
+    """Certify that the base is W-coherent: every combination of at most
+    one against-term is closed by one of `chains` or runs its own chain
+    (`_Search.run`).  Otherwise raise `BaseNotCoherent` with the losing
+    bet that run found, verified through `gains`."""
     # the empty assessment is vacuously coherent
-    if assessment.entries and not check_w_coherence(assessment, trace=trace).passed:
-        raise BaseNotCoherent("the base assessment is not W-coherent")
-    return _Search(expanded_elements(assessment), trace=trace)
+    if not assessment.entries:
+        return
+    witness = search.run(_single_against(len(search.elements)), given=chains)
+    if witness is not None:
+        _verify_witness(witness, assessment)
+        raise BaseNotCoherent("the base assessment is not W-coherent", witness)
 
 
 def _lower_extension(
-    assessment: Assessment, search: _Search, target: ConditionalVariable
-) -> tuple[Fraction, HelperStakes]:
-    """LE and its helpers.  An assessed target keeps its assessed value;
-    for a new one, the bound's own chain shows that LE is coherent."""
-    target.space._check(assessment.space)
+    search: _Search, target: ConditionalVariable, entry: Entry | None, chains: list[Chain]
+) -> Extension:
+    """LE and its helpers; its chain joins `chains`.  For a new target
+    the bound's own chain shows that LE is coherent; an assessed one is
+    checked against its assessed value once the base is certified."""
     payoff = _payoff(target, 1)
     bound, chain = _bound(search, payoff, ())
     assert bound is not None  # only an against-term can end a chain
-    entry = assessment.entry_for(target)
-    if entry is not None and bound.value != entry.lower:
-        raise AssertionError(
-            "natural extension of an assessed variable must return "
-            "its assessed value"
-        )
+    chains.append(chain)
     if entry is None and not _closes(search, payoff, bound.value, (), chain):
         raise AssertionError("natural extension is not a coherent value")
     return bound.value, _named(search, bound.helpers)
 
 
 def _upper_extension(
-    assessment: Assessment, search: _Search, target: ConditionalVariable
-) -> tuple[Fraction, HelperStakes]:
+    search: _Search, target: ConditionalVariable, entry: Entry | None, chains: list[Chain]
+) -> Extension:
     """The largest lower value of the target that keeps the assessment
     coherent: the target's own lower element leaves the search, and an
     assessed upper value stays in it.  A combination that a chain
-    already run closes at the best bound so far is not solved; every
-    combination is checked with its recorded chain at LU."""
-    target.space._check(assessment.space)
-    entry = assessment.entry_for(target)
+    already run closes at the best bound so far is not solved, and no
+    chain is probed twice.  Every combination is closed at LU by a chain
+    the verifier accepted at LU: its probe, when that was made at LU,
+    else a check after the loop.  The chains run join `chains`."""
     if entry is not None and entry.is_precise:
         return entry.lower, ()
     usable = [
@@ -350,27 +392,73 @@ def _upper_extension(
     payoff = _payoff(target, -1)
     best: _Bound | None = None
     ran: list[Chain] = []
-    chains: list[Chain] = []
+    # each combination's chain, and the bound at which a probe accepted it
+    proofs: list[tuple[Chain, Fraction | None]] = []
     for combo in combos:
         chain = None if best is None else next(
             (c for c in ran if _closes(search, payoff, best.value, combo, c, usable)), None
         )
-        if chain is None:
-            bound, chain = _bound(search, payoff, combo, usable)
+        if chain is not None:
+            proofs.append((chain, best.value))
+            continue
+        bound, chain = _bound(search, payoff, combo, usable)
+        if chain not in ran:
             ran.append(chain)
-            if bound is not None and (best is None or bound.value > best.value):
-                best = bound
-        chains.append(chain)
+            chains.append(chain)
+        if bound is not None and (best is None or bound.value > best.value):
+            best = bound
+        proofs.append((chain, None))
     assert best is not None  # () has no against-term to end its chain
-    value = -best.value
-    if entry is not None and value < entry.lower:
-        raise AssertionError("assessed lower value exceeds every coherent value")
     if not all(
-        _closes(search, payoff, best.value, combo, chain, usable)
-        for combo, chain in zip(combos, chains)
+        at == best.value or _closes(search, payoff, best.value, combo, chain, usable)
+        for combo, (chain, at) in zip(combos, proofs)
     ):
         raise AssertionError("upper extension is not a coherent value")
-    return value, _named(search, best.helpers)
+    return -best.value, _named(search, best.helpers)
+
+
+def _extensions(
+    assessment: Assessment,
+    search: _Search,
+    target: ConditionalVariable,
+    *,
+    lower: bool = True,
+    upper: bool = True,
+    certified: bool = False,
+) -> tuple[Extension | None, Extension | None]:
+    """The natural and upper extensions of the target that are asked
+    for, each with its helpers, in this order (see the module
+    docstring): the bounds, where an unbounded one shows that the base
+    is not coherent; the base's certification with their chains, unless
+    it is `certified` already; and then the comparison of an assessed
+    target's values with them, which assumes a coherent base."""
+    target.space._check(assessment.space)
+    entry = assessment.entry_for(target)
+    chains: list[Chain] = []
+    try:
+        le = _lower_extension(search, target, entry, chains) if lower else None
+        lu = _upper_extension(search, target, entry, chains) if upper else None
+    except Unbounded:
+        _certify(assessment, search, chains)
+        raise AssertionError(
+            "internal error: an extension bound is unbounded over a W-coherent base"
+        ) from None
+    if not certified:
+        _certify(assessment, search, chains)
+    if entry is not None and le is not None and le[0] != entry.lower:
+        raise AssertionError(
+            "natural extension of an assessed variable must return its assessed value"
+        )
+    if entry is not None and lu is not None and lu[0] < entry.lower:
+        raise AssertionError("assessed lower value exceeds every coherent value")
+    return le, lu
+
+
+def _search(assessment: Assessment, trace: Trace | None) -> _Search:
+    """The search over the assessment's elements on `trace` (default: a
+    fresh one); every bound of every target and the base's
+    certification share it."""
+    return _Search(expanded_elements(assessment), trace=trace or Trace())
 
 
 def natural_extension(
@@ -379,7 +467,7 @@ def natural_extension(
     """Least-committal W-coherent value for the target, exact and
     certified on both sides."""
     search = _search(assessment, trace)
-    return _lower_extension(assessment, search, target)[0]
+    return _extensions(assessment, search, target, upper=False)[0][0]
 
 
 def upper_extension(
@@ -388,15 +476,14 @@ def upper_extension(
     """Largest coherent value for the target, exact and certified on
     both sides."""
     search = _search(assessment, trace)
-    return _upper_extension(assessment, search, target)[0]
+    return _extensions(assessment, search, target, lower=False)[1][0]
 
 
 def extend(
     assessment: Assessment, target: ConditionalVariable, *, trace: Trace | None = None
 ) -> ExtensionResult:
     search = _search(assessment, trace)
-    lower, lower_helpers = _lower_extension(assessment, search, target)
-    upper, upper_helpers = _upper_extension(assessment, search, target)
+    (lower, lower_helpers), (upper, upper_helpers) = _extensions(assessment, search, target)
     return ExtensionResult(target, lower, upper, lower_helpers, upper_helpers)
 
 
@@ -443,15 +530,18 @@ def natural_extension_prevision(
     assessment: Assessment, *, trace: Trace | None = None
 ) -> PrevisionSource:
     """A memoised view of the natural extension as a total prevision.
-    The base is checked and its search built once, here, and every
-    lookup solves on that search's trace; each value carries its
-    certificate."""
+    The base is certified and its search built once, here, before any
+    target is known, so with no chains; every lookup solves on that
+    search's trace, and each value carries its certificate."""
     search = _search(assessment, trace)
+    _certify(assessment, search, ())
     cache: dict[ConditionalVariable, Fraction] = {}
 
     def lookup(cv: ConditionalVariable) -> Fraction:
         if cv not in cache:
-            cache[cv] = _lower_extension(assessment, search, cv)[0]
+            cache[cv] = _extensions(
+                assessment, search, cv, upper=False, certified=True
+            )[0][0]
         return cache[cv]
 
     return lookup

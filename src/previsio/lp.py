@@ -15,8 +15,10 @@ is made only when a result is read out.
 
 The optimal point is checked against every row before it is returned.
 Its row duals are not re-verified here; a caller that relies on them
-checks what it uses.  Each program previsio builds bounds its
-objective, so an unbounded one is an internal error.
+checks what it uses.  An unbounded program raises :class:`Unbounded`,
+an `AssertionError`: a stake program bounds its objective, and an
+extension bound does so over a W-coherent base, so only the extensions
+read it, as a sign that their base is not coherent.
 
 Each :class:`Constraint` is stored once, in ints: the (column, int)
 pairs of its nonzero coefficients and an int rhs, over one positive
@@ -124,6 +126,10 @@ def satisfies(lp: LinearProgram, xs: Sequence[int], den: int) -> bool:
     )
 
 
+class Unbounded(AssertionError):
+    """The program's objective has no upper bound on its rows."""
+
+
 @dataclass(frozen=True)
 class Optimal:
     """An optimal point xs / x_den and its value.  ys / y_den holds one
@@ -216,7 +222,7 @@ def solve(lp: LinearProgram) -> Optimal:
                 if leave < 0 or lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave, best_rhs, best_a = r, arow[-1], a
         if leave < 0:
-            raise AssertionError("internal error: an unbounded program")
+            raise Unbounded("internal error: an unbounded program")
         pivots += 1
         prow = rows[leave]
         q = prow[enter]

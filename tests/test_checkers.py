@@ -951,3 +951,35 @@ def test_the_chain_verifier_accepts_the_checkers_own_chains(monkeypatch):
         atom = rng.choice(sorted(negative[step]))
         negative[step][atom] = -negative[step][atom]
         assert not search.closes(negative, everything, combo)
+
+
+def test_a_chain_closes_the_empty_combination_once_nothing_is_active():
+    # with no against-term, a chain closes () once its drops leave no
+    # element active: what `shrink(everything, ())` runs on a passing
+    # check; cut short, with a negative mass, or with an against row
+    # that every p expects to lose on, it does not
+    rng = random.Random(5)
+    chains = longer = 0
+    for i in range(300):
+        space = random_space(rng, 3, 6)
+        make = (random_coherent_assessment, random_precise_assessment, random_arbitrary_assessment)[i % 3]
+        assessment = make(rng, space, max_entries=5)
+        if not check_aul(assessment).passed:
+            continue
+        search = _Search(expanded_elements(assessment))
+        everything = range(len(search.elements))
+        stakes, steps, (active, _) = search.shrink(everything, ())
+        assert stakes is None and not active
+        chain = [p for p, _, _ in steps]
+        assert search.closes(chain, everything, ())
+        assert not search.closes(chain[:-1], everything, ())
+        negative = [dict(p) for p in chain]
+        step = rng.randrange(len(chain))
+        atom = rng.choice(sorted(negative[step]))
+        negative[step][atom] = -negative[step][atom]
+        assert not search.closes(negative, everything, ())
+        losing = {a: -1 for a in range(space.size)}
+        assert not search.closes(chain, everything, (), [losing])
+        chains += 1
+        longer += len(chain) > 1
+    assert chains > 200 and longer > 50

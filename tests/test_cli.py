@@ -489,9 +489,9 @@ DEBUG_LP_SHA256 = {
     ("check", "--notion", "convex"):
         "c0431594cda41332c6495830b9199aad1a647d79ede4d6c145ff7ff01ca7f63a",
     ("extend", "--target", "A"):
-        "69a9f3d5d100470ac6abb602eee0a66214a0ceb5ca123cc4d29bd87b727b0f1d",
+        "7c0f7e59c6ea953a115a318627db67d3af74f0bf9175489340311ff48bb18d7a",
     ("extend", "--target", "A", "--given", "Brest"):
-        "45649ad5afb4db54e9d700be4e77859281c7388fd1dccdafe5cecabefa541c81",
+        "a6f685b98494d52d97200a91d5372b4c9d34f549d18fe096b080e88d4c984007",
     ("check", "--notion", "walley-asl"):
         "2003269f4daabae628e98586a03290f1203b7476dc4c17bc51ec653757fd54b3",
 }

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     bayes_value,
     positive_vector,
+    random_arbitrary_assessment,
     random_coherent_assessment,
     random_domain,
     random_event,
@@ -16,7 +17,7 @@ from conftest import (
     random_variable,
 )
 from enumeration_oracle import natural_extension_grid
-from previsio import extensions, lp
+from previsio import extensions, gains, lp
 from previsio.checkers import _Search, check_w_coherence, expanded_elements
 from previsio.envelopes import lower_envelope
 from previsio.errors import BaseNotCoherent, DomainNotClosed, SpaceMismatch
@@ -101,8 +102,62 @@ def test_extension_requires_coherent_base():
     space = PossibilitySpace(("a", "b"))
     x = space.variable({"a": 1, "b": 0})
     bad = Assessment.build(space, [(x.unconditional(), 2)])
-    with pytest.raises(BaseNotCoherent):
-        natural_extension(bad, restrict(x, space.event(["a"])))
+    target = restrict(x, space.event(["a"]))
+    calls = [
+        lambda: extend(bad, target),
+        lambda: natural_extension(bad, target),
+        lambda: upper_extension(bad, target),
+        lambda: natural_extension_prevision(bad),
+    ]
+    for call in calls:
+        with pytest.raises(BaseNotCoherent) as refused:
+            call()
+        # the refusal names a losing bet of the base: the check's own
+        assert gains.gain(refused.value.witness, bad).sup_on_conditioning() < 0
+        assert refused.value.witness == check_w_coherence(bad).witness
+
+
+def refusal_cases(count):
+    """Seeded arbitrary bases on 3-6 atoms, each with a fresh target and
+    one of its assessed variables."""
+    rng = random.Random(457)
+    for _ in range(count):
+        space = random_space(rng, 3, 6)
+        base = random_arbitrary_assessment(rng, space=space)
+        yield base, (random_domain(rng, space, 1)[0], rng.choice(base.entries).variable)
+
+
+def test_an_incoherent_base_is_refused_and_never_an_internal_error(monkeypatch):
+    # a bound over an incoherent base may be unbounded, and an assessed
+    # target's own checks may fail before the base is certified: either
+    # way the call refuses the base with a losing bet
+    solve, unbounded = lp.solve, []
+
+    def recording(program):
+        try:
+            return solve(program)
+        except lp.Unbounded:
+            unbounded.append(program)
+            raise
+
+    monkeypatch.setattr(lp, "solve", recording)
+    routes = {True: 0, False: 0}
+    for base, targets in refusal_cases(120):
+        verdict = check_w_coherence(base)
+        for target in targets:
+            for call in (extend, natural_extension, upper_extension):
+                if verdict.passed:
+                    call(base, target)
+                    continue
+                unbounded.clear()
+                with pytest.raises(BaseNotCoherent) as refused:
+                    call(base, target)
+                assert refused.value.witness == verdict.witness
+                assert gains.gain(verdict.witness, base).sup_on_conditioning() < 0
+                routes[bool(unbounded)] += 1
+    # both routes: an unbounded bound caught, and bounded bounds whose
+    # chains leave the base's certification to find the witness
+    assert routes[True] > 100 and routes[False] > 100
 
 
 def test_le_of_assessed_variables_is_the_assessed_value():
@@ -574,8 +629,11 @@ def test_every_extension_checks_the_chain_of_every_combination(extension_log):
     result = extend(base, target)
     lu = -result.upper
     own = {e[2]: e[3] for e in extension_log if e[0] == "bound"}
-    # (0,) and (1,) end on their own events; (2,) reaches LU, and its
-    # chain, tried after the two that fail, closes () at that value
+    # (0,) and (1,) end on their own events, with equal chains, so only
+    # (0,)'s is tried on (); (2,) reaches LU, and its chain closes () at
+    # that value.  That probe was made at LU, so () is not walked again:
+    # only the solved combinations are checked after the loop
+    assert own[0,] == own[1,]
     assert [e[:4] if e[0] == "bound" else e[:4] + e[5:] for e in extension_log] == [
         ("bound", 1, (), own[()]),
         ("closes", 1, result.lower, (), True),
@@ -583,10 +641,9 @@ def test_every_extension_checks_the_chain_of_every_combination(extension_log):
         ("bound", -1, (1,), own[1,]),
         ("bound", -1, (2,), own[2,]),
         ("closes", -1, lu, (), False),
-        ("closes", -1, lu, (), False),
         ("closes", -1, lu, (), True),
-    ] + [("closes", -1, lu, c, True) for c in [(0,), (1,), (2,), ()]]
-    assert [e[4] for e in extension_log[-4:]] == [own[0,], own[1,], own[2,], own[2,]]
+    ] + [("closes", -1, lu, c, True) for c in [(0,), (1,), (2,)]]
+    assert [e[4] for e in extension_log[-4:]] == [own[2,], own[0,], own[1,], own[2,]]
     # an assessed target's LE is its assessed value: nothing to check
     extension_log.clear()
     assert natural_extension(base, base.entries[0].variable) == base.entries[0].lower
@@ -605,29 +662,57 @@ def sharing_cases(count):
         yield base, random_domain(rng, space, 1, conditional=seed % 4 != 0)[0]
 
 
+def upper_loop(upper, combos):
+    """Split the upper extension's log into each combination's entries
+    in the loop, its probes and then its bound if it was solved, and the
+    checks after the loop."""
+    rest, per_combo = list(upper), []
+    for combo in combos:
+        taken = []
+        while rest and rest[0][0] == "closes" and rest[0][3] == combo:
+            taken.append(rest.pop(0))
+            if taken[-1][5]:
+                break
+        if not (taken and taken[-1][5]):
+            assert rest[0][:3] == ("bound", -1, combo)
+            taken.append(rest.pop(0))
+        per_combo.append(taken)
+    return per_combo, rest
+
+
 def test_each_combination_is_solved_or_closed_by_an_earlier_chain(extension_log):
-    skipped = 0
+    skipped = at_lu = 0
     for base, target in sharing_cases(300):
         extension_log.clear()
         result = extend(base, target)
         upper = [e for e in extension_log if e[1] == -1]
         if not upper:
             continue  # a precise target keeps its value
+        lu = -result.upper
         combos = upper_combos(expanded_elements(base), target)
-        # the last checks verify every combination once, at LU
-        tail = upper[len(upper) - len(combos):]
-        assert [(e[2], e[3], e[5]) for e in tail] == [(-result.upper, c, True) for c in combos]
-        probes = upper[:len(upper) - len(combos)]
-        for combo in combos:
-            closed = [e for e in probes if e[0] == "closes" and e[3] == combo and e[5]]
-            solved = [e for e in probes if e[0] == "bound" and e[2] == combo]
-            # closed by an earlier chain, then never solved; or solved once
-            assert len(closed) + len(solved) == 1
-            skipped += len(closed)
-            if closed:
-                assert closed[0][4] in [e[3] for e in probes[:probes.index(closed[0])]
-                                        if e[0] == "bound"]
-    assert skipped > 600
+        per_combo, tail = upper_loop(upper, combos)
+        ran = [e[3] for e in upper if e[0] == "bound"]
+        expected_tail = []
+        for combo, taken in zip(combos, per_combo):
+            probes = [e for e in taken if e[0] == "closes"]
+            # no chain is probed twice, and only chains already run are
+            probed = [e[4] for e in probes]
+            assert all(c in ran for c in probed)
+            assert len(probed) == len({repr(c) for c in probed})
+            if taken[-1][0] == "bound":
+                # solved once, after every probe failed
+                assert not any(e[5] for e in probes)
+                expected_tail.append(("closes", -1, lu, combo, taken[-1][3], True))
+            else:
+                skipped += 1
+                if probes[-1][2] == lu:
+                    at_lu += 1
+                else:
+                    expected_tail.append(probes[-1][:2] + (lu,) + probes[-1][3:])
+        # every combination is closed at LU by a chain the verifier
+        # accepted at LU, once: in its probe or after the loop
+        assert tail == expected_tail
+    assert skipped > 600 and at_lu > 600
 
 
 def test_extend_refusing_every_shared_chain_solves_every_combination(monkeypatch):
@@ -698,10 +783,10 @@ def test_extended_assessments_pass_the_w_coherence_oracle():
 
 def test_extension_programs_start_feasible(solved_programs):
     # the bound program prices from min_B Y, which zero stakes attain;
-    # the shrinking steps and the base check are checker programs.  20
-    # draws, as shared chains leave 142 programs in the first 12
+    # the shrinking steps and the base's certification are checker
+    # programs.  25 draws, as the first 20 leave 200 programs
     rng = random.Random(43)
-    for _ in range(20):
+    for _ in range(25):
         base = random_coherent_assessment(rng, space=random_space(rng, 3, 5))
         for conditional in (False, True):
             target = random_domain(rng, base.space, 1, conditional)[0]
@@ -713,26 +798,51 @@ def test_extension_programs_start_feasible(solved_programs):
     assert all(isinstance(outcome, lp.Optimal) for _, outcome in solved_programs)
 
 
+class CountingRuns(_Search):
+    """A search that records the programs each `run` solves."""
+
+    runs: list = []
+
+    def run(self, combos, given=()):
+        start = self.trace.solves
+        witness = super().run(combos, given)
+        CountingRuns.runs.append(self.trace.solves - start)
+        return witness
+
+
 def test_the_base_is_checked_once_per_call(monkeypatch):
+    monkeypatch.setattr(extensions, "_Search", CountingRuns)
+    monkeypatch.setattr(CountingRuns, "runs", [])
     base, target = reproducer()
-    seen = []
-
-    def counting(assessment, *, trace=None):
-        seen.append(assessment)
-        return check_w_coherence(assessment, trace=trace)
-
-    monkeypatch.setattr(extensions, "check_w_coherence", counting)
     # the bounds are certified from their own chains: only the base is
-    # checked
+    # run, once
     for call in (extend, natural_extension, upper_extension):
-        seen.clear()
+        CountingRuns.runs.clear()
         call(base, target)
-        assert seen == [base]
-    seen.clear()
+        assert len(CountingRuns.runs) == 1
+    CountingRuns.runs.clear()
     source = natural_extension_prevision(base)
     source(target)
     source(restrict(target.as_variable().scale(2), target.cond))
-    assert seen == [base]
+    assert len(CountingRuns.runs) == 1
+    # over an unconditional base, the chains of an unconditional target's
+    # upper bounds close every combination of the base: a (k,) chain is
+    # its bound program's duals, with k for and against, so they expect
+    # 0 from g_k and charge B_k, and they dominate and touch every entry
+    rng = random.Random(449)
+    unassessed = 0
+    for _ in range(40):
+        space = random_space(rng, 3, 6)
+        base = random_coherent_assessment(rng, space=space, conditional=False)
+        target = random_domain(rng, space, 1, conditional=False)[0]
+        if base.entry_for(target) is not None:
+            continue
+        unassessed += 1
+        for call in (extend, upper_extension):
+            CountingRuns.runs.clear()
+            call(base, target)
+            assert CountingRuns.runs == [0]
+    assert unassessed > 30
 
 
 def test_the_search_is_built_once_per_extend(monkeypatch):
@@ -809,11 +919,12 @@ def test_an_extension_solves_every_program_on_the_trace_it_is_given(monkeypatch)
 
 
 # programs solved for A from de Finetti (1, 2, n) with A's own entry
-# removed, read from one trace: natural_extension (the base check and
-# LE's bound, n + 2 programs) and then the oracle W-coherence check at
-# LE, in all `natural`; extend (the base check and both bounds, n + 3:
-# the upper bound's first chain closes every other combination) and
-# then the oracle checks at LE and LU, in all `both`.
+# removed, read from one trace: natural_extension (LE's bound and the
+# base's certification, n + 2 programs) and then the oracle W-coherence
+# check at LE, in all `natural`; extend (both bounds and the base's
+# certification, n + 3: the upper bound's first chain closes every
+# other combination) and then the oracle checks at LE and LU, in all
+# `both`.
 # Deterministic, so a change here is a change of algorithm
 PINNED_EXTENSIONS = pytest.mark.parametrize(
     "n,natural,both",
@@ -857,15 +968,17 @@ def scale_recipe(atoms, entries):
 
 
 def test_extend_program_count_is_pinned_on_the_scale_recipe():
-    # 14 entries, all lower: the base check takes 5 programs and LE's
-    # bound 2; the upper extension solves 6 of its 15 combinations, 2
-    # programs each (37 programs in all when each was solved).
-    # Deterministic, like the counts above
+    # 14 entries, all lower: LE's bound takes 2 programs and the upper
+    # extension solves 6 of its 15 combinations, 2 programs each; the
+    # base's certification then runs what their chains leave open, 0 of
+    # its 15 combinations.  The check of the base alone takes 5 programs
+    # (19 in all when it ran first, 37 when each combination was also
+    # solved).  Deterministic, like the counts above
     base, target = scale_recipe(8, 15)
     assert len(base.entries) == 14
     trace = lp.Trace()
     extend(base, target, trace=trace)
-    assert trace.solves == 19
+    assert trace.solves == 14
 
 
 def test_conjugacy_observation_on_corpus(product_rule_base):

@@ -54,6 +54,14 @@ def test_simple_unbounded_raises():
         solve(LinearProgram(objective=(F(1), F(0)), constraints=(constraint([-1, 1], 2),)))
 
 
+def test_an_unbounded_program_raises_unbounded_an_assertion_error():
+    # the extensions read it as a sign that their base is not coherent;
+    # anywhere else it stays an internal error
+    assert issubclass(lp.Unbounded, AssertionError)
+    with pytest.raises(lp.Unbounded, match=_UNBOUNDED):
+        solve(LinearProgram(objective=(F(1), F(0)), constraints=(constraint([-1, 1], 2),)))
+
+
 def test_degenerate_program_terminates():
     out = solve(_beale())
     assert isinstance(out, Optimal)
