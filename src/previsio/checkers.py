@@ -20,15 +20,16 @@ event lies inside U to carry stake: a solution with eps > 0 cannot be
 faked by zero stakes, because any atom of U outside the true support
 would have gain 0 >= -eps.  The search starts from the union of all
 entries and shrinks it with the dual of each program that shows no
-violation (`_Search.shrink`), and `_Search.closes` checks such a chain
-on ints; the exhaustive enumeration of unions is kept only as a test
-oracle.  Chains are shared between single against-terms, under
-W-coherence and under convexity (`_Search.run`), so on a precise
-assessment, whose conjugate directions force p.g_j = 0 everywhere,
-W-coherence costs what the dF check costs: the computational side of
-the reduction of W-coherence to de Finetti coherence on precise
-assessments.  Pairs of bi-coherence are never closed; that would need
-its own proof.
+violation (`_Search.shrink`); the exhaustive enumeration of unions is
+kept only as a test oracle.  One walk on ints, `_Search.closed_by`,
+decides which combinations of against-terms a chain closes, in one
+pass: it checks every dual the search solves, once, and it lets a
+chain close the pending combinations it also rules out (`_Search.run`),
+under W-coherence and under convexity.  So on a precise assessment,
+whose conjugate directions force p.g_j = 0 everywhere, W-coherence
+costs what the dF check costs: the computational side of the reduction
+of W-coherence to de Finetti coherence on precise assessments.  A pair
+of bi-coherence is walked for itself alone.
 
 Walley's avoiding sure loss for a partition family runs the same search
 with no against-term.  A member of the family bet for on every cell is
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from . import gains
 from .errors import (
@@ -94,9 +95,6 @@ class Verdict:
 
 # a gain as its nonzero values by atom, ints over one positive int
 IntRow = tuple[dict[int, int], int]
-# a shrinking step: the int masses p by atom, p.g of each element it
-# dominates (see `_Search._dominates`), and the elements active there
-Step = tuple[dict[int, int], dict[int, int], list[int]]
 
 
 def _dual_masses(atoms: Sequence[int], outcome: Optimal) -> dict[int, int]:
@@ -248,52 +246,26 @@ class _Search:
         carriers: Sequence[int],
         combo: tuple[int, ...],
         region: frozenset[int],
-    ) -> tuple[tuple[dict[int, Fraction], ...] | None, dict[int, int], dict[int, int]]:
+    ) -> tuple[tuple[dict[int, Fraction], ...] | None, dict[int, int]]:
         """Solve `program`.  Returns the violating for- and against-stakes,
         by element, when eps > 0.
 
-        Otherwise eps = 0 is optimal, and the program's row multipliers
-        on the region atoms are a vector p under which no stake mix
-        expects a gain below zero.  The dual constraint of the eps column
-        gives sum p >= 1, and that of a stake column p.g_i >= 0, or
-        p.g_i >= p.g_k for the column g_i - g_k of convexity; that of an
-        against column gives p.g_k <= 0.  p is checked exactly, and
-        returned as its positive masses by atom (see `_dual_masses`), with
-        the expectation of every carrier and against-term (see
-        `_dominates`).
+        Otherwise eps = 0 is optimal, and it returns None and the
+        program's row multipliers on the region atoms, as their positive
+        masses by atom (see `_dual_masses`): a vector p under which no
+        stake mix expects a gain below zero.  The dual constraint of the
+        eps column gives sum p >= 1, and that of a stake column p.g_i >=
+        0, or p.g_i >= p.g_k for the column g_i - g_k of convexity; that
+        of an against column gives p.g_k <= 0.  p is checked where its
+        chain is walked (`closed_by`).
         """
         outcome = self.trace.solve(self.program(carriers, combo, region))
         if outcome.value > 0:
             stakes = self._columns(carriers, combo)[0]
             point = outcome.point
             bought = [_ONE] if self.convex else point[len(stakes):-1]
-            return (dict(zip(stakes, point)), dict(zip(combo, bought))), {}, {}
-        p = _dual_masses(sorted(region), outcome)
-        expects = self._dominates(p, carriers, combo)
-        if expects is None:
-            raise AssertionError("internal error: dual vector does not dominate")
-        return None, p, expects
-
-    def _dominates(
-        self, p: dict[int, int], carriers: Sequence[int], combo: Sequence[int]
-    ) -> dict[int, int] | None:
-        """p >= 0, p != 0, and no stake mix expects a negative gain under
-        the int masses p: with free against-stakes p.g_i >= 0 for every
-        for direction and p.g_k <= 0 for every against-term; with the
-        unit against-stake of convexity min_i p.g_i >= p.g_k.  Returns
-        p.g_i for every carrier and against-term when p dominates, None
-        otherwise, each times the denominator of g_i's row (and that of
-        p's masses, which is dropped)."""
-        if any(m < 0 for m in p.values()) or not any(p.values()):
-            return None
-        rows = self.int_rows
-        expects = {i: _expects(p, rows[i][0]) for i in (*carriers, *combo)}
-        if self.convex:
-            k = combo[0]
-            ok = all(expects[i] * rows[k][1] >= expects[k] * rows[i][1] for i in carriers)
-        else:
-            ok = all(expects[i] >= 0 for i in carriers) and all(expects[k] <= 0 for k in combo)
-        return expects if ok else None
+            return (dict(zip(stakes, point)), dict(zip(combo, bought))), {}
+        return None, _dual_masses(sorted(region), outcome)
 
     def _witness(
         self, stakes: dict[int, Fraction], against: dict[int, Fraction]
@@ -304,7 +276,7 @@ class _Search:
         ]
         return Bet(tuple(terms))
 
-    def _untouched(self, active: Sequence[int], zone: dict[int, int]) -> list[int]:
+    def _untouched(self, active: Sequence[int], zone: Collection[int]) -> list[int]:
         """The drop rule of a shrinking step: the elements of `active`
         whose events miss the atoms `zone` charges."""
         return [i for i in active if self.events[i].isdisjoint(zone)]
@@ -316,7 +288,7 @@ class _Search:
         excluded: frozenset[int] = frozenset(),
     ) -> tuple[
         tuple[dict[int, Fraction], ...] | None,
-        list[Step],
+        list[dict[int, int]],
         tuple[list[int], frozenset[int]] | None,
     ]:
         """Iterative support shrinking, the direct algorithm of Walley,
@@ -338,63 +310,101 @@ class _Search:
         meets its event, and such a p ends the chain first.
 
         Returns the violating for- and against-stakes of the step that
-        finds them, or None; the steps that found none, each as p, its
-        expectations (see `_dominates`) and the elements active there;
-        and what is left, the active elements and the last region, or
-        None when the chain ended on an against-term's event.  The chain also stops, with no stakes, once the region is
-        empty."""
+        finds them, or None; the chain, the p of each step that found
+        none; and what is left, the active elements and the last region,
+        or None when the chain ended on an against-term's event.  The
+        chain also stops, with no stakes, once the region is empty."""
         combo_region = frozenset().union(*(self.events[k] for k in combo))
-        steps: list[Step] = []
+        chain: list[dict[int, int]] = []
         while True:
             region = combo_region.union(*(self.events[i] for i in active)) - excluded
             if not region:
-                return None, steps, (active, region)
-            stakes, p, expects = self.violation(active, combo, region)
+                return None, chain, (active, region)
+            stakes, p = self.violation(active, combo, region)
             if stakes is not None:
-                return stakes, steps, (active, region)
-            steps.append((p, expects, active))
+                return stakes, chain, (active, region)
+            chain.append(p)
             if not combo_region.isdisjoint(p):
-                return None, steps, None
+                return None, chain, None
             kept = self._untouched(active, p)
             if len(kept) == len(active):
                 raise AssertionError("internal error: support shrinking made no progress")
             active = kept
 
-    def closes(
+    def closed_by(
         self,
         chain: Sequence[dict[int, int]],
         carriers: Sequence[int],
-        combo: tuple[int, ...],
+        combos: Sequence[tuple[int, ...]],
         against: Sequence[dict[int, int]] = (),
         closing: frozenset[int] = frozenset(),
-    ) -> bool:
-        """Whether `chain`, each p int masses by atom, is a shrinking
-        chain (see `shrink`) that closes a combination: the elements
-        `carriers` staked for, the against-terms `combo`, and further
-        against-terms given by their int gains by atom, `against`, whose
-        events make up `closing`.  Checked on ints, with no program:
-        every p dominates the active elements (`_dominates`) and expects
-        a gain <= 0 from each of `against`; a p that charges an
-        against-term's event or `closing` closes the chain, and any other
-        drops the elements it touches.  With no against-term at all, a
-        p whose drops empty the active set closes it: a losing bet of
-        active elements has gain < 0 on its support U and 0 off it, so a
-        p that dominates them charges nothing in U and they all stay
-        active.  A chain that ends before it closes is rejected."""
-        closing = closing.union(*(self.events[k] for k in combo))
-        active = [i for i in carriers if i not in combo]
-        empties = not combo and not against
+    ) -> set[tuple[int, ...]]:
+        """The combinations of `combos` that `chain`, each p int masses by
+        atom, closes as a shrinking chain (see `shrink`) from the elements
+        `carriers`, which hold their terms: walked once, on ints, with no
+        program.
+
+        The rows `against`, int gains by atom, are further against-terms
+        of every combination, and `closing` holds their events.  Each
+        step is rejected for every combination unless p has no negative
+        mass, some positive one and expects a gain <= 0 from each row of
+        `against`.  The atoms it charges are those of positive mass.  A
+        combination c stays open while, among the active elements, those
+        that expect a negative gain lie in c, and each term of c expects
+        a gain <= 0; under convexity, (j,) stays open while p.g_j <= p.g_i
+        for every active element i.  c is
+        closed by a step that keeps it open and charges an event of its
+        terms or `closing`, and () also once the step's drops leave no
+        element active, when there is no row `against`.  A combination
+        that fails a step, or that the chain ends before closing, is not
+        closed.
+
+        A closed combination c has no losing bet.  Such a bet, with the
+        against-terms c and the rows `against` and for-stakes on some
+        carriers S outside c, has gain G < 0 on its conditioning event U,
+        the union of its terms' events, and 0 off it.  While S is active,
+        every p expects G >= 0 from the conditions above, so p charges
+        nothing in U, and S stays active.  The closing step charges an
+        event of a term, which lies in U: a contradiction.  With no
+        against-term S is not empty, and the drops cannot empty the
+        active set, which holds S.  Under convexity the bet has a unit stake against j and
+        for-stakes that sum to one, so G = sum_i s_i (g_i - g_j), which
+        every p expects >= 0 by the same token."""
+        rows, events = self.int_rows, self.events
+        # each open combination, by the atoms whose charge closes it
+        shuts = {c: closing.union(*(events[k] for k in c)) for c in combos}
+        active = list(carriers)
+        closed: set[tuple[int, ...]] = set()
         for p in chain:
-            if self._dominates(p, active, combo) is None or any(
-                _expects(p, row) > 0 for row in against
-            ):
-                return False
-            if not closing.isdisjoint(p):
-                return True
-            active = self._untouched(active, p)
-            if empties and not active:
-                return True
-        return False
+            if not shuts:
+                break
+            charged = [a for a, m in p.items() if m > 0]
+            if not charged or min(p.values()) < 0 or any(_expects(p, t) > 0 for t in against):
+                break
+            # an open combination's terms are active: a charge on one ends it
+            expects = {i: _expects(p, rows[i][0]) for i in active}
+            if self.convex:
+                low = active[0]  # the active element that expects the least
+                for i in active:
+                    if expects[i] * rows[low][1] < expects[low] * rows[i][1]:
+                        low = i
+            else:
+                negative = [i for i in active if expects[i] < 0]
+            for c, shut in list(shuts.items()):
+                if self.convex:
+                    (j,) = c
+                    kept = expects[j] * rows[low][1] <= expects[low] * rows[j][1]
+                else:
+                    kept = all(expects[k] <= 0 for k in c) and all(i in c for i in negative)
+                if not kept or not shut.isdisjoint(charged):
+                    del shuts[c]
+                    if kept:
+                        closed.add(c)
+            active = self._untouched(active, charged)
+            if not active and not against and () in shuts:
+                del shuts[()]
+                closed.add(())
+        return closed
 
     def run(
         self,
@@ -402,56 +412,37 @@ class _Search:
         given: Sequence[Sequence[dict[int, int]]] = (),
     ) -> Bet | None:
         """The first violating bet over the combinations `combos`, each
-        shrinking from every element (see `shrink`), or None.  A
-        combination that one of the chains `given` closes, with every
-        element a carrier (`closes`), is not run.
+        shrinking from every element (see `shrink`), or None.  Each of
+        the chains `given` is walked once (`closed_by`), with every
+        element a carrier, and a combination it closes is not run.
 
-        Chains are shared between single against-terms.  An active entry
-        j untouched by every earlier zone has p.g_j = 0 at every earlier
-        step, since p charges nothing in B_j.  The against-term of a
-        running chain stays active until the chain ends, so every region
-        is the union of the active entries, with or without j against.
-        Hence every step so far is also a shrinking step for (j,), and
-        when this step's zone touches B_j with p.g_j = 0 exactly, p ends
-        (j,)'s chain: the combination is closed and never run.
-
-        Convexity shares by the same argument with its own dominance
-        condition.  Under a unit against-stake on j, a step proves (j,)
-        when min_i p.g_i >= p.g_j over the active i (see `violation`).
-        The chain of (k,) runs on only while its zones miss B_k, so every
-        earlier step had p.g_k = 0, and there min_i p.g_i = p.g_k = 0 =
-        p.g_j, since k is active.  If this step's zone touches B_j with
-        p.g_j = p.g_k, then p.g_j = min_i p.g_i here too, so every step so
-        far proves (j,) and this one ends its chain: (j,) is closed.  The
-        earlier-step condition needs no test of its own, as it holds
-        whenever the chain has not ended.  Such a chain rules out every
-        bet with unit stake against j and for-stakes on some S: its gain
-        is < 0 on its conditioning event U, which holds B_j, and 0 off
-        it.  While S is active each p expects that gain to be >= 0, so p
-        charges nothing in U and S stays active; the closing step
-        charges B_j, a contradiction.
-
-        Pairs of against-terms are never closed.  A combination that is
-        not closed runs its own chain from the full active set, and the
-        order of combinations is kept, so the first violating one runs
-        the same chain and finds the same witness as without sharing.
+        The chain each combination runs is walked once, for itself and
+        for the pending () and single combinations, which it closes too
+        when its duals rule them out; a pair is walked for itself alone.
+        Every dual the search solves is checked there, and a chain that
+        does not close its own combination is an internal error.  A
+        combination that is not closed runs its own chain from the full
+        active set, and the order of combinations is kept, so the first
+        violating one runs the same chain and finds the same witness as
+        without sharing.
         """
         everything = list(range(len(self.elements)))
-        rows = self.int_rows
         closed: set[tuple[int, ...]] = set()
-        for combo in combos:
-            if combo in closed or given and any(self.closes(c, everything, combo) for c in given):
+        for chain in given:
+            closed |= self.closed_by(chain, everything, [c for c in combos if c not in closed])
+        for pos, combo in enumerate(combos):
+            if combo in closed:
                 continue
-            stakes, steps, _ = self.shrink(everything, combo)
+            stakes, chain, _ = self.shrink(everything, combo)
             if stakes is not None:
                 return self._witness(*stakes)
-            # p.g_j = 0 proves (j,), or p.g_j = p.g_k under convexity
-            for p, expects, active in steps:
-                level, d = (expects[combo[0]], rows[combo[0]][1]) if self.convex else (0, 1)
-                closed.update(
-                    (j,) for j in active
-                    if expects[j] * d == level * rows[j][1] and not self.events[j].isdisjoint(p)
-                )
+            pending = [] if len(combo) > 1 else [
+                c for c in combos[pos + 1:] if len(c) < 2 and c not in closed
+            ]
+            shut = self.closed_by(chain, everything, [combo, *pending])
+            if combo not in shut:
+                raise AssertionError("internal error: a chain does not close its combination")
+            closed |= shut
         return None
 
 

@@ -7,7 +7,9 @@ run prints one JSON report on standard output.
 
 Exit codes: 0 when the notion passed or the computation succeeded, 1
 when a notion failed (the report carries a witness), 2 on usage or
-input errors, 3 on an internal error (a self-check that failed).
+input errors, 3 on an internal error (a self-check that failed).  An
+`extend` refused over a base that is not W-coherent exits 2, and its
+report carries the base's losing bet.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .conglomerability import (
     walley_666_example,
 )
 from .envelopes import credal_polytope
-from .errors import PrevisioError, SchemaError
+from .errors import BaseNotCoherent, PrevisioError, SchemaError
 from .extensions import extend
 from .jsonio import (
     Problem,
@@ -182,8 +184,14 @@ def _cmd_extend(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None
     variable = problem.variable_named(args.target)
     given = problem.event_named(args.given)
     target = restrict(variable, given)
-    result = extend(problem.assessment, target, trace=trace)
     label = args.target if given.is_sure else f"{args.target}|{args.given}"
+    try:
+        result = extend(problem.assessment, target, trace=trace)
+    except BaseNotCoherent as exc:
+        # refused, with the losing bet of the base that `check` would print
+        print(f"previsio: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        witness = witness_to_json(problem, exc.witness, problem.assessment)
+        return 2, digest, {"extension": {"target": label, "witness": witness}}
     return 0, digest, {
         "extension": {
             "target": label,

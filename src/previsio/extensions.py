@@ -42,15 +42,15 @@ At it: the extended assessment is W-coherent, as the envelope theorem
 and Williams (1975) say it must be, and the chains the bounds ran show
 it.  Let t be the new element, X|B at its price v.  A combination of
 the active elements and t is closed by a shrinking chain of the
-checkers (`_Search.closes`) whose every step also has
-p.(Y - value) <= 0 on B, that is p.(X - v) <= 0 when t is bet against
-and >= 0 when it is bet for, and which B ends as an against-term's
-event does.  Once a step charges the against-term's event, or B when t
-is bet for, that term stakes nothing either, and what is left is a bet
-of the base, which its certification covers.  `_closes` builds t's row and
-asks that verifier.  `_bound` returns its chain: the dual p of each
-shrinking step, which has no mass on B, then the bound program's row
-duals, q on B and r outside it.  The dual constraints of the stake,
+checkers whose every step also has p.(Y - value) <= 0 on B, that is
+p.(X - v) <= 0 when t is bet against and >= 0 when it is bet for, and
+which B ends as an against-term's event does.  Once a step charges the
+against-term's event, or B when t is bet for, that term stakes nothing
+either, and what is left is a bet of the base, which its certification
+covers.  `_closed` builds t's row and walks a chain once for every
+combination asked (`_Search.closed_by`).  `_bound` returns its chain:
+the dual p of each shrinking step, which has no mass on B, then the
+bound program's row duals, q on B and r outside it.  The dual constraints of the stake,
 against and price columns give (q, r).g_i >= 0, (q, r).g_k <= 0 and
 sum q >= 1, and at the optimum q.(Y - bound) = 0.  So every
 combination with t in it is closed:
@@ -73,11 +73,11 @@ combination with t in it is closed:
 So the upper extension shares chains, as the checks do (Walley,
 Pelessoni & Vicig 2004).  It runs each (k,), then (), and solves no
 combination that a chain already run closes at the best bound so far.
-A closure is monotone in the bound: p >= 0 on B, so p.(Y - v) only
-falls as v rises, and a chain that closes a combination at the running
-best also closes it at LU, where every combination is checked again
-with its recorded chain, unless its probe was made at LU; no chain is
-probed twice.  () is dominated: the shrinking steps of a
+It walks each new chain at that bound, and every chain again when the
+bound rises, so every combination is closed at LU by the walks.  A
+closure is monotone in the bound: p >= 0 on B, so p.(Y - v) only falls
+as v rises, and a combination left unsolved at a lower best is closed
+again at LU.  () is dominated: the shrinking steps of a
 (k,) chain miss B_k, so p.g_k = 0 and each dominates with k for as
 well; its bound program holds k's column for and against, so
 (q, r).g_k = 0, and its last step charges B with q.(Y - v) <= 0 at
@@ -94,12 +94,12 @@ once, and every program of the call is solved on one `lp.Trace`.
   would: dominance reads only the atoms p charges.  The last vector
   (q, r) meets the same dual constraints, (q, r).g_i >= 0 for the
   active elements and (q, r).g_k <= 0.  So the base's run
-  (`_Search.run`) skips each combination of at most one against-term
-  that one of these chains closes with every element a carrier, as
-  `_Search.closes` checks it on ints, and runs the chain of each other
-  one, as the check of the base would.  A violated combination is
-  closed by no chain, and the order of the combinations is kept, so an
-  incoherent base gives the check's own witness.
+  (`_Search.run`) walks each of these chains once, with every element
+  a carrier, skips each combination of at most one against-term that
+  one closes, and runs the chain of each other one, as the check of the
+  base would.  A violated combination is closed by no chain, and the
+  order of the combinations is kept, so an incoherent base gives the
+  check's own witness.
 - An unbounded bound is a losing bet of the base.  Its program has an
   improving ray: stakes s >= 0 on the active elements and k, with a
   price rise a > 0 and a + G_s <= 0 on B, G_s <= 0 on R outside B; so
@@ -223,8 +223,7 @@ def _bound(
     no bet staking the against-term wins."""
     b = payoff.target.cond.members
     active = list(range(len(search.elements)) if usable is None else usable)
-    stakes, steps, left = search.shrink(active, combo, b)
-    chain = [p for p, _, _ in steps]
+    stakes, chain, left = search.shrink(active, combo, b)
     if left is None:
         return None, tuple(chain)
     active, outside = left
@@ -308,26 +307,25 @@ def _certified(search: _Search, payoff: _Payoff, bound: _Bound) -> bool:
     ) and all(gain.get(a, 0) <= 0 and direction.get(a, 0) < 0 for a in outside)
 
 
-def _closes(
+def _closed(
     search: _Search,
     payoff: _Payoff,
     value: Fraction,
-    combo: tuple[int, ...],
+    combos: Sequence[tuple[int, ...]],
     chain: Chain,
     usable: Sequence[int] | None = None,
-) -> bool:
-    """Whether `chain` closes the combination of the elements `usable`
-    (default: all), the against-terms `combo` and t, a bet against
-    Y|B at `value` for the payoff's Y = sign * X: X|B at the price
-    sign * value, bet against when sign > 0 and for when sign < 0 (see
-    the module docstring).  t is one more against-term for
-    `_Search.closes`: its row Y - value on B, and B among the events
-    that close the chain."""
+) -> set[tuple[int, ...]]:
+    """The combinations of `combos` that `chain` closes with the elements
+    `usable` (default: all) and t, a bet against Y|B at `value` for the
+    payoff's Y = sign * X: X|B at the price sign * value, bet against
+    when sign > 0 and for when sign < 0 (see the module docstring).  t
+    is one more against-term of each for the walk, `_Search.closed_by`:
+    its row Y - value on B, and B among the events that close it."""
     # Y - value on B, times the payoff's denominator and that of value - floor
     price = value - payoff.floor
     t = {a: y * price.denominator - price.numerator * payoff.den for a, y in payoff.ints.items()}
     carriers = range(len(search.elements)) if usable is None else usable
-    return search.closes(chain, carriers, combo, [t], payoff.target.cond.members)
+    return search.closed_by(chain, carriers, combos, [t], payoff.target.cond.members)
 
 
 def _named(search: _Search, stakes: Stakes) -> HelperStakes:
@@ -366,7 +364,7 @@ def _lower_extension(
     bound, chain = _bound(search, payoff, ())
     assert bound is not None  # only an against-term can end a chain
     chains.append(chain)
-    if entry is None and not _closes(search, payoff, bound.value, (), chain):
+    if entry is None and not _closed(search, payoff, bound.value, [()], chain):
         raise AssertionError("natural extension is not a coherent value")
     return bound.value, _named(search, bound.helpers)
 
@@ -376,11 +374,11 @@ def _upper_extension(
 ) -> Extension:
     """The largest lower value of the target that keeps the assessment
     coherent: the target's own lower element leaves the search, and an
-    assessed upper value stays in it.  A combination that a chain
-    already run closes at the best bound so far is not solved, and no
-    chain is probed twice.  Every combination is closed at LU by a chain
-    the verifier accepted at LU: its probe, when that was made at LU,
-    else a check after the loop.  The chains run join `chains`."""
+    assessed upper value stays in it.  `closed` holds the combinations
+    that the chains run close at the best bound so far, and none of
+    them is solved.  A new chain is walked at that bound, and every
+    chain again when it rises, so every combination is closed at LU
+    once the loop ends.  The chains run join `chains`."""
     if entry is not None and entry.is_precise:
         return entry.lower, ()
     usable = [
@@ -392,27 +390,21 @@ def _upper_extension(
     payoff = _payoff(target, -1)
     best: _Bound | None = None
     ran: list[Chain] = []
-    # each combination's chain, and the bound at which a probe accepted it
-    proofs: list[tuple[Chain, Fraction | None]] = []
+    closed: set[tuple[int, ...]] = set()
     for combo in combos:
-        chain = None if best is None else next(
-            (c for c in ran if _closes(search, payoff, best.value, combo, c, usable)), None
-        )
-        if chain is not None:
-            proofs.append((chain, best.value))
+        if combo in closed:
             continue
         bound, chain = _bound(search, payoff, combo, usable)
-        if chain not in ran:
-            ran.append(chain)
-            chains.append(chain)
+        ran.append(chain)
+        chains.append(chain)
+        walk = [chain]
         if bound is not None and (best is None or bound.value > best.value):
-            best = bound
-        proofs.append((chain, None))
+            best, closed, walk = bound, set(), ran
+        for run in walk if best is not None else ():
+            pending = [c for c in combos if c not in closed]
+            closed |= _closed(search, payoff, best.value, pending, run, usable)
     assert best is not None  # () has no against-term to end its chain
-    if not all(
-        at == best.value or _closes(search, payoff, best.value, combo, chain, usable)
-        for combo, (chain, at) in zip(combos, proofs)
-    ):
+    if not closed.issuperset(combos):
         raise AssertionError("upper extension is not a coherent value")
     return -best.value, _named(search, best.helpers)
 

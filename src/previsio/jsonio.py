@@ -260,20 +260,24 @@ def witness_to_json(problem: Problem, bet: Bet, assessment: Assessment) -> dict:
 
 
 def witness_from_json(problem: Problem, doc: Any) -> Bet:
-    if not isinstance(doc, dict) or "terms" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("terms"), list):
         raise SchemaError("a witness needs a list of terms")
     terms = []
     for row in doc["terms"]:
+        if not (
+            isinstance(row, dict) and isinstance(row.get("var"), str) and "stake" in row
+            and isinstance(row.get("given"), (str, type(None)))
+        ):
+            raise SchemaError('a witness term needs "var" and "stake", and "given" an event or null')
         variable = problem.variable_named(row["var"])
         given = problem.event_named(row.get("given"))
-        terms.append(
-            BetTerm(
-                restrict(variable, given),
-                parse_rational(row["stake"]),
-                row.get("side", "for"),
-                row.get("price", "lower"),
-            )
-        )
+        stake = parse_rational(row["stake"])
+        try:
+            terms.append(BetTerm(
+                restrict(variable, given), stake, row.get("side", "for"), row.get("price", "lower")
+            ))
+        except ValueError as exc:
+            raise SchemaError(f"witness term: {_cut(str(exc))}") from exc
     return Bet(tuple(terms))
 
 

@@ -43,7 +43,7 @@ def find_violation_enumeration(assessment: Assessment, notion: str) -> Bet | Non
             if not union and (search.convex or not combo):
                 continue
             carriers = [i for i, m in enumerate(member_sets) if m <= union]
-            stakes, _, _ = search.violation(carriers, combo, union | combo_region)
+            stakes, _ = search.violation(carriers, combo, union | combo_region)
             if stakes is not None:
                 return search._witness(*stakes)
     return None

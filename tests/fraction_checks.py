@@ -1,10 +1,12 @@
 """Reference certificate checks and programs on `Fraction`s, as test oracles.
 
-These are the plain formulas that `lp.satisfies` and
-`checkers._Search._dominates` compute on integer rows: every
+These are the plain formulas that `lp.satisfies` and the chain walk
+`checkers._Search.closed_by` compute on integer rows: every
 coefficient times every value, zeros included, summed in exact
-rationals.  The integer checks must accept and reject exactly
-what these accept and reject.  The checkers' violation programs, the
+rationals.  The walk decides every combination in one pass; `closes`
+walks a chain for one combination at a time, by the definition.  The
+integer checks must accept and reject exactly what these accept and
+reject.  The checkers' violation programs, the
 extension bound programs and the program of walley-asl are built here
 from `Fraction` gains, taken from the model's values and never from an
 element's int row, through `constraint`; the programs built from the
@@ -123,7 +125,11 @@ def dominates(
     carriers: Sequence[int],
     combo: Sequence[int],
 ) -> dict[int, Fraction] | None:
-    """`_Search._dominates` over the elements' `Fraction` gains."""
+    """Whether p dominates: no mass is negative, some is positive, and
+    with free against-stakes p.g_i >= 0 for every carrier and p.g_k <= 0
+    for every against-term, or with the unit against-stake of convexity
+    p.g_i >= p.g_k.  Returns p.g of every carrier and against-term when
+    it does, None otherwise, over the elements' `Fraction` gains."""
     if any(w < 0 for w in p.values()) or not any(p.values()):
         return None
     expects = {
@@ -138,6 +144,41 @@ def dominates(
             expects[k] <= 0 for k in combo
         )
     return expects if ok else None
+
+
+def closes(
+    gains: Sequence[dict[int, Fraction]],
+    events: Sequence[frozenset[int]],
+    convex: bool,
+    chain: Sequence[dict[int, Fraction]],
+    carriers: Sequence[int],
+    combo: tuple[int, ...],
+    against: Sequence[dict[int, Fraction]] = (),
+    closing: frozenset[int] = frozenset(),
+) -> bool:
+    """Whether `chain` closes the one combination of the elements
+    `carriers` staked for, the against-terms `combo`, and the further
+    against rows `against`, whose events make up `closing`.  Every p
+    dominates the active elements and `combo` (`dominates`) and expects
+    a gain <= 0 from each row of `against`; a p that charges an event of
+    `combo` or `closing` closes the chain, and any other drops the
+    elements whose events it charges, where p charges the atoms of
+    positive mass.  With no against-term at all, a p whose drops leave
+    no element active closes it.  A chain that ends first does not."""
+    closing = closing.union(*(events[k] for k in combo))
+    active = [i for i in carriers if i not in combo]
+    for p in chain:
+        if dominates(gains, convex, p, active, combo) is None or any(
+            sum((m * row.get(a, _ZERO) for a, m in p.items()), _ZERO) > 0 for row in against
+        ):
+            return False
+        charged = {a for a, m in p.items() if m > 0}
+        if not closing.isdisjoint(charged):
+            return True
+        active = [i for i in active if events[i].isdisjoint(charged)]
+        if not combo and not against and not active:
+            return True
+    return False
 
 
 def violation_program(gains, convex, carriers, combo, region) -> LinearProgram:

@@ -1,23 +1,42 @@
 """Strictness of the certificate checks on integer rows.
 
-`lp.satisfies` and `checkers._Search._dominates` decide on ints over
-common denominators.  The boundary tests put each side of a sign test
-exactly level, and then one unit of the int comparison off, over
-denominators that share no factor (3, 7 and the prime 2**61 - 1).  The
-property tests hold the checks to the plain `Fraction` formulas of
-`fraction_checks` on random programs, vectors and assessments.
+`lp.satisfies` and the chain walk `checkers._Search.closed_by` decide
+on ints over common denominators.  The boundary tests put each side of
+a sign test exactly level, and then one unit of the int comparison
+off, over denominators that share no factor (3, 7 and the prime
+2**61 - 1); a vector p is checked there as a chain of one step that
+every atom of p closes.  The property tests hold the checks to the
+plain `Fraction` formulas of `fraction_checks` on random programs,
+vectors and assessments, and the walk to the reference that walks one
+combination at a time, on the chains of the checkers and of the
+extensions and on mutants of them.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_checks as ref
+from conftest import (
+    random_arbitrary_assessment,
+    random_coherent_assessment,
+    random_event,
+    random_precise_assessment,
+    random_space,
+)
 from fraction_checks import constraint
-from previsio.checkers import _Search, expanded_elements
-from previsio import lp
+from previsio import extensions, lp
+from previsio.checkers import (
+    _Search,
+    check_bi_coherence,
+    check_convex,
+    check_w_coherence,
+    expanded_elements,
+)
 from previsio.lp import LinearProgram, over_one_denominator, solve
 from previsio.model import Assessment, PossibilitySpace, restrict
 
@@ -99,7 +118,7 @@ def test_a_point_one_unit_off_a_bound(step):
     assert satisfies(_reading("<=", F(1, 3)), point) is (step > 0)
 
 
-# -- _dominates --------------------------------------------------------------
+# -- one-step chains ---------------------------------------------------------
 
 _SPACE = PossibilitySpace(("a", "b", "c"))
 _AB = _SPACE.event(["a", "b"])  # so mass on c changes no expectation
@@ -113,13 +132,14 @@ def _search(extra=(), convex=False):
 
 
 def _dominates(search, p, carriers, combo):
-    """`_Search._dominates` at a `Fraction` vector p, given as int masses
-    over one denominator, with each expectation read back as p.g_i."""
-    masses, d = over_one_denominator(list(p.values()))
-    sums = search._dominates(dict(zip(p, masses)), carriers, combo)
-    if sums is None:
-        return None
-    return {i: Fraction(s, d * search.int_rows[i][1]) for i, s in sums.items()}
+    """Whether the chain of the one `Fraction` vector p, given to the walk
+    as int masses over one denominator, closes `combo` from `carriers`
+    when every atom of p closes it: whether p dominates them.  The walk
+    reads the terms of `combo` among the carriers."""
+    masses, _ = over_one_denominator(list(p.values()))
+    chain = [dict(zip(p, masses))]
+    carriers = [*carriers, *(k for k in combo if k not in carriers)]
+    return search.closed_by(chain, carriers, [combo], closing=frozenset(p)) == {combo}
 
 
 def _p(t):
@@ -134,17 +154,19 @@ def _p_expecting(e):
 
 def test_an_expectation_of_zero_dominates():
     search = _search()
-    assert _dominates(search, _p_expecting(0), [0], ()) == {0: 0}
-    assert _dominates(search, _p_expecting(0), [], (0,)) == {0: 0}
+    p = _p_expecting(0)
+    assert p[0] * _GX["a"] + p[1] * _GX["b"] == 0
+    assert _dominates(search, p, [0], ())
+    assert _dominates(search, p, [], (0,))
 
 
 def test_an_expectation_of_minus_one_millionth_fails():
     search = _search()
     p = _p_expecting(F(-1, 10**6))
     assert p[0] * _GX["a"] + p[1] * _GX["b"] == F(-1, 10**6)
-    assert _dominates(search, p, [0], ()) is None
-    assert _dominates(search, _p_expecting(F(1, 10**6)), [], (0,)) is None
-    assert _dominates(search, _p_expecting(F(1, 10**6)), [0], ()) == {0: F(1, 10**6)}
+    assert not _dominates(search, p, [0], ())
+    assert not _dominates(search, _p_expecting(F(1, 10**6)), [], (0,))
+    assert _dominates(search, _p_expecting(F(1, 10**6)), [0], ())
 
 
 def test_convexity_compares_expectations_exactly():
@@ -152,18 +174,22 @@ def test_convexity_compares_expectations_exactly():
     y = restrict(_SPACE.variable({a: v + 1 for a, v in _GX.items()}), _AB)
     p = _p_expecting(F(1, 3))
     level = _search([(y, 1)], convex=True)
-    assert _dominates(level, p, [0], (1,)) == {0: F(1, 3), 1: F(1, 3)}
+    assert _dominates(level, p, [0], (1,))
     above = _search([(y, 1 - F(1, 10**6))], convex=True)
-    assert _dominates(above, p, [0], (1,)) is None
+    assert not _dominates(above, p, [0], (1,))
     below = _search([(y, 1 + F(1, 10**6))], convex=True)
-    assert _dominates(below, p, [0], (1,)) == {0: F(1, 3), 1: F(1, 3) - F(1, 10**6)}
+    assert _dominates(below, p, [0], (1,))
+    # and the other way round: x - 0 expects 10**-6 less than y - 1 + 10**-6
+    assert not _dominates(below, p, [1], (0,))
+    assert _dominates(level, p, [1], (0,))
 
 
 def test_a_dominating_vector_may_have_zeros_but_no_negative_mass():
     search = _search()
     p = _p_expecting(0)
-    assert _dominates(search, {**p, 2: -F(1, _BIG**2)}, [0], ()) is None
-    assert _dominates(search, {0: F(0), 1: F(0), 2: F(0)}, [0], ()) is None
+    assert p[2] == 0 and _dominates(search, p, [0], ())
+    assert not _dominates(search, {**p, 2: -F(1, _BIG**2)}, [0], ())
+    assert not _dominates(search, {0: F(0), 1: F(0), 2: F(0)}, [0], ())
 
 
 # -- differential: the integer checks against the Fraction formulas ----------
@@ -248,6 +274,126 @@ def _searches(draw):
 @settings(max_examples=300, deadline=None)
 @given(made=_searches())
 def test_dominates_agrees_with_the_fraction_formula(made):
+    # a one-step chain: the walk closes the combination exactly when the
+    # reference walk does, which is when p dominates the carriers
+    # outside it, by the formula
     search, gains, p, carriers, combo = made
-    expected = ref.dominates(gains, search.convex, p, carriers, combo)
-    assert _dominates(search, p, carriers, combo) == expected
+    outside = [i for i in carriers if i not in combo]
+    expected = ref.dominates(gains, search.convex, p, outside, combo) is not None
+    events = search.events
+    assert ref.closes(gains, events, search.convex, [p], carriers, combo, closing=frozenset(p)) is expected
+    assert _dominates(search, p, carriers, combo) is expected
+
+
+# -- the walk against the reference, chain by chain --------------------------
+
+_BEYOND = F(1, 10**9)
+
+
+def _mutants(rng, chain, atoms):
+    """The chain and three of its mutants: one mass made negative, a zero
+    mass on an atom a step does not charge, drawn from `atoms`, and the
+    chain cut short by its last step."""
+    out = [chain]
+    if chain:
+        step = rng.randrange(len(chain))
+        negative = [dict(p) for p in chain]
+        atom = rng.choice(sorted(negative[step]))
+        negative[step][atom] = -negative[step][atom]
+        free = sorted(set(atoms) - set(chain[step]))
+        zero = [dict(p) for p in chain]
+        if free:
+            zero[step][rng.choice(free)] = 0
+        out += [negative, zero, chain[:-1]]
+    return out
+
+
+def _walks_agree(search, gains, chain, carriers, combos, against=(), closing=frozenset(), walk=None):
+    """The walk's closed combinations against the reference's, each
+    combination walked on its own; returns how many closed."""
+    walked = (walk or search.closed_by)(chain, carriers, combos)
+    expected = {
+        c for c in combos
+        if ref.closes(gains, search.events, search.convex, chain, carriers, c, against, closing)
+    }
+    assert walked == expected
+    return len(walked)
+
+
+def test_the_walk_agrees_with_the_reference_on_checker_chains(monkeypatch):
+    # every chain the checks run, passing or failing, plain and convex,
+    # walked for every combination of the notion: a chain is tried on
+    # against-terms other than its own, and its mutants on all of them
+    runs = []
+    shrink = _Search.shrink
+
+    def spy(search, active, combo, excluded=frozenset()):
+        stakes, chain, left = shrink(search, active, combo, excluded)
+        runs.append((search, list(chain)))
+        return stakes, chain, left
+
+    monkeypatch.setattr(_Search, "shrink", spy)
+    rng = random.Random(17)
+    gains_of = {}
+    for i in range(150):
+        space = random_space(rng, 3, 5)
+        make = (random_coherent_assessment, random_precise_assessment, random_arbitrary_assessment)[i % 3]
+        assessment = make(rng, space, max_entries=4, conditional=i % 4 != 0)
+        start = len(runs)
+        check_w_coherence(assessment), check_convex(assessment)
+        if assessment.is_unconditional:
+            check_bi_coherence(assessment)
+        for search, _ in runs[start:]:
+            gains_of[id(search)] = (search, ref.fraction_gains(assessment))
+    chains = closed = 0
+    for search, chain in runs:
+        gains = gains_of[id(search)][1]
+        n = len(search.elements)
+        everything = range(n)
+        combos = [(k,) for k in everything]
+        if not search.convex:
+            combos = [()] + combos + [c for c in combinations(everything, 2) if n < 5]
+        atoms = frozenset().union(*search.events)
+        for mutant in _mutants(rng, chain, atoms):
+            closed += _walks_agree(search, gains, mutant, everything, combos)
+        chains += 1
+    assert chains > 600 and closed > 2000
+
+
+def test_the_walk_agrees_with_the_reference_on_extension_chains():
+    # the chain of LE and of every upper combination, with the target's
+    # row at the bound and 10**-9 beyond it, walked for every
+    # combination of the upper extension, and their mutants
+    rng = random.Random(19)
+    chains = closed = 0
+    while chains < 500:
+        space = random_space(rng, 3, 6)
+        base = random_coherent_assessment(rng, space=space, max_entries=4, conditional=rng.random() < 0.7)
+        target = restrict(space.variable({a: F(rng.randint(-4, 4), rng.randint(1, 3)) for a in space.atoms}),
+                          random_event(rng, space))
+        if base.entry_for(target) is not None:
+            continue
+        search = _Search(expanded_elements(base))
+        gains = ref.fraction_gains(base)
+        b = target.cond.members
+        x = target.value_map()
+        everything = list(range(len(search.elements)))
+        combos = [(k,) for k in everything] + [()]
+        lower, upper = extensions._payoff(target, 1), extensions._payoff(target, -1)
+        le, chain = extensions._bound(search, lower, ())
+        runs = [(lower, le.value, chain)]
+        bounds = [extensions._bound(search, upper, c, everything) for c in combos]
+        best = max(bound.value for bound, _ in bounds if bound is not None)
+        runs += [(upper, best, chain) for _, chain in bounds]
+        for payoff, value, chain in runs:
+            for v in (value, value - _BEYOND):
+                # Y - v on B, for the payoff's Y = sign * X
+                t = {a: payoff.sign * x[a] - v for a in b}
+
+                def walk(chain, carriers, combos):
+                    return extensions._closed(search, payoff, v, combos, chain, carriers)
+
+                for mutant in _mutants(rng, list(chain), b | frozenset().union(*search.events)):
+                    closed += _walks_agree(search, gains, mutant, everything, combos, [t], b, walk)
+            chains += 1
+    assert closed > 1000

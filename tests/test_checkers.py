@@ -899,39 +899,50 @@ def test_w_coherence_of_a_precise_assessment_is_its_df_check():
     assert failed == 400
 
 
+def one_step(search, p, carriers, combo):
+    """Whether the chain of the one vector p closes `combo` from
+    `carriers` when every atom of p closes it: whether p dominates.  The
+    walk reads the terms of `combo` among the carriers."""
+    carriers = [*carriers, *(k for k in combo if k not in carriers)]
+    return search.closed_by([p], carriers, [combo], closing=frozenset(p)) == {combo}
+
+
 def test_dominating_vector_is_checked_exactly():
     space = PossibilitySpace(("a", "b"))
     x = space.variable({"a": 1, "b": -1}).unconditional()
     y = space.variable({"a": 0, "b": 2}).unconditional()
     search = _Search(expanded_elements(Assessment.build(space, [(x, 0), (y, 1)])))
     # p is int masses over a dropped denominator; x - 0 and y - 1 both
-    # expect 0 under the uniform vector
-    assert search._dominates({0: 1, 1: 1}, [0, 1], ())
-    assert search._dominates({0: 1, 1: 1}, [0], (1,)) == {0: 0, 1: 0}
-    assert not search._dominates({0: 0, 1: 0}, [0, 1], ())
-    assert not search._dominates({}, [0, 1], ())
-    assert not search._dominates({0: 3, 1: -1}, [0, 1], ())
-    assert not search._dominates({0: 1, 1: -1}, [], ())  # a negative mass, nothing to expect
-    assert not search._dominates({0: 1, 1: 0}, [0, 1], ())  # y - 1 expects -1
-    assert search._dominates({0: 5, 1: 5}, [0], (1,))
-    assert not search._dominates({0: 0, 1: 1}, [], (1,))  # y - 1 expects 1
+    # expect 0 under the uniform vector, so either may be bet against
+    assert one_step(search, {0: 1, 1: 1}, [0, 1], ())
+    assert one_step(search, {0: 1, 1: 1}, [0], (1,))
+    assert one_step(search, {0: 1, 1: 1}, [1], (0,))
+    assert not one_step(search, {0: 0, 1: 0}, [0, 1], ())
+    assert not one_step(search, {}, [0, 1], ())
+    assert not one_step(search, {0: 3, 1: -1}, [0, 1], ())
+    assert not one_step(search, {0: 1, 1: -1}, [], ())  # a negative mass, nothing to expect
+    assert not one_step(search, {0: 1, 1: 0}, [0, 1], ())  # y - 1 expects -1
+    assert one_step(search, {0: 5, 1: 5}, [0], (1,))
+    assert not one_step(search, {0: 0, 1: 1}, [], (1,))  # y - 1 expects 1
     convex = _Search(search.elements, convex=True)
-    assert convex._dominates({0: 1, 1: 0}, [0], (1,))  # 1 >= -1
-    assert not convex._dominates({0: 0, 1: 1}, [0], (1,))  # -1 < 1
+    assert one_step(convex, {0: 1, 1: 0}, [0], (1,))  # 1 >= -1
+    assert not one_step(convex, {0: 0, 1: 1}, [0], (1,))  # -1 < 1
 
 
 def test_the_chain_verifier_accepts_the_checkers_own_chains(monkeypatch):
     # every chain a check runs for one against-term of W-coherence, or
     # for a term of convexity, that ends on the term's event closes that
-    # term; cut short, or with one mass made negative, it does not
+    # term, walked for every single term; cut short, with one mass made
+    # negative, or cut short with a zero mass on the term's event, it
+    # does not
     chains = []
     shrink = _Search.shrink
 
     def spy(search, active, combo, excluded=frozenset()):
-        stakes, steps, left = shrink(search, active, combo, excluded)
+        stakes, chain, left = shrink(search, active, combo, excluded)
         if combo and left is None:
-            chains.append((search, combo, [p for p, _, _ in steps]))
-        return stakes, steps, left
+            chains.append((search, combo, list(chain)))
+        return stakes, chain, left
 
     monkeypatch.setattr(_Search, "shrink", spy)
     rng = random.Random(3)
@@ -942,15 +953,23 @@ def test_the_chain_verifier_accepts_the_checkers_own_chains(monkeypatch):
         assert check_w_coherence(assessment).passed and check_convex(assessment).passed
     assert len(chains) > 900
     assert {search.convex for search, _, _ in chains} == {False, True}
+    zeros = 0
     for search, combo, chain in chains:
         everything = range(len(search.elements))
-        assert search.closes(chain, everything, combo)
-        assert not search.closes(chain[:-1], everything, combo)
+        singles = [(k,) for k in everything]
+        assert combo in search.closed_by(chain, everything, singles)
+        assert combo not in search.closed_by(chain[:-1], everything, singles)
         negative = [dict(p) for p in chain]
         step = rng.randrange(len(chain))
         atom = rng.choice(sorted(negative[step]))
         negative[step][atom] = -negative[step][atom]
-        assert not search.closes(negative, everything, combo)
+        assert combo not in search.closed_by(negative, everything, singles)
+        if len(chain) > 1:
+            (k,) = combo
+            zero = [*chain[:-2], {**chain[-2], min(search.events[k]): 0}]
+            assert combo not in search.closed_by(zero, everything, singles)
+            zeros += 1
+    assert zeros > 100
 
 
 def test_a_chain_closes_the_empty_combination_once_nothing_is_active():
@@ -968,18 +987,17 @@ def test_a_chain_closes_the_empty_combination_once_nothing_is_active():
             continue
         search = _Search(expanded_elements(assessment))
         everything = range(len(search.elements))
-        stakes, steps, (active, _) = search.shrink(everything, ())
+        stakes, chain, (active, _) = search.shrink(everything, ())
         assert stakes is None and not active
-        chain = [p for p, _, _ in steps]
-        assert search.closes(chain, everything, ())
-        assert not search.closes(chain[:-1], everything, ())
+        assert search.closed_by(chain, everything, [()]) == {()}
+        assert search.closed_by(chain[:-1], everything, [()]) == set()
         negative = [dict(p) for p in chain]
         step = rng.randrange(len(chain))
         atom = rng.choice(sorted(negative[step]))
         negative[step][atom] = -negative[step][atom]
-        assert not search.closes(negative, everything, ())
+        assert search.closed_by(negative, everything, [()]) == set()
         losing = {a: -1 for a in range(space.size)}
-        assert not search.closes(chain, everything, (), [losing])
+        assert search.closed_by(chain, everything, [()], [losing]) == set()
         chains += 1
         longer += len(chain) > 1
     assert chains > 200 and longer > 50

@@ -13,7 +13,8 @@ import previsio
 from previsio import cli
 from previsio.cli import run
 from previsio.extensions import extend
-from previsio.jsonio import load_problem, rational_str
+from previsio.gains import gain
+from previsio.jsonio import load_problem, rational_str, witness_from_json
 from previsio.lp import Trace
 
 
@@ -611,3 +612,37 @@ def test_a_long_name_is_echoed_short(extra, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("previsio: ") and "vvv...vvv" in err
     assert len(err) < 200
+
+
+def test_extend_over_an_incoherent_base_reports_its_witness(monkeypatch, capsys):
+    # P(a) >= 2/3 and P(b) >= 2/3 on two atoms: buying both loses 1/3
+    # whatever happens, so the base is refused, with that bet
+    doc = {
+        "atoms": ["a", "b"],
+        "variables": {"X": {"a": "1", "b": "0"}},
+        "events": {"Ea": ["a"], "Eb": ["b"]},
+        "assessments": [{"var": "Ea", "lower": "2/3"}, {"var": "Eb", "lower": "2/3"}],
+    }
+    code, report = invoke(
+        ["extend", "-f", "-", "--target", "X"],
+        stdin_text=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 2
+    assert "BaseNotCoherent" in capsys.readouterr().err
+    body = report["results"]["extension"]
+    assert body["target"] == "X"
+    problem = load_problem(doc)
+    bet = witness_from_json(problem, body["witness"])
+    table = gain(bet, problem.assessment)
+    assert table.sup_on_conditioning() < 0
+    assert body["witness"]["gain"] == {
+        a: rational_str(table.values.value_at(a)) for a in body["witness"]["gain"]
+    }
+    # the same losing bet, in the same form, as the check of the base
+    _, checked = invoke(
+        ["check", "--notion", "w-coherence", "-f", "-"],
+        stdin_text=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert checked["results"]["verdict"]["witness"] == body["witness"]

@@ -486,11 +486,15 @@ def upper_runs(search, target):
     return usable, best, [(c, chain) for c, (_, chain) in zip(combos, runs)]
 
 
+def closes(search, payoff, value, combo, chain, usable=None):
+    """Whether the walk of `chain` closes the one combination `combo`
+    with the target's row at `value`."""
+    return combo in extensions._closed(search, payoff, value, [combo], chain, usable)
+
+
 def closes_every_upper_combination(search, target, value, usable, runs):
-    return all(
-        extensions._closes(search, extensions._payoff(target, -1), value, c, chain, usable)
-        for c, chain in runs
-    )
+    payoff = extensions._payoff(target, -1)
+    return all(closes(search, payoff, value, c, chain, usable) for c, chain in runs)
 
 
 def test_chains_close_at_the_bounds_and_not_beyond():
@@ -506,8 +510,8 @@ def test_chains_close_at_the_bounds_and_not_beyond():
         search = _Search(expanded_elements(base))
         lower = extensions._payoff(target, 1)
         le, chain = extensions._bound(search, lower, ())
-        assert extensions._closes(search, lower, le.value, (), chain)
-        assert not extensions._closes(search, lower, le.value - BEYOND, (), chain)
+        assert closes(search, lower, le.value, (), chain)
+        assert not closes(search, lower, le.value - BEYOND, (), chain)
         usable, best, runs = upper_runs(search, target)
         assert closes_every_upper_combination(search, target, best, usable, runs)
         # LU + 1e-9 is the price -(LU + 1e-9) of a bet against -X
@@ -547,31 +551,41 @@ def test_the_reproducer_chains_are_pinned():
     }
     # positive scaling changes no sign the verifier tests
     scaled = tuple({a: 3 * m for a, m in p.items()} for p in chain)
-    assert extensions._closes(search, lower, le, (), scaled)
+    assert closes(search, lower, le, (), scaled)
 
 
 def test_a_negative_mass_is_rejected():
     # X - LE is 3/2 > 0 at atom 1, so a negative mass there keeps
     # p.(X - LE) <= 0, and no element is active at the last step
     search, (lower, _), le, chain, _, _ = reproducer_chains()
-    assert extensions._closes(search, lower, le, (), chain)
+    assert closes(search, lower, le, (), chain)
     mutated = (chain[0], {**chain[1], 1: -1})
-    assert not extensions._closes(search, lower, le, (), mutated)
+    assert not closes(search, lower, le, (), mutated)
+
+
+def test_a_zero_mass_charges_nothing():
+    # LE's first step with a zero mass on atom 4, in B and in element
+    # 0's event, cut short there, does not close (): at LE, nor 10**-9
+    # beyond it
+    search, (lower, _), le, chain, _, _ = reproducer_chains()
+    assert 4 in search.elements[0].members and 4 in lower.target.cond.members
+    for value in (le, le - BEYOND):
+        assert not closes(search, lower, value, (), (chain[0] | {4: 0},))
 
 
 def test_a_chain_without_its_bound_step_is_rejected():
     search, (lower, upper), le, chain, best, runs = reproducer_chains()
-    assert not extensions._closes(search, lower, le, (), chain[:-1])
-    assert extensions._closes(search, upper, best, (2,), runs[2,], [0, 1, 2])
-    assert not extensions._closes(search, upper, best, (2,), runs[2,][:-1], [0, 1, 2])
+    assert not closes(search, lower, le, (), chain[:-1])
+    assert closes(search, upper, best, (2,), runs[2,], [0, 1, 2])
+    assert not closes(search, upper, best, (2,), runs[2,][:-1], [0, 1, 2])
 
 
 def test_a_chain_swapped_to_another_against_term_is_rejected():
     # (2,)'s first step charges atom 5, where g_0 = 5/8 > 0, so it
     # cannot bet against element 0; ()'s charges atom 3, where g_2 > 0
     search, (_, upper), _, _, best, runs = reproducer_chains()
-    assert not extensions._closes(search, upper, best, (0,), runs[2,], [0, 1, 2])
-    assert not extensions._closes(search, upper, best, (2,), runs[()], [0, 1, 2])
+    assert not closes(search, upper, best, (0,), runs[2,], [0, 1, 2])
+    assert not closes(search, upper, best, (2,), runs[()], [0, 1, 2])
 
 
 def test_a_step_with_a_negative_expectation_is_rejected():
@@ -579,7 +593,7 @@ def test_a_step_with_a_negative_expectation_is_rejected():
     # p.g_2 stays positive and the support stays {3, 5}, off B
     search, (lower, _), le, chain, _, _ = reproducer_chains()
     mutated = ({3: 6, 5: 7}, chain[1])
-    assert not extensions._closes(search, lower, le, (), mutated)
+    assert not closes(search, lower, le, (), mutated)
 
 
 def test_an_element_no_step_has_touched_is_still_checked():
@@ -597,30 +611,33 @@ def test_an_element_no_step_has_touched_is_still_checked():
     lower = extensions._payoff(target, 1)
     le, chain = extensions._bound(search, lower, ())
     assert (le.value, chain) == (F(-3), ({1: 1}, {2: 1}))
-    assert extensions._closes(search, lower, le.value, (), chain)
-    assert not extensions._closes(search, lower, le.value, (), (chain[0], {2: 1, 0: 1}))
+    assert closes(search, lower, le.value, (), chain)
+    assert not closes(search, lower, le.value, (), (chain[0], {2: 1, 0: 1}))
+    # a zero mass on a, in element 1's event, does not drop it
+    assert not closes(search, lower, le.value, (), (chain[0] | {0: 0}, {2: 1, 0: 1}))
 
 
 @pytest.fixture
 def extension_log(monkeypatch):
-    """Every `_bound` and `_closes` call of the extensions, in order:
-    ("bound", sign, combo, chain) and ("closes", sign, value, combo,
-    chain, accepted)."""
+    """Every `_bound` and `_closed` call of the extensions, in order:
+    ("bound", sign, combo, chain, value) and ("closed", sign, value,
+    combos, chain, closed), with the value None for no bound."""
     log = []
-    bound, closes = extensions._bound, extensions._closes
+    bound, closed = extensions._bound, extensions._closed
 
     def bound_spy(search, payoff, combo, usable=None):
         result = bound(search, payoff, combo, usable)
-        log.append(("bound", payoff.sign, combo, result[1]))
+        value = None if result[0] is None else result[0].value
+        log.append(("bound", payoff.sign, combo, result[1], value))
         return result
 
-    def closes_spy(search, payoff, value, combo, chain, usable=None):
-        ok = closes(search, payoff, value, combo, chain, usable)
-        log.append(("closes", payoff.sign, value, combo, chain, ok))
-        return ok
+    def closed_spy(search, payoff, value, combos, chain, usable=None):
+        shut = closed(search, payoff, value, combos, chain, usable)
+        log.append(("closed", payoff.sign, value, list(combos), chain, shut))
+        return shut
 
     monkeypatch.setattr(extensions, "_bound", bound_spy)
-    monkeypatch.setattr(extensions, "_closes", closes_spy)
+    monkeypatch.setattr(extensions, "_closed", closed_spy)
     return log
 
 
@@ -629,22 +646,22 @@ def test_every_extension_checks_the_chain_of_every_combination(extension_log):
     result = extend(base, target)
     lu = -result.upper
     own = {e[2]: e[3] for e in extension_log if e[0] == "bound"}
-    # (0,) and (1,) end on their own events, with equal chains, so only
-    # (0,)'s is tried on (); (2,) reaches LU, and its chain closes () at
-    # that value.  That probe was made at LU, so () is not walked again:
-    # only the solved combinations are checked after the loop
+    # (0,) and (1,) end on their own events, with equal chains, and no
+    # bound is known before (2,) reaches LU.  Then every chain run is
+    # walked at LU for the combinations still open: (0,)'s closes (0,)
+    # and (1,), and (2,)'s closes (2,) and ()
     assert own[0,] == own[1,]
-    assert [e[:4] if e[0] == "bound" else e[:4] + e[5:] for e in extension_log] == [
-        ("bound", 1, (), own[()]),
-        ("closes", 1, result.lower, (), True),
-        ("bound", -1, (0,), own[0,]),
-        ("bound", -1, (1,), own[1,]),
-        ("bound", -1, (2,), own[2,]),
-        ("closes", -1, lu, (), False),
-        ("closes", -1, lu, (), True),
-    ] + [("closes", -1, lu, c, True) for c in [(0,), (1,), (2,)]]
-    assert [e[4] for e in extension_log[-4:]] == [own[2,], own[0,], own[1,], own[2,]]
-    # an assessed target's LE is its assessed value: nothing to check
+    assert extension_log == [
+        ("bound", 1, (), own[()], result.lower),
+        ("closed", 1, result.lower, [()], own[()], {()}),
+        ("bound", -1, (0,), own[0,], None),
+        ("bound", -1, (1,), own[1,], None),
+        ("bound", -1, (2,), own[2,], lu),
+        ("closed", -1, lu, [(0,), (1,), (2,), ()], own[0,], {(0,), (1,)}),
+        ("closed", -1, lu, [(2,), ()], own[1,], set()),
+        ("closed", -1, lu, [(2,), ()], own[2,], {(2,), ()}),
+    ]
+    # an assessed target's LE is its assessed value: nothing to walk
     extension_log.clear()
     assert natural_extension(base, base.entries[0].variable) == base.entries[0].lower
     assert [e[0] for e in extension_log] == ["bound"]
@@ -662,64 +679,51 @@ def sharing_cases(count):
         yield base, random_domain(rng, space, 1, conditional=seed % 4 != 0)[0]
 
 
-def upper_loop(upper, combos):
-    """Split the upper extension's log into each combination's entries
-    in the loop, its probes and then its bound if it was solved, and the
-    checks after the loop."""
-    rest, per_combo = list(upper), []
-    for combo in combos:
-        taken = []
-        while rest and rest[0][0] == "closes" and rest[0][3] == combo:
-            taken.append(rest.pop(0))
-            if taken[-1][5]:
-                break
-        if not (taken and taken[-1][5]):
-            assert rest[0][:3] == ("bound", -1, combo)
-            taken.append(rest.pop(0))
-        per_combo.append(taken)
-    return per_combo, rest
-
-
 def test_each_combination_is_solved_or_closed_by_an_earlier_chain(extension_log):
-    skipped = at_lu = 0
+    # replays the upper extension's log: a combination is solved only
+    # when no chain run before it closes it at the best bound so far,
+    # and otherwise a walk at that bound, of a chain run before, closed
+    # it; every combination is closed by the walks at LU
+    skipped = solved_after_a_bound = 0
     for base, target in sharing_cases(300):
         extension_log.clear()
         result = extend(base, target)
         upper = [e for e in extension_log if e[1] == -1]
         if not upper:
             continue  # a precise target keeps its value
-        lu = -result.upper
-        combos = upper_combos(expanded_elements(base), target)
-        per_combo, tail = upper_loop(upper, combos)
-        ran = [e[3] for e in upper if e[0] == "bound"]
-        expected_tail = []
-        for combo, taken in zip(combos, per_combo):
-            probes = [e for e in taken if e[0] == "closes"]
-            # no chain is probed twice, and only chains already run are
-            probed = [e[4] for e in probes]
-            assert all(c in ran for c in probed)
-            assert len(probed) == len({repr(c) for c in probed})
-            if taken[-1][0] == "bound":
-                # solved once, after every probe failed
-                assert not any(e[5] for e in probes)
-                expected_tail.append(("closes", -1, lu, combo, taken[-1][3], True))
-            else:
+        search = _Search(expanded_elements(base))
+        combos = upper_combos(search.elements, target)
+        usable = [k for (k,) in combos[:-1]]
+        payoff = extensions._payoff(target, -1)
+        best, ran, walked, log = None, [], {}, iter(upper)
+        entry = next(log)
+        for combo in combos:
+            if entry is None or entry[:3] != ("bound", -1, combo):
                 skipped += 1
-                if probes[-1][2] == lu:
-                    at_lu += 1
-                else:
-                    expected_tail.append(probes[-1][:2] + (lu,) + probes[-1][3:])
-        # every combination is closed at LU by a chain the verifier
-        # accepted at LU, once: in its probe or after the loop
-        assert tail == expected_tail
-    assert skipped > 600 and at_lu > 600
+                assert best is not None and best in walked.get(combo, ())
+                continue
+            if best is not None:
+                solved_after_a_bound += 1
+                assert not any(closes(search, payoff, best, combo, c, usable) for c in ran)
+            ran.append(entry[3])
+            if entry[4] is not None and (best is None or entry[4] > best):
+                best = entry[4]
+            entry = next(log, None)
+            while entry is not None and entry[0] == "closed":
+                assert entry[2] == best and entry[4] in ran
+                for c in entry[5]:
+                    walked.setdefault(c, set()).add(best)
+                entry = next(log, None)
+        assert entry is None and best == -result.upper
+        assert all(best in walked[c] for c in combos)
+    assert skipped > 600 and solved_after_a_bound > 100
 
 
 def test_extend_refusing_every_shared_chain_solves_every_combination(monkeypatch):
     cases = list(sharing_cases(300))
     shared = [extend(base, target) for base, target in cases]
     owners = {}
-    bound, closes = extensions._bound, extensions._closes
+    bound, closed = extensions._bound, extensions._closed
     solved = []
 
     def owned(search, payoff, combo, usable=None):
@@ -728,11 +732,11 @@ def test_extend_refusing_every_shared_chain_solves_every_combination(monkeypatch
         solved.append(combo)
         return result
 
-    def own_only(search, payoff, value, combo, chain, usable=None):
-        return owners[id(chain)][0] == combo and closes(search, payoff, value, combo, chain, usable)
+    def own_only(search, payoff, value, combos, chain, usable=None):
+        return closed(search, payoff, value, combos, chain, usable) & {owners[id(chain)][0]}
 
     monkeypatch.setattr(extensions, "_bound", owned)
-    monkeypatch.setattr(extensions, "_closes", own_only)
+    monkeypatch.setattr(extensions, "_closed", own_only)
     for (base, target), expected in zip(cases, shared):
         solved.clear()
         assert extend(base, target) == expected

@@ -179,3 +179,29 @@ def test_bundle_dump_is_loadable_and_equal():
         assert problem.space == bundle.space
         assert set(problem.assessment.entries) == set(bundle.assessment.entries)
         assert "notes" in doc
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"stake": "1"},  # no variable
+        "Ea",  # not an object
+        {"var": "Ea", "stake": "-1"},  # a negative stake
+        {"var": "Ea", "stake": "1", "side": "up"},
+        {"var": "Ea", "stake": "1", "price": "mid"},
+        {"var": "Ea"},  # no stake
+        {"var": ["Ea"], "stake": "1"},
+        {"var": "Ea", "stake": "1", "given": ["Ea"]},
+    ],
+)
+def test_a_malformed_witness_term_is_a_schema_error(term):
+    problem = load_problem({"atoms": ["a", "b"], "events": {"Ea": ["a"]}, "assessments": []})
+    with pytest.raises(SchemaError):
+        witness_from_json(problem, {"terms": [term]})
+
+
+@pytest.mark.parametrize("doc", [None, {}, {"terms": "Ea"}, {"terms": {"var": "Ea"}}])
+def test_a_witness_without_a_list_of_terms_is_a_schema_error(doc):
+    problem = load_problem({"atoms": ["a", "b"], "events": {"Ea": ["a"]}, "assessments": []})
+    with pytest.raises(SchemaError):
+        witness_from_json(problem, doc)
