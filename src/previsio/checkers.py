@@ -25,11 +25,10 @@ kept only as a test oracle.  One walk on ints, `_Search.closed_by`,
 decides which combinations of against-terms a chain closes, in one
 pass: it checks every dual the search solves, once, and it lets a
 chain close the pending combinations it also rules out (`_Search.run`),
-under W-coherence and under convexity.  So on a precise assessment,
-whose conjugate directions force p.g_j = 0 everywhere, W-coherence
-costs what the dF check costs: the computational side of the reduction
-of W-coherence to de Finetti coherence on precise assessments.  A pair
-of bi-coherence is walked for itself alone.
+under every notion.  So on a precise assessment, whose conjugate
+directions force p.g_j = 0 everywhere, W-coherence and bi-coherence
+cost what the dF check costs: the computational side of their
+reduction to de Finetti coherence on precise assessments.
 
 Walley's avoiding sure loss for a partition family runs the same search
 with no against-term.  A member of the family bet for on every cell is
@@ -417,14 +416,13 @@ class _Search:
         element a carrier, and a combination it closes is not run.
 
         The chain each combination runs is walked once, for itself and
-        for the pending () and single combinations, which it closes too
-        when its duals rule them out; a pair is walked for itself alone.
-        Every dual the search solves is checked there, and a chain that
-        does not close its own combination is an internal error.  A
-        combination that is not closed runs its own chain from the full
-        active set, and the order of combinations is kept, so the first
-        violating one runs the same chain and finds the same witness as
-        without sharing.
+        for every later combination still pending, which it closes too
+        when its duals rule them out.  Every dual the search solves is
+        checked there, and a chain that does not close its own
+        combination is an internal error.  A combination that is not
+        closed runs its own chain from the full active set, and the
+        order of combinations is kept, so the first violating one runs
+        the same chain and finds the same witness as without sharing.
         """
         everything = list(range(len(self.elements)))
         closed: set[tuple[int, ...]] = set()
@@ -436,9 +434,7 @@ class _Search:
             stakes, chain, _ = self.shrink(everything, combo)
             if stakes is not None:
                 return self._witness(*stakes)
-            pending = [] if len(combo) > 1 else [
-                c for c in combos[pos + 1:] if len(c) < 2 and c not in closed
-            ]
+            pending = [c for c in combos[pos + 1:] if c not in closed]
             shut = self.closed_by(chain, everything, [combo, *pending])
             if combo not in shut:
                 raise AssertionError("internal error: a chain does not close its combination")

@@ -29,7 +29,9 @@ bet against).  The upper extension LU(X|B), the largest coherent value,
 is minus the largest bound for Y = -X, over no against-term and each
 single one: above LU a bet buying X|B loses uniformly.  An assessed
 target's own lower element is left out of these bets, since LU replaces
-it; its upper element stays, so LU never exceeds an assessed upper.
+it; its upper element stays, so LU never exceeds an assessed upper.  A
+precise target's LU is its value v, and no program runs: its own upper
+element at stake 1 is the certificate, as -v + (v - X) = -X on B.
 
 Each bound is certified on ints without a program, on both sides.
 Beyond it: helper stakes s* with bound + sum s* g <= Y on B and
@@ -70,19 +72,18 @@ combination with t in it is closed:
   verifier accepts for it.  Its own chain ends on k's event or has
   q.(X - LU) = sum q (best - bound) >= 0.
 
-So the upper extension shares chains, as the checks do (Walley,
-Pelessoni & Vicig 2004).  It runs each (k,), then (), and solves no
-combination that a chain already run closes at the best bound so far.
-It walks each new chain at that bound, and every chain again when the
-bound rises, so every combination is closed at LU by the walks.  A
+So both extensions run one loop, `_extension`, which shares chains as
+the checks do (Walley, Pelessoni & Vicig 2004): it solves no
+combination that a chain already run closes at the best bound so far,
+walks each new chain at that bound, and every chain again when the
+bound rises, so every combination is closed at the value returned.  A
 closure is monotone in the bound: p >= 0 on B, so p.(Y - v) only falls
-as v rises, and a combination left unsolved at a lower best is closed
-again at LU.  () is dominated: the shrinking steps of a
-(k,) chain miss B_k, so p.g_k = 0 and each dominates with k for as
-well; its bound program holds k's column for and against, so
-(q, r).g_k = 0, and its last step charges B with q.(Y - v) <= 0 at
-every v at or above its bound.  So () is solved only when every (k,)
-chain ends on k's event.
+as v rises.  LE runs () alone, with every element usable; LU runs each
+(k,), then ().  () is dominated there: the shrinking steps of a (k,)
+chain miss B_k, so p.g_k = 0 and each dominates with k for as well; its
+bound program holds k's column for and against, so (q, r).g_k = 0, and
+its last step charges B with q.(Y - v) <= 0 at every v at or above its
+bound.  So () is solved only when every (k,) chain ends on k's event.
 
 The base is certified once per public call, by the chains its bounds
 ran (`_certify`), and not checked before them.  Its search is built
@@ -137,7 +138,7 @@ from .checkers import (
     expanded_elements,
 )
 from .errors import BaseNotCoherent, DomainNotClosed
-from .gains import FOR, LOWER
+from .gains import AGAINST, FOR, LOWER, UPPER
 from .lp import Constraint, LinearProgram, Trace, Unbounded, over_one_denominator
 from .model import (
     Assessment,
@@ -354,40 +355,21 @@ def _certify(assessment: Assessment, search: _Search, chains: Sequence[Chain]) -
         raise BaseNotCoherent("the base assessment is not W-coherent", witness)
 
 
-def _lower_extension(
-    search: _Search, target: ConditionalVariable, entry: Entry | None, chains: list[Chain]
+def _extension(
+    search: _Search,
+    payoff: _Payoff,
+    combos: Sequence[tuple[int, ...]],
+    usable: Sequence[int],
+    chains: list[Chain],
 ) -> Extension:
-    """LE and its helpers; its chain joins `chains`.  For a new target
-    the bound's own chain shows that LE is coherent; an assessed one is
-    checked against its assessed value once the base is certified."""
-    payoff = _payoff(target, 1)
-    bound, chain = _bound(search, payoff, ())
-    assert bound is not None  # only an against-term can end a chain
-    chains.append(chain)
-    if entry is None and not _closed(search, payoff, bound.value, [()], chain):
-        raise AssertionError("natural extension is not a coherent value")
-    return bound.value, _named(search, bound.helpers)
-
-
-def _upper_extension(
-    search: _Search, target: ConditionalVariable, entry: Entry | None, chains: list[Chain]
-) -> Extension:
-    """The largest lower value of the target that keeps the assessment
-    coherent: the target's own lower element leaves the search, and an
-    assessed upper value stays in it.  `closed` holds the combinations
-    that the chains run close at the best bound so far, and none of
-    them is solved.  A new chain is walked at that bound, and every
-    chain again when it rises, so every combination is closed at LU
-    once the loop ends.  The chains run join `chains`."""
-    if entry is not None and entry.is_precise:
-        return entry.lower, ()
-    usable = [
-        i for i, el in enumerate(search.elements)
-        if el.terms != ((target, FOR, LOWER),)
-    ]
-    # () last: a (k,) chain that reaches its bound program closes it
-    combos = [(k,) for k in usable] + [()]
-    payoff = _payoff(target, -1)
+    """The extension for the payoff's sign, sign * the largest bound for
+    its Y over the against-terms `combos` with the elements `usable`, and
+    its helpers (see the module docstring).  `closed` holds the
+    combinations that the chains run close at the best bound so far, and
+    none of them is solved.  A new chain is walked at that bound, and
+    every chain again when it rises, so every combination is closed at
+    the value returned once the loop ends.  The chains run join
+    `chains`."""
     best: _Bound | None = None
     ran: list[Chain] = []
     closed: set[tuple[int, ...]] = set()
@@ -405,8 +387,27 @@ def _upper_extension(
             closed |= _closed(search, payoff, best.value, pending, run, usable)
     assert best is not None  # () has no against-term to end its chain
     if not closed.issuperset(combos):
-        raise AssertionError("upper extension is not a coherent value")
-    return -best.value, _named(search, best.helpers)
+        raise AssertionError("internal error: an extension is not a coherent value")
+    return payoff.sign * best.value, _named(search, best.helpers)
+
+
+def _upper_extension(
+    search: _Search, target: ConditionalVariable, entry: Entry | None, chains: list[Chain]
+) -> Extension:
+    """The largest lower value of the target that keeps the assessment
+    coherent: the target's own lower element leaves the search, and an
+    assessed upper value stays in it; () comes last, as a (k,) chain
+    that reaches its bound program closes it.  A precise target keeps
+    its value, beaten above by its own upper element at stake 1."""
+    payoff = _payoff(target, -1)
+    index = {el.terms: i for i, el in enumerate(search.elements)}
+    if entry is not None and entry.is_precise:
+        bound = _Bound(-entry.lower, {index[((target, AGAINST, UPPER),)]: _ONE}, {})
+        if not _certified(search, payoff, bound):
+            raise AssertionError("internal error: an extension bound fails its certificate")
+        return entry.lower, _named(search, bound.helpers)
+    usable = [i for t, i in index.items() if t != ((target, FOR, LOWER),)]
+    return _extension(search, payoff, [(k,) for k in usable] + [()], usable, chains)
 
 
 def _extensions(
@@ -427,8 +428,9 @@ def _extensions(
     target.space._check(assessment.space)
     entry = assessment.entry_for(target)
     chains: list[Chain] = []
+    everything = range(len(search.elements))
     try:
-        le = _lower_extension(search, target, entry, chains) if lower else None
+        le = _extension(search, _payoff(target, 1), [()], everything, chains) if lower else None
         lu = _upper_extension(search, target, entry, chains) if upper else None
     except Unbounded:
         _certify(assessment, search, chains)

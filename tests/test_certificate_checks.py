@@ -335,7 +335,7 @@ def test_the_walk_agrees_with_the_reference_on_checker_chains(monkeypatch):
     monkeypatch.setattr(_Search, "shrink", spy)
     rng = random.Random(17)
     gains_of = {}
-    for i in range(150):
+    for i in range(190):
         space = random_space(rng, 3, 5)
         make = (random_coherent_assessment, random_precise_assessment, random_arbitrary_assessment)[i % 3]
         assessment = make(rng, space, max_entries=4, conditional=i % 4 != 0)

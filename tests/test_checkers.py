@@ -11,6 +11,7 @@ from conftest import (
     random_shifted_assessment,
     random_space,
 )
+from corpus import small_corpus
 from previsio import gains, lp
 from previsio.checkers import (
     PartitionFamily,
@@ -803,6 +804,53 @@ def test_shrinking_max_pivots_are_pinned(example, checker, lp_count, max_pivots)
     # counts are deterministic
     verdict = checker(example().assessment)
     assert verdict.max_pivots == max_pivots
+
+
+# bi-coherence on the unconditional inputs of the small corpus: passed,
+# programs and max pivots.  A pair shares the chains of the
+# combinations run before it, so uniform-precise solves the dF check's
+# one program (16 with a chain per pair) and zero-variable 2 (5).
+# Deterministic, so a change here is a change of algorithm
+PINNED_BI_COHERENCE = {
+    "vacuous-pair": (False, 3, 3),
+    "overpriced-atoms": (False, 1, 3),
+    "uniform-precise": (True, 1, 3),
+    "price-above-sup": (False, 1, 2),
+    "price-below-inf": (False, 2, 2),
+    "upper-below-lower": (False, 1, 3),
+    "scaled-conflict": (False, 1, 4),
+    "imprecise-sound": (False, 4, 5),
+    "superadditivity-break": (False, 3, 4),
+    "single-entry-tight": (False, 3, 3),
+    "zero-variable": (True, 2, 2),
+    "zero-priced-wrong": (False, 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BI_COHERENCE))
+def test_bi_coherence_counts_are_pinned(name):
+    verdict = check_bi_coherence(dict(small_corpus())[name])
+    assert (verdict.passed, verdict.lp_count, verdict.max_pivots) == PINNED_BI_COHERENCE[name]
+
+
+def test_bi_coherence_of_a_precise_assessment_is_its_df_check():
+    # the chain without against-terms closes every single against-term
+    # and every pair on a precise unconditional input, coherent or moved
+    rng = random.Random(31)
+    failed = 0
+    for i in range(300):
+        space = random_space(rng, 3, 5)
+        a = random_precise_assessment(rng, space, max_entries=5, conditional=False)
+        if i % 2:
+            moved = rng.randrange(len(a.entries))
+            shift = F(rng.choice([-1, 1]), rng.randint(2, 6))
+            values = [e.lower + shift * (j == moved) for j, e in enumerate(a.entries)]
+            a = Assessment.build(a.space, [(e.variable, v, v) for e, v in zip(a.entries, values)])
+        bi = check_bi_coherence(a)
+        df = check_df_precise_conditional(a)
+        assert (bi.passed, bi.witness, bi.lp_count) == (df.passed, df.witness, df.lp_count)
+        failed += not bi.passed
+    assert 50 < failed < 150
 
 
 def test_stake_programs_start_feasible(solved_programs):

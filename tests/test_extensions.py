@@ -661,10 +661,11 @@ def test_every_extension_checks_the_chain_of_every_combination(extension_log):
         ("closed", -1, lu, [(2,), ()], own[1,], set()),
         ("closed", -1, lu, [(2,), ()], own[2,], {(2,), ()}),
     ]
-    # an assessed target's LE is its assessed value: nothing to walk
+    # an assessed target's LE, its assessed value, is walked too: the
+    # natural extension is the same loop over () alone
     extension_log.clear()
     assert natural_extension(base, base.entries[0].variable) == base.entries[0].lower
-    assert [e[0] for e in extension_log] == ["bound"]
+    assert [e[0] for e in extension_log] == ["bound", "closed"]
 
 
 def sharing_cases(count):
@@ -677,6 +678,50 @@ def sharing_cases(count):
         draw = random_precise_assessment if seed % 3 == 2 else random_coherent_assessment
         base = draw(rng, space=space, max_entries=4, conditional=bool(seed % 2))
         yield base, random_domain(rng, space, 1, conditional=seed % 4 != 0)[0]
+
+
+def helper_gain(base, helpers):
+    """The gain sum s (x - price) of named helper stakes, by atom of each
+    helper's event, in `Fraction`s: the price of x|B is its lower value,
+    or minus the upper value of -x|B when x|B names that conjugate
+    direction."""
+    prices = {}
+    for entry in base.entries:
+        x = entry.variable
+        prices[x] = entry.lower
+        if entry.upper is not None:
+            prices[ConditionalVariable(x.cond, tuple(-v for v in x.values))] = -entry.upper
+    gain = {}
+    for x, s in helpers:
+        for a, v in x.value_map().items():
+            gain[a] = gain.get(a, 0) + s * (v - prices[x])
+    return gain
+
+
+def test_every_extension_result_carries_helpers_that_reach_its_bounds():
+    # from the public result alone: under the lower helpers' gain G,
+    # LE + G <= X on B; under the upper ones', X + G <= LU on B, so a
+    # price above LU loses; and G <= 0 wherever else they reach.  Each
+    # case's second target is assessed, precisely on a precise base,
+    # where the helper is the target's own upper element at stake 1
+    precise = 0
+    for base, target in sharing_cases(300):
+        for t in (target, base.entries[0].variable):
+            result = extend(base, t)
+            x, b = t.value_map(), t.cond.members
+            for sign, value, helpers in (
+                (1, result.lower, result.lower_helpers),
+                (-1, result.upper, result.upper_helpers),
+            ):
+                gain = helper_gain(base, helpers)
+                assert all(gain.get(a, 0) <= sign * (x[a] - value) for a in b)
+                assert all(g <= 0 for a, g in gain.items() if a not in b)
+            entry = base.entry_for(t)
+            if entry is not None and entry.is_precise:
+                precise += 1
+                negated = ConditionalVariable(t.cond, tuple(-v for v in t.values))
+                assert result.upper_helpers == ((negated, 1),)
+    assert precise > 90
 
 
 def test_each_combination_is_solved_or_closed_by_an_earlier_chain(extension_log):

@@ -4,7 +4,8 @@ enumeration of every support union and the brute-force stake grid.
 Convexity is also checked on a seeded corpus of 4-5 atoms, where its
 chains share the most, against the enumeration and against
 `fraction_checks.convex_violation`, which shares no program form with
-the checkers."""
+the checkers; bi-coherence, whose pairs share chains too, on a seeded
+corpus of 4-6 atoms, against the enumeration."""
 
 import random
 
@@ -22,6 +23,7 @@ from fraction_checks import convex_violation
 from previsio import gains
 from previsio.bruteforce import find_violation_grid
 from previsio.checkers import (
+    _Search,
     check_aul,
     check_bi_coherence,
     check_coherence_unconditional,
@@ -111,3 +113,39 @@ def test_convexity_agrees_with_both_oracles_on_a_seeded_corpus():
                 assert gains.gain(witness, assessment).sup_on_conditioning() < 0
         failed += not verdict.passed
     assert 25 < failed < 135
+
+
+def _bi_coherence_corpus():
+    """200 seeded unconditional inputs on 4-6 atoms: W-coherent
+    envelopes, arbitrary lower values and precise assessments."""
+    rng = random.Random(1998)
+    makers = (random_coherent_assessment, random_arbitrary_assessment, random_precise_assessment)
+    for i in range(200):
+        space = random_space(rng, 4, 6)
+        yield makers[i % 3](rng, space, max_entries=5, conditional=False)
+
+
+def test_bi_coherence_agrees_with_the_enumeration_on_a_seeded_corpus(monkeypatch):
+    # a pair closed by the chain of another combination is never
+    # violated: shrunk on its own from every element, it finds no stakes
+    shared = []
+    closed_by = _Search.closed_by
+
+    def spy(search, chain, carriers, combos, *args):
+        shut = closed_by(search, chain, carriers, combos, *args)
+        shared.extend((search, c) for c in shut if len(c) == 2 and c != combos[0])
+        return shut
+
+    monkeypatch.setattr(_Search, "closed_by", spy)
+    failed = 0
+    for assessment in _bi_coherence_corpus():
+        verdict = check_bi_coherence(assessment)
+        bet = find_violation_enumeration(assessment, "bi-coherence")
+        assert (bet is None) == verdict.passed
+        for witness in (verdict.witness, bet):
+            if witness is not None:
+                assert gains.gain(witness, assessment).sup_on_conditioning() < 0
+        failed += not verdict.passed
+    for search, pair in shared:
+        assert search.shrink(list(range(len(search.elements))), pair)[0] is None
+    assert 40 < failed < 100 and len(shared) > 1000
