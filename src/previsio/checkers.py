@@ -186,18 +186,18 @@ class _Search:
         atoms: Sequence[int],
         scale: int,
         less: int | None = None,
-    ) -> list[list[tuple[int, int]]]:
+    ) -> list[list[int]]:
         """One row per atom, whose columns are the gains of the elements
         `stakes`, each less the gain of the element `less` when one is
-        given, and then the negated gains of `against`, as (column, int)
-        terms over `scale`, a multiple of each of their denominators."""
+        given, and then the negated gains of `against`, as one int per
+        column over `scale`, a multiple of each of their denominators."""
         signed = [(self.int_rows[i], 1) for i in stakes] + [(self.int_rows[k], -1) for k in against]
         columns = [(g, sign * (scale // d)) for (g, d), sign in signed]
         h, d = ({}, 1) if less is None else self.int_rows[less]
         rows = []
         for a in atoms:
             base = scale // d * h.get(a, 0)
-            rows.append([(j, v) for j, (g, f) in enumerate(columns) if (v := f * g.get(a, 0) - base)])
+            rows.append([f * g.get(a, 0) - base for g, f in columns])
         return rows
 
     def _columns(
@@ -234,10 +234,10 @@ class _Search:
         n = len(stakes) + len(against) + 1  # + eps
         scale = math.lcm(*(self.int_rows[i][1] for i in (*carriers, *combo)))
         rows = [
-            Constraint((*terms, (n - 1, scale)), scale, 0, n)
-            for terms in self.gain_terms(stakes, against, sorted(region), scale, less)
+            Constraint((*row, scale), scale, 0)
+            for row in self.gain_terms(stakes, against, sorted(region), scale, less)
         ]
-        rows.append(Constraint(tuple((j, 1) for j in range(n - 1)), 1, 1, n))
+        rows.append(Constraint((1,) * (n - 1) + (0,), 1, 1))
         return LinearProgram(objective=(_ZERO,) * (n - 1) + (_ONE,), constraints=tuple(rows))
 
     def violation(

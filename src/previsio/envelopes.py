@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from .checkers import check_df_precise_conditional, expanded_elements
+from .checkers import expanded_elements
 from .errors import (
     DimensionLimitExceeded,
     EmptyCredalSet,
@@ -287,40 +287,20 @@ def _member_prevision(
     return value
 
 
-def _member_assessment(
-    space: PossibilitySpace,
-    p: Sequence[Fraction],
-    domain: Sequence[ConditionalVariable],
-) -> Assessment:
-    items = []
-    for cv in domain:
-        value = _member_prevision(space, p, cv)
-        items.append((cv, value, value))
-    return Assessment.build(space, items)
-
-
 def lower_envelope(
     space: PossibilitySpace,
     members: Sequence[Sequence[RationalLike]],
     domain: Sequence[ConditionalVariable],
-    *,
-    check_members: bool = True,
 ) -> Assessment:
     """Pointwise minimum of finitely many precise conditional previsions,
     each given as a probability vector with positive mass on every
-    conditioning event."""
+    conditioning event.  Such a member is dF-coherent, with no program
+    to show it: every bet on its previsions has expectation 0 under it,
+    and the union of the bet's events has positive mass, so its gain is
+    not negative everywhere there."""
     if not members:
         raise ValueError("an envelope needs at least one member")
     vectors = [_probability_vector(space, p) for p in members]
-    if check_members:
-        for p in vectors:
-            verdict = check_df_precise_conditional(
-                _member_assessment(space, p, domain)
-            )
-            if not verdict.passed:
-                raise MemberNotCoherent(
-                    "an envelope member is not a dF-coherent prevision"
-                )
     items = []
     for cv in domain:
         value = min(_member_prevision(space, p, cv) for p in vectors)

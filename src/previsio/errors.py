@@ -67,8 +67,7 @@ class BaseNotCoherent(PrevisioError):
 
 class MalformedProgram(PrevisioError):
     """A linear program has inconsistent dimensions, or a row outside
-    the one form: nonzero terms by increasing column, a positive scale
-    and a nonnegative rhs."""
+    the one form: a positive scale and a nonnegative rhs."""
 
 
 class EmptyCredalSet(PrevisioError):
@@ -76,7 +75,7 @@ class EmptyCredalSet(PrevisioError):
 
 
 class MemberNotCoherent(PrevisioError):
-    """A would-be envelope member is not a coherent precise prevision."""
+    """A would-be envelope member is not a probability vector."""
 
 
 class ZeroProbabilityConditioning(PrevisioError):

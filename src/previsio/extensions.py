@@ -216,14 +216,14 @@ def _bound(
     search: _Search,
     payoff: _Payoff,
     combo: tuple[int, ...],
-    usable: Sequence[int] | None = None,
+    usable: Sequence[int],
 ) -> tuple[_Bound | None, Chain]:
     """The bound for the payoff's Y and the against-terms `combo` (see
-    the module docstring), over the elements `usable` (default: all),
-    certified, and the chain that ran to it; None for the bound when
-    no bet staking the against-term wins."""
+    the module docstring), over the elements `usable`, certified, and
+    the chain that ran to it; None for the bound when no bet staking the
+    against-term wins."""
     b = payoff.target.cond.members
-    active = list(range(len(search.elements)) if usable is None else usable)
+    active = list(usable)
     stakes, chain, left = search.shrink(active, combo, b)
     if left is None:
         return None, tuple(chain)
@@ -262,12 +262,12 @@ def _bound_program(
     scale = math.lcm(*(search.int_rows[i][1] for i in (*active, *combo)), payoff.den)
     f = scale // payoff.den
     rows = [
-        Constraint((*terms, (n, scale)), scale, f * payoff.ints[a], n + 1)
-        for a, terms in zip(atoms, search.gain_terms(active, combo, atoms, scale))
+        Constraint((*row, scale), scale, f * payoff.ints[a])
+        for a, row in zip(atoms, search.gain_terms(active, combo, atoms, scale))
     ]
     rows += [
-        Constraint(tuple(terms), scale, 0, n + 1)
-        for terms in search.gain_terms(active, combo, sorted(outside), scale)
+        Constraint((*row, 0), scale, 0)
+        for row in search.gain_terms(active, combo, sorted(outside), scale)
     ]
     return LinearProgram(objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows))
 
@@ -314,10 +314,10 @@ def _closed(
     value: Fraction,
     combos: Sequence[tuple[int, ...]],
     chain: Chain,
-    usable: Sequence[int] | None = None,
+    usable: Sequence[int],
 ) -> set[tuple[int, ...]]:
     """The combinations of `combos` that `chain` closes with the elements
-    `usable` (default: all) and t, a bet against Y|B at `value` for the
+    `usable` and t, a bet against Y|B at `value` for the
     payoff's Y = sign * X: X|B at the price sign * value, bet against
     when sign > 0 and for when sign < 0 (see the module docstring).  t
     is one more against-term of each for the walk, `_Search.closed_by`:
@@ -325,8 +325,7 @@ def _closed(
     # Y - value on B, times the payoff's denominator and that of value - floor
     price = value - payoff.floor
     t = {a: y * price.denominator - price.numerator * payoff.den for a, y in payoff.ints.items()}
-    carriers = range(len(search.elements)) if usable is None else usable
-    return search.closed_by(chain, carriers, combos, [t], payoff.target.cond.members)
+    return search.closed_by(chain, usable, combos, [t], payoff.target.cond.members)
 
 
 def _named(search: _Search, stakes: Stakes) -> HelperStakes:
@@ -368,8 +367,9 @@ def _extension(
     combinations that the chains run close at the best bound so far, and
     none of them is solved.  A new chain is walked at that bound, and
     every chain again when it rises, so every combination is closed at
-    the value returned once the loop ends.  The chains run join
-    `chains`."""
+    the value returned once the loop ends.  A chain equal to one run
+    before closes nothing new and is kept once.  The chains run join
+    `chains`, each once."""
     best: _Bound | None = None
     ran: list[Chain] = []
     closed: set[tuple[int, ...]] = set()
@@ -377,9 +377,10 @@ def _extension(
         if combo in closed:
             continue
         bound, chain = _bound(search, payoff, combo, usable)
-        ran.append(chain)
-        chains.append(chain)
-        walk = [chain]
+        walk = [] if chain in ran else [chain]
+        ran += walk
+        if chain not in chains:
+            chains.append(chain)
         if bound is not None and (best is None or bound.value > best.value):
             best, closed, walk = bound, set(), ran
         for run in walk if best is not None else ():

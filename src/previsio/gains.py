@@ -10,11 +10,14 @@ distinguished single term of the coherence notions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable
 
 from .errors import ImpossibleConditioningEvent, UnassessedVariable
+from .lp import over_one_denominator
 from .model import (
     Assessment,
     ConditionalVariable,
@@ -125,9 +128,14 @@ def _signed_terms(bet: Bet, assessment: Assessment) -> Iterable[
 
 
 def gain(bet: Bet, assessment: Assessment) -> GainTable:
-    """Exact per-atom gain; zero outside the union of conditioning events."""
+    """Exact per-atom gain; zero outside the union of conditioning events.
+
+    Each term is summed on ints: its price and its values on its event
+    are put over one denominator d, as the ints p and x, so that its
+    gain s (x - p) / d for the signed stake s = n / m is the int
+    n (x - p) over m d.  The terms are added over the lcm of those
+    denominators, and a `Fraction` is made only for each atom's total."""
     space = assessment.space
-    values = [Fraction(0)] * space.size
     cond_members: set[int] = set()
     supp_members: set[int] = set()
     for term in bet.terms:
@@ -135,13 +143,20 @@ def gain(bet: Bet, assessment: Assessment) -> GainTable:
         cond_members |= term.variable.cond.members
         if term.stake != 0:
             supp_members |= term.variable.cond.members
+    staked = []
     for cv, stake, price in _signed_terms(bet, assessment):
-        if stake == 0:
-            continue
-        for i, v in cv.value_map().items():
-            values[i] += stake * (v - price)
+        if stake:
+            (p, *ints), d = over_one_denominator([price, *cv.values])
+            n = stake.numerator
+            staked.append((cv.cond.members, [n * (x - p) for x in ints], stake.denominator * d))
+    den = reduce(math.lcm, [d for _, _, d in staked], 1)
+    totals = [0] * space.size
+    for members, ints, d in staked:
+        f = den // d
+        for a, v in zip(sorted(members), ints):
+            totals[a] += f * v
     return GainTable(
-        RandomVariable(space, tuple(values)),
+        RandomVariable(space, tuple(Fraction(v, den) for v in totals)),
         Event(space, frozenset(cond_members)),
         Event(space, frozenset(supp_members)),
     )

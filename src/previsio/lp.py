@@ -20,14 +20,14 @@ an `AssertionError`: a stake program bounds its objective, and an
 extension bound does so over a W-coherent base, so only the extensions
 read it, as a sign that their base is not coherent.
 
-Each :class:`Constraint` is stored once, in ints: the (column, int)
-pairs of its nonzero coefficients and an int rhs, over one positive
-scale, divided through by their gcd so that a row has one form however
-it was built.  Callers build rows from the int gains they already hold;
-only `format_lp` reads a row back as `Fraction`s.  The tableau starts
-from those ints, and `satisfies` sums only the nonzero terms of each
-row.  Every accept or reject is then a sign test on ints, exactly as
-strict as the same test on fractions.
+Each :class:`Constraint` is stored once, in ints: one int coefficient
+per column and an int rhs, over one positive scale, divided through by
+their gcd so that a row has one form however it was built.  Callers
+build rows from the int gains they already hold; only `format_lp`
+reads a row back as `Fraction`s.  The tableau starts from a copy of
+those ints, and `satisfies` zips each row with the point.  Every accept
+or reject is then a sign test on ints, exactly as strict as the same
+test on fractions.
 
 ``solve`` is pure: it keeps no count and writes nothing.  The account
 of a call is a :class:`Trace`, passed down to whatever solves for it:
@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, TextIO
 
 from .errors import MalformedProgram
@@ -51,32 +52,32 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Constraint:
-    """The row sum_j (a_j / scale) x_j <= int_rhs / scale over `arity`
-    columns: `terms` holds the (column, a_j) pairs of its nonzero
-    coefficients, by column, `scale` is positive and `int_rhs` is not
-    negative.  The row is divided through by the gcd of its ints and its
-    scale when it is made, so two rows are equal, and hash alike,
-    exactly when they are the same row."""
+    """The row sum_j (coeffs[j] / scale) x_j <= int_rhs / scale, with one
+    int per column: `scale` is positive and `int_rhs` is not negative.
+    The row is divided through by the gcd of its ints and its scale when
+    it is made, so two rows are equal, and hash alike, exactly when they
+    are the same row."""
 
-    terms: tuple[tuple[int, int], ...]
+    coeffs: tuple[int, ...]
     scale: int
     int_rhs: int
-    arity: int
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
             raise MalformedProgram("a row's scale must be positive")
         if self.int_rhs < 0:
             raise MalformedProgram("a row's rhs must not be negative")
-        g, last = math.gcd(self.scale, self.int_rhs), -1
-        for j, a in self.terms:
-            if not (a and last < j < self.arity):
-                raise MalformedProgram("terms need nonzero ints by increasing column, below the arity")
-            g, last = math.gcd(g, a), j
+        g = reduce(math.gcd, self.coeffs, math.gcd(self.scale, self.int_rhs))
         if g > 1:
-            object.__setattr__(self, "terms", tuple((j, a // g) for j, a in self.terms))
+            object.__setattr__(self, "coeffs", tuple(a // g for a in self.coeffs))
             object.__setattr__(self, "scale", self.scale // g)
             object.__setattr__(self, "int_rhs", self.int_rhs // g)
+        else:
+            object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    @property
+    def arity(self) -> int:
+        return len(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def int_terms(
 ) -> tuple[list[tuple[int, int]], int]:
     """Each nonzero values[j] - less as a pair (j, int) over one positive
     int, the lcm of every denominator: the subtraction is made on the
-    ints.  This is the one scaling of a row to ints."""
+    ints.  `envelopes` scales each halfspace to ints with it."""
     (base, *ints), d = over_one_denominator([less, *values])
     return [(j, a - base) for j, a in enumerate(ints) if a != base], d
 
@@ -122,7 +123,7 @@ def satisfies(lp: LinearProgram, xs: Sequence[int], den: int) -> bool:
     """The point xs / den, for an int den > 0, is nonnegative and meets
     every row; both sides of a row are taken times its scale and den."""
     return len(xs) == lp.arity and all(x >= 0 for x in xs) and all(
-        sum(a * xs[j] for j, a in c.terms) <= c.int_rhs * den for c in lp.constraints
+        sum(map(mul, c.coeffs, xs)) <= c.int_rhs * den for c in lp.constraints
     )
 
 
@@ -191,15 +192,8 @@ def solve(lp: LinearProgram) -> Optimal:
     so the path is the full tableau's, pivot for pivot.  A row's dual is
     its slack's objective entry while the slack is nonbasic, else 0."""
     n, m = lp.arity, len(lp.constraints)
-    rows: list[list[int]] = []
-    den: list[int] = []
-    for c in lp.constraints:
-        row = [0] * (n + 1)
-        for j, a in c.terms:
-            row[j] = a
-        row[-1] = c.int_rhs
-        rows.append(row)
-        den.append(c.scale)
+    rows = [[*c.coeffs, c.int_rhs] for c in lp.constraints]
+    den = [c.scale for c in lp.constraints]
     labels = list(range(n))
     basis = list(range(n, n + m))
     # the slacks cost nothing, so the objective row starts as -c
@@ -279,7 +273,7 @@ def format_lp(lp: LinearProgram) -> str:
 
     lines = ["max " + " + ".join(f"{a} x{j}" for j, a in enumerate(lp.objective))]
     for c in lp.constraints:
-        lhs = " + ".join(f"{Fraction(a, c.scale)} x{j}" for j, a in c.terms) or "0"
+        lhs = " + ".join(f"{Fraction(a, c.scale)} x{j}" for j, a in enumerate(c.coeffs) if a) or "0"
         lines.append(f"  {lhs} <= {Fraction(c.int_rhs, c.scale)}")
     lines += [f"  0 <= x{j} <= +inf" for j in range(lp.arity)]
     return "\n".join(lines)

@@ -67,7 +67,7 @@ def random_coherent_assessment(
     vectors = [
         positive_vector(rng, space) for _ in range(members or rng.randint(1, 3))
     ]
-    return lower_envelope(space, vectors, domain, check_members=False)
+    return lower_envelope(space, vectors, domain)
 
 
 def random_arbitrary_assessment(

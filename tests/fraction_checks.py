@@ -12,9 +12,10 @@ from `Fraction` gains, taken from the model's values and never from an
 element's int row, through `constraint`; the programs built from the
 int rows of the elements must be the same, row for row.
 `convex_violation` decides convexity from its definition, on programs
-of its own.  `bland_slack_simplex` is the textbook simplex that
-`lp.solve` must agree with, step for step, on a full `Fraction`
-tableau.
+of its own.  `bet_gain` sums a bet's gain term by term, in `Fraction`s:
+`gains.gain`, which sums on ints, must give the same values.
+`bland_slack_simplex` is the textbook simplex that `lp.solve` must
+agree with, step for step, on a full `Fraction` tableau.
 """
 
 import math
@@ -22,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from previsio.checkers import PartitionFamily, expanded_elements
-from previsio.gains import AGAINST, FOR, Bet
+from previsio.gains import AGAINST, FOR, LOWER, Bet
 from previsio.lp import Constraint, LinearProgram, solve
 from previsio.model import Assessment, RationalLike, as_rational
 
@@ -36,15 +37,12 @@ def constraint(coeffs: Sequence[RationalLike], rhs: RationalLike) -> Constraint:
     values = [*map(as_rational, coeffs), as_rational(rhs)]
     scale = math.lcm(*(v.denominator for v in values))
     *ints, int_rhs = (v.numerator * (scale // v.denominator) for v in values)
-    return Constraint(tuple((j, a) for j, a in enumerate(ints) if a), scale, int_rhs, len(coeffs))
+    return Constraint(tuple(ints), scale, int_rhs)
 
 
 def coeffs(row: Constraint) -> tuple[Fraction, ...]:
     """The row's coefficients as `Fraction`s, zeros included."""
-    out = [_ZERO] * row.arity
-    for j, a in row.terms:
-        out[j] = Fraction(a, row.scale)
-    return tuple(out)
+    return tuple(Fraction(a, row.scale) for a in row.coeffs)
 
 
 def rhs(row: Constraint) -> Fraction:
@@ -103,6 +101,20 @@ def bland_slack_simplex(
         if b < n:
             point[b] = tableau[r][-1]
     return reduced[-1], tuple(point), pivots, tuple(reduced[n:n + m])
+
+
+def bet_gain(bet: Bet, assessment: Assessment) -> tuple[Fraction, ...]:
+    """The gain of `bet` by atom: s (x - price) on the event of each
+    term, with s negated for a term bet against and the price its
+    entry's lower or upper value, summed in `Fraction`s."""
+    values = [_ZERO] * assessment.space.size
+    for term in bet.terms:
+        entry = assessment.entry_for(term.variable)
+        price = entry.lower if term.price == LOWER else entry.upper
+        stake = term.stake if term.side == FOR else -term.stake
+        for a, x in term.variable.value_map().items():
+            values[a] += stake * (x - price)
+    return tuple(values)
 
 
 def fraction_gains(assessment: Assessment) -> list[dict[int, Fraction]]:

@@ -154,7 +154,7 @@ def _chain_instance(rng):
             if cv not in domain:
                 domain.append(cv)
         members = [positive_vector(rng, space) for _ in range(rng.randint(1, 3))]
-        return "envelope", lower_envelope(space, members, domain, check_members=False)
+        return "envelope", lower_envelope(space, members, domain)
     items = []  # arbitrary, possibly inconsistent
     for _ in range(rng.randint(1, 4)):
         x = space.variable({a: F(rng.randint(-3, 3)) for a in space.atoms})
@@ -289,7 +289,7 @@ def test_criterion_5_envelope_round_trip():
             if cv not in domain:
                 domain.append(cv)
         members = [positive_vector(rng, space) for _ in range(rng.randint(2, 4))]
-        envelope = lower_envelope(space, members, domain, check_members=False)
+        envelope = lower_envelope(space, members, domain)
         assert check_w_coherence(envelope).passed
         credal = credal_polytope(envelope, positivity=[])
         per_entry = credal.per_entry_min(envelope)
@@ -317,7 +317,7 @@ def test_criterion_6_natural_extension():
             for _ in range(rng.randint(1, 2))
         ]
         members = [[F(w, sum(ws)) for w in ws] for ws in weights]
-        base = lower_envelope(space, members, domain, check_members=False)
+        base = lower_envelope(space, members, domain)
         for entry in base.entries:
             assert natural_extension(base, entry.variable) == entry.lower
         y = space.variable({a: F(rng.randint(-2, 2)) for a in space.atoms})
@@ -357,7 +357,7 @@ def test_criterion_6_natural_extension():
         if len(set(domain)) < 3:
             continue
         members = [positive_vector(rng, space) for _ in range(rng.randint(1, 3))]
-        assessment = lower_envelope(space, members, domain, check_members=False)
+        assessment = lower_envelope(space, members, domain)
         if assessment.lower(domain[2]) <= 0:
             continue
         assert check_w_coherence(assessment).passed
@@ -388,7 +388,6 @@ def test_criterion_7_axiom_suite_on_structured_domain():
             [F(1, 2), F(1, 6), F(1, 6), F(1, 6)],
         ],
         domain,
-        check_members=False,
     )
     basis = [
         space.indicator(space.event(["a", "b"])),

@@ -380,7 +380,7 @@ def test_the_walk_agrees_with_the_reference_on_extension_chains():
         everything = list(range(len(search.elements)))
         combos = [(k,) for k in everything] + [()]
         lower, upper = extensions._payoff(target, 1), extensions._payoff(target, -1)
-        le, chain = extensions._bound(search, lower, ())
+        le, chain = extensions._bound(search, lower, (), everything)
         runs = [(lower, le.value, chain)]
         bounds = [extensions._bound(search, upper, c, everything) for c in combos]
         best = max(bound.value for bound, _ in bounds if bound is not None)

@@ -255,7 +255,7 @@ def test_bi_coherence_additivity_property():
         if len(set(domain)) < 3:
             continue
         members = [positive_vector(rng, space) for _ in range(rng.randint(1, 2))]
-        a = lower_envelope(space, members, domain, check_members=False)
+        a = lower_envelope(space, members, domain)
         if check_bi_coherence(a).passed:
             additive_cases += 1
             assert a.lower(domain[2]) == a.lower(domain[0]) + a.lower(domain[1])
@@ -273,7 +273,7 @@ def test_bi_coherence_negative_scaling_property():
         if len(set(domain)) < 2:
             continue
         members = [positive_vector(rng, space) for _ in range(rng.randint(1, 2))]
-        a = lower_envelope(space, members, domain, check_members=False)
+        a = lower_envelope(space, members, domain)
         if check_bi_coherence(a).passed:
             seen += 1
             assert a.lower(domain[1]) == alpha * a.lower(domain[0])
@@ -501,7 +501,7 @@ def test_product_rule_on_coherent_triples():
         if len(set(domain)) < 3:
             continue
         members = [positive_vector(rng, space) for _ in range(rng.randint(1, 3))]
-        assessment = lower_envelope(space, members, domain, check_members=False)
+        assessment = lower_envelope(space, members, domain)
         if assessment.lower(domain[2]) <= 0:
             continue
         assert check_w_coherence(assessment).passed

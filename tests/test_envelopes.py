@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    bayes_value,
     positive_vector,
     random_domain,
     random_event,
@@ -13,6 +14,7 @@ from conftest import (
 from previsio.checkers import (
     check_centered_convex,
     check_convex,
+    check_df_precise_conditional,
     check_w_coherence,
 )
 from previsio.envelopes import (
@@ -220,7 +222,7 @@ def test_large_polytope_vertices_are_certified(atoms):
         restrict(random_variable(rng, space), random_event(rng, space))
         for _ in range(4)
     ]
-    env = lower_envelope(space, members, domain, check_members=False)
+    env = lower_envelope(space, members, domain)
     items = []
     for entry in env.entries:
         cv = entry.variable
@@ -279,13 +281,42 @@ def test_lower_envelope_member_validation():
         lower_envelope(space, [[F(0), F(1)]], conditional_domain)
 
 
+def test_a_member_with_mass_on_every_conditioning_event_is_df_coherent():
+    # why `lower_envelope` checks no member by a program: under such a
+    # member p, every bet on its previsions expects 0, and the union of
+    # the bet's events has positive mass, so the bet gains >= 0 somewhere
+    # there.  Some members leave atoms without mass
+    rng = random.Random(313)
+    members = zero_atoms = 0
+    while members < 80:
+        space = random_space(rng, 3, 5)
+        weights = [rng.choice([0, 1, 2, 3, 5]) for _ in space.atoms]
+        if not any(weights):
+            continue
+        p = [F(w, sum(weights)) for w in weights]
+        domain = [
+            cv for cv in random_domain(rng, space, max_entries=4)
+            if any(p[i] for i in cv.cond.members)
+        ]
+        if not domain:
+            continue
+        values = [bayes_value(p, cv) for cv in domain]
+        member = Assessment.build(space, [(cv, v, v) for cv, v in zip(domain, values)])
+        assert check_df_precise_conditional(member).passed
+        envelope = lower_envelope(space, [p], domain)
+        assert [envelope.lower(cv) for cv in domain] == values
+        members += 1
+        zero_atoms += 0 in weights
+    assert zero_atoms > 20
+
+
 def test_envelope_round_trip_randomized():
     rng = random.Random(307)
     for _ in range(30):
         space = random_space(rng, 3, 4)
         domain = random_domain(rng, space, max_entries=3)
         members = [positive_vector(rng, space) for _ in range(rng.randint(1, 3))]
-        env = lower_envelope(space, members, domain, check_members=False)
+        env = lower_envelope(space, members, domain)
         assert check_w_coherence(env).passed
         credal = credal_polytope(env, positivity=[])
         per_entry = credal.per_entry_min(env)
@@ -299,7 +330,7 @@ def test_vertices_dominate_the_assessment():
         space = random_space(rng, 3, 3)
         domain = random_domain(rng, space, max_entries=3)
         members = [positive_vector(rng, space) for _ in range(2)]
-        env = lower_envelope(space, members, domain, check_members=False)
+        env = lower_envelope(space, members, domain)
         credal = credal_polytope(env, positivity=[])
         for vertex in credal.vertices:
             for entry in env.entries:

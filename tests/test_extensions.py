@@ -202,7 +202,6 @@ def test_le_matches_grid_on_corpus(product_rule_base):
         two,
         [[F(1, 4), F(3, 4)], [F(1, 2), F(1, 2)]],
         [x.unconditional()],
-        check_members=False,
     )
     y = two.variable({"a": 3, "b": 1})
     le = natural_extension(base, y.unconditional())
@@ -227,7 +226,7 @@ def test_le_monotone_in_the_domain():
             if cv not in domain:
                 domain.append(cv)
         members = [positive_vector(rng, space) for _ in range(2)]
-        big = lower_envelope(space, members, domain, check_members=False)
+        big = lower_envelope(space, members, domain)
         small = Assessment(space, big.entries[:-1])
         target = restrict(
             space.variable({a: F(rng.randint(-2, 3)) for a in space.atoms}),
@@ -399,7 +398,7 @@ def test_certificate_rejects_a_bound_beyond_the_natural_extension(gap):
     target = space.indicator(space.event(["x", "y"])).unconditional()
     search = _Search(expanded_elements(base))
     payoff = extensions._payoff(target, 1)
-    bound, _ = extensions._bound(search, payoff, ())
+    bound, _ = extensions._bound(search, payoff, (), range(len(search.elements)))
     assert bound.value == F(1, 2)
     assert extensions._certified(search, payoff, bound)
     claimed = bound.value + gap
@@ -488,7 +487,9 @@ def upper_runs(search, target):
 
 def closes(search, payoff, value, combo, chain, usable=None):
     """Whether the walk of `chain` closes the one combination `combo`
-    with the target's row at `value`."""
+    with the target's row at `value`, over the elements `usable`
+    (default: all)."""
+    usable = range(len(search.elements)) if usable is None else usable
     return combo in extensions._closed(search, payoff, value, [combo], chain, usable)
 
 
@@ -509,7 +510,7 @@ def test_chains_close_at_the_bounds_and_not_beyond():
     for base, target in cases:
         search = _Search(expanded_elements(base))
         lower = extensions._payoff(target, 1)
-        le, chain = extensions._bound(search, lower, ())
+        le, chain = extensions._bound(search, lower, (), range(len(search.elements)))
         assert closes(search, lower, le.value, (), chain)
         assert not closes(search, lower, le.value - BEYOND, (), chain)
         usable, best, runs = upper_runs(search, target)
@@ -529,7 +530,7 @@ def reproducer_chains():
     base, target = reproducer()
     search = _Search(expanded_elements(base))
     lower, upper = extensions._payoff(target, 1), extensions._payoff(target, -1)
-    le, chain = extensions._bound(search, lower, ())
+    le, chain = extensions._bound(search, lower, (), range(len(search.elements)))
     usable, best, runs = upper_runs(search, target)
     assert -best == F(-69, 56) and usable == [0, 1, 2]
     return search, (lower, upper), le.value, chain, best, dict(runs)
@@ -609,7 +610,7 @@ def test_an_element_no_step_has_touched_is_still_checked():
     target = restrict(space.constant(-3), space.event(["c"]))
     search = _Search(expanded_elements(base))
     lower = extensions._payoff(target, 1)
-    le, chain = extensions._bound(search, lower, ())
+    le, chain = extensions._bound(search, lower, (), range(len(search.elements)))
     assert (le.value, chain) == (F(-3), ({1: 1}, {2: 1}))
     assert closes(search, lower, le.value, (), chain)
     assert not closes(search, lower, le.value, (), (chain[0], {2: 1, 0: 1}))
@@ -625,13 +626,13 @@ def extension_log(monkeypatch):
     log = []
     bound, closed = extensions._bound, extensions._closed
 
-    def bound_spy(search, payoff, combo, usable=None):
+    def bound_spy(search, payoff, combo, usable):
         result = bound(search, payoff, combo, usable)
         value = None if result[0] is None else result[0].value
         log.append(("bound", payoff.sign, combo, result[1], value))
         return result
 
-    def closed_spy(search, payoff, value, combos, chain, usable=None):
+    def closed_spy(search, payoff, value, combos, chain, usable):
         shut = closed(search, payoff, value, combos, chain, usable)
         log.append(("closed", payoff.sign, value, list(combos), chain, shut))
         return shut
@@ -647,9 +648,10 @@ def test_every_extension_checks_the_chain_of_every_combination(extension_log):
     lu = -result.upper
     own = {e[2]: e[3] for e in extension_log if e[0] == "bound"}
     # (0,) and (1,) end on their own events, with equal chains, and no
-    # bound is known before (2,) reaches LU.  Then every chain run is
-    # walked at LU for the combinations still open: (0,)'s closes (0,)
-    # and (1,), and (2,)'s closes (2,) and ()
+    # bound is known before (2,) reaches LU.  Then every distinct chain
+    # run is walked at LU for the combinations still open: (0,)'s
+    # closes (0,) and (1,), and (2,)'s closes (2,) and (); (1,)'s, equal
+    # to (0,)'s, is kept once and walked only as (0,)'s
     assert own[0,] == own[1,]
     assert extension_log == [
         ("bound", 1, (), own[()], result.lower),
@@ -658,7 +660,6 @@ def test_every_extension_checks_the_chain_of_every_combination(extension_log):
         ("bound", -1, (1,), own[1,], None),
         ("bound", -1, (2,), own[2,], lu),
         ("closed", -1, lu, [(0,), (1,), (2,), ()], own[0,], {(0,), (1,)}),
-        ("closed", -1, lu, [(2,), ()], own[1,], set()),
         ("closed", -1, lu, [(2,), ()], own[2,], {(2,), ()}),
     ]
     # an assessed target's LE, its assessed value, is walked too: the
@@ -764,6 +765,13 @@ def test_each_combination_is_solved_or_closed_by_an_earlier_chain(extension_log)
     assert skipped > 600 and solved_after_a_bound > 100
 
 
+class Unshared(tuple):
+    """A chain equal only to itself."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
 def test_extend_refusing_every_shared_chain_solves_every_combination(monkeypatch):
     cases = list(sharing_cases(300))
     shared = [extend(base, target) for base, target in cases]
@@ -771,13 +779,15 @@ def test_extend_refusing_every_shared_chain_solves_every_combination(monkeypatch
     bound, closed = extensions._bound, extensions._closed
     solved = []
 
-    def owned(search, payoff, combo, usable=None):
-        result = bound(search, payoff, combo, usable)
-        owners[id(result[1])] = (combo, result[1])  # kept alive: no id reuse
+    def owned(search, payoff, combo, usable):
+        value, chain = bound(search, payoff, combo, usable)
+        # equal to no other chain, so that no chain is kept once for two
+        chain = Unshared(chain)
+        owners[id(chain)] = (combo, chain)  # kept alive: no id reuse
         solved.append(combo)
-        return result
+        return value, chain
 
-    def own_only(search, payoff, value, combos, chain, usable=None):
+    def own_only(search, payoff, value, combos, chain, usable):
         return closed(search, payoff, value, combos, chain, usable) & {owners[id(chain)][0]}
 
     monkeypatch.setattr(extensions, "_bound", owned)
@@ -892,6 +902,33 @@ def test_the_base_is_checked_once_per_call(monkeypatch):
             call(base, target)
             assert CountingRuns.runs == [0]
     assert unassessed > 30
+
+
+def test_each_distinct_chain_is_walked_once_per_bound_and_given_once(monkeypatch, extension_log):
+    # equal chains, such as the reproducer's (0,) and (1,), are kept
+    # once: no walk at one bound repeats a chain, and the base's run is
+    # given each distinct chain of the call once
+    runs = []
+    run = _Search.run
+
+    def spy(search, combos, given=()):
+        runs.append(list(given))
+        return run(search, combos, given)
+
+    monkeypatch.setattr(_Search, "run", spy)
+    equal = 0
+    for base, target in [reproducer(), *sharing_cases(300)]:
+        runs.clear()
+        extension_log.clear()
+        extend(base, target)
+        (chains,) = runs
+        assert all(a != b for i, a in enumerate(chains) for b in chains[i + 1:])
+        ran = [e[3] for e in extension_log if e[0] == "bound"]
+        assert all(chain in chains for chain in ran)
+        walks = [(e[1], e[2], e[4]) for e in extension_log if e[0] == "closed"]
+        assert all(w not in walks[i + 1:] for i, w in enumerate(walks))
+        equal += len(ran) - len(chains)
+    assert equal > 50
 
 
 def test_the_search_is_built_once_per_extend(monkeypatch):
@@ -1063,7 +1100,6 @@ def test_axioms_pass_for_natural_extension():
         space,
         [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 3), F(1, 3), F(1, 3)]],
         domain,
-        check_members=False,
     )
     basis = [
         space.indicator(space.event(["a"])),

@@ -3,9 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import fraction_checks as ref
+from conftest import random_event, random_space
 from previsio.errors import UnassessedVariable
 from previsio.gains import (
+    AGAINST,
+    FOR,
+    LOWER,
+    UPPER,
     Bet,
+    BetTerm,
     against,
     condition_predicates,
     gain,
@@ -222,3 +229,54 @@ def test_zero_stake_bet_predicates(two_atoms):
     assert preds.sufficient_expense_bound
     assert preds.necessary_expense_bound
     assert preds.nested_price_bound
+
+
+def _mixed_bet(rng: random.Random) -> tuple[Bet, Assessment]:
+    """An assessment of one to four entries on 3-6 atoms, values and
+    prices over denominators up to 9, some with an upper value, and a
+    bet of up to two terms on each entry, some at stake 0, for or
+    against, at the lower or the upper price."""
+    space = random_space(rng, 3, 6)
+    items, seen = [], set()
+    for _ in range(rng.randint(1, 4)):
+        values = {a: F(rng.randint(-6, 6), rng.randint(1, 9)) for a in space.atoms}
+        x = restrict(space.variable(values), random_event(rng, space))
+        if x in seen:
+            continue
+        seen.add(x)
+        lower = F(rng.randint(-6, 6), rng.randint(1, 9))
+        upper = lower + F(rng.randint(0, 6), rng.randint(1, 9)) if rng.random() < 0.7 else None
+        items.append((x, lower, upper))
+    assessment = Assessment.build(space, items)
+    terms = []
+    for x, _, upper in items:
+        for _ in range(rng.randint(0, 2)):
+            stake = F(0) if rng.random() < 0.2 else F(rng.randint(1, 9), rng.randint(1, 8))
+            price = UPPER if upper is not None and rng.random() < 0.5 else LOWER
+            terms.append(BetTerm(x, stake, rng.choice([FOR, AGAINST]), price))
+    return Bet(tuple(terms)), assessment
+
+
+def test_gain_equals_the_fraction_sum_on_seeded_bets():
+    # `gain` sums each term on ints over one denominator; the reference
+    # adds s (x - price) term by term in `Fraction`s
+    rng = random.Random(29)
+    seen = dict.fromkeys(("zero stake", "against", "upper price", "overlap", "mixed"), 0)
+    for _ in range(400):
+        bet, assessment = _mixed_bet(rng)
+        table = gain(bet, assessment)
+        assert table.values.values == ref.bet_gain(bet, assessment)
+        assert all(type(v) is F for v in table.values.values)
+        events = [t.variable.cond.members for t in bet.terms]
+        assert table.conditioning.members == frozenset().union(*events)
+        staked = [t.variable.cond.members for t in bet.terms if t.stake]
+        assert table.support.members == frozenset().union(*staked)
+        seen["zero stake"] += any(t.stake == 0 for t in bet.terms)
+        seen["against"] += any(t.side == AGAINST for t in bet.terms)
+        seen["upper price"] += any(t.price == UPPER for t in bet.terms)
+        seen["overlap"] += any(
+            a & b for i, a in enumerate(staked) for b in staked[i + 1:]
+        )
+        denominators = {v.denominator for t in bet.terms for v in t.variable.values}
+        seen["mixed"] += len(denominators) > 2
+    assert min(seen.values()) > 50, seen

@@ -40,7 +40,7 @@ from previsio.model import Assessment, PossibilitySpace
 
 
 def _fields(program: lp.LinearProgram):
-    rows = [(c.terms, c.scale, c.int_rhs, c.arity) for c in program.constraints]
+    rows = [(c.coeffs, c.scale, c.int_rhs, c.arity) for c in program.constraints]
     return rows, program.objective
 
 

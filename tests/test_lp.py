@@ -82,17 +82,18 @@ def test_malformed_arity_rejected():
     with pytest.raises(MalformedProgram):
         LinearProgram(objective=())
     with pytest.raises(MalformedProgram):
-        Constraint(((0, 1),), 0, 0, 1)
-    # one form per row: terms are nonzero, by increasing column, in range
-    for terms in (((1, 2), (0, 1)), ((0, 1), (0, 2)), ((0, 0),), ((2, 1),), ((-1, 1),)):
-        with pytest.raises(MalformedProgram):
-            Constraint(terms, 1, 0, 2)
+        Constraint((1,), 0, 0)
+    with pytest.raises(MalformedProgram):
+        Constraint((1,), -2, 0)
+    # a row of three columns in a program of two
+    with pytest.raises(MalformedProgram):
+        LinearProgram(objective=(F(1), F(1)), constraints=(Constraint((1, 0, 2), 1, 1),))
 
 
 def test_a_row_with_a_negative_rhs_is_refused():
     # the origin must be feasible, so no row may have a negative rhs
     with pytest.raises(MalformedProgram):
-        Constraint(((0, 1),), 1, -1, 1)
+        Constraint((1,), 1, -1)
     with pytest.raises(MalformedProgram):
         constraint([1], F(-1, 3))
 
@@ -101,13 +102,16 @@ def test_constraint_normalises_its_row():
     # a row built from rationals, in tests, is the row of ints over the
     # lcm of their denominators, divided through by their gcd
     row = constraint([1, "1/2"], "3")
-    assert (row.terms, row.scale, row.int_rhs) == (((0, 2), (1, 1)), 2, 6)
+    assert (row.coeffs, row.scale, row.int_rhs, row.arity) == ((2, 1), 2, 6, 2)
     assert ref.coeffs(row) == (F(1), F(1, 2)) and ref.rhs(row) == F(3)
     assert all(type(c) is F for c in (*ref.coeffs(row), ref.rhs(row)))
-    same = Constraint(((0, 6), (1, 1)), 3, 0, 2)
-    assert (same.terms, same.scale) == (((0, 6), (1, 1)), 3)
-    assert Constraint(((0, 12), (1, 2)), 6, 0, 2) == same
+    same = Constraint((6, 1), 3, 0)
+    assert (same.coeffs, same.scale) == ((6, 1), 3)
+    assert Constraint((12, 2), 6, 0) == same
+    assert Constraint([12, 2], 6, 0) == same and hash(Constraint([12, 2], 6, 0)) == hash(same)
     assert ref.coeffs(same) == (F(2), F(1, 3))
+    # an all-zero row is 0 <= rhs over a scale of 1
+    assert Constraint((0, 0), 4, 8) == Constraint((0, 0), 1, 2)
     with pytest.raises(TypeError):
         constraint([1.5], 0)
 
@@ -115,23 +119,24 @@ def test_constraint_normalises_its_row():
 @pytest.mark.parametrize(
     "terms,scale,int_rhs,coeffs,rhs",
     [
-        (((0, 4), (2, -6)), 2, 8, [2, 0, -3], 4),
-        (((1, 3),), 9, 0, [0, F(1, 3), 0], 0),
-        (((0, 10), (1, 5), (2, 15)), 20, 25, [F(1, 2), F(1, 4), F(3, 4)], F(5, 4)),
-        ((), 7, 14, [0, 0, 0], 2),
+        ((4, 0, -6), 2, 8, [2, 0, -3], 4),
+        ((0, 3, 0), 9, 0, [0, F(1, 3), 0], 0),
+        ((10, 5, 15), 20, 25, [F(1, 2), F(1, 4), F(3, 4)], F(5, 4)),
+        ((0, 0, 0), 7, 14, [0, 0, 0], 2),
     ],
 )
 def test_a_row_built_from_ints_has_the_one_form(terms, scale, int_rhs, coeffs, rhs):
-    # the ints share a factor above 1 with their scale; once divided
-    # through, the row is the one `constraint` makes from its fractions
-    row = Constraint(terms, scale, int_rhs, 3)
+    # the terms, one int per column, share a factor above 1 with their
+    # scale; once divided through, the row is the one `constraint`
+    # makes from its fractions
+    row = Constraint(terms, scale, int_rhs)
     same = constraint(coeffs, rhs)
     assert row == same and hash(row) == hash(same)
-    assert (row.terms, row.scale, row.int_rhs) == (same.terms, same.scale, same.int_rhs)
+    assert (row.coeffs, row.scale, row.int_rhs) == (same.coeffs, same.scale, same.int_rhs)
     assert ref.coeffs(row) == tuple(map(F, coeffs)) and ref.rhs(row) == F(rhs)
     assert constraint(ref.coeffs(row), ref.rhs(row)) == row
-    assert Constraint(terms, scale, int_rhs, 4) != constraint(coeffs, rhs)
-    assert Constraint(terms, scale, int_rhs + scale, 3) != constraint(coeffs, rhs)
+    assert Constraint((*terms, 0), scale, int_rhs) != constraint(coeffs, rhs)
+    assert Constraint(terms, scale, int_rhs + scale) != constraint(coeffs, rhs)
 
 
 def _random_program(rng: random.Random) -> LinearProgram:
@@ -275,13 +280,13 @@ def test_solving_twice_is_repeatable_and_leaves_the_program_alone(rhs, kind):
         constraint([3, 0, F(-2, 5)], 1),
     )
     prog = LinearProgram(objective=(F(1), F(-2), F(3, 4)), constraints=rows)
-    snapshot = [(c.terms, c.scale, c.int_rhs) for c in rows]
+    snapshot = [(c.coeffs, c.scale, c.int_rhs) for c in rows]
     first = solve(prog)
     second = solve(prog)
     assert isinstance(first, kind)
     assert first.pivots > 0
     assert first == second
-    assert [(c.terms, c.scale, c.int_rhs) for c in prog.constraints] == snapshot
+    assert [(c.coeffs, c.scale, c.int_rhs) for c in prog.constraints] == snapshot
 
 
 # -- golden outcomes ---------------------------------------------------------
