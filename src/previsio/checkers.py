@@ -30,7 +30,10 @@ directions force p.g_j = 0 everywhere, W-coherence and bi-coherence
 cost what the dF check costs: the computational side of their
 reduction to de Finetti coherence on precise assessments.
 
-Walley's avoiding sure loss for a partition family runs the same search
+Every check takes an `Assessment`, which holds all of its values.
+Separate coherence groups its entries by conditioning event, and
+Walley's avoiding sure loss reads them against a `PartitionFamily`,
+which holds only cells and members.  The latter runs the same search
 with no against-term.  A member of the family bet for on every cell is
 one element, with the gain X less its value on the cell of each atom,
 on the whole space, so one program decides it (`check_walley_asl`).
@@ -456,6 +459,14 @@ def _verdict(notion: str, trace: Trace, start: int, **fields) -> Verdict:
     )
 
 
+def _braced(event: Event) -> str:
+    return "{" + ",".join(event.atoms()) + "}"
+
+
+def _listed(values: Sequence[Fraction]) -> str:
+    return "(" + ", ".join(map(str, values)) + ")"
+
+
 def _generic_check(
     assessment: Assessment,
     notion: str,
@@ -566,9 +577,7 @@ def check_centered_convex(assessment: Assessment, *, trace: Trace | None = None)
                 "0|B must be assessed for every conditioning event"
             )
         if entry.lower != 0:
-            bad_values.append(
-                f"0|{{{','.join(event.atoms())}}} valued {entry.lower}"
-            )
+            bad_values.append(f"0|{_braced(event)} valued {entry.lower}")
     trace = trace or Trace()
     if bad_values:
         return _verdict(
@@ -594,34 +603,25 @@ def _check_disjoint(cells: Sequence[Event]) -> None:
             raise InvalidPartition("cells must be nonempty")
 
 
-def merged_family(family: Sequence[tuple[Event, Assessment]]) -> Assessment:
-    entries: list[Entry] = []
-    space = family[0][0].space
-    for _, assessment in family:
-        entries.extend(assessment.entries)
-    return Assessment(space, tuple(entries))
-
-
 def check_separate_coherence(
-    family: Sequence[tuple[Event, Assessment]], *, trace: Trace | None = None
+    assessment: Assessment, *, trace: Trace | None = None
 ) -> Verdict:
-    """Per-cell coherence: the cell's own indicator is priced 1, and the
-    cell's entries, each conditioned on the cell, are W-coherent.  Their
-    programs are those of the same values read as an unconditional lower
-    prevision on the subspace of the cell: the rows are the cell's atoms
-    in the same order, the columns its entries."""
-    if not family:
+    """Per-cell coherence.  The entries are grouped by their conditioning
+    events, the cells, in order, and the cells must be disjoint.  Each
+    cell prices its own indicator at 1, and its entries, in entry order,
+    are W-coherent.  Their programs are those of the same values read as
+    an unconditional lower prevision on the subspace of the cell: the
+    rows are the cell's atoms in the same order, the columns its
+    entries."""
+    by_cell: dict[Event, list[Entry]] = {}
+    for entry in assessment.entries:
+        by_cell.setdefault(entry.variable.cond, []).append(entry)
+    if not by_cell:
         raise EmptyAssessment("separate coherence needs at least one cell")
-    cells = [cell for cell, _ in family]
-    _check_disjoint(cells)
+    _check_disjoint(list(by_cell))
     trace = trace or Trace()
     start = trace.solves
-    for cell, assessment in family:
-        for entry in assessment.entries:
-            if entry.variable.cond != cell:
-                raise InvalidPartition(
-                    "an entry is conditioned on an event other than its cell"
-                )
+    for cell, entries in by_cell.items():
         self_indicator = restrict(cell.space.indicator(cell), cell)
         entry = assessment.entry_for(self_indicator)
         if entry is None:
@@ -635,13 +635,12 @@ def check_separate_coherence(
                 start,
                 passed=False,
                 structural_failure=(
-                    f"{{{','.join(cell.atoms())}}} prices its own indicator "
+                    f"{_braced(cell)} prices its own indicator "
                     f"at {entry.lower}, not 1"
                 ),
             )
-        inner = check_w_coherence(assessment, trace=trace)
+        inner = check_w_coherence(Assessment(assessment.space, tuple(entries)), trace=trace)
         if not inner.passed:
-            _verify_witness(inner.witness, merged_family(family))
             return _verdict(
                 "separate-coherence", trace, start, passed=False, witness=inner.witness
             )
@@ -654,14 +653,14 @@ def check_separate_coherence(
 
 @dataclass(frozen=True)
 class PartitionFamily:
-    """A common set of variables assessed conditionally on every cell of
-    a finite partition of the sure event."""
+    """A common set of variables, the members, to be assessed
+    conditionally on every cell of a finite partition of the sure event.
+    Their values live in the assessment checked against the family
+    (`check_walley_asl`)."""
 
     space: PossibilitySpace
     cells: tuple[Event, ...]
     members: tuple[RandomVariable, ...]
-    lower: tuple[tuple[Fraction, ...], ...]          # lower[i][j]: members[i] | cells[j]
-    upper: tuple[tuple[Fraction | None, ...], ...]
 
     def __post_init__(self) -> None:
         _check_disjoint(self.cells)
@@ -670,11 +669,6 @@ class PartitionFamily:
             raise InvalidPartition("cells must cover the sure event")
         if len(set(self.members)) != len(self.members):
             raise MalformedFamily("members must be distinct variables")
-        if len(self.lower) != len(self.members) or len(self.upper) != len(self.members):
-            raise MalformedFamily("one value row per member is required")
-        for row_l, row_u in zip(self.lower, self.upper):
-            if len(row_l) != len(self.cells) or len(row_u) != len(self.cells):
-                raise MalformedFamily("one value per cell is required")
         zero = self.space.constant(0)
         if zero not in self.members:
             raise MalformedFamily("the zero variable must belong to the family")
@@ -684,17 +678,6 @@ class PartitionFamily:
                     "every cell indicator must belong to the family"
                 )
 
-    @classmethod
-    def precise(
-        cls,
-        space: PossibilitySpace,
-        cells: Sequence[Event],
-        members: Sequence[RandomVariable],
-        table: Sequence[Sequence[Fraction]],
-    ) -> "PartitionFamily":
-        lower = tuple(tuple(row) for row in table)
-        return cls(space, tuple(cells), tuple(members), lower, lower)
-
     def cell_of_atom(self) -> list[int]:
         owner = [-1] * self.space.size
         for j, cell in enumerate(self.cells):
@@ -702,60 +685,49 @@ class PartitionFamily:
                 owner[atom] = j
         return owner
 
-    def per_cell_entries(self) -> list[tuple[Event, Assessment]]:
-        """Restrict every member to every cell.  Members that coincide
-        on a cell must be valued identically there."""
-        out = []
-        for j, cell in enumerate(self.cells):
-            seen: dict[ConditionalVariable, tuple[Fraction, Fraction | None]] = {}
-            for i, member in enumerate(self.members):
-                cv = restrict(member, cell)
-                value = (self.lower[i][j], self.upper[i][j])
-                if cv in seen and seen[cv] != value:
-                    raise MalformedFamily(
-                        "members restricting equally on a cell carry "
-                        "conflicting values"
-                    )
-                seen[cv] = value
-            entries = tuple(Entry(cv, lo, up) for cv, (lo, up) in seen.items())
-            out.append((cell, Assessment(self.space, entries)))
-        return out
-
-    def merged_assessment(self, k: Assessment | None = None) -> Assessment:
-        entries: list[Entry] = list(k.entries) if k is not None else []
-        seen = {e.variable for e in entries}
-        for cell, assessment in self.per_cell_entries():
-            for entry in assessment.entries:
-                if entry.variable not in seen:
-                    entries.append(entry)
-                    seen.add(entry.variable)
-        return Assessment(self.space, tuple(entries))
-
 
 def check_walley_asl(
-    k: Assessment | None, family: PartitionFamily, *, trace: Trace | None = None
+    assessment: Assessment, family: PartitionFamily, *, trace: Trace | None = None
 ) -> Verdict:
     """Avoiding sure loss in Walley's conglomerative sense.
 
-    Prerequisites: the unconditional part is a coherent lower prevision
-    and the per-cell restrictions are separately coherent.  The main
-    test then rules out gains combining unconditional terms with
-    conglomerative ones, expanded per atom since exactly one cell is
-    true whatever happens; their supremum is over the whole space.  It
-    is the search with no against-term over the elements of the
-    unconditional part and one element per family member and side,
-    which stands for the member's terms on every cell.  Every element
-    lives on the whole space, so the first program decides: its dual,
-    when it shows no violation, drops them all.
+    Every member of `family` must be assessed on every cell, and the
+    entries of `assessment` that are no member's restriction to a cell,
+    the side assessment, must be unconditional; otherwise the family is
+    malformed.  Prerequisites: the side assessment, if any, is a
+    coherent lower prevision, and the member restrictions, in (cell,
+    member) order with coinciding ones kept once, are separately
+    coherent.  The main test then rules out gains combining
+    unconditional terms with conglomerative ones, expanded per atom
+    since exactly one cell is true whatever happens; their supremum is
+    over the whole space.  It is the search with no against-term over
+    the elements of the side assessment and one element per family
+    member and side, which stands for the member's terms on every cell.
+    Every element lives on the whole space, so the first program
+    decides: its dual, when it shows no violation, drops them all.
     """
     notion = "walley-asl"
+    # each member's entry on each cell
+    table = [[assessment.entry_for(restrict(m, c)) for c in family.cells] for m in family.members]
+    for member, row in zip(family.members, table):
+        if None in row:
+            cell = family.cells[row.index(None)]
+            raise MalformedFamily(
+                f"the family member {_listed(member.values)} has no entry given {_braced(cell)}"
+            )
+    restrictions = {entry.variable for row in table for entry in row}
+    others = [entry for entry in assessment.entries if entry.variable not in restrictions]
+    for entry in others:
+        if not entry.variable.cond.is_sure:
+            x = entry.variable
+            raise MalformedFamily(
+                f"the entry of {_listed(x.values)} given {_braced(x.cond)} "
+                "is no family member restricted to a cell"
+            )
     trace = trace or Trace()
     start = trace.solves
-    if k is not None and len(k):
-        if not k.is_unconditional:
-            raise ConditionalEntriesUnsupported(
-                "the unconditional part contains conditional entries"
-            )
+    k = Assessment(assessment.space, tuple(others))
+    if others:
         pre_a = check_coherence_unconditional(k, trace=trace)
         if not pre_a.passed:
             return _verdict(
@@ -766,8 +738,8 @@ def check_walley_asl(
                 witness=pre_a.witness,
                 prerequisite_failure="unconditional part is not coherent",
             )
-    per_cell = family.per_cell_entries()
-    pre_b = check_separate_coherence(per_cell, trace=trace)
+    per_cell = dict.fromkeys(row[j] for j in range(len(family.cells)) for row in table)
+    pre_b = check_separate_coherence(Assessment(assessment.space, tuple(per_cell)), trace=trace)
     if not pre_b.passed:
         return _verdict(
             notion,
@@ -783,11 +755,13 @@ def check_walley_asl(
 
     owner = family.cell_of_atom()
     everywhere = frozenset(range(family.space.size))
-    elements = list(expanded_elements(k)) if k is not None else []
-    for i, member in enumerate(family.members):
-        sides = [(1, family.lower[i], FOR, LOWER)]
-        if all(u is not None for u in family.upper[i]) and family.upper[i] != family.lower[i]:
-            sides.append((-1, family.upper[i], AGAINST, UPPER))
+    elements = list(expanded_elements(k))
+    for member, entries in zip(family.members, table):
+        lower = [entry.lower for entry in entries]
+        upper = [entry.upper for entry in entries]
+        sides = [(1, lower, FOR, LOWER)]
+        if None not in upper and upper != lower:
+            sides.append((-1, upper, AGAINST, UPPER))
         for sign, values, side, price in sides:
             gain, d = over_one_denominator(
                 [sign * (v - values[owner[a]]) for a, v in enumerate(member.values)]
@@ -797,6 +771,6 @@ def check_walley_asl(
             elements.append(_Element((row, d), everywhere, terms))
     witness = _Search(tuple(elements), trace=trace).run([()])
     if witness is not None:
-        _verify_witness(witness, family.merged_assessment(k))
+        _verify_witness(witness, assessment)
         return _verdict(notion, trace, start, passed=False, witness=witness)
     return _verdict(notion, trace, start, passed=True)

@@ -56,7 +56,7 @@ from .jsonio import (
     witness_to_json,
 )
 from .lp import Trace
-from .model import Assessment, restrict
+from .model import restrict
 
 CHECKERS = {
     "df-unconditional": check_df_precise_unconditional,
@@ -68,17 +68,6 @@ CHECKERS = {
     "convex": check_convex,
     "centered-convex": check_centered_convex,
 }
-
-GRID_BY_CLI_NOTION = {
-    "df-unconditional": "df-precise-unconditional",
-    "df-conditional": "df-precise-conditional",
-    "coherence-unconditional": "coherence-unconditional",
-    "w-coherence": "w-coherence",
-    "aul": "aul",
-    "bi-coherence": "bi-coherence",
-    "convex": "convex",
-}
-
 
 def _read_document(path: str) -> tuple[Any, str]:
     """The parsed document and the digest of its bytes, "sha256:<hex>"."""
@@ -100,55 +89,20 @@ def _read_document(path: str) -> tuple[Any, str]:
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-def _family_of(problem: Problem) -> list[tuple]:
-    cells = []
-    grouped: dict = {}
-    for entry in problem.assessment.entries:
-        cond = entry.variable.cond
-        if cond not in grouped:
-            grouped[cond] = []
-            cells.append(cond)
-        grouped[cond].append(entry)
-    return [
-        (cell, Assessment(problem.space, tuple(grouped[cell]))) for cell in cells
-    ]
-
-
-def _partition_family_of(problem: Problem) -> tuple[Assessment, PartitionFamily]:
-    k_entries = []
-    per_cell: dict = {}
-    for entry in problem.assessment.entries:
-        cond = entry.variable.cond
-        if cond.is_sure:
-            k_entries.append(entry)
-        else:
-            per_cell.setdefault(cond, {})[entry.variable] = entry
-    if not per_cell:
+def _partition_family_of(problem: Problem) -> PartitionFamily:
+    """The family whose cells are the conditioning events other than the
+    sure event, in order, and whose members are the named variables
+    assessed on every cell, in document order."""
+    assessment = problem.assessment
+    cells = [cond for cond in assessment.conditioning_events() if not cond.is_sure]
+    if not cells:
         raise SchemaError("no conditional entries to form a partition family")
-    cells = list(per_cell)
     members = []
-    lower = []
-    upper = []
-    for name, variable in problem.variables.items():
-        if variable in members:
-            continue  # one variable may carry several names
-        values = []
-        complete = True
-        for cell in cells:
-            entry = per_cell[cell].get(restrict(variable, cell))
-            if entry is None:
-                complete = False
-                break
-            values.append(entry)
-        if complete:
+    for variable in problem.variables.values():
+        # one variable may carry several names
+        if variable not in members and all(restrict(variable, c) in assessment for c in cells):
             members.append(variable)
-            lower.append(tuple(e.lower for e in values))
-            upper.append(tuple(e.upper for e in values))
-    family = PartitionFamily(
-        problem.space, tuple(cells), tuple(members), tuple(lower), tuple(upper)
-    )
-    k = Assessment(problem.space, tuple(k_entries))
-    return k, family
+    return PartitionFamily(problem.space, tuple(cells), tuple(members))
 
 
 def _cmd_check(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
@@ -165,16 +119,12 @@ def _cmd_check(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None,
         return (0 if report.conglomerable else 1), digest, results
 
     if args.notion == "separate":
-        verdict = check_separate_coherence(_family_of(problem), trace=trace)
-        reference = problem.assessment
+        verdict = check_separate_coherence(problem.assessment, trace=trace)
     elif args.notion == "walley-asl":
-        k, family = _partition_family_of(problem)
-        verdict = check_walley_asl(k if len(k) else None, family, trace=trace)
-        reference = family.merged_assessment(k if len(k) else None)
+        verdict = check_walley_asl(problem.assessment, _partition_family_of(problem), trace=trace)
     else:
         verdict = CHECKERS[args.notion](problem.assessment, trace=trace)
-        reference = problem.assessment
-    results["verdict"] = verdict_to_json(verdict, problem, reference)
+    results["verdict"] = verdict_to_json(verdict, problem)
     return (0 if verdict.passed else 1), digest, results
 
 
@@ -190,7 +140,7 @@ def _cmd_extend(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None
     except BaseNotCoherent as exc:
         # refused, with the losing bet of the base that `check` would print
         print(f"previsio: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        witness = witness_to_json(problem, exc.witness, problem.assessment)
+        witness = witness_to_json(problem, exc.witness)
         return 2, digest, {"extension": {"target": label, "witness": witness}}
     return 0, digest, {
         "extension": {
@@ -204,8 +154,7 @@ def _cmd_extend(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None
 def _cmd_envelope(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
     doc, digest = _read_document(args.file)
     problem = load_problem(doc)
-    mode = "delta" if args.delta is not None else "filter"
-    credal = credal_polytope(problem.assessment, mode=mode, delta=args.delta)
+    credal = credal_polytope(problem.assessment, delta=args.delta)
     per_entry = credal.per_entry_min(problem.assessment)
     named = {}
     for cv, value in per_entry.items():
@@ -235,25 +184,21 @@ def _cmd_example(args: argparse.Namespace, trace: Trace) -> tuple[int, str | Non
 def _cmd_oracle(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
     doc, digest = _read_document(args.file)
     problem = load_problem(doc)
-    notion = GRID_BY_CLI_NOTION.get(args.notion)
-    if notion is None:
-        raise SchemaError(f"no brute-force oracle for notion {args.notion!r}")
     verdict = CHECKERS[args.notion](problem.assessment, trace=trace)
+    # each checker's notion is its grid's name
     bet = find_violation_grid(
-        problem.assessment, notion, max_denominator=args.max_denominator
+        problem.assessment, verdict.notion, max_denominator=args.max_denominator
     )
     agree = (bet is None) == verdict.passed
     results: dict[str, Any] = {
         "oracle": {
-            "checker": verdict_to_json(verdict, problem, problem.assessment),
+            "checker": verdict_to_json(verdict, problem),
             "gridFound": bet is not None,
             "agree": agree,
         }
     }
     if bet is not None:
-        results["oracle"]["gridWitness"] = witness_to_json(
-            problem, bet, problem.assessment
-        )
+        results["oracle"]["gridWitness"] = witness_to_json(problem, bet)
     return (0 if agree else 1), digest, results
 
 
@@ -328,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     example.set_defaults(run=_cmd_example)
 
     oracle = sub.add_parser("oracle", help="brute-force cross-check of a checker")
-    oracle.add_argument("--notion", required=True, choices=sorted(GRID_BY_CLI_NOTION))
+    oracle.add_argument(
+        "--notion", required=True, choices=sorted(CHECKERS.keys() - {"centered-convex"})
+    )
     oracle.add_argument("-f", "--file", default="-")
     oracle.add_argument("--max-denominator", type=_positive_int, default=8)
     oracle.set_defaults(run=_cmd_oracle)

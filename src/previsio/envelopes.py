@@ -209,31 +209,26 @@ def credal_polytope(
     assessment: Assessment,
     positivity: Sequence[Event] | None = None,
     *,
-    mode: str = "filter",
     delta: RationalLike | None = None,
 ) -> CredalSet:
     """Vertices of the dominating credal set.
 
     `positivity` lists the events whose probability must be positive
-    (default: all conditioning events of the assessment).  With
-    mode="delta" the polytope carries P(B) >= delta for a rational
-    delta > 0; with mode="filter" the closed polytope is enumerated and
-    vertices giving some listed event probability zero are discarded.
+    (default: all conditioning events of the assessment).  Given a
+    rational delta > 0, the polytope carries P(B) >= delta; otherwise
+    the closed polytope is enumerated and vertices giving some listed
+    event probability zero are discarded.
     """
     space = assessment.space
     if space.size > MAX_ATOMS:
         raise DimensionLimitExceeded(
             f"vertex enumeration is capped at {MAX_ATOMS} atoms"
         )
-    if mode not in ("filter", "delta"):
-        raise ValueError(f"unknown positivity mode {mode!r}")
     required = list(positivity) if positivity is not None else [
         e for e in assessment.conditioning_events() if not e.is_sure
     ]
     halfspaces = domination_constraints(assessment)
-    if mode == "delta":
-        if delta is None:
-            raise ValueError("delta mode needs a rational delta > 0")
+    if delta is not None:
         d = as_rational(delta)
         if d <= 0:
             raise ValueError("delta must be positive")
@@ -243,7 +238,7 @@ def credal_polytope(
             ]
             halfspaces.append(HalfSpace(tuple(row), d))
     vertices = _enumerate_vertices(space.size, halfspaces)
-    if mode == "filter":
+    if delta is None:
         # v >= 0, so P(B) > 0 iff some coordinate on B is nonzero
         vertices = [
             (v, d)
@@ -298,14 +293,7 @@ def lower_envelope(
     to show it: every bet on its previsions has expectation 0 under it,
     and the union of the bet's events has positive mass, so its gain is
     not negative everywhere there."""
-    if not members:
-        raise ValueError("an envelope needs at least one member")
-    vectors = [_probability_vector(space, p) for p in members]
-    items = []
-    for cv in domain:
-        value = min(_member_prevision(space, p, cv) for p in vectors)
-        items.append((cv, value))
-    return Assessment.build(space, items)
+    return convex_envelope(space, members, [0] * len(members), domain).assessment
 
 
 @dataclass(frozen=True)

@@ -221,24 +221,14 @@ def dump_bundle(bundle: ExampleBundle) -> dict:
 # witnesses and verdicts
 
 
-def _term_name(problem: Problem, cv: ConditionalVariable) -> tuple[str, str | None]:
-    named = problem.names.get(cv)
-    if named is not None:
-        return named
-    # fall back to any (variable, event) pair that restricts to cv
-    for ev_name, event in list(problem.events.items()) + [("Omega", problem.space.omega())]:
-        if event == cv.cond:
-            for var_name, var in problem.variables.items():
-                if restrict(var, event) == cv:
-                    return var_name, None if event.is_sure else ev_name
-    raise SchemaError("cannot name a witness variable in this document")
-
-
-def witness_to_json(problem: Problem, bet: Bet, assessment: Assessment) -> dict:
-    table = gain(bet, assessment)
+def witness_to_json(problem: Problem, bet: Bet) -> dict:
+    """The bet and its gain, each term named by the document row that
+    prices its variable; `gain` refuses a term the problem does not
+    price."""
+    table = gain(bet, problem.assessment)
     terms = []
     for term in bet.terms:
-        var_name, given = _term_name(problem, term.variable)
+        var_name, given = problem.names[term.variable]
         row = {
             "var": var_name,
             "given": given,
@@ -281,16 +271,14 @@ def witness_from_json(problem: Problem, doc: Any) -> Bet:
     return Bet(tuple(terms))
 
 
-def verdict_to_json(
-    verdict: Verdict, problem: Problem | None = None, assessment: Assessment | None = None
-) -> dict:
+def verdict_to_json(verdict: Verdict, problem: Problem) -> dict:
     doc: dict[str, Any] = {
         "notion": verdict.notion,
         "passed": verdict.passed,
         "lpCount": verdict.lp_count,
     }
-    if verdict.witness is not None and problem is not None and assessment is not None:
-        doc["witness"] = witness_to_json(problem, verdict.witness, assessment)
+    if verdict.witness is not None:
+        doc["witness"] = witness_to_json(problem, verdict.witness)
     if verdict.prerequisite_failure is not None:
         doc["prerequisiteFailure"] = verdict.prerequisite_failure
     if verdict.structural_failure is not None:

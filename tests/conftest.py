@@ -13,7 +13,8 @@ import pytest
 
 from previsio import lp
 from previsio.envelopes import lower_envelope
-from previsio.model import Assessment, Event, PossibilitySpace, restrict
+from previsio.errors import MalformedFamily
+from previsio.model import Assessment, Entry, Event, PossibilitySpace, restrict
 
 F = Fraction
 
@@ -99,6 +100,24 @@ def random_precise_assessment(rng: random.Random, space=None, max_entries=4,
         value = bayes_value(p, cv)
         items.append((cv, value, value))
     return Assessment.build(space, items)
+
+
+def family_entries(cells, members, lower, upper=None) -> list[Entry]:
+    """Each member restricted to each cell, in (cell, member) order,
+    valued lower[i][j] (and upper[i][j], or lower[i][j] when no upper
+    table is given) for members[i] on cells[j].  Members that restrict
+    equally on a cell give one entry, and must be valued alike there."""
+    upper = lower if upper is None else upper
+    seen = {}
+    for j, cell in enumerate(cells):
+        for i, member in enumerate(members):
+            cv = restrict(member, cell)
+            value = (F(lower[i][j]), None if upper[i][j] is None else F(upper[i][j]))
+            if seen.setdefault(cv, value) != value:
+                raise MalformedFamily(
+                    "members restricting equally on a cell carry conflicting values"
+                )
+    return [Entry(cv, lo, up) for cv, (lo, up) in seen.items()]
 
 
 def random_shifted_assessment(rng: random.Random, space=None, max_entries=4):

@@ -25,7 +25,7 @@ from typing import Sequence
 from previsio.checkers import PartitionFamily, expanded_elements
 from previsio.gains import AGAINST, FOR, LOWER, Bet
 from previsio.lp import Constraint, LinearProgram, solve
-from previsio.model import Assessment, RationalLike, as_rational
+from previsio.model import Assessment, RationalLike, as_rational, restrict
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -237,15 +237,20 @@ def bound_program(gains, target, sign, active, combo, outside) -> LinearProgram:
     return LinearProgram(objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows))
 
 
-def walley_program(k: Assessment | None, family: PartitionFamily) -> LinearProgram:
-    """The main program of walley-asl, from the family's table: a column
-    per element of `k`, then per member its gain X less its lower value
-    on each atom's cell, and, for an imprecise upper row, that upper
-    value less X; one row per atom with the eps column, then the
-    stakes' sum at most one."""
+def walley_program(assessment: Assessment, family: PartitionFamily) -> LinearProgram:
+    """The main program of walley-asl, from the assessment's values: a
+    column per element of its unconditional entries, then per member
+    its gain X less its lower value on each atom's cell, and, for an
+    imprecise upper row, that upper value less X, each value read from
+    the member's entry on the cell; one row per atom with the eps
+    column, then the stakes' sum at most one."""
     owner = family.cell_of_atom()
-    columns = fraction_gains(k) if k is not None else []
-    for member, lower, upper in zip(family.members, family.lower, family.upper):
+    side = tuple(e for e in assessment.entries if e.variable.cond.is_sure)
+    columns = fraction_gains(Assessment(assessment.space, side))
+    for member in family.members:
+        entries = [assessment.entry_for(restrict(member, cell)) for cell in family.cells]
+        lower = [e.lower for e in entries]
+        upper = [e.upper for e in entries]
         columns.append({a: v - lower[owner[a]] for a, v in enumerate(member.values)})
         if None not in upper and upper != lower:
             columns.append({a: upper[owner[a]] - v for a, v in enumerate(member.values)})

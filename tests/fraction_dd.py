@@ -74,7 +74,6 @@ def credal_polytope(
     assessment: Assessment,
     positivity: Sequence[Event] | None = None,
     *,
-    mode: str = "filter",
     delta: Fraction | None = None,
 ) -> CredalSet:
     """`envelopes.credal_polytope` for valid arguments, on this
@@ -84,14 +83,14 @@ def credal_polytope(
         e for e in assessment.conditioning_events() if not e.is_sure
     ]
     halfspaces = domination_constraints(assessment)
-    if mode == "delta":
+    if delta is not None:
         for event in required:
             row = [
                 _ONE if i in event.members else _ZERO for i in range(space.size)
             ]
             halfspaces.append(HalfSpace(tuple(row), Fraction(delta)))
     vertices = enumerate_vertices(space.size, halfspaces)
-    if mode == "filter":
+    if delta is None:
         vertices = [
             v
             for v in vertices

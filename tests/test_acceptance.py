@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import positive_vector, random_space
+from conftest import family_entries, positive_vector, random_space
 from corpus import small_corpus
 from enumeration_oracle import find_violation_enumeration, natural_extension_grid
 from previsio import gains
@@ -26,7 +26,6 @@ from previsio.checkers import (
     check_separate_coherence,
     check_w_coherence,
     check_walley_asl,
-    merged_family,
 )
 from previsio.conglomerability import (
     check_conglomerability,
@@ -40,7 +39,7 @@ from previsio.extensions import (
     natural_extension,
     natural_extension_prevision,
 )
-from previsio.model import Assessment, PossibilitySpace, restrict, zero_given
+from previsio.model import Assessment, Entry, PossibilitySpace, restrict, zero_given
 
 F = Fraction
 
@@ -193,21 +192,15 @@ def _random_partition_family(rng):
         i = rng.randrange(len(members))
         j = rng.randrange(2)
         table[i][j] += F(rng.randint(-2, 2), 3)
-    family = PartitionFamily(
-        space,
-        tuple(cells),
-        tuple(members),
-        tuple(tuple(r) for r in table),
-        tuple(tuple(r) for r in table),
-    )
-    family.per_cell_entries()  # drop structurally conflicting draws
-    k = None
+    family = PartitionFamily(space, tuple(cells), tuple(members))
+    entries = family_entries(cells, members, table)  # drop structurally conflicting draws
+    side = ()
     if rng.random() < 0.6:
         value = sum(pi * v for pi, v in zip(p, members[-1].values))
         if rng.random() < 0.3:
             value += F(rng.randint(-1, 1))
-        k = Assessment.build(space, [(members[-1].unconditional(), value, value)])
-    return k, family
+        side = (Entry(members[-1].unconditional(), value, value),)
+    return Assessment(space, (*side, *entries)), family
 
 
 def _random_separate_family(rng):
@@ -217,9 +210,9 @@ def _random_separate_family(rng):
     split = rng.randint(1, len(atoms) - 1)
     cells = [space.event(atoms[:split]), space.event(atoms[split:])]
     p = positive_vector(rng, space)
-    family = []
+    items = {}
     for cell in cells:
-        items = {restrict(space.indicator(cell), cell): (F(1), None)}
+        items[restrict(space.indicator(cell), cell)] = (F(1), None)
         for _ in range(rng.randint(0, 2)):
             x = space.variable({a: F(rng.randint(-3, 3)) for a in space.atoms})
             cv = restrict(x, cell)
@@ -228,15 +221,7 @@ def _random_separate_family(rng):
             mass = sum(p[i] for i in cell.members)
             value = sum(p[i] * v for i, v in cv.value_map().items()) / mass
             items[cv] = (value - F(rng.randint(-1, 2), 7), None)
-        family.append(
-            (
-                cell,
-                Assessment.build(
-                    space, [(cv, lo, up) for cv, (lo, up) in items.items()]
-                ),
-            )
-        )
-    return family
+    return Assessment.build(space, [(cv, lo, up) for cv, (lo, up) in items.items()])
 
 
 def test_criterion_4_implication_chain():
@@ -257,20 +242,19 @@ def test_criterion_4_implication_chain():
     families = 0
     while families < 40:
         try:
-            k, family = _random_partition_family(rng)
+            assessment, family = _random_partition_family(rng)
         except MalformedFamily:
             continue
         checked += 1
         families += 1
-        verdict = check_walley_asl(k, family)
+        verdict = check_walley_asl(assessment, family)
         if verdict.passed:
-            assert check_aul(family.merged_assessment(k)).passed  # ASL implies AUL
+            assert check_aul(assessment).passed  # ASL implies AUL
     for _ in range(40):
         family = _random_separate_family(rng)
         checked += 1
         separate = check_separate_coherence(family).passed
-        merged = check_w_coherence(merged_family(family)).passed
-        assert separate == merged    # separate coherence iff W-coherence
+        assert separate == check_w_coherence(family).passed  # separate coherence iff W-coherence
     assert checked == 200
     _report(4, f"{checked} random instances, zero implication violations")
 

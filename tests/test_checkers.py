@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    family_entries,
     positive_vector,
     random_arbitrary_assessment,
     random_coherent_assessment,
@@ -27,18 +28,18 @@ from previsio.checkers import (
     check_walley_asl,
     _Search,
     expanded_elements,
-    merged_family,
 )
 from previsio.conglomerability import definetti_example, walley_666_example
 from previsio.envelopes import convex_envelope, lower_envelope
 from previsio.errors import (
     ConditionalEntriesUnsupported,
     EmptyAssessment,
+    MalformedFamily,
     MissingSelfIndicator,
     MissingZeroVariables,
     NotPrecise,
 )
-from previsio.model import Assessment, PossibilitySpace, restrict, zero_given
+from previsio.model import Assessment, Entry, PossibilitySpace, restrict, zero_given
 
 F = Fraction
 
@@ -344,12 +345,12 @@ def test_centered_convex_nonzero_price_fails_structurally():
 
 
 def _separate_family(space, cells, price_of_cell=None):
-    family = []
+    items = []
     for cell in cells:
         indicator = restrict(space.indicator(cell), cell)
         price = 1 if price_of_cell is None else price_of_cell(cell)
-        family.append((cell, Assessment.build(space, [(indicator, price)])))
-    return family
+        items.append((indicator, price))
+    return Assessment.build(space, items)
 
 
 def test_separate_vacuous_passes():
@@ -374,7 +375,7 @@ def test_separate_missing_self_indicator():
     space = PossibilitySpace(("a", "b"))
     cell = space.event(["a", "b"])
     x = space.variable({"a": 1, "b": 0})
-    family = [(cell, Assessment.build(space, [(restrict(x, cell), F(1, 2))]))]
+    family = Assessment.build(space, [(restrict(x, cell), F(1, 2))])
     with pytest.raises(MissingSelfIndicator):
         check_separate_coherence(family)
 
@@ -386,9 +387,8 @@ def _random_separate_family(rng):
     split = rng.randint(1, len(atoms) - 1)
     cells = [space.event(atoms[:split]), space.event(atoms[split:])]
     p = positive_vector(rng, space)
-    family = []
+    items = {}
     for cell in cells:
-        items = {}
         indicator = restrict(space.indicator(cell), cell)
         items[indicator] = (F(1), F(1))
         for _ in range(rng.randint(0, 2)):
@@ -400,19 +400,14 @@ def _random_separate_family(rng):
             value = sum(p[i] * v for i, v in cv.value_map().items()) / mass
             jitter = F(rng.randint(0, 2), 7)
             items[cv] = (value - jitter, None)
-        family.append(
-            (cell, Assessment.build(space, [(cv, lo, up) for cv, (lo, up) in items.items()]))
-        )
-    return family
+    return Assessment.build(space, [(cv, lo, up) for cv, (lo, up) in items.items()])
 
 
 def test_separate_equivalent_to_w_coherence_of_merged():
     rng = random.Random(131)
     for _ in range(25):
         family = _random_separate_family(rng)
-        separate = check_separate_coherence(family).passed
-        merged = merged_family(family)
-        assert separate == check_w_coherence(merged).passed
+        assert check_separate_coherence(family).passed == check_w_coherence(family).passed
 
 
 def test_separate_witness_reverifies():
@@ -420,25 +415,17 @@ def test_separate_witness_reverifies():
     cell = space.event(["a", "b"])
     other = space.event(["c"])
     x = space.variable({"a": 1, "b": 0, "c": 0})
-    family = [
-        (
-            cell,
-            Assessment.build(
-                space,
-                [
-                    (restrict(space.indicator(cell), cell), 1),
-                    (restrict(x, cell), F(3, 2)),  # above the sup on the cell
-                ],
-            ),
-        ),
-        (
-            other,
-            Assessment.build(space, [(restrict(space.indicator(other), other), 1)]),
-        ),
-    ]
+    family = Assessment.build(
+        space,
+        [
+            (restrict(space.indicator(cell), cell), 1),
+            (restrict(x, cell), F(3, 2)),  # above the sup on the cell
+            (restrict(space.indicator(other), other), 1),
+        ],
+    )
     verdict = check_separate_coherence(family)
     assert not verdict.passed
-    table = gains.gain(verdict.witness, merged_family(family))
+    table = gains.gain(verdict.witness, family)
     assert table.sup_on_conditioning() < 0
 
 
@@ -521,7 +508,10 @@ def random_event_strict(rng, space):
 # Walley's avoiding sure loss
 
 
-def _bayes_family(space, cells, members, p):
+def _bayes_family(space, cells, members, p, side=()):
+    """The family of `members` on `cells`, and the assessment of the
+    entries `side`, then of each member's Bayes value under p on each
+    cell."""
     table = []
     for member in members:
         row = []
@@ -532,7 +522,8 @@ def _bayes_family(space, cells, members, p):
             ) / mass
             row.append(value)
         table.append(row)
-    return PartitionFamily.precise(space, cells, members, table)
+    entries = family_entries(cells, members, table)
+    return Assessment(space, (*side, *entries)), PartitionFamily(space, tuple(cells), tuple(members))
 
 
 def test_walley_asl_bayes_family_passes():
@@ -545,11 +536,11 @@ def test_walley_asl_bayes_family_passes():
         space.variable({"a": 1, "b": 0, "c": 2, "d": 1}),
     ]
     p = [F(1, 4)] * 4
-    family = _bayes_family(space, cells, members, p)
     k = Assessment.build(
         space, [(members[3].unconditional(), F(1), F(1))]
     )
-    verdict = check_walley_asl(k, family)
+    assessment, family = _bayes_family(space, cells, members, p, k.entries)
+    verdict = check_walley_asl(assessment, family)
     assert verdict.passed
 
 
@@ -562,10 +553,9 @@ def test_walley_asl_reduces_to_coherence_on_trivial_partition():
         members = [space.constant(0), space.indicator(omega)]
         extra = space.variable({a: F(rng.randint(-2, 3)) for a in space.atoms})
         members.append(extra)
-        family = _bayes_family(space, [omega], members, p)
-        verdict = check_walley_asl(None, family)
-        merged = family.merged_assessment(None)
-        assert verdict.passed == check_coherence_unconditional(merged).passed
+        assessment, family = _bayes_family(space, [omega], members, p)
+        verdict = check_walley_asl(assessment, family)
+        assert verdict.passed == check_coherence_unconditional(assessment).passed
 
 
 def test_walley_asl_implies_aul_randomized():
@@ -581,7 +571,6 @@ def test_walley_asl_implies_aul_randomized():
             space.variable({a: F(rng.randint(-3, 3)) for a in space.atoms}),
         ]
         p = positive_vector(rng, space)
-        family = _bayes_family(space, cells, members, p)
         k = Assessment.build(
             space,
             [(
@@ -589,10 +578,11 @@ def test_walley_asl_implies_aul_randomized():
                 sum(pi * v for pi, v in zip(p, members[3].values)),
             )],
         )
-        verdict = check_walley_asl(k, family)
+        assessment, family = _bayes_family(space, cells, members, p, k.entries)
+        verdict = check_walley_asl(assessment, family)
         if verdict.passed:
             checked += 1
-            assert check_aul(family.merged_assessment(k)).passed
+            assert check_aul(assessment).passed
     assert checked > 10
 
 
@@ -615,9 +605,10 @@ def test_walley_asl_detects_sure_loss():
         [0, 1],
         [F(9, 10), F(9, 10)],
     ]
-    family = PartitionFamily.precise(space, cells, members, table)
+    family = PartitionFamily(space, tuple(cells), tuple(members))
     k = Assessment.build(space, [(x.unconditional(), F(1, 2), F(1, 2))])
-    verdict = check_walley_asl(k, family)
+    assessment = Assessment(space, (*k.entries, *family_entries(cells, members, table)))
+    verdict = check_walley_asl(assessment, family)
     assert not verdict.passed
     assert verdict.prerequisite_failure is None
     # sell X at its upper value, and buy it on each cell at its lower
@@ -626,7 +617,7 @@ def test_walley_asl_detects_sure_loss():
         (restrict(x, cells[0]), F(1, 2), "for", "lower"),
         (restrict(x, cells[1]), F(1, 2), "for", "lower"),
     ]
-    table_ = gains.gain(verdict.witness, family.merged_assessment(k))
+    table_ = gains.gain(verdict.witness, assessment)
     assert table_.sup_on_conditioning() < 0
 
 
@@ -653,16 +644,17 @@ def test_walley_asl_truncated_mixture_example_passes():
             mass = sum(p[i] for i in cell.members)
             row.append(sum(p[i] * member.values[i] for i in cell.members) / mass)
         table.append(row)
-    family = PartitionFamily.precise(space, cells, members, table)
+    family = PartitionFamily(space, tuple(cells), tuple(members))
     k = Assessment.build(
         space,
         [(bundle.variables["A"].unconditional(), F(1, 2), F(1, 2))],
     )
-    verdict = check_walley_asl(k, family)
+    assessment = Assessment(space, (*k.entries, *family_entries(cells, members, table)))
+    verdict = check_walley_asl(assessment, family)
     assert verdict.prerequisite_failure is None
     assert verdict.passed
     # and the merged reading still avoids uniform loss
-    assert check_aul(family.merged_assessment(k)).passed
+    assert check_aul(assessment).passed
 
 
 def test_walley_asl_prerequisite_failure_reported():
@@ -670,12 +662,41 @@ def test_walley_asl_prerequisite_failure_reported():
     cells = [space.event(["a"]), space.event(["b"])]
     members = [space.constant(0), space.indicator(cells[0]), space.indicator(cells[1])]
     table = [[0, 0], [1, 0], [0, 1]]
-    family = PartitionFamily.precise(space, cells, members, table)
+    family = PartitionFamily(space, tuple(cells), tuple(members))
     x = space.variable({"a": 1, "b": 0})
     bad_k = Assessment.build(space, [(x.unconditional(), F(3, 2))])
-    verdict = check_walley_asl(bad_k, family)
+    assessment = Assessment(space, (*bad_k.entries, *family_entries(cells, members, table)))
+    verdict = check_walley_asl(assessment, family)
     assert not verdict.passed
     assert verdict.prerequisite_failure
+
+
+def _two_singletons():
+    """A family on two singleton cells, and its indicator table."""
+    space = PossibilitySpace(("a", "b"))
+    cells = [space.event(["a"]), space.event(["b"])]
+    members = [space.constant(0), space.indicator(cells[0]), space.indicator(cells[1])]
+    return space, cells, members, [[0, 0], [1, 0], [0, 1]]
+
+
+def test_walley_asl_refuses_an_entry_no_member_stands_for():
+    # Y|{a} priced above its supremum: checked without it, the family
+    # would pass
+    space, cells, members, table = _two_singletons()
+    y = space.variable({"a": 5, "b": -5})
+    entries = [*family_entries(cells, members, table), Entry(restrict(y, cells[0]), 99)]
+    family = PartitionFamily(space, tuple(cells), tuple(members))
+    with pytest.raises(MalformedFamily, match="entry of \\(5\\) given {a} is no family member"):
+        check_walley_asl(Assessment(space, tuple(entries)), family)
+
+
+def test_walley_asl_refuses_a_member_missing_on_a_cell():
+    space, cells, members, table = _two_singletons()
+    x = space.variable({"a": 2, "b": 3})
+    entries = [*family_entries(cells, members, table), Entry(restrict(x, cells[0]), 2)]
+    family = PartitionFamily(space, tuple(cells), (*members, x))
+    with pytest.raises(MalformedFamily, match="member \\(2, 3\\) has no entry given {b}"):
+        check_walley_asl(Assessment(space, tuple(entries)), family)
 
 
 def _walley_family(rng):
@@ -687,7 +708,7 @@ def _walley_family(rng):
     k = Assessment.build(
         space, [(x.unconditional(), sum(pi * v for pi, v in zip(p, x.values)))]
     )
-    return k, _bayes_family(space, cells, members, p)
+    return k, *_bayes_family(space, cells, members, p, k.entries)
 
 
 def test_nested_checks_count_what_their_inner_checks_count_alone(monkeypatch):
@@ -697,8 +718,9 @@ def test_nested_checks_count_what_their_inner_checks_count_alone(monkeypatch):
     for _ in range(10):
         family = _random_separate_family(rng)
         inner = []
-        for cell, assessment in family:
-            inner.append(check_w_coherence(assessment))
+        for cell in family.conditioning_events():
+            entries = [e for e in family.entries if e.variable.cond == cell]
+            inner.append(check_w_coherence(Assessment(family.space, tuple(entries))))
             if not inner[-1].passed:
                 break
         verdict = check_separate_coherence(family)
@@ -716,13 +738,14 @@ def test_nested_checks_count_what_their_inner_checks_count_alone(monkeypatch):
 
     passes = 0
     for _ in range(10):
-        k, family = _walley_family(rng)
+        k, assessment, family = _walley_family(rng)
+        per_cell = Assessment(family.space, assessment.entries[len(k):])
         inner = [
             check_coherence_unconditional(k),
-            check_separate_coherence(family.per_cell_entries()),
+            check_separate_coherence(per_cell),
         ]
         monkeypatch.setattr(lp, "solve", recording)
-        verdict = check_walley_asl(k, family)
+        verdict = check_walley_asl(assessment, family)
         monkeypatch.undo()
         if not verdict.passed:
             continue
@@ -887,12 +910,12 @@ def test_stake_programs_start_feasible(solved_programs):
     cells = [space.event(["a", "b"]), space.event(["c", "d"])]
     x = space.variable({"a": 1, "b": 0, "c": 1, "d": 0})
     members = [space.constant(0), space.indicator(cells[0]), space.indicator(cells[1]), x]
-    family = PartitionFamily.precise(
-        space, cells, members, [[0, 0], [1, 0], [0, 1], [F(9, 10), F(9, 10)]]
-    )
+    family = PartitionFamily(space, tuple(cells), tuple(members))
+    table = [[0, 0], [1, 0], [0, 1], [F(9, 10), F(9, 10)]]
     k = Assessment.build(space, [(x.unconditional(), F(1, 2), F(1, 2))])
+    assessment = Assessment(space, (*k.entries, *family_entries(cells, members, table)))
     before = len(solved_programs)
-    assert not check_walley_asl(k, family).passed
+    assert not check_walley_asl(assessment, family).passed
     assert len(solved_programs) > before
     assert failed > 40 and convex_failed > 20 and len(solved_programs) > 200
     # `Constraint` holds every row to rhs >= 0 over x >= 0, so the

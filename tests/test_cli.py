@@ -474,6 +474,21 @@ def test_walley_asl_via_cli(monkeypatch):
     assert report["lp"]["solves"] == report["results"]["verdict"]["lpCount"] > 1
 
 
+def test_walley_asl_refuses_a_variable_not_assessed_on_every_cell(tmp_path, capsys):
+    # Y is priced on L alone, above its supremum there: no family member
+    # stands for it, so the family is refused rather than checked without Y
+    doc = json.loads(json.dumps(WALLEY_ASL_DOC))
+    doc["variables"]["Y"] = {"a": "5", "b": "-5"}
+    doc["assessments"].append({"var": "Y", "given": "L", "lower": "99"})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check", "--notion", "walley-asl", "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "MalformedFamily" in captured.err
+    assert run(["check", "--notion", "w-coherence", "-f", str(path)]) == 1
+
+
 def test_debug_lp_dumps_programs(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(VACUOUS)

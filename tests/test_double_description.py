@@ -119,7 +119,7 @@ def _assessment_case(rng):
     """An assessment on 4-12 atoms around the values of a few positive
     members, its values and bounds moved by multiples of 1/3, 1/7 or
     1/(2**61 - 1) (so it may be incoherent or empty), and a positivity
-    regime in either mode."""
+    regime: filtered, or under a delta."""
     atoms = rng.randint(4, 12)
     space = PossibilitySpace(tuple(f"w{i}" for i in range(atoms)))
     members = [positive_vector(rng, space) for _ in range(2)]
@@ -142,8 +142,8 @@ def _assessment_case(rng):
     assessment = Assessment.build(space, items)
     positivity = rng.choice((None, [], [random_event(rng, space)]))
     if rng.random() < 0.5:
-        return assessment, positivity, {"mode": "filter"}
-    return assessment, positivity, {"mode": "delta", "delta": F(1, rng.choice(DENOMINATORS[1:]))}
+        return assessment, positivity, {}
+    return assessment, positivity, {"delta": F(1, rng.choice(DENOMINATORS[1:]))}
 
 
 def test_credal_polytope_matches_the_fraction_enumeration():
@@ -161,5 +161,5 @@ def test_credal_polytope_matches_the_fraction_enumeration():
         credal = credal_polytope(assessment, positivity, **regime)
         assert credal.vertices == expected.vertices
         assert credal.constraints == expected.constraints
-        seen[regime["mode"]] += 1
+        seen["delta" if "delta" in regime else "filter"] += 1
     assert min(seen.values()) >= 10, seen

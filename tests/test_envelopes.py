@@ -106,11 +106,11 @@ def test_positivity_filter_against_delta_mode():
     cell = space.event(["a", "b"])
     x = space.variable({"a": 1, "b": 0, "c": 0})
     a = Assessment.build(space, [(restrict(x, cell), F(1, 2))])
-    filtered = credal_polytope(a, mode="filter")
+    filtered = credal_polytope(a)
     assert all(
         sum(v[i] for i in cell.members) > 0 for v in filtered.vertices
     )
-    delta = credal_polytope(a, mode="delta", delta=F(1, 100))
+    delta = credal_polytope(a, delta=F(1, 100))
     assert all(
         sum(v[i] for i in cell.members) >= F(1, 100) for v in delta.vertices
     )
@@ -133,7 +133,6 @@ def test_delta_mode_keeps_only_vertices():
             space.event(["c", "d"]),
             space.event(["a", "c"]),
         ],
-        mode="delta",
         delta=F(1, 2),
     )
     half = F(1, 2)
@@ -151,7 +150,8 @@ def _mass(p, event):
 def _random_polytope_case(rng):
     """A conditional assessment with one-sided, two-sided and precise
     entries around the values of a few positive members (so it may be
-    incoherent or empty), and a positivity regime in either mode."""
+    incoherent or empty), and a positivity regime: filtered, or under a
+    delta."""
     space = random_space(rng, 3, 5)
     members = [positive_vector(rng, space) for _ in range(rng.randint(1, 3))]
     items = []
@@ -175,8 +175,8 @@ def _random_polytope_case(rng):
         [random_event(rng, space) for _ in range(rng.randint(1, 3))],
     ))
     if rng.random() < 0.5:
-        return assessment, positivity, {"mode": "filter"}
-    return assessment, positivity, {"mode": "delta", "delta": F(1, rng.randint(2, 12))}
+        return assessment, positivity, {}
+    return assessment, positivity, {"delta": F(1, rng.randint(2, 12))}
 
 
 def test_vertices_match_the_subset_oracle():
@@ -191,13 +191,13 @@ def test_vertices_match_the_subset_oracle():
             else [e for e in assessment.conditioning_events() if not e.is_sure]
         )
         halfspaces = domination_constraints(assessment)
-        if regime["mode"] == "delta":
+        if "delta" in regime:
             for event in required:
                 row = tuple(F(int(i in event.members)) for i in range(n))
                 halfspaces.append(HalfSpace(row, regime["delta"]))
                 seen["delta rows"] += 1
         expected = oracle_vertices(n, halfspaces)
-        if regime["mode"] == "filter":
+        if "delta" not in regime:
             expected = [
                 v for v in expected if all(_mass(v, e) > 0 for e in required)
             ]
@@ -209,7 +209,7 @@ def test_vertices_match_the_subset_oracle():
         credal = credal_polytope(assessment, positivity, **regime)
         assert credal.vertices == tuple(expected)
         assert credal.constraints == tuple(halfspaces)
-        seen[regime["mode"]] += 1
+        seen["delta" if "delta" in regime else "filter"] += 1
     assert min(seen.values()) >= 20, seen
 
 

@@ -16,6 +16,7 @@ import pytest
 import fraction_checks as ref
 from conftest import (
     bayes_value,
+    family_entries,
     positive_vector,
     random_arbitrary_assessment,
     random_coherent_assessment,
@@ -36,7 +37,7 @@ from previsio.checkers import (
 from previsio.conglomerability import definetti_example, walley_666_example
 from previsio.extensions import extend, natural_extension_prevision
 from previsio.jsonio import dump_bundle, load_problem
-from previsio.model import Assessment, PossibilitySpace
+from previsio.model import Assessment, Entry, PossibilitySpace
 
 
 def _fields(program: lp.LinearProgram):
@@ -96,9 +97,10 @@ def _walley_family(rng: random.Random) -> tuple[Assessment, PartitionFamily]:
     widen = Fraction(rng.choice([0, 0, 1]), 4)
     lower = (*table[:3], tuple(v - widen for v in table[3]))
     upper = (*table[:3], tuple(v + widen for v in table[3]))
-    family = PartitionFamily(space, tuple(cells), tuple(members), lower, upper)
+    family = PartitionFamily(space, tuple(cells), tuple(members))
     price = min(x.values) + (max(x.values) - min(x.values)) * Fraction(rng.randint(0, 8), 8)
-    return Assessment.build(space, [(x.unconditional(), price, price)]), family
+    side = Entry(x.unconditional(), price, price)
+    return Assessment(space, (side, *family_entries(cells, members, lower, upper))), family
 
 
 def _interval_assessment(rng: random.Random) -> Assessment:
@@ -155,10 +157,10 @@ def test_every_program_equals_the_fraction_oracle(programs):
     # coherence checks of the forms above
     main_steps = 0
     for _ in range(24):
-        k, family = _walley_family(rng)
-        if check_walley_asl(k, family).prerequisite_failure is None:
+        assessment, family = _walley_family(rng)
+        if check_walley_asl(assessment, family).prerequisite_failure is None:
             got = built[-1][0]
-            want = ref.walley_program(k, family)
+            want = ref.walley_program(assessment, family)
             assert _fields(got) == _fields(want)
             assert got == want
             main_steps += 1

@@ -133,7 +133,7 @@ def test_witness_round_trip_reproduces_gain():
     problem = load_problem(doc)
     verdict = check_aul(problem.assessment)
     assert not verdict.passed
-    serialized = witness_to_json(problem, verdict.witness, problem.assessment)
+    serialized = witness_to_json(problem, verdict.witness)
     assert serialized["conditioning"] == ["a", "b"]
     assert all(term["stake"] == "1/2" for term in serialized["terms"])
     revived = witness_from_json(problem, serialized)
@@ -155,7 +155,7 @@ def test_witness_upper_price_round_trip():
     problem = load_problem(doc)
     verdict = check_w_coherence(problem.assessment)
     assert not verdict.passed
-    serialized = witness_to_json(problem, verdict.witness, problem.assessment)
+    serialized = witness_to_json(problem, verdict.witness)
     revived = witness_from_json(problem, serialized)
     table = gain(revived, problem.assessment)
     assert table.sup_on_conditioning() < 0
@@ -164,7 +164,7 @@ def test_witness_upper_price_round_trip():
 def test_verdict_json_shape():
     problem = load_problem(DOC)
     verdict = check_w_coherence(problem.assessment)
-    doc = verdict_to_json(verdict, problem, problem.assessment)
+    doc = verdict_to_json(verdict, problem)
     assert doc["notion"] == "w-coherence"
     assert isinstance(doc["passed"], bool)
     assert isinstance(doc["lpCount"], int)
