@@ -34,7 +34,6 @@ from .envelopes import (
 )
 from .extensions import (
     ExtensionResult,
-    check_a1_a4,
     extend,
     natural_extension,
     natural_extension_prevision,
@@ -45,10 +44,8 @@ from .gains import (
     BetTerm,
     GainTable,
     against,
-    condition_predicates,
     gain,
     in_favour,
-    income_expense,
 )
 from .lp import Trace
 from .model import (
@@ -59,8 +56,6 @@ from .model import (
     PossibilitySpace,
     RandomVariable,
     as_rational,
-    cond_inf,
-    cond_sup,
     restrict,
     zero_given,
 )
@@ -83,7 +78,6 @@ __all__ = [
     "Verdict",
     "against",
     "as_rational",
-    "check_a1_a4",
     "check_aul",
     "check_bi_coherence",
     "check_centered_convex",
@@ -95,16 +89,12 @@ __all__ = [
     "check_separate_coherence",
     "check_w_coherence",
     "check_walley_asl",
-    "cond_inf",
-    "cond_sup",
-    "condition_predicates",
     "convex_envelope",
     "credal_polytope",
     "definetti_example",
     "extend",
     "gain",
     "in_favour",
-    "income_expense",
     "lower_envelope",
     "natural_extension",
     "natural_extension_prevision",

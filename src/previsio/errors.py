@@ -82,10 +82,6 @@ class ZeroProbabilityConditioning(PrevisioError):
     """A precise prevision assigns zero probability to a conditioning event."""
 
 
-class DomainNotClosed(PrevisioError):
-    """A sampled combination left the domain on which previsions are defined."""
-
-
 class MissingValues(PrevisioError):
     """A report needs assessed values that the assessment does not contain."""
 

@@ -1,4 +1,4 @@
-"""Bets, gains, supports and the income/expense decomposition.
+"""Bets, their gains and supports.
 
 A bet is a finite list of terms.  A term "for" X|B with stake s pays
 s*B*(X - price); a term "against" pays the negative.  The price of a
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable
 
 from .errors import ImpossibleConditioningEvent, UnassessedVariable
 from .lp import over_one_denominator
@@ -88,20 +87,11 @@ class GainTable:
     support: Event        # disjunction over terms with nonzero stake
 
     def sup_on_conditioning(self) -> Fraction:
-        return self._extreme(max, self.conditioning)
-
-    def inf_on_conditioning(self) -> Fraction:
-        return self._extreme(min, self.conditioning)
-
-    def sup_on_support(self) -> Fraction:
-        return self._extreme(max, self.support)
-
-    def _extreme(self, pick, event: Event) -> Fraction:
-        if event.is_empty:
+        if self.conditioning.is_empty:
             raise ImpossibleConditioningEvent(
                 "the gain is conditioned on the impossible event"
             )
-        return pick(self.values.values[i] for i in event.members)
+        return max(self.values.values[i] for i in self.conditioning.members)
 
 
 def _price(term: BetTerm, assessment: Assessment) -> Fraction:
@@ -115,16 +105,6 @@ def _price(term: BetTerm, assessment: Assessment) -> Fraction:
             "term is priced at the upper prevision, but none is assessed"
         )
     return entry.upper
-
-
-def _signed_terms(bet: Bet, assessment: Assessment) -> Iterable[
-    tuple[ConditionalVariable, Fraction, Fraction]
-]:
-    """Yield (variable, signed stake, price) with 'against' negated."""
-    for term in bet.terms:
-        price = _price(term, assessment)
-        stake = term.stake if term.side == FOR else -term.stake
-        yield term.variable, stake, price
 
 
 def gain(bet: Bet, assessment: Assessment) -> GainTable:
@@ -144,8 +124,11 @@ def gain(bet: Bet, assessment: Assessment) -> GainTable:
         if term.stake != 0:
             supp_members |= term.variable.cond.members
     staked = []
-    for cv, stake, price in _signed_terms(bet, assessment):
-        if stake:
+    for term in bet.terms:
+        price = _price(term, assessment)
+        if term.stake:
+            cv = term.variable
+            stake = term.stake if term.side == FOR else -term.stake
             (p, *ints), d = over_one_denominator([price, *cv.values])
             n = stake.numerator
             staked.append((cv.cond.members, [n * (x - p) for x in ints], stake.denominator * d))
@@ -160,73 +143,3 @@ def gain(bet: Bet, assessment: Assessment) -> GainTable:
         Event(space, frozenset(cond_members)),
         Event(space, frozenset(supp_members)),
     )
-
-
-def income_expense(bet: Bet, assessment: Assessment) -> tuple[RandomVariable, RandomVariable]:
-    """Split the gain into income I and expense E with G = I - E.
-
-    In a conditional environment the expense is itself random: each
-    term's price is paid only when its conditioning event happens.
-    """
-    space = assessment.space
-    income = [Fraction(0)] * space.size
-    expense = [Fraction(0)] * space.size
-    for cv, stake, price in _signed_terms(bet, assessment):
-        if stake == 0:
-            continue
-        for i, v in cv.value_map().items():
-            income[i] += stake * v
-            expense[i] += stake * price
-    return (
-        RandomVariable(space, tuple(income)),
-        RandomVariable(space, tuple(expense)),
-    )
-
-
-@dataclass(frozen=True)
-class ConditionPredicates:
-    """Diagnostics relating a bet's income and expense to sup(G|B) >= 0.
-
-    * ``sufficient_expense_bound``: inf(-I|B) <= inf(-E|B); implies
-      sup(G|B) >= 0.
-    * ``necessary_expense_bound``: inf(-I|B) <= sup(-E|B); implied by
-      sup(G|B) >= 0, so its failure refutes coherence.
-    * ``nested_price_bound``: defined only when the meet of all
-      conditioning events is nonempty: the bet's net price covers
-      sup(-I|B).  Also sufficient for sup(G|B) >= 0.
-
-    These are diagnostics only, never a standalone consistency notion.
-    """
-
-    sufficient_expense_bound: bool
-    necessary_expense_bound: bool
-    nested_price_bound: bool | None
-
-
-def condition_predicates(bet: Bet, assessment: Assessment) -> ConditionPredicates:
-    income, expense = income_expense(bet, assessment)
-    table = gain(bet, assessment)
-    b = table.conditioning
-    if b.is_empty:
-        raise ImpossibleConditioningEvent("bet has no terms")
-    neg_income = [-income.values[i] for i in sorted(b.members)]
-    neg_expense = [-expense.values[i] for i in sorted(b.members)]
-    lam = min(neg_income)  # extreme instantiation inf(-I|B)
-    sufficient = lam <= min(neg_expense)
-    necessary = lam <= max(neg_expense)
-    nested: bool | None = None
-    meet = None
-    for term in bet.terms:
-        meet = term.variable.cond if meet is None else (meet & term.variable.cond)
-    if meet is not None and not meet.is_empty:
-        net_price = Fraction(0)
-        for _, stake, price in _signed_terms(bet, assessment):
-            net_price -= stake * price
-        nested = net_price >= max(neg_income)
-    return ConditionPredicates(sufficient, necessary, nested)
-
-
-def pruned(bet: Bet) -> Bet:
-    """Drop zero-stake terms; the gain conditioned on the support is
-    unchanged."""
-    return Bet(tuple(t for t in bet.terms if t.stake != 0))

@@ -183,16 +183,6 @@ class RandomVariable:
         k = as_rational(factor)
         return RandomVariable(self.space, tuple(k * a for a in self.values))
 
-    def shift(self, offset: RationalLike) -> RandomVariable:
-        c = as_rational(offset)
-        return RandomVariable(self.space, tuple(a + c for a in self.values))
-
-    def pointwise_min(self, other: RandomVariable) -> RandomVariable:
-        return RandomVariable(self.space, tuple(min(a, b) for a, b in self._zip(other)))
-
-    def pointwise_max(self, other: RandomVariable) -> RandomVariable:
-        return RandomVariable(self.space, tuple(max(a, b) for a, b in self._zip(other)))
-
     def pointwise_mul(self, other: RandomVariable) -> RandomVariable:
         return RandomVariable(self.space, tuple(a * b for a, b in self._zip(other)))
 
@@ -274,15 +264,6 @@ def restrict(variable: RandomVariable, event: Event) -> ConditionalVariable:
     return ConditionalVariable(
         event, tuple(map(variable.values.__getitem__, sorted(event.members)))
     )
-
-
-def cond_sup(cv: ConditionalVariable) -> Fraction:
-    """Exact supremum of X|B, i.e. the max over atoms implying B."""
-    return cv.sup()
-
-
-def cond_inf(cv: ConditionalVariable) -> Fraction:
-    return cv.inf()
 
 
 def zero_given(event: Event) -> ConditionalVariable:

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from axioms import check_a1_a4
 from conftest import family_entries, positive_vector, random_space
 from corpus import small_corpus
 from enumeration_oracle import find_violation_enumeration, natural_extension_grid
@@ -34,11 +35,7 @@ from previsio.conglomerability import (
 )
 from previsio.envelopes import convex_envelope, credal_polytope, lower_envelope
 from previsio.errors import MalformedFamily
-from previsio.extensions import (
-    check_a1_a4,
-    natural_extension,
-    natural_extension_prevision,
-)
+from previsio.extensions import natural_extension, natural_extension_prevision
 from previsio.model import Assessment, Entry, PossibilitySpace, restrict, zero_given
 
 F = Fraction

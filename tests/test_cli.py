@@ -185,6 +185,22 @@ def test_conglomerability_subcommand(monkeypatch):
     assert body["infCell"] == body["supCell"] == "1/3"
 
 
+@pytest.mark.parametrize("cells", ["B1,B2,B3,", "B1,,B2,B3"])
+def test_conglomerability_refuses_an_empty_cell_name(cells, tmp_path, capsys):
+    # an empty name would be read as the sure event: an extra cell whose
+    # value is mu(A) itself, which closes the gap of 1/6
+    assert run(["example", "definetti", "--h", "1", "--k", "2", "--n", "3"]) == 0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(json.loads(capsys.readouterr().out)["results"]))
+    argv = ["check", "--notion", "conglomerability", "-f", str(path), "--target", "A"]
+    assert run([*argv, "--cells", "B1,B2,B3"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["conglomerability"]["gap"] == "1/6"
+    assert run([*argv, "--cells", cells]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "empty name" in captured.err
+
+
 def test_extend_subcommand(monkeypatch):
     doc = {
         "atoms": ["a", "b"],

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from axioms import DomainNotClosed, check_a1_a4
 from conftest import (
     bayes_value,
     positive_vector,
@@ -20,9 +21,8 @@ from enumeration_oracle import natural_extension_grid
 from previsio import extensions, gains, lp
 from previsio.checkers import _Search, check_w_coherence, expanded_elements
 from previsio.envelopes import lower_envelope
-from previsio.errors import BaseNotCoherent, DomainNotClosed, SpaceMismatch
+from previsio.errors import BaseNotCoherent, SpaceMismatch
 from previsio.extensions import (
-    check_a1_a4,
     extend,
     natural_extension,
     natural_extension_prevision,
