@@ -34,9 +34,9 @@ Every check takes an `Assessment`, which holds all of its values.
 Separate coherence groups its entries by conditioning event, and
 Walley's avoiding sure loss reads them against a `PartitionFamily`,
 which holds only cells and members.  The latter runs the same search
-with no against-term.  A member of the family bet for on every cell is
-one element, with the gain X less its value on the cell of each atom,
-on the whole space, so one program decides it (`check_walley_asl`).
+with no against-term.  A member of the family bet on one side on every
+cell is one element on the whole space, the sum of its entries'
+elements (`_summed`), so one program decides it (`check_walley_asl`).
 
 Assessed upper previsions enter through conjugacy: an upper value u for
 X|B is the lower value -u for -X|B, and precise entries contribute both
@@ -126,9 +126,8 @@ class _Element:
     when it is staked for.  A direction of an entry stands for one term:
     X|B bet for at its lower value, or, for the conjugate gain u - X on
     B of an upper value u, X|B bet against at u.  A member X of a
-    partition family stands for one term per cell; its gain is X less
-    its value on the atom's cell, or that value less X for an upper
-    value, on every atom.
+    partition family, on one side, sums that direction's elements of
+    its entries on the cells: one term per cell, on the whole space.
     """
 
     row: IntRow
@@ -168,6 +167,15 @@ def expanded_elements(assessment: Assessment) -> tuple[_Element, ...]:
             gain = {a: upper - v for a, v in values if v != upper}
             out.append(_Element((gain, d), x.cond.members, ((x, AGAINST, UPPER),)))
     return tuple(out)
+
+
+def _summed(parts: Sequence[_Element]) -> _Element:
+    """One element for `parts`, which live on disjoint events: the sum of
+    their gains, on the union of their events, for all of their terms."""
+    d = math.lcm(*(part.row[1] for part in parts))
+    gain = {a: v * (d // e) for g, e in (part.row for part in parts) for a, v in g.items()}
+    members = frozenset().union(*(part.members for part in parts))
+    return _Element((gain, d), members, tuple(t for part in parts for t in part.terms))
 
 
 @dataclass
@@ -678,13 +686,6 @@ class PartitionFamily:
                     "every cell indicator must belong to the family"
                 )
 
-    def cell_of_atom(self) -> list[int]:
-        owner = [-1] * self.space.size
-        for j, cell in enumerate(self.cells):
-            for atom in cell.members:
-                owner[atom] = j
-        return owner
-
 
 def check_walley_asl(
     assessment: Assessment, family: PartitionFamily, *, trace: Trace | None = None
@@ -701,8 +702,9 @@ def check_walley_asl(
     unconditional terms with conglomerative ones, expanded per atom
     since exactly one cell is true whatever happens; their supremum is
     over the whole space.  It is the search with no against-term over
-    the elements of the side assessment and one element per family
-    member and side, which stands for the member's terms on every cell.
+    the side assessment's elements, then each member's "for" element
+    and, when every cell has an upper value, precise or not, its
+    "against" element: the sum of its entries' elements on the cells.
     Every element lives on the whole space, so the first program
     decides: its dual, when it shows no violation, drops them all.
     """
@@ -753,22 +755,14 @@ def check_walley_asl(
             ),
         )
 
-    owner = family.cell_of_atom()
-    everywhere = frozenset(range(family.space.size))
-    elements = list(expanded_elements(k))
-    for member, entries in zip(family.members, table):
-        lower = [entry.lower for entry in entries]
-        upper = [entry.upper for entry in entries]
-        sides = [(1, lower, FOR, LOWER)]
-        if None not in upper and upper != lower:
-            sides.append((-1, upper, AGAINST, UPPER))
-        for sign, values, side, price in sides:
-            gain, d = over_one_denominator(
-                [sign * (v - values[owner[a]]) for a, v in enumerate(member.values)]
-            )
-            terms = tuple((restrict(member, c), side, price) for c in family.cells)
-            row = {a: g for a, g in enumerate(gain) if g}
-            elements.append(_Element((row, d), everywhere, terms))
+    expanded = expanded_elements(assessment)
+    elements = [el for el in expanded if el.terms[0][0] not in restrictions]
+    by_term = {el.terms[0][:2]: el for el in expanded}
+    for entries in table:
+        for side in (FOR, AGAINST):
+            parts = [by_term.get((entry.variable, side)) for entry in entries]
+            if None not in parts:
+                elements.append(_summed(parts))
     witness = _Search(tuple(elements), trace=trace).run([()])
     if witness is not None:
         _verify_witness(witness, assessment)

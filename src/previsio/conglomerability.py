@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .checkers import _check_disjoint
 from .errors import MissingValues
 from .model import (
     Assessment,
@@ -55,10 +56,12 @@ def check_conglomerability(
     """Compare mu(X) with the interval of the mu(X|B) over the cells.
 
     All values are read from the assessment (lower previsions; for
-    precise entries this is the prevision itself).
+    precise entries this is the prevision itself).  The cells must be
+    nonempty and pairwise disjoint, but need not cover the space.
     """
     if not cells:
         raise MissingValues("at least one cell is required")
+    _check_disjoint(cells)
     omega = assessment.space.omega()
     target = assessment.entry_for(restrict(variable, omega))
     if target is None:

@@ -240,11 +240,11 @@ def bound_program(gains, target, sign, active, combo, outside) -> LinearProgram:
 def walley_program(assessment: Assessment, family: PartitionFamily) -> LinearProgram:
     """The main program of walley-asl, from the assessment's values: a
     column per element of its unconditional entries, then per member
-    its gain X less its lower value on each atom's cell, and, for an
-    imprecise upper row, that upper value less X, each value read from
-    the member's entry on the cell; one row per atom with the eps
-    column, then the stakes' sum at most one."""
-    owner = family.cell_of_atom()
+    its gain X less its lower value on each atom's cell, and, when every
+    cell has an upper value, precise or not, that upper value less X,
+    each value read from the member's entry on the cell; one row per
+    atom with the eps column, then the stakes' sum at most one."""
+    owner = {a: j for j, cell in enumerate(family.cells) for a in cell.members}
     side = tuple(e for e in assessment.entries if e.variable.cond.is_sure)
     columns = fraction_gains(Assessment(assessment.space, side))
     for member in family.members:
@@ -252,7 +252,7 @@ def walley_program(assessment: Assessment, family: PartitionFamily) -> LinearPro
         lower = [e.lower for e in entries]
         upper = [e.upper for e in entries]
         columns.append({a: v - lower[owner[a]] for a, v in enumerate(member.values)})
-        if None not in upper and upper != lower:
+        if None not in upper:
             columns.append({a: upper[owner[a]] - v for a, v in enumerate(member.values)})
     n = len(columns)
     rows = [

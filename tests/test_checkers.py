@@ -30,7 +30,7 @@ from previsio.checkers import (
     expanded_elements,
 )
 from previsio.conglomerability import definetti_example, walley_666_example
-from previsio.envelopes import convex_envelope, lower_envelope
+from previsio.envelopes import HalfSpace, convex_envelope, lower_envelope
 from previsio.errors import (
     ConditionalEntriesUnsupported,
     EmptyAssessment,
@@ -40,6 +40,7 @@ from previsio.errors import (
     NotPrecise,
 )
 from previsio.model import Assessment, Entry, PossibilitySpace, restrict, zero_given
+from vertex_oracle import oracle_vertices
 
 F = Fraction
 
@@ -587,9 +588,11 @@ def test_walley_asl_implies_aul_randomized():
 
 
 def test_walley_asl_detects_sure_loss():
-    # a non-conglomerable combination: the variable is priced 9/10 on
-    # both cells but only 1/2 unconditionally, so buying it cell-wise
-    # and selling it outright loses 2/5 whatever happens
+    # a non-conglomerable combination: the variable is priced alike on
+    # both cells but otherwise unconditionally, so buying it where it is
+    # cheaper and selling it where it is dearer loses 2/5 whatever
+    # happens; in the second case a precise member is sold cell-wise at
+    # its upper value
     space = PossibilitySpace(("a", "b", "c", "d"))
     cells = [space.event(["a", "b"]), space.event(["c", "d"])]
     x = space.variable({"a": 1, "b": 0, "c": 1, "d": 0})
@@ -599,26 +602,26 @@ def test_walley_asl_detects_sure_loss():
         space.indicator(cells[1]),
         x,
     ]
-    table = [
-        [0, 0],
-        [1, 0],
-        [0, 1],
-        [F(9, 10), F(9, 10)],
-    ]
     family = PartitionFamily(space, tuple(cells), tuple(members))
-    k = Assessment.build(space, [(x.unconditional(), F(1, 2), F(1, 2))])
-    assessment = Assessment(space, (*k.entries, *family_entries(cells, members, table)))
-    verdict = check_walley_asl(assessment, family)
-    assert not verdict.passed
-    assert verdict.prerequisite_failure is None
-    # sell X at its upper value, and buy it on each cell at its lower
-    assert [(t.variable, t.stake, t.side, t.price) for t in verdict.witness.terms] == [
-        (x.unconditional(), F(1, 2), "against", "upper"),
-        (restrict(x, cells[0]), F(1, 2), "for", "lower"),
-        (restrict(x, cells[1]), F(1, 2), "for", "lower"),
+    cases = [
+        (F(1, 2), F(9, 10), ("against", "upper"), ("for", "lower")),
+        (F(9, 10), F(1, 2), ("for", "lower"), ("against", "upper")),
     ]
-    table_ = gains.gain(verdict.witness, assessment)
-    assert table_.sup_on_conditioning() < 0
+    for side_value, cell_value, outright, cellwise in cases:
+        table = [[0, 0], [1, 0], [0, 1], [cell_value, cell_value]]
+        k = Assessment.build(space, [(x.unconditional(), side_value, side_value)])
+        assessment = Assessment(space, (*k.entries, *family_entries(cells, members, table)))
+        verdict = check_walley_asl(assessment, family)
+        assert not verdict.passed
+        assert verdict.prerequisite_failure is None
+        assert [(t.variable, t.stake, t.side, t.price) for t in verdict.witness.terms] == [
+            (x.unconditional(), F(1, 2), *outright),
+            (restrict(x, cells[0]), F(1, 2), *cellwise),
+            (restrict(x, cells[1]), F(1, 2), *cellwise),
+        ]
+        table_ = gains.gain(verdict.witness, assessment)
+        assert table_.sup_on_conditioning() < 0
+        assert list(table_.values.values) == [F(-1, 5)] * 4
 
 
 def test_walley_asl_truncated_mixture_example_passes():
@@ -754,6 +757,87 @@ def test_nested_checks_count_what_their_inner_checks_count_alone(monkeypatch):
         assert verdict.lp_count == sum(v.lp_count for v in inner) + 1
         assert verdict.max_pivots == max(main, *(v.max_pivots for v in inner))
     assert passes > 5
+
+
+def _gordan_family(rng):
+    """A family of 0, the cell indicators and X on 4-5 atoms cut into
+    2-3 contiguous cells, valued by Bayes quotients of a positive p with
+    X widened by 0 or 1/4, and X priced outright at k/8 of its range,
+    with or without an upper value; and whether X is precise."""
+    space = random_space(rng, 4, 5)
+    n = space.size
+    cuts = [0, *sorted(rng.sample(range(1, n), rng.randint(1, 2))), n]
+    cells = [space.event(space.atoms[i:j]) for i, j in zip(cuts, cuts[1:])]
+    x = space.variable({a: F(rng.choice((-3, -2, -1, 2, 3))) for a in space.atoms})
+    members = [space.constant(0), *(space.indicator(c) for c in cells), x]
+    p = positive_vector(rng, space)
+    width = rng.choice((F(0), F(1, 4)))
+    entries = {}
+    for cell in cells:
+        mass = sum(p[a] for a in cell.members)
+        for m in members:
+            q = sum(p[a] * m.values[a] for a in cell.members) / mass
+            w = width if m is x else 0
+            entries.setdefault(restrict(m, cell), (q - w, q + w))
+    lo, hi = min(x.values), max(x.values)
+    k = rng.randint(0, 8)
+    upper = None if rng.random() < 0.5 else lo + (hi - lo) * rng.randint(k, 8) / 8
+    side = Entry(x.unconditional(), lo + (hi - lo) * k / 8, upper)
+    assessment = Assessment(space, (side, *(Entry(cv, *v) for cv, v in entries.items())))
+    return assessment, PartitionFamily(space, tuple(cells), tuple(members)), width == 0
+
+
+def _conglomerative_gains(assessment, family, precise_against=True):
+    """The gains of the main step of walley-asl from the definition: for
+    each unconditional entry X - L and U - X; for each member the sum
+    over cells B of B(X - L(X|B)), and of B(U(X|B) - X) when every cell
+    has an upper value (unless it is precise on every cell and
+    `precise_against` is false); zero gains left out."""
+    atoms = range(family.space.size)
+    out = []
+    for e in assessment.entries:
+        if e.variable.cond.is_sure:
+            out.append([v - e.lower for v in e.variable.values])
+            if e.upper is not None:
+                out.append([e.upper - v for v in e.variable.values])
+    for m in family.members:
+        on = [assessment.entry_for(restrict(m, c)) for c in family.cells]
+        cell_of = {a: on[j] for j, c in enumerate(family.cells) for a in c.members}
+        out.append([m.values[a] - cell_of[a].lower for a in atoms])
+        if all(e.upper is not None for e in on):
+            if precise_against or any(e.upper != e.lower for e in on):
+                out.append([cell_of[a].upper - m.values[a] for a in atoms])
+    return [g for g in out if any(g)]
+
+
+def _some_p_expects_no_loss(n, gain_rows):
+    """Whether some probability vector p has p.g >= 0 for every g."""
+    return bool(oracle_vertices(n, [HalfSpace(tuple(g), F(0)) for g in gain_rows]))
+
+
+def test_walley_asl_main_step_agrees_with_gordan():
+    # the main step bets only "for", on gains that live on the whole
+    # space: by Gordan's alternative, it passes exactly when some p has
+    # p.g >= 0 for every gain g, which the vertex oracle decides
+    rng = random.Random(7)
+    main_steps = precise_sold = 0
+    for _ in range(400):
+        assessment, family, precise = _gordan_family(rng)
+        verdict = check_walley_asl(assessment, family)
+        if verdict.prerequisite_failure is not None:
+            continue
+        main_steps += 1
+        n = family.space.size
+        assert verdict.passed == _some_p_expects_no_loss(
+            n, _conglomerative_gains(assessment, family)
+        )
+        if not verdict.passed and _some_p_expects_no_loss(
+            n, _conglomerative_gains(assessment, family, precise_against=False)
+        ):
+            assert precise
+            precise_sold += 1
+    assert main_steps > 200
+    assert precise_sold >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,20 @@ def test_conglomerability_refuses_an_empty_cell_name(cells, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "empty name" in captured.err
 
 
+@pytest.mark.parametrize("cells", ["B1,Omega", "B1,B1"])
+def test_conglomerability_refuses_overlapping_cells(cells, tmp_path, capsys):
+    # Omega beside B1 would close the gap of 1/6; B1 twice would report
+    # it over cells that are no partition
+    assert run(["example", "definetti", "--h", "1", "--k", "2", "--n", "3"]) == 0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(json.loads(capsys.readouterr().out)["results"]))
+    argv = ["check", "--notion", "conglomerability", "-f", str(path), "--target", "A"]
+    assert run([*argv, "--cells", cells]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "InvalidPartition: cells overlap" in captured.err
+
+
 def test_extend_subcommand(monkeypatch):
     doc = {
         "atoms": ["a", "b"],
@@ -490,6 +504,52 @@ def test_walley_asl_via_cli(monkeypatch):
     assert report["lp"]["solves"] == report["results"]["verdict"]["lpCount"] > 1
 
 
+SOLD_CELLWISE_DOC = {
+    "atoms": ["a", "b", "c", "d"],
+    "variables": {
+        "zero": {"a": "0", "b": "0", "c": "0", "d": "0"},
+        "X": {"a": "1", "b": "0", "c": "1", "d": "0"},
+    },
+    "events": {"L": ["a", "b"], "R": ["c", "d"]},
+    "assessments": [
+        {"var": "zero", "given": "L", "lower": "0", "upper": "0"},
+        {"var": "zero", "given": "R", "lower": "0", "upper": "0"},
+        {"var": "L", "given": "L", "lower": "1", "upper": "1"},
+        {"var": "L", "given": "R", "lower": "0", "upper": "0"},
+        {"var": "R", "given": "L", "lower": "0", "upper": "0"},
+        {"var": "R", "given": "R", "lower": "1", "upper": "1"},
+        {"var": "X", "given": "L", "lower": "1/2", "upper": "1/2"},
+        {"var": "X", "given": "R", "lower": "1/2", "upper": "1/2"},
+        {"var": "X", "lower": "9/10"},
+    ],
+}
+
+
+def test_walley_asl_sells_a_precise_member(monkeypatch):
+    # X is bought outright at 9/10 and sold on each cell at its precise
+    # value 1/2: a sure loss of 1/5 at stakes 1/2
+    code, report = invoke(
+        ["check", "--notion", "walley-asl", "-f", "-"],
+        stdin_text=json.dumps(SOLD_CELLWISE_DOC),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    verdict = report["results"]["verdict"]
+    assert "prerequisiteFailure" not in verdict
+    assert verdict["witness"]["terms"] == [
+        {"var": "X", "given": None, "stake": "1/2", "side": "for"},
+        {"var": "X", "given": "L", "stake": "1/2", "side": "against", "price": "upper"},
+        {"var": "X", "given": "R", "stake": "1/2", "side": "against", "price": "upper"},
+    ]
+    assert verdict["witness"]["gain"] == dict.fromkeys("abcd", "-1/5")
+    code, _ = invoke(
+        ["check", "--notion", "aul", "-f", "-"],
+        stdin_text=json.dumps(SOLD_CELLWISE_DOC),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+
+
 def test_walley_asl_refuses_a_variable_not_assessed_on_every_cell(tmp_path, capsys):
     # Y is priced on L alone, above its supremum there: no family member
     # stands for it, so the family is refused rather than checked without Y
@@ -525,7 +585,7 @@ DEBUG_LP_SHA256 = {
     ("extend", "--target", "A", "--given", "Brest"):
         "a6f685b98494d52d97200a91d5372b4c9d34f549d18fe096b080e88d4c984007",
     ("check", "--notion", "walley-asl"):
-        "2003269f4daabae628e98586a03290f1203b7476dc4c17bc51ec653757fd54b3",
+        "9c5a5ba03f7a72a26b3e551b31bcd3bba7a84a5fb2dedbbf395c28a5c38bff85",
 }
 
 

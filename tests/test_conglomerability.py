@@ -12,7 +12,7 @@ from previsio.conglomerability import (
     definetti_example,
     walley_666_example,
 )
-from previsio.errors import MissingValues
+from previsio.errors import InvalidPartition, MissingValues
 from previsio.model import Assessment, PossibilitySpace, restrict
 
 F = Fraction
@@ -44,6 +44,19 @@ def test_missing_values_rejected():
     a = Assessment.build(space, [(x.unconditional(), F(1, 2))])
     with pytest.raises(MissingValues):
         check_conglomerability(a, x, [space.event(["a"])])
+
+
+@pytest.mark.parametrize("second", ["omega", "B1"])
+def test_overlapping_cells_are_refused(second):
+    # the cells of a partition are pairwise disjoint: with Omega or B1
+    # again beside B1, the gap of 1/6 would close or stand for nothing
+    bundle = definetti_example(1, 2, 3)
+    a, b1, omega = bundle.variables["A"], bundle.events["B1"], bundle.space.omega()
+    with pytest.raises(InvalidPartition, match="cells overlap"):
+        check_conglomerability(bundle.assessment, a, [b1, omega if second == "omega" else b1])
+    # cells need not cover the space: the truncated ones leave `rest` out
+    assert frozenset().union(*(c.members for c in bundle.cells)) != omega.members
+    assert check_conglomerability(bundle.assessment, a, bundle.cells).gap == F(1, 6)
 
 
 # ---------------------------------------------------------------------------

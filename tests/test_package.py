@@ -74,3 +74,48 @@ def test_every_module_uses_what_it_imports():
 def test_the_guard_sees_an_unused_import():
     source = "from .model import Event, restrict\nimport math\n\nrestrict(None, None)\n"
     assert _unused_imports(ast.parse(source)) == ["Event (line 1)", "math (line 2)"]
+
+
+# the only functions that build a gain the search stakes on: an entry's
+# directions, and a partition family member's sum of them
+GAIN_BUILDERS = {"expanded_elements", "_summed"}
+
+
+def _element_builders(tree: ast.Module) -> list[str]:
+    """The function, or `<module>`, around each `_Element(...)` call."""
+    found = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "_Element"
+            ):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_gain_builders_construct_elements():
+    builders = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _element_builders(ast.parse(path.read_text(), str(path))))
+    }
+    assert set(builders) == {"checkers.py"}
+    assert set(builders["checkers.py"]) == GAIN_BUILDERS
+
+
+def test_the_guard_sees_an_element_built_elsewhere():
+    source = (
+        "def expanded_elements(a):\n    return [_Element(1, 2, 3)]\n\n"
+        "def check(a):\n    return [_Element(r, m, t) for r, m, t in a]\n\n"
+        "X = _Element(0, 0, 0)\n"
+    )
+    assert _element_builders(ast.parse(source)) == ["expanded_elements", "check", "<module>"]
