@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: check, extend, envelope, example, oracle.  Input documents
-follow the interchange schema (see jsonio); `-f -` reads standard
-input, so `previsio example ... | previsio check ...` composes.  Every
-run prints one JSON report on standard output.
+follow the interchange schema (see jsonio); `example` reports the
+document its generator writes, and `-f -` reads standard input, so
+`previsio example ... | previsio check ...` composes.  Every run prints
+one JSON report on standard output.
 
 Exit codes: 0 when the notion passed or the computation succeeded, 1
 when a notion failed (the report carries a witness), 2 on usage or
 input errors, 3 on an internal error (a self-check that failed).  An
 `extend` refused over a base that is not W-coherent exits 2, and its
-report carries the base's losing bet.
+report carries the base's losing bet.  Standard output closed before
+the report is written exits 2, with one line on standard error.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -48,7 +51,6 @@ from .extensions import extend
 from .jsonio import (
     Problem,
     conglomerability_to_json,
-    dump_bundle,
     load_problem,
     parse_rational,
     rational_str,
@@ -162,9 +164,7 @@ def _cmd_envelope(args: argparse.Namespace, trace: Trace) -> tuple[int, str | No
     per_entry = credal.per_entry_min(problem.assessment)
     named = {}
     for cv, value in per_entry.items():
-        var_name, given = problem.names.get(cv, (None, None))
-        if var_name is None:
-            continue
+        var_name, given = problem.names[cv]
         label = var_name if given is None else f"{var_name}|{given}"
         named[label] = rational_str(value)
     return 0, digest, {
@@ -179,10 +179,8 @@ def _cmd_envelope(args: argparse.Namespace, trace: Trace) -> tuple[int, str | No
 
 def _cmd_example(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
     if args.generator == "definetti":
-        bundle = definetti_example(args.odd, args.even, args.n)
-    else:
-        bundle = walley_666_example(args.n)
-    return 0, None, dump_bundle(bundle)
+        return 0, None, definetti_example(args.odd, args.even, args.n)
+    return 0, None, walley_666_example(args.n)
 
 
 def _cmd_oracle(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
@@ -310,8 +308,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         "lp": {"solves": trace.solves, "maxPivots": trace.max_pivots},
         "wallTimeSeconds": round(time.monotonic() - started, 6),
     }
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    try:
+        json.dump(report, sys.stdout, indent=2)
+        print(flush=True)
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush of what is
+        # still buffered goes nowhere, and the lost report is one line
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("previsio: standard output closed before the report was written", file=sys.stderr)
+        return 2
     return code
 
 

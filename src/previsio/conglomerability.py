@@ -15,23 +15,22 @@ carrying the residual probability, and Bayes-derive the remainder's
 conditional values whenever its probability is positive.  That keeps
 every generated assessment dF-coherent at every truncation while
 reproducing the assessed values verbatim.
+
+The generators write the interchange document by name (see jsonio),
+with its extra keys "notes", "cells" (the partition cells, by event
+name) and "target" (the variable they condition); they build no model
+object, and `jsonio.load_problem` reads what they return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .checkers import _check_disjoint
 from .errors import MissingValues
-from .model import (
-    Assessment,
-    Event,
-    PossibilitySpace,
-    RandomVariable,
-    restrict,
-)
+from .model import Assessment, Event, RandomVariable, restrict
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -88,21 +87,17 @@ def check_conglomerability(
     )
 
 
-@dataclass(frozen=True)
-class ExampleBundle:
-    """A generated example: assessment plus named variables and events,
-    the partition cells of interest, and generator notes."""
-
-    space: PossibilitySpace
-    assessment: Assessment
-    variables: Mapping[str, RandomVariable]
-    events: Mapping[str, Event]
-    cells: tuple[Event, ...]
-    target: str
-    notes: tuple[str, ...] = ()
+def _row(var: str, given: str | None, value: Fraction) -> dict:
+    """A precise assessment row of the interchange schema."""
+    return {"var": var, "given": given, "lower": str(value), "upper": str(value)}
 
 
-def definetti_example(h: int, k: int, truncation: int) -> ExampleBundle:
+def _indicator(atoms: Sequence[str], event: Sequence[str]) -> dict[str, str]:
+    inside = set(event)
+    return {a: "1" if a in inside else "0" for a in atoms}
+
+
+def definetti_example(h: int, k: int, truncation: int) -> dict:
     """A number is drawn from the positive integers; each cell of the
     coarse partition asserts that one of h odd / k even candidates came
     up, so the odd-number event A is valued h/(h+k) on every cell while
@@ -112,54 +107,34 @@ def definetti_example(h: int, k: int, truncation: int) -> ExampleBundle:
     residual mass; the remainder joins A or its complement (whichever
     admits a nonnegative residual) and its conditional value is
     Bayes-derived when its probability is positive, omitted otherwise.
+
+    Returns the interchange document that `previsio example definetti`
+    prints; `jsonio.load_problem` reads it.
     """
     if h < 1 or k < 1 or truncation < 1:
         raise ValueError("h, k and the truncation must be positive")
-    atoms: list[str] = []
-    odd_atoms: list[str] = []
-    cell_atoms: list[list[str]] = []
-    next_odd, next_even = 1, 2
-    for _ in range(truncation):
-        cell: list[str] = []
-        for _ in range(h):
-            cell.append(f"w{next_odd}")
-            odd_atoms.append(f"w{next_odd}")
-            next_odd += 2
-        for _ in range(k):
-            cell.append(f"w{next_even}")
-            next_even += 2
-        atoms.extend(cell)
-        cell_atoms.append(cell)
-    atoms.append("rest")
-    space = PossibilitySpace(tuple(atoms))
+    # cell i holds the next h odd and the next k even numbers
+    cells = {
+        f"B{i + 1}": [f"w{2 * (i * h + j) + 1}" for j in range(h)]
+        + [f"w{2 * (i * k + j) + 2}" for j in range(k)]
+        for i in range(truncation)
+    }
+    atoms = [a for cell in cells.values() for a in cell] + ["rest"]
 
-    if k > h:
-        rest_mass = Fraction(k - h, 2 * k)
-        rest_in_a = True
-    elif h > k:
-        rest_mass = Fraction(h - k, 2 * h)
-        rest_in_a = False
-    else:
-        rest_mass = _ZERO
-        rest_in_a = False
-
-    a_atoms = odd_atoms + (["rest"] if rest_in_a else [])
-    a_event = space.event(a_atoms)
-    a_var = space.indicator(a_event)
-    cells = tuple(space.event(c) for c in cell_atoms)
-    rest_event = space.event(["rest"])
+    # the remainder lies on the side that each cell holds fewer of
+    rest_mass = Fraction(abs(k - h), 2 * max(h, k))
+    rest_in_a = k > h
+    a_atoms = [a for cell in cells.values() for a in cell[:h]] + (["rest"] if rest_in_a else [])
 
     ratio = Fraction(h, h + k)
-    items = [(restrict(a_var, space.omega()), Fraction(1, 2), Fraction(1, 2))]
-    for cell in cells:
-        items.append((restrict(a_var, cell), ratio, ratio))
+    rows = [_row("A", None, Fraction(1, 2))]
+    rows += [_row("A", name, ratio) for name in cells]
     notes = [
         "remainder atom 'rest' carries residual probability "
         f"{rest_mass} inside {'A' if rest_in_a else 'not-A'}",
     ]
     if rest_mass > 0:
-        rest_value = _ONE if rest_in_a else _ZERO
-        items.append((restrict(a_var, rest_event), rest_value, rest_value))
+        rows.append(_row("A", "Brest", _ONE if rest_in_a else _ZERO))
         notes.append(
             "the value of A given the remainder is Bayes-derived, an "
             "artifact completion the original construction leaves open"
@@ -170,21 +145,18 @@ def definetti_example(h: int, k: int, truncation: int) -> ExampleBundle:
             "is derived for it"
         )
 
-    events = {"Omega": space.omega(), "A": a_event, "Brest": rest_event}
-    for i, cell in enumerate(cells, start=1):
-        events[f"B{i}"] = cell
-    return ExampleBundle(
-        space=space,
-        assessment=Assessment.build(space, items),
-        variables={"A": a_var},
-        events=events,
-        cells=cells,
-        target="A",
-        notes=tuple(notes),
-    )
+    return {
+        "atoms": atoms,
+        "variables": {"A": _indicator(atoms, a_atoms)},
+        "events": {"Omega": atoms, "A": a_atoms, "Brest": ["rest"], **cells},
+        "assessments": rows,
+        "notes": notes,
+        "cells": list(cells),
+        "target": "A",
+    }
 
 
-def walley_666_example(truncation: int) -> ExampleBundle:
+def walley_666_example(truncation: int) -> dict:
     """The even mixture of two finitely additive probabilities on the
     nonzero integers: one giving 2^-z to each positive z, one pushing
     all mass below every negative integer.  Conditioning on the pair
@@ -194,82 +166,50 @@ def walley_666_example(truncation: int) -> ExampleBundle:
     Truncated to n <= `truncation`, with one atom per tail carrying the
     residual masses (Bayes-completed); the assessment prices every
     atom, A, its complement, every pair cell and the conditional values
-    on the pairs.
+    on the pairs.  On a pair cell the positive atom and A are one
+    conditional variable, priced once, as A.
+
+    Returns the interchange document that `previsio example walley666`
+    prints; `jsonio.load_problem` reads it.
     """
     if truncation < 1:
         raise ValueError("the truncation must be positive")
     n = truncation
-    atoms: list[str] = []
+    atoms = [w for i in range(1, n + 1) for w in (f"w{i}", f"w-{i}")]
+    atoms += ["tailpos", "tailneg"]
+    prob = dict.fromkeys(atoms, _ZERO)
+    prob.update({f"w{i}": Fraction(1, 2 ** (i + 1)) for i in range(1, n + 1)})
+    prob.update(tailpos=Fraction(1, 2 ** (n + 1)), tailneg=Fraction(1, 2))
+
+    a_atoms = [f"w{i}" for i in range(1, n + 1)] + ["tailpos"]
+    b_atoms = [f"w-{i}" for i in range(1, n + 1)] + ["tailneg"]
+    cells = {f"B{i}": [f"w{i}", f"w-{i}"] for i in range(1, n + 1)}
+    named = {"A": a_atoms, "B": b_atoms, **{a: [a] for a in atoms}, **cells}
+
+    rows = [_row(a, None, prob[a]) for a in atoms]
+    rows += [_row("A", None, Fraction(1, 2)), _row("B", None, Fraction(1, 2))]
     for i in range(1, n + 1):
-        atoms.extend([f"w{i}", f"w-{i}"])
-    atoms.extend(["tailpos", "tailneg"])
-    space = PossibilitySpace(tuple(atoms))
-
-    prob: dict[str, Fraction] = {}
-    for i in range(1, n + 1):
-        prob[f"w{i}"] = Fraction(1, 2 ** (i + 1))
-        prob[f"w-{i}"] = _ZERO
-    prob["tailpos"] = Fraction(1, 2 ** (n + 1))
-    prob["tailneg"] = Fraction(1, 2)
-
-    a_event = space.event([f"w{i}" for i in range(1, n + 1)] + ["tailpos"])
-    b_event = ~a_event
-    a_var = space.indicator(a_event)
-    b_var = space.indicator(b_event)
-    omega = space.omega()
-
-    variables: dict[str, RandomVariable] = {"A": a_var, "B": b_var}
-    events: dict[str, Event] = {
-        "Omega": omega,
-        "A": a_event,
-        "B": b_event,
-        "Brest": space.event(["tailpos", "tailneg"]),
+        rows += [_row(f"B{i}", None, prob[f"w{i}"]), _row("A", f"B{i}", _ONE)]
+    return {
+        "atoms": atoms,
+        "variables": {name: _indicator(atoms, event) for name, event in named.items()},
+        "events": {
+            "Omega": atoms,
+            "A": a_atoms,
+            "B": b_atoms,
+            "Brest": ["tailpos", "tailneg"],
+            **cells,
+        },
+        "assessments": rows,
+        "notes": [
+            "tail atoms carry the residual masses "
+            f"{prob['tailpos']} (positive side, inside A) and 1/2 (negative side)",
+            "all values are Bayes-derived from the truncated mixture, so the "
+            "assessment stays dF-coherent at every truncation",
+            "the uniform-loss behaviour of the untruncated example needs the "
+            "infinite partition; at finite truncation only the assessed-cell "
+            "interval against the unconditional value is reported",
+        ],
+        "cells": list(cells),
+        "target": "A",
     }
-    priced: dict = {}
-
-    def price(cv, value):
-        # distinct paper objects may restrict to one canonical variable
-        # (A and the positive atom coincide on a pair cell); they must
-        # then agree, and are priced once
-        if cv in priced:
-            if priced[cv] != value:
-                raise AssertionError("conflicting Bayes values")
-            return
-        priced[cv] = value
-
-    for atom in atoms:
-        var = space.indicator(space.event([atom]))
-        variables[atom] = var
-        price(restrict(var, omega), prob[atom])
-    price(restrict(a_var, omega), Fraction(1, 2))
-    price(restrict(b_var, omega), Fraction(1, 2))
-    cells = []
-    for i in range(1, n + 1):
-        cell = space.event([f"w{i}", f"w-{i}"])
-        cells.append(cell)
-        events[f"B{i}"] = cell
-        mass = prob[f"w{i}"]
-        cell_var = space.indicator(cell)
-        variables[f"B{i}"] = cell_var
-        price(restrict(cell_var, omega), mass)
-        price(restrict(variables[f"w{i}"], cell), _ONE)
-        price(restrict(a_var, cell), _ONE)
-    items = [(cv, value, value) for cv, value in priced.items()]
-    notes = (
-        "tail atoms carry the residual masses "
-        f"{prob['tailpos']} (positive side, inside A) and 1/2 (negative side)",
-        "all values are Bayes-derived from the truncated mixture, so the "
-        "assessment stays dF-coherent at every truncation",
-        "the uniform-loss behaviour of the untruncated example needs the "
-        "infinite partition; at finite truncation only the assessed-cell "
-        "interval against the unconditional value is reported",
-    )
-    return ExampleBundle(
-        space=space,
-        assessment=Assessment.build(space, items),
-        variables=variables,
-        events=events,
-        cells=tuple(cells),
-        target="A",
-        notes=notes,
-    )

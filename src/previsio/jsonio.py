@@ -9,7 +9,9 @@ One schema crosses every tool boundary:
                       "lower": "p/q", "upper": "p/q"?}, ...]}
 
 Rationals are serialized exactly as "p/q" strings (integers without the
-denominator), never as decimals.
+denominator), never as decimals.  `load_problem` is the one way from
+names to an assessment: documents read from a file and the classical
+examples that the conglomerability generators write alike.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .checkers import Verdict
-from .conglomerability import ConglomerabilityReport, ExampleBundle
+from .conglomerability import ConglomerabilityReport
 from .errors import PrevisioError, SchemaError
 from .gains import Bet, BetTerm, gain
 from .model import (
@@ -172,49 +174,6 @@ def load_problem(doc: Any) -> Problem:
     except PrevisioError as exc:
         raise SchemaError(str(exc)) from exc
     return Problem(space, variables, events, assessment, names)
-
-
-def dump_bundle(bundle: ExampleBundle) -> dict:
-    """Serialize a generated example in the interchange schema."""
-    doc: dict[str, Any] = {"atoms": list(bundle.space.atoms)}
-    doc["variables"] = {
-        name: {a: rational_str(var.value_at(a)) for a in bundle.space.atoms}
-        for name, var in bundle.variables.items()
-    }
-    doc["events"] = {
-        name: list(event.atoms()) for name, event in bundle.events.items()
-    }
-    name_of_event = {}
-    for name, event in bundle.events.items():
-        name_of_event.setdefault(event, name)
-    rows = []
-    for entry in bundle.assessment.entries:
-        cond = entry.variable.cond
-        var_name = None
-        for name, var in bundle.variables.items():
-            if restrict(var, cond) == entry.variable:
-                var_name = name
-                break
-        if var_name is None:
-            raise SchemaError("an assessed variable has no name in the bundle")
-        row: dict[str, Any] = {
-            "var": var_name,
-            "given": None if cond.is_sure else name_of_event.get(cond),
-            "lower": rational_str(entry.lower),
-        }
-        if row["given"] is None and not cond.is_sure:
-            raise SchemaError("an assessed event has no name in the bundle")
-        if entry.upper is not None:
-            row["upper"] = rational_str(entry.upper)
-        rows.append(row)
-    doc["assessments"] = rows
-    if bundle.notes:
-        doc["notes"] = list(bundle.notes)
-    doc["cells"] = [
-        name for name, event in bundle.events.items() if event in bundle.cells
-    ]
-    doc["target"] = bundle.target
-    return doc
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from previsio.conglomerability import (
 from previsio.envelopes import convex_envelope, credal_polytope, lower_envelope
 from previsio.errors import MalformedFamily
 from previsio.extensions import natural_extension, natural_extension_prevision
+from previsio.jsonio import load_problem
 from previsio.model import Assessment, Entry, PossibilitySpace, restrict, zero_given
 
 F = Fraction
@@ -47,11 +48,13 @@ def _report(number: int, text: str) -> None:
 
 def test_criterion_1_definetti_truncation():
     started = time.monotonic()
-    bundle = definetti_example(1, 2, 8)
-    verdict = check_df_precise_conditional(bundle.assessment)
+    doc = definetti_example(1, 2, 8)
+    problem = load_problem(doc)
+    cells = [problem.events[name] for name in doc["cells"]]
+    verdict = check_df_precise_conditional(problem.assessment)
     assert verdict.passed
     report = check_conglomerability(
-        bundle.assessment, bundle.variables["A"], bundle.cells
+        problem.assessment, problem.variables["A"], cells
     )
     assert report.inf_cell == F(1, 3)
     assert report.sup_cell == F(1, 3)
@@ -104,17 +107,19 @@ def test_criterion_2_bi_coherence_examples():
 
 
 def test_criterion_3_walley_666_truncation():
-    bundle = walley_666_example(4)
-    omega = bundle.space.omega()
-    for i, cell in enumerate(bundle.cells, start=1):
-        assert bundle.assessment.lower(restrict(bundle.variables["A"], cell)) == 1
-        assert bundle.assessment.lower(
-            restrict(bundle.variables[f"w{i}"], cell)
+    doc = walley_666_example(4)
+    problem = load_problem(doc)
+    cells = [problem.events[name] for name in doc["cells"]]
+    omega = problem.space.omega()
+    for i, cell in enumerate(cells, start=1):
+        assert problem.assessment.lower(restrict(problem.variables["A"], cell)) == 1
+        assert problem.assessment.lower(
+            restrict(problem.variables[f"w{i}"], cell)
         ) == 1
-    assert bundle.assessment.lower(restrict(bundle.variables["A"], omega)) == F(1, 2)
-    assert check_aul(bundle.assessment).passed
+    assert problem.assessment.lower(restrict(problem.variables["A"], omega)) == F(1, 2)
+    assert check_aul(problem.assessment).passed
     report = check_conglomerability(
-        bundle.assessment, bundle.variables["A"], bundle.cells
+        problem.assessment, problem.variables["A"], cells
     )
     assert report.sup_cell == 1 and report.value <= report.sup_cell
     assert report.inf_cell == 1 and not report.lower_condition

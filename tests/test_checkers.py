@@ -30,6 +30,7 @@ from previsio.checkers import (
     expanded_elements,
 )
 from previsio.conglomerability import definetti_example, walley_666_example
+from previsio.jsonio import load_problem
 from previsio.envelopes import HalfSpace, convex_envelope, lower_envelope
 from previsio.errors import (
     ConditionalEntriesUnsupported,
@@ -100,8 +101,8 @@ def test_w_coherence_upper_below_lower_detected():
 
 
 def test_w_coherence_definetti_truncation_passes():
-    bundle = definetti_example(1, 2, 4)
-    assert check_w_coherence(bundle.assessment).passed
+    problem = load_problem(definetti_example(1, 2, 4))
+    assert check_w_coherence(problem.assessment).passed
 
 
 def test_empty_assessment_rejected():
@@ -169,8 +170,8 @@ def test_df_uniform_probability_passes():
 
 
 def test_df_definetti_n8_passes():
-    bundle = definetti_example(1, 2, 8)
-    assert check_df_precise_conditional(bundle.assessment).passed
+    problem = load_problem(definetti_example(1, 2, 8))
+    assert check_df_precise_conditional(problem.assessment).passed
 
 
 def test_df_conflicting_scaled_copy_fails():
@@ -628,16 +629,15 @@ def test_walley_asl_truncated_mixture_example_passes():
     # the two-sided mixture truncated with a remainder cell: every cell
     # has positive mass, all values are Bayes quotients, so no gain of
     # the conglomerative form can be uniformly negative
-    from previsio.conglomerability import walley_666_example
-
-    bundle = walley_666_example(4)
-    space = bundle.space
+    doc = walley_666_example(4)
+    problem = load_problem(doc)
+    space = problem.space
     omega = space.omega()
-    cells = list(bundle.cells) + [bundle.events["Brest"]]
+    cells = [problem.events[name] for name in (*doc["cells"], "Brest")]
     members = [space.constant(0)] + [space.indicator(c) for c in cells]
-    members.append(bundle.variables["A"])
+    members.append(problem.variables["A"])
     p = [
-        bundle.assessment.lower(restrict(space.indicator(space.event([a])), omega))
+        problem.assessment.lower(restrict(space.indicator(space.event([a])), omega))
         for a in space.atoms
     ]
     table = []
@@ -650,7 +650,7 @@ def test_walley_asl_truncated_mixture_example_passes():
     family = PartitionFamily(space, tuple(cells), tuple(members))
     k = Assessment.build(
         space,
-        [(bundle.variables["A"].unconditional(), F(1, 2), F(1, 2))],
+        [(problem.variables["A"].unconditional(), F(1, 2), F(1, 2))],
     )
     assessment = Assessment(space, (*k.entries, *family_entries(cells, members, table)))
     verdict = check_walley_asl(assessment, family)
@@ -700,6 +700,25 @@ def test_walley_asl_refuses_a_member_missing_on_a_cell():
     family = PartitionFamily(space, tuple(cells), (*members, x))
     with pytest.raises(MalformedFamily, match="member \\(2, 3\\) has no entry given {b}"):
         check_walley_asl(Assessment(space, tuple(entries)), family)
+
+
+@pytest.mark.parametrize(
+    "drop,extra,message",
+    [
+        (None, 1, "members must be distinct variables"),
+        (0, None, "the zero variable must belong to the family"),
+        (2, None, "every cell indicator must belong to the family"),
+    ],
+)
+def test_a_family_refuses_members_that_are_no_partition_family(drop, extra, message):
+    # a member twice, or the zero variable or a cell indicator left out
+    space, cells, members, _ = _two_singletons()
+    if extra is not None:
+        members.append(members[extra])
+    if drop is not None:
+        del members[drop]
+    with pytest.raises(MalformedFamily, match=message):
+        PartitionFamily(space, tuple(cells), tuple(members))
 
 
 def _walley_family(rng):
@@ -881,13 +900,13 @@ def test_every_failed_verdict_witness_reverifies():
 PINNED_CHECKS = pytest.mark.parametrize(
     "example,checker,lp_count,max_pivots",
     [
-        (lambda: walley_666_example(2), check_w_coherence, 1, 6),
-        (lambda: walley_666_example(4), check_w_coherence, 1, 10),
-        (lambda: definetti_example(1, 1, 4), check_w_coherence, 4, 2),
-        (lambda: definetti_example(1, 2, 3), check_df_precise_conditional, 3, 6),
-        (lambda: definetti_example(1, 2, 16), check_w_coherence, 16, 19),
-        (lambda: walley_666_example(4), check_convex, 3, 9),
-        (lambda: definetti_example(1, 2, 16), check_convex, 33, 19),
+        (lambda: load_problem(walley_666_example(2)), check_w_coherence, 1, 6),
+        (lambda: load_problem(walley_666_example(4)), check_w_coherence, 1, 10),
+        (lambda: load_problem(definetti_example(1, 1, 4)), check_w_coherence, 4, 2),
+        (lambda: load_problem(definetti_example(1, 2, 3)), check_df_precise_conditional, 3, 6),
+        (lambda: load_problem(definetti_example(1, 2, 16)), check_w_coherence, 16, 19),
+        (lambda: load_problem(walley_666_example(4)), check_convex, 3, 9),
+        (lambda: load_problem(definetti_example(1, 2, 16)), check_convex, 33, 19),
     ],
     ids=["walley666-2-w-coherence", "walley666-4-w-coherence",
          "definetti-1-1-4-w-coherence", "definetti-1-2-3-df-conditional",
@@ -1027,7 +1046,7 @@ def test_convexity_runs_one_chain_per_against_term():
 def test_convexity_programs_do_not_grow_with_walley_666():
     # one chain closes every against-term it reaches with p.g_j = p.g_k,
     # so the count stays flat where it was 8n + 8
-    counts = [check_convex(walley_666_example(n).assessment) for n in (2, 4, 6, 8)]
+    counts = [check_convex(load_problem(walley_666_example(n)).assessment) for n in (2, 4, 6, 8)]
     assert all(v.passed for v in counts)
     assert [v.lp_count for v in counts] == [3, 3, 3, 3]
 

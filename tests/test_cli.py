@@ -115,12 +115,18 @@ def test_nonpositive_counts_exit_two(argv, capsys):
     assert "expected a positive integer" in capsys.readouterr().err
 
 
-def test_module_entry_point(tmp_path):
-    path = tmp_path / "a.json"
-    path.write_text(VACUOUS)
+def _child_env():
+    """The environment of a child interpreter that imports this previsio."""
     src = str(Path(previsio.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text(VACUOUS)
+    env = _child_env()
     argv = [sys.executable, "-m", "previsio.cli", "check", "--notion"]
     passing = subprocess.run(
         argv + ["w-coherence", "-f", str(path)], capture_output=True, text=True, env=env
@@ -132,6 +138,54 @@ def test_module_entry_point(tmp_path):
     )
     assert failing.returncode == 1, failing.stderr
     assert json.loads(failing.stdout)["results"]["verdict"]["witness"]["terms"]
+
+
+def test_a_closed_standard_output_exits_two():
+    # the report of walley666 at n = 40 is 235,626 bytes, more than a
+    # pipe holds: the writer is still writing when the reader leaves
+    argv = [sys.executable, "-m", "previsio.cli", "example", "walley666", "--n", "40"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+    ) as child:
+        assert len(child.stdout.read(16)) == 16
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 2
+    assert err.count("\n") == 1 and err.startswith("previsio: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# sha256 of `json.dumps(report["results"])`: the documents that
+# `previsio example` prints, byte for byte
+EXAMPLE_SHA256 = {
+    ("definetti", "--h", "1", "--k", "1", "--n", "3"):
+        "210e43a1270dcedcc38089d4b8c68b13693dc2c150c39a550c23c72449045537",
+    ("definetti", "--h", "1", "--k", "2", "--n", "4"):
+        "cdd5ce069599f09d199a4f71c732ddd35525513b14980b2aff0286115da625b3",
+    ("definetti", "--h", "2", "--k", "1", "--n", "3"):
+        "dccaffd093bcb03ede4ad8d9f6eb1fc0735ef6b9c82767a7694d9eb2ba467801",
+    ("definetti", "--h", "2", "--k", "2", "--n", "2"):
+        "0eb91cac0f33b0f3d309e03c4c8eab5eaf12d144ea9761bd8c88987120d736ca",
+    ("definetti", "--h", "3", "--k", "1", "--n", "2"):
+        "5d68050cfff3123234b8ecd0c58b9e9c25f9e7ccbb4126c45e89c71a18d7871e",
+    ("walley666", "--n", "1"):
+        "19eb249de60ecd84ef25ac3803ef8248cb801d412116d681f60064b1dd9d2d45",
+    ("walley666", "--n", "2"):
+        "2cffeb41aab1c41756cc714fc84a531c1c3a25a32af7001d2c9067f07ebdf58b",
+    ("walley666", "--n", "4"):
+        "92f0c334a3a14b5176203a35270e2b9c22ae8d2b0f28ec0bc12d4453dff84644",
+}
+
+
+@pytest.mark.parametrize("argv,digest", EXAMPLE_SHA256.items())
+def test_example_documents_are_pinned_and_load(argv, digest):
+    code, report = invoke(["example", *argv])
+    assert code == 0
+    doc = report["results"]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest
+    problem = load_problem(doc)
+    assert doc["cells"] and set(doc["cells"]) <= problem.events.keys()
+    assert doc["target"] in doc["variables"]
 
 
 def test_example_pipes_into_check(monkeypatch):
@@ -565,6 +619,39 @@ def test_walley_asl_refuses_a_variable_not_assessed_on_every_cell(tmp_path, caps
     assert run(["check", "--notion", "w-coherence", "-f", str(path)]) == 1
 
 
+def test_centered_convex_reports_a_zero_not_valued_zero(monkeypatch):
+    doc = {
+        "atoms": ["a", "b"],
+        "variables": {"zero": {"a": "0", "b": "0"}},
+        "assessments": [{"var": "zero", "lower": "1/2"}],
+    }
+    code, report = invoke(
+        ["check", "--notion", "centered-convex", "-f", "-"],
+        stdin_text=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    verdict = report["results"]["verdict"]
+    assert verdict["structuralFailure"] == "0|{a,b} valued 1/2"
+    assert "witness" not in verdict
+
+
+def test_walley_asl_reports_an_incoherent_side_assessment(monkeypatch):
+    # Y is 1 everywhere, so its lower prevision 2 is no coherent one
+    doc = json.loads(json.dumps(WALLEY_ASL_DOC))
+    doc["variables"]["Y"] = {"a": "1", "b": "1"}
+    doc["assessments"].append({"var": "Y", "lower": "2"})
+    code, report = invoke(
+        ["check", "--notion", "walley-asl", "-f", "-"],
+        stdin_text=json.dumps(doc),
+        monkeypatch=monkeypatch,
+    )
+    assert code == 1
+    verdict = report["results"]["verdict"]
+    assert verdict["prerequisiteFailure"] == "unconditional part is not coherent"
+    assert verdict["witness"]["terms"]
+
+
 def test_debug_lp_dumps_programs(tmp_path, capsys):
     path = tmp_path / "a.json"
     path.write_text(VACUOUS)
@@ -624,6 +711,67 @@ def test_malformed_documents_exit_two(doc, tmp_path, capsys):
     assert run(["check", "--notion", "w-coherence", "-f", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("previsio: ") and "Traceback" not in err
+
+
+CHECK = ["check", "--notion", "w-coherence"]
+CONGLOMERABILITY = ["check", "--notion", "conglomerability", "--target", "X"]
+TWO_ATOMS = {"atoms": ["a", "b"], "variables": {"X": {"a": "1", "b": "0"}}}
+NO_FILE, DIRECTORY = "no file", "a directory"
+# every refusal the command line documents, each an input error of its own
+REFUSALS = {
+    "not-an-object": (CHECK, [TWO_ATOMS]),
+    "duplicate-atoms": (CHECK, {"atoms": ["a", "a"], "assessments": []}),
+    "variable-not-an-object": (CHECK, {**TWO_ATOMS, "variables": {"X": "1"}}),
+    "variable-missing-an-atom": (CHECK, {**TWO_ATOMS, "variables": {"X": {"a": "1"}}}),
+    "variable-unknown-atom": (
+        CHECK, {**TWO_ATOMS, "variables": {"X": {"a": "1", "b": "0", "c": "0"}}}
+    ),
+    "event-not-a-list": (CHECK, {**TWO_ATOMS, "events": {"E": "a"}}),
+    "row-without-lower": (CHECK, {**TWO_ATOMS, "assessments": [{"var": "X"}]}),
+    "row-given-an-empty-event": (
+        CHECK,
+        {**TWO_ATOMS, "events": {"E": []},
+         "assessments": [{"var": "X", "given": "E", "lower": "0"}]},
+    ),
+    "one-variable-two-values": (  # X is the indicator of Ea
+        CHECK,
+        {**TWO_ATOMS, "events": {"Ea": ["a"]},
+         "assessments": [{"var": "X", "lower": "0"}, {"var": "Ea", "lower": "1/2"}]},
+    ),
+    "unreadable-path": (CHECK, NO_FILE),
+    "directory-as-file": (CHECK, DIRECTORY),
+    "walley-asl-without-a-conditional-row": (
+        ["check", "--notion", "walley-asl"],
+        {**TWO_ATOMS, "assessments": [{"var": "X", "lower": "0"}]},
+    ),
+    "conglomerability-without-cells": (
+        CONGLOMERABILITY, {**TWO_ATOMS, "assessments": [{"var": "X", "lower": "0"}]}
+    ),
+    "conglomerability-unassessed-value": (
+        [*CONGLOMERABILITY, "--cells", "Ea"],
+        {**TWO_ATOMS, "events": {"Ea": ["a"]},
+         "assessments": [{"var": "X", "given": "Ea", "lower": "1"}]},
+    ),
+    "family-not-covering-the-space": (
+        ["check", "--notion", "walley-asl"],
+        {**TWO_ATOMS, "events": {"Ea": ["a"]},
+         "assessments": [{"var": "Ea", "given": "Ea", "lower": "1"}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("command,doc", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_documented_refusal_exits_two(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    if doc == DIRECTORY:
+        path = tmp_path
+    elif doc != NO_FILE:
+        path.write_text(json.dumps(doc))
+    assert run([*command, "-f", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("previsio: ")
+    assert "Traceback" not in captured.err
 
 
 def test_the_parser_is_built_once_and_carries_nothing_between_runs(tmp_path, capsys):

@@ -12,7 +12,6 @@ from conftest import random_arbitrary_assessment, random_coherent_assessment, ra
 from previsio.checkers import check_aul, check_convex, check_w_coherence
 from previsio.cli import run
 from previsio.conglomerability import definetti_example
-from previsio.jsonio import dump_bundle
 from previsio.lp import Trace
 
 
@@ -103,7 +102,7 @@ def test_threads_keep_one_account_each():
 
 def test_only_the_command_with_debug_lp_dumps(tmp_path, capsys):
     path = tmp_path / "definetti.json"
-    path.write_text(json.dumps(dump_bundle(definetti_example(1, 2, 3))))
+    path.write_text(json.dumps(definetti_example(1, 2, 3)))
     argv = ["--debug-lp", "check", "--notion", "w-coherence", "-f", str(path)]
     assert run(argv) == 0
     alone = capsys.readouterr()

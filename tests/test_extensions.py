@@ -29,6 +29,7 @@ from previsio.extensions import (
     upper_extension,
 )
 from previsio.conglomerability import definetti_example
+from previsio.jsonio import load_problem
 from previsio.gains import FOR, LOWER
 from previsio.model import Assessment, ConditionalVariable, PossibilitySpace, restrict
 
@@ -292,19 +293,19 @@ def test_upper_extension_empty_base_is_sup():
 
 
 def test_upper_extension_recheck_definetti():
-    bundle = definetti_example(1, 2, 4)
-    a_var = bundle.variables["A"]
-    rest = restrict(a_var, bundle.events["Brest"])
-    lu = upper_extension(bundle.assessment, rest)
+    problem = load_problem(definetti_example(1, 2, 4))
+    a_var = problem.variables["A"]
+    rest = restrict(a_var, problem.events["Brest"])
+    lu = upper_extension(problem.assessment, rest)
     assert lu == 1  # assessed precisely at the Bayes-derived value
 
-    pair = restrict(a_var, bundle.events["B1"] | bundle.events["B2"])
-    le = natural_extension(bundle.assessment, pair)
-    lu = upper_extension(bundle.assessment, pair)
+    pair = restrict(a_var, problem.events["B1"] | problem.events["B2"])
+    le = natural_extension(problem.assessment, pair)
+    lu = upper_extension(problem.assessment, pair)
     assert le == lu == F(1, 3)
-    extended = bundle.assessment.with_entry(pair, lu)
+    extended = problem.assessment.with_entry(pair, lu)
     assert check_w_coherence(extended).passed
-    nudged = bundle.assessment.with_entry(pair, lu + F(1, 1000))
+    nudged = problem.assessment.with_entry(pair, lu + F(1, 1000))
     assert not check_w_coherence(nudged).passed
 
 
@@ -950,10 +951,10 @@ def test_the_search_is_built_once_per_extend(monkeypatch):
 
 
 def test_the_prevision_builds_one_search_for_every_lookup(monkeypatch):
-    bundle = definetti_example(1, 2, 3)
-    base = bundle.assessment
-    basis = [bundle.variables["A"]]
-    events = [bundle.events[name] for name in ("Omega", "A", "Brest")]
+    problem = load_problem(definetti_example(1, 2, 3))
+    base = problem.assessment
+    basis = [problem.variables["A"]]
+    events = [problem.events[name] for name in ("Omega", "A", "Brest")]
     built = []
 
     class Counting(_Search):
@@ -1021,11 +1022,11 @@ PINNED_EXTENSIONS = pytest.mark.parametrize(
 
 @PINNED_EXTENSIONS
 def test_extension_lp_counts_are_pinned(n, natural, both):
-    bundle = definetti_example(1, 2, n)
-    target = bundle.variables["A"].unconditional()
+    problem = load_problem(definetti_example(1, 2, n))
+    target = problem.variables["A"].unconditional()
     base = Assessment(
-        bundle.space,
-        tuple(e for e in bundle.assessment.entries if e.variable != target),
+        problem.space,
+        tuple(e for e in problem.assessment.entries if e.variable != target),
     )
     trace = lp.Trace()
     assert natural_extension(base, target, trace=trace) == F(1, 3)

@@ -36,7 +36,7 @@ from previsio.checkers import (
 )
 from previsio.conglomerability import definetti_example, walley_666_example
 from previsio.extensions import extend, natural_extension_prevision
-from previsio.jsonio import dump_bundle, load_problem
+from previsio.jsonio import load_problem
 from previsio.model import Assessment, Entry, PossibilitySpace
 
 
@@ -147,8 +147,8 @@ def test_every_program_equals_the_fraction_oracle(programs):
         extend(coherent, random_domain(rng, coherent.space, 1)[0])
         compare(start, coherent)
     # the paper's counterexamples, read from their documents
-    for bundle in (definetti_example(1, 1, 3), walley_666_example(2)):
-        assessment = load_problem(dump_bundle(bundle)).assessment
+    for doc in (definetti_example(1, 1, 3), walley_666_example(2)):
+        assessment = load_problem(doc).assessment
         start = len(built)
         for check in (check_w_coherence, check_convex, check_df_precise_conditional):
             assert check(assessment).passed

@@ -3,11 +3,9 @@ from fractions import Fraction
 import pytest
 
 from previsio.checkers import check_aul, check_w_coherence
-from previsio.conglomerability import definetti_example, walley_666_example
 from previsio.errors import DuplicateEntry, SchemaError
 from previsio.gains import gain
 from previsio.jsonio import (
-    dump_bundle,
     load_problem,
     parse_rational,
     rational_str,
@@ -170,15 +168,6 @@ def test_verdict_json_shape():
     assert isinstance(doc["lpCount"], int)
     if not verdict.passed:
         assert "witness" in doc
-
-
-def test_bundle_dump_is_loadable_and_equal():
-    for bundle in (definetti_example(1, 2, 3), walley_666_example(3)):
-        doc = dump_bundle(bundle)
-        problem = load_problem(doc)
-        assert problem.space == bundle.space
-        assert set(problem.assessment.entries) == set(bundle.assessment.entries)
-        assert "notes" in doc
 
 
 @pytest.mark.parametrize(

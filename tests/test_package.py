@@ -119,3 +119,44 @@ def test_the_guard_sees_an_element_built_elsewhere():
         "X = _Element(0, 0, 0)\n"
     )
     assert _element_builders(ast.parse(source)) == ["expanded_elements", "check", "<module>"]
+
+
+# the classical examples are documents: written by name, read back by
+# `load_problem` like any other
+GENERATORS = ("definetti_example", "walley_666_example")
+
+
+def _model_names_read(tree: ast.Module, functions: tuple[str, ...]) -> dict[str, set[str]]:
+    """The names imported from the model module that each of `functions`
+    reads."""
+    from_model = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("model", "previsio.model")
+        for alias in node.names
+    }
+    return {
+        node.name: {
+            name.id for name in ast.walk(node)
+            if isinstance(name, ast.Name) and name.id in from_model
+        }
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in functions
+    }
+
+
+def test_the_example_generators_build_no_model_object():
+    tree = ast.parse((PACKAGE / "conglomerability.py").read_text())
+    assert _model_names_read(tree, GENERATORS) == dict.fromkeys(GENERATORS, set())
+
+
+def test_the_guard_sees_a_model_object_in_a_generator():
+    source = (
+        "from .model import Event, restrict\n\n"
+        "def definetti_example(h):\n    return restrict(h, Event)\n\n"
+        "def walley_666_example(n):\n    return {'atoms': [n]}\n"
+    )
+    assert _model_names_read(ast.parse(source), GENERATORS) == {
+        "definetti_example": {"Event", "restrict"},
+        "walley_666_example": set(),
+    }
