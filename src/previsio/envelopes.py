@@ -123,17 +123,16 @@ def _simplex_vertices(n: int) -> list[_Vertex]:
     ]
 
 
-def _is_edge(common: int, masks: Sequence[int], n: int) -> bool:
+def _is_edge(common: int, masks: Sequence[int]) -> bool:
     """Whether two vertices whose tight sets share `common` span an edge.
 
     The smallest face holding both is where every row of `common` is
     tight; its vertices are those whose masks contain `common`.  It is
     an edge iff the pair are its only vertices.  An edge also needs
-    n - 2 tight rows besides sum p = 1, which rules most pairs out
+    n - 2 tight rows besides sum p = 1, so callers test
+    ``common.bit_count() < n - 2`` first: it rules most pairs out
     before the scan.
     """
-    if common.bit_count() < n - 2:
-        return False
     holders = 0
     for mask in masks:
         if mask & common == common:
@@ -158,12 +157,13 @@ def _cut(
     if len(kept) == len(vertices):
         return kept
     masks = [mask for _, _, mask in vertices]
+    least = n - 2
     above = [(x, s) for x, s in zip(vertices, slacks) if s > 0]
     below = [(x, s) for x, s in zip(vertices, slacks) if s < 0]
     for (v_a, d_a, mask_a), s_a in above:
         for (v_b, d_b, mask_b), s_b in below:
             common = mask_a & mask_b
-            if not _is_edge(common, masks, n):
+            if common.bit_count() < least or not _is_edge(common, masks):
                 continue
             # each edge crosses the hyperplane at its own interior point,
             # so no point is found twice; the coordinates sum to the

@@ -115,6 +115,18 @@ def load_problem(doc: Any) -> Problem:
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
+    # most values of a document repeat ("0", "1", "1/2"): each distinct
+    # string is parsed once
+    parsed: dict[str, Fraction] = {}
+
+    def rational(raw: Any) -> Fraction:
+        if not isinstance(raw, str):
+            return parse_rational(raw)
+        value = parsed.get(raw)
+        if value is None:
+            value = parsed[raw] = parse_rational(raw)
+        return value
+
     variables: dict[str, RandomVariable] = {}
     for key in ("variables", "events"):
         if not isinstance(doc.get(key) or {}, dict):
@@ -124,7 +136,7 @@ def load_problem(doc: Any) -> Problem:
             raise SchemaError(f"variable {_ECHO.repr(name)} must map atoms to rationals")
         try:
             variables[name] = space.variable(
-                {a: parse_rational(v) for a, v in mapping.items()}
+                {a: rational(v) for a, v in mapping.items()}
             )
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"variable {_ECHO.repr(name)}: {_cut(str(exc))}") from exc
@@ -157,8 +169,8 @@ def load_problem(doc: Any) -> Problem:
         if given.is_empty:
             raise SchemaError("cannot condition on an empty event")
         cv = restrict(variable, given)
-        lower = parse_rational(row["lower"])
-        upper = parse_rational(row["upper"]) if "upper" in row and row["upper"] is not None else None
+        lower = rational(row["lower"])
+        upper = rational(row["upper"]) if "upper" in row and row["upper"] is not None else None
         # rows that restrict to one and the same conditional variable
         # (BX = BY makes X|B and Y|B identical) must agree and collapse
         if priced.setdefault(cv, (lower, upper)) != (lower, upper):

@@ -8,9 +8,12 @@ from there.  The tableau is condensed (Tucker's form): it keeps only
 the columns of the nonbasic variables, each labelled by its variable.
 It is fraction-free: each row is a list of Python ints, its rhs last,
 over one positive denominator, and the objective row is kept the same
-way.  A pivot cross-multiplies the rows it changes and divides each
-through by its gcd, so every sign test and ratio comparison is made on
-ints.  An :class:`Optimal` holds ints too, and a `fractions.Fraction`
+way.  A pivot cross-multiplies the rows it changes, so every sign test
+and ratio comparison is made on ints, and divides a changed row
+through by its gcd only once the row's denominator is wider than 62
+bits: the small programs of a check never need it, and the path and
+the outcome are the same however far a row is reduced (see `solve`).
+An :class:`Optimal` holds ints too, and a `fractions.Fraction`
 is made only when a result is read out.
 
 The optimal point is checked against every row before it is returned.
@@ -153,22 +156,9 @@ class Optimal:
         return tuple(Fraction(y, self.y_den) for y in self.ys)
 
 
-def _eliminate(row: list[int], d: int, f: int, prow: list[int], q: int) -> tuple[list[int], int]:
-    """row/d less (f/d)·(prow/q), which clears the pivot column of row, as
-    (row·q - f·prow) / (d·q) divided through by its gcd."""
-    g = math.gcd(f, q)
-    if g > 1:
-        f //= g
-        q //= g
-    new = [a * q - f * p for a, p in zip(row, prow)]
-    d *= q
-    # not gcd(d, *new): a star-args tuple of each row length would be
-    # kept in CPython's tuple free lists, which shows in peak memory
-    g = reduce(math.gcd, new, d)
-    if g > 1:
-        new = [a // g for a in new]
-        d //= g
-    return new, d
+# a changed row is divided through by its gcd only once its denominator
+# is wider than this: below it, the gcd pass costs more than it saves
+_LAZY_BITS = 62
 
 
 def solve(lp: LinearProgram) -> Optimal:
@@ -180,17 +170,25 @@ def solve(lp: LinearProgram) -> Optimal:
     its label in ``labels``.  Row r is a list of ints, its rhs last,
     that stands for ``rows[r][j] / den[r]``, with ``basis[r]`` the label
     of its basic variable.  The objective row (reduced costs
-    cB.B^-1.A_j - c_j, then cB.B^-1.b) is kept the same way in ``obj``
-    over ``obj_den``.  No denominator is negative, so every sign test
+    cB.B^-1.A_j - c_j, then cB.B^-1.b) is the last row, ``rows[m]``,
+    kept the same way.  No denominator is negative, so every sign test
     and ratio comparison is made on ints.  A pivot is fraction-free, in
     the style of Edmonds (1967) and Bareiss (1968): the pivot row keeps
     its ints and takes the pivot entry q as its denominator, and every
-    other row it changes is divided through by the gcd of its ints and
-    its denominator.  The leaving variable takes the entering column:
-    d_r, the pivot row's old denominator, in the pivot row, and -f·d_r
-    in a row whose entry was f.  Bland's rule enters the smallest label,
-    so the path is the full tableau's, pivot for pivot.  A row's dual is
-    its slack's objective entry while the slack is nonbasic, else 0."""
+    other row it changes is cross-multiplied with it, then divided
+    through by the gcd of its ints and its denominator once that
+    denominator is wider than 62 bits.  The leaving variable takes the
+    entering column: d_r, the pivot row's old denominator, in the pivot
+    row, and -f·d_r in a row whose entry was f.  Bland's rule enters the
+    smallest label, so the path is the full tableau's, pivot for pivot.
+
+    A row's positive denominator cancels in its sign tests and in the
+    ratio rhs_r / a_r that Bland's rule cross-multiplies, so how far a
+    row is reduced moves no pivot.  Nor does it move the outcome: the
+    point is read out over the lcm of its values' least denominators,
+    and the objective row is put in lowest terms after the last pivot.
+    A row's dual is its slack's objective entry while the slack is
+    nonbasic, else 0."""
     n, m = lp.arity, len(lp.constraints)
     rows = [[*c.coeffs, c.int_rhs] for c in lp.constraints]
     den = [c.scale for c in lp.constraints]
@@ -199,6 +197,8 @@ def solve(lp: LinearProgram) -> Optimal:
     # the slacks cost nothing, so the objective row starts as -c
     obj_den = reduce(math.lcm, [c.denominator for c in lp.objective])
     obj = [-c.numerator * (obj_den // c.denominator) for c in lp.objective] + [0]
+    rows.append(obj)
+    den.append(obj_den)
     pivots = 0
     while True:
         entering = [j for j in range(n) if obj[j] < 0]
@@ -209,7 +209,8 @@ def solve(lp: LinearProgram) -> Optimal:
         # cancel, and cross-multiplying keeps the comparison in ints
         leave = -1
         best_rhs = best_a = 0
-        for r, arow in enumerate(rows):
+        for r in range(m):
+            arow = rows[r]
             a = arow[enter]
             if a > 0:
                 lhs, rhs = arow[-1] * best_a, best_rhs * a
@@ -221,14 +222,31 @@ def solve(lp: LinearProgram) -> Optimal:
         prow = rows[leave]
         q = prow[enter]
         prow[enter], den[leave] = den[leave], q
+        # row/d less (f/d)·(prow/q) clears the pivot column of row: it
+        # is (row·q' - f'·prow) / (d·q'), with f' and q' over gcd(f, q)
         for r, arow in enumerate(rows):
             f = arow[enter]
             if f and r != leave:
                 arow[enter] = 0
-                rows[r], den[r] = _eliminate(arow, den[r], f, prow, q)
-        f, obj[enter] = obj[enter], 0
-        obj, obj_den = _eliminate(obj, obj_den, f, prow, q)
+                g = math.gcd(f, q)
+                qg = q // g
+                if g > 1:
+                    f //= g
+                new = [a * qg - f * p for a, p in zip(arow, prow)]
+                d = den[r] * qg
+                if d.bit_length() > _LAZY_BITS:
+                    g = reduce(math.gcd, new, d)
+                    if g > 1:
+                        new = [a // g for a in new]
+                        d //= g
+                rows[r], den[r] = new, d
+        obj = rows[m]
         labels[enter], basis[leave] = basis[leave], labels[enter]
+    obj_den = den[m]
+    g = reduce(math.gcd, obj, obj_den)
+    if g > 1:
+        obj = [a // g for a in obj]
+        obj_den //= g
     # the point over the lcm of its values' least denominators
     basic = [(b, rows[r][-1], den[r]) for r, b in enumerate(basis) if b < n and rows[r][-1]]
     x_den = reduce(math.lcm, [d // math.gcd(v, d) for _, v, d in basic], 1)

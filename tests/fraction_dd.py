@@ -51,7 +51,7 @@ def _cut(
     for a, mask_a, s_a in above:
         for b, mask_b, s_b in below:
             common = mask_a & mask_b
-            if not _is_edge(common, masks, n):
+            if common.bit_count() < n - 2 or not _is_edge(common, masks):
                 continue
             t = s_a / (s_a - s_b)
             point = tuple(x + t * (y - x) for x, y in zip(a, b))

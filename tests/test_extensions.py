@@ -19,7 +19,7 @@ from conftest import (
 )
 from enumeration_oracle import natural_extension_grid
 from previsio import extensions, gains, lp
-from previsio.checkers import _Search, check_w_coherence, expanded_elements
+from previsio.checkers import _Search, check_convex, check_w_coherence, expanded_elements
 from previsio.envelopes import lower_envelope
 from previsio.errors import BaseNotCoherent, SpaceMismatch
 from previsio.extensions import (
@@ -1066,6 +1066,29 @@ def test_extend_program_count_is_pinned_on_the_scale_recipe():
     trace = lp.Trace()
     extend(base, target, trace=trace)
     assert trace.solves == 14
+
+
+@pytest.mark.parametrize(
+    "atoms,entries,pinned",
+    [
+        (12, 22, {"w-coherence": (10, 51), "extend": (24, 40), "convexity": (9, 34)}),
+        (16, 28, {"w-coherence": (7, 65), "extend": (20, 93), "convexity": (10, 37)}),
+    ],
+)
+def test_the_scale_table_is_pinned(atoms, entries, pinned):
+    # programs / max pivots of the ROADMAP scale table.  Most row updates
+    # of these programs pass 62 bits and are divided by their gcd, the
+    # rest are not; how far a row is reduced must move no pivot
+    base, target = scale_recipe(atoms, entries)
+    calls = {
+        "w-coherence": lambda trace: check_w_coherence(base, trace=trace),
+        "extend": lambda trace: extend(base, target, trace=trace),
+        "convexity": lambda trace: check_convex(base, trace=trace),
+    }
+    for name, call in calls.items():
+        trace = lp.Trace()
+        call(trace)
+        assert (trace.solves, trace.max_pivots) == pinned[name], name
 
 
 def test_conjugacy_observation_on_corpus(product_rule_base):

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from previsio import jsonio
 from previsio.checkers import check_aul, check_w_coherence
+from previsio.conglomerability import walley_666_example
 from previsio.errors import DuplicateEntry, SchemaError
 from previsio.gains import gain
 from previsio.jsonio import (
@@ -100,6 +102,44 @@ def test_schema_errors(mutation):
     mutation(doc)
     with pytest.raises(SchemaError):
         load_problem(doc)
+
+
+def test_load_problem_parses_each_distinct_value_once(monkeypatch):
+    doc = walley_666_example(2)
+    values = [v for mapping in doc["variables"].values() for v in mapping.values()]
+    values += [row[k] for row in doc["assessments"] for k in ("lower", "upper") if k in row]
+    calls = []
+    real = jsonio.parse_rational
+
+    def spy(raw):
+        calls.append(raw)
+        return real(raw)
+
+    monkeypatch.setattr(jsonio, "parse_rational", spy)
+    problem = load_problem(doc)
+    monkeypatch.undo()
+    assert sorted(calls) == sorted(set(values)) and len(values) > 2 * len(calls)
+    assert problem == load_problem(doc)
+
+
+@pytest.mark.parametrize("where", ["variable", "lower", "upper"])
+@pytest.mark.parametrize(
+    "raw,message",
+    [("1/0", "not an exact rational: '1/0'"), (True, "booleans are not rationals")],
+)
+def test_a_malformed_value_raises_what_parse_rational_raises(where, raw, message):
+    # "1" is parsed before it, so a value equal to a parsed one (True == 1)
+    # must still be refused
+    import copy
+
+    doc = copy.deepcopy(DOC)
+    if where == "variable":
+        doc["variables"]["X"]["b"] = raw
+    else:
+        doc["assessments"][1][where] = raw
+    with pytest.raises(SchemaError) as raised:
+        load_problem(doc)
+    assert str(raised.value).endswith(message)
 
 
 @pytest.mark.parametrize(

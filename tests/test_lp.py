@@ -463,6 +463,30 @@ def test_point_and_duals_read_the_ints_over_their_denominators():
         assert out.y_den > 0
 
 
+def _assert_in_lowest_terms(prog: LinearProgram, out: Optimal) -> None:
+    """x_den is the lcm of the point's least denominators, and y_den that
+    of the whole objective row: the duals, the reduced costs A^T y - c
+    and the value.  The duals share y_den with the rest of that row, so
+    gcd(*ys, y_den) itself may exceed 1."""
+    assert out.x_den == math.lcm(*(x.denominator for x in out.point))
+    duals = out.duals
+    reduced = [
+        sum(F(c.coeffs[j], c.scale) * y for c, y in zip(prog.constraints, duals))
+        - prog.objective[j]
+        for j in range(prog.arity)
+    ]
+    row = [*duals, *reduced, out.value]
+    assert out.y_den == math.lcm(*(v.denominator for v in row))
+
+
+def test_an_optimal_outcome_is_in_lowest_terms():
+    # some of these rows are over 2**61 - 1, so their denominators pass
+    # 62 bits within a pivot or two and are divided by their gcd; the
+    # rest never are
+    for prog in _optimal_golden_programs():
+        _assert_in_lowest_terms(prog, solve(prog))
+
+
 def test_every_solve_checks_its_point_through_lp_satisfies(monkeypatch):
     # perfbench's lp.cert span wraps `previsio.lp.satisfies`, so `solve`
     # must look it up in the module: one call per solve, on its ints
@@ -508,6 +532,7 @@ def test_solve_takes_the_textbook_simplex_path(prog):
     # the oracle shares no code with the condensed int tableau
     out = solve(prog)
     assert (out.value, out.point, out.pivots, out.duals) == ref.bland_slack_simplex(prog)
+    _assert_in_lowest_terms(prog, out)
 
 
 # -- scaling a row -----------------------------------------------------------
