@@ -192,7 +192,9 @@ class _Payoff:
 
 
 def _payoff(target: ConditionalVariable, sign: int) -> _Payoff:
-    ints, den = over_one_denominator([sign * v for v in target.values])
+    ints, den = over_one_denominator(target.values)
+    if sign < 0:
+        ints = [-v for v in ints]
     low = min(ints)
     atoms = sorted(target.cond.members)
     return _Payoff(target, sign, Fraction(low, den), {a: v - low for a, v in zip(atoms, ints)}, den)
@@ -269,11 +271,15 @@ def _int_gain(
     search: _Search, stakes: Stakes, extra: Sequence[Fraction]
 ) -> tuple[dict[int, int], list[int], int]:
     """The gain sum_i s_i g_i by atom and the values `extra`, as ints
-    over one positive denominator, and that denominator."""
+    over one positive denominator, and that denominator.  A stake n / m
+    on a gain over e is the int n over m e, which need not be in lowest
+    terms: `d` is then a multiple of the least, and every comparison of
+    `_certified` is homogeneous in it."""
     keys = list(stakes)
-    ints, d = over_one_denominator(
-        [stakes[i] / search.int_rows[i][1] for i in keys] + list(extra)
-    )
+    pairs = [(stakes[i].as_integer_ratio(), search.int_rows[i][1]) for i in keys]
+    ratios = [(n, m * e) for (n, m), e in pairs] + [v.as_integer_ratio() for v in extra]
+    d = math.lcm(*[m for _, m in ratios])
+    ints = [n * (d // m) for n, m in ratios]
     gain: dict[int, int] = {}
     for i, m in zip(keys, ints):
         for atom, v in search.int_rows[i][0].items():
@@ -316,8 +322,8 @@ def _closed(
     is one more against-term of each for the walk, `_Search.closed_by`:
     its row Y - value on B, and B among the events that close it."""
     # Y - value on B, times the payoff's denominator and that of value - floor
-    price = value - payoff.floor
-    t = {a: y * price.denominator - price.numerator * payoff.den for a, y in payoff.ints.items()}
+    p, q = (value - payoff.floor).as_integer_ratio()
+    t = {a: y * q - p * payoff.den for a, y in payoff.ints.items()}
     return search.closed_by(chain, usable, combos, [t], payoff.target.cond.members)
 
 

@@ -130,8 +130,8 @@ def gain(bet: Bet, assessment: Assessment) -> GainTable:
             cv = term.variable
             stake = term.stake if term.side == FOR else -term.stake
             (p, *ints), d = over_one_denominator([price, *cv.values])
-            n = stake.numerator
-            staked.append((cv.cond.members, [n * (x - p) for x in ints], stake.denominator * d))
+            n, m = stake.as_integer_ratio()
+            staked.append((cv.cond.members, [n * (x - p) for x in ints], m * d))
     den = reduce(math.lcm, [d for _, _, d in staked], 1)
     totals = [0] * space.size
     for members, ints, d in staked:

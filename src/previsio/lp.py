@@ -30,7 +30,16 @@ build rows from the int gains they already hold; only `format_lp`
 reads a row back as `Fraction`s.  The tableau starts from a copy of
 those ints, and `satisfies` zips each row with the point.  Every accept
 or reject is then a sign test on ints, exactly as strict as the same
-test on fractions.
+test on fractions.  Where a `Fraction` does turn into ints, in
+`over_one_denominator` and the objective of `solve`, each value is
+read once, by `as_integer_ratio`.
+
+A :class:`Constraint`, a :class:`LinearProgram` and an :class:`Optimal`
+are immutable tuple records (`typing.NamedTuple`): a check builds
+several of each, and a tuple is made in one `tuple.__new__`, where a
+frozen dataclass sets each field through `object.__setattr__`.  The
+first two validate and normalise in their `__new__`; equality and
+hashing are the tuple's.
 
 ``solve`` is pure: it keeps no count and writes nothing.  The account
 of a call is a :class:`Trace`, passed down to whatever solves for it:
@@ -45,60 +54,75 @@ from dataclasses import dataclass
 from functools import reduce
 from fractions import Fraction
 from operator import mul
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from .errors import MalformedProgram
-from .model import as_rational
+from .model import RationalLike, as_rational
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Constraint:
+class _Row(NamedTuple):
+    coeffs: tuple[int, ...]
+    scale: int
+    int_rhs: int
+
+
+class Constraint(_Row):
     """The row sum_j (coeffs[j] / scale) x_j <= int_rhs / scale, with one
     int per column: `scale` is positive and `int_rhs` is not negative.
     The row is divided through by the gcd of its ints and its scale when
     it is made, so two rows are equal, and hash alike, exactly when they
     are the same row."""
 
-    coeffs: tuple[int, ...]
-    scale: int
-    int_rhs: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
+    def __new__(cls, coeffs: Sequence[int], scale: int, int_rhs: int) -> Constraint:
+        if scale <= 0:
             raise MalformedProgram("a row's scale must be positive")
-        if self.int_rhs < 0:
+        if int_rhs < 0:
             raise MalformedProgram("a row's rhs must not be negative")
-        g = reduce(math.gcd, self.coeffs, math.gcd(self.scale, self.int_rhs))
+        g = math.gcd(*coeffs, scale, int_rhs)
         if g > 1:
-            object.__setattr__(self, "coeffs", tuple(a // g for a in self.coeffs))
-            object.__setattr__(self, "scale", self.scale // g)
-            object.__setattr__(self, "int_rhs", self.int_rhs // g)
-        else:
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
+            return tuple.__new__(cls, (tuple([a // g for a in coeffs]), scale // g, int_rhs // g))
+        return tuple.__new__(cls, (tuple(coeffs), scale, int_rhs))
+
+    @classmethod
+    def _make(cls, iterable) -> Constraint:
+        # `_replace` builds through `_make`: a row it makes is normalised too
+        return cls(*iterable)
 
     @property
     def arity(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class _Program(NamedTuple):
+    objective: tuple[Fraction, ...]
+    constraints: tuple[Constraint, ...]
+
+
+class LinearProgram(_Program):
     """max c.x subject to the rows, over x >= 0.  An all-zero objective
     is optimal at the origin."""
 
-    objective: tuple[Fraction, ...]
-    constraints: tuple[Constraint, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objective", tuple(map(as_rational, self.objective)))
-        n = len(self.objective)
+    def __new__(
+        cls, objective: Sequence[RationalLike], constraints: Sequence[Constraint] = ()
+    ) -> LinearProgram:
+        objective = tuple(map(as_rational, objective))
+        n = len(objective)
         if n == 0:
             raise MalformedProgram("a program needs at least one variable")
-        for c in self.constraints:
+        for c in constraints:
             if c.arity != n:
                 raise MalformedProgram("constraint arity differs from objective")
+        return tuple.__new__(cls, (objective, constraints))
+
+    @classmethod
+    def _make(cls, iterable) -> LinearProgram:
+        return cls(*iterable)
 
     @property
     def arity(self) -> int:
@@ -107,9 +131,10 @@ class LinearProgram:
 
 def over_one_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """`values` as ints over their least common denominator, and that
-    denominator."""
-    d = reduce(math.lcm, [v.denominator for v in values], 1)
-    return [v.numerator * (d // v.denominator) for v in values], d
+    denominator.  Each value is read once, by `as_integer_ratio`."""
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*[q for _, q in ratios])
+    return [p * (d // q) for p, q in ratios], d
 
 
 def int_terms(
@@ -134,8 +159,7 @@ class Unbounded(AssertionError):
     """The program's objective has no upper bound on its rows."""
 
 
-@dataclass(frozen=True)
-class Optimal:
+class Optimal(NamedTuple):
     """An optimal point xs / x_den and its value.  ys / y_den holds one
     multiplier per row; they solve the dual (y >= 0, A^T y >= c) with
     b.y equal to the value.  `point` and `duals` read them out."""
@@ -195,8 +219,10 @@ def solve(lp: LinearProgram) -> Optimal:
     labels = list(range(n))
     basis = list(range(n, n + m))
     # the slacks cost nothing, so the objective row starts as -c
-    obj_den = reduce(math.lcm, [c.denominator for c in lp.objective])
-    obj = [-c.numerator * (obj_den // c.denominator) for c in lp.objective] + [0]
+    ratios = [c.as_integer_ratio() for c in lp.objective]
+    obj_den = math.lcm(*[q for _, q in ratios])
+    obj = [-p * (obj_den // q) for p, q in ratios]
+    obj.append(0)
     rows.append(obj)
     den.append(obj_den)
     pivots = 0

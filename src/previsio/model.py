@@ -215,11 +215,13 @@ class ConditionalVariable:
         object.__setattr__(self, "values", _rationals(self.values))
 
     def __hash__(self) -> int:
-        # hashing the values runs `Fraction.__hash__` on each, so it is
-        # done once per object; threads that race store the same value
+        # the values are hashed by their (numerator, denominator) pairs,
+        # which equal values share: `Fraction.__hash__` computes a
+        # modular inverse per value.  Done once per object; threads that
+        # race store the same value
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((self.cond, self.values))
+            h = hash((self.cond, tuple([v.as_integer_ratio() for v in self.values])))
             object.__setattr__(self, "_hash", h)
         return h
 

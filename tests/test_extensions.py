@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -460,6 +460,53 @@ def test_every_bound_passes_its_certificate(monkeypatch):
     assert (1, result.lower, True) in checked
     assert (-1, -result.upper, True) in checked
     assert all(ok for _, _, ok in checked)
+
+
+
+def test_a_payoff_is_the_signed_values_over_one_denominator():
+    # `_payoff` negates the ints of the target's values for sign -1: the
+    # payoff built from the negated `Fraction`s is the same, field for field
+    rng = random.Random(30)
+    for _ in range(200):
+        space = random_space(rng, 3, 6)
+        x = space.variable({a: F(rng.randint(-9, 9), rng.randint(1, 12)) for a in space.atoms})
+        target = restrict(x, random_event(rng, space))
+        atoms = sorted(target.cond.members)
+        for sign in (1, -1):
+            ints, den = lp.over_one_denominator([sign * v for v in target.values])
+            low = min(ints)
+            want = extensions._Payoff(
+                target, sign, F(low, den), {a: v - low for a, v in zip(atoms, ints)}, den
+            )
+            got = extensions._payoff(target, sign)
+            assert [getattr(got, f.name) for f in fields(want)] == [
+                getattr(want, f.name) for f in fields(want)
+            ]
+
+
+def test_an_int_gain_is_the_fraction_gain_over_its_denominator():
+    # the denominator need not be the least, but the ints over it are the
+    # stakes' gain and the extra values exactly
+    rng = random.Random(31)
+    for base, _ in conditional_cases(31, count=6):
+        search = _Search(expanded_elements(base))
+        for _ in range(10):
+            stakes = {
+                i: F(rng.randint(-6, 6), rng.randint(1, 9))
+                for i in range(len(search.elements))
+                if rng.random() < 0.7
+            }
+            extra = [F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(rng.randint(0, 2))]
+            gain, ints, d = extensions._int_gain(search, stakes, extra)
+            want: dict[int, F] = {}
+            for i, s in stakes.items():
+                for a, v in search.elements[i].coefficients().items():
+                    want[a] = want.get(a, 0) + s * v
+            assert d > 0 and all(type(v) is int for v in (*gain.values(), *ints))
+            assert {a: F(v, d) for a, v in gain.items() if v} == {
+                a: v for a, v in want.items() if v
+            }
+            assert [F(v, d) for v in ints] == extra
 
 
 # -- the attained side: chains -----------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import io
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -568,3 +570,54 @@ def test_scaling_a_row_changes_no_verdict(rows, objective, which, k):
         assert scaled.value == plain.value
         assert satisfies(prog, scaled.xs, scaled.x_den)
         assert sum(a * x for a, x in zip(prog.objective, scaled.point)) == scaled.value
+
+
+# -- the records ---------------------------------------------------------------
+
+
+def _records() -> list:
+    """One of each record, the row not yet in lowest terms when built."""
+    row = Constraint((4, 6, 0), 2, 8)
+    prog = LinearProgram(objective=(F(1), F(-1, 2), F(0)), constraints=(row,))
+    return [row, prog, solve(prog)]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_a_record_is_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_a_record_round_trips_through_pickle_and_deepcopy(record):
+    for again in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(again) is type(record)
+        assert again == record and hash(again) == hash(record)
+        assert all(getattr(again, f) == getattr(record, f) for f in record._fields)
+
+
+def test_a_record_is_built_by_keyword():
+    row = Constraint(coeffs=(2, 4), scale=6, int_rhs=2)
+    assert row == Constraint((1, 2), 3, 1)
+    prog = LinearProgram(objective=(1, "1/2"), constraints=(row,))
+    assert prog.objective == (F(1), F(1, 2)) and prog.arity == 2
+    assert LinearProgram(objective=(F(1),)).constraints == ()
+    out = Optimal(value=F(1), xs=(1,), x_den=2, ys=(3,), y_den=3, pivots=1)
+    assert out == Optimal(F(1), (1,), 2, (3,), 3, 1)
+    assert (out.point, out.duals) == ((F(1, 2),), (F(1),))
+
+
+def test_a_row_is_normalised_when_built_and_after_a_pickle():
+    row = Constraint((4, 6, 0), 2, 8)
+    assert tuple(row) == ((2, 3, 0), 1, 4)
+    again = pickle.loads(pickle.dumps(row))
+    assert tuple(again) == ((2, 3, 0), 1, 4) and again.arity == 3
+    # `_replace` builds through the same checks
+    assert tuple(Constraint((2, -4, 0), 1, 6)._replace(scale=2)) == ((1, -2, 0), 1, 3)
+    with pytest.raises(MalformedProgram):
+        row._replace(scale=0)
+    with pytest.raises(MalformedProgram):
+        LinearProgram(objective=(F(1),))._replace(constraints=(row,))

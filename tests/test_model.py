@@ -69,6 +69,25 @@ def test_equal_restrictions_hash_alike_and_find_each_other(space):
             assert assessment.entry_for(again) is assessment.entries[0]
 
 
+
+def test_a_restriction_hashes_its_values_without_fraction_hash(space, monkeypatch):
+    # the values are hashed by their (numerator, denominator) pairs, which
+    # equal values share: `Fraction.__hash__` computes a modular inverse
+    # per value
+    b = space.event(["a", "c"])
+    cv = restrict(space.variable({"a": F(1, 3), "b": 0, "c": F(-2, 7)}), b)
+
+    def refused(self):
+        raise AssertionError("Fraction.__hash__ was called")
+
+    monkeypatch.setattr(F, "__hash__", refused)
+    h = hash(cv)
+    monkeypatch.undo()
+    same = restrict(space.variable({"a": "2/6", "b": 9, "c": F(4, -14)}), b)
+    assert same == cv and hash(same) == h
+    assert restrict(space.variable({"a": F(1, 3), "b": 0, "c": F(2, 7)}), b) != cv
+
+
 def test_a_pickled_restriction_hashes_afresh_in_another_process(space):
     # a string hashes differently in another process, so a hash made
     # here must not travel with the pickle

@@ -121,6 +121,40 @@ def test_the_guard_sees_an_element_built_elsewhere():
     assert _element_builders(ast.parse(source)) == ["expanded_elements", "check", "<module>"]
 
 
+
+def _frozen_dataclasses(tree: ast.Module) -> list[str]:
+    """The classes declared `@dataclass(frozen=True)`, by name."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            func = deco.func if isinstance(deco, ast.Call) else None
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "dataclass" and any(
+                kw.arg == "frozen" and getattr(kw.value, "value", False) is True
+                for kw in deco.keywords
+            ):
+                found.append(node.name)
+    return found
+
+
+def test_the_lp_records_are_tuples():
+    # a frozen dataclass sets each field through `object.__setattr__`;
+    # the LP layer's records are made once per row, program and outcome
+    assert _frozen_dataclasses(ast.parse((PACKAGE / "lp.py").read_text())) == []
+
+
+def test_the_guard_sees_a_frozen_dataclass():
+    source = (
+        "@dataclass(frozen=True)\nclass Row:\n    a: int\n\n"
+        "@dataclasses.dataclass(eq=True, frozen=True)\nclass Program:\n    b: int\n\n"
+        "@dataclass\nclass Trace:\n    c: int = 0\n\n"
+        "@dataclass(frozen=False)\nclass Open:\n    d: int\n"
+    )
+    assert _frozen_dataclasses(ast.parse(source)) == ["Row", "Program"]
+
+
 # the classical examples are documents: written by name, read back by
 # `load_problem` like any other
 GENERATORS = ("definetti_example", "walley_666_example")
