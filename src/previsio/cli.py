@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: check, extend, envelope, example, oracle.  Input documents
+Subcommands: check, extend, envelope, example.  Input documents
 follow the interchange schema (see jsonio); `example` reports the
 document its generator writes, and `-f -` reads standard input, so
 `previsio example ... | previsio check ...` composes.  Every run prints
@@ -39,7 +39,6 @@ from .checkers import (
     check_walley_asl,
     check_w_coherence,
 )
-from .bruteforce import find_violation_grid
 from .conglomerability import (
     check_conglomerability,
     definetti_example,
@@ -183,27 +182,6 @@ def _cmd_example(args: argparse.Namespace, trace: Trace) -> tuple[int, str | Non
     return 0, None, walley_666_example(args.n)
 
 
-def _cmd_oracle(args: argparse.Namespace, trace: Trace) -> tuple[int, str | None, dict]:
-    doc, digest = _read_document(args.file)
-    problem = load_problem(doc)
-    verdict = CHECKERS[args.notion](problem.assessment, trace=trace)
-    # each checker's notion is its grid's name
-    bet = find_violation_grid(
-        problem.assessment, verdict.notion, max_denominator=args.max_denominator
-    )
-    agree = (bet is None) == verdict.passed
-    results: dict[str, Any] = {
-        "oracle": {
-            "checker": verdict_to_json(verdict, problem),
-            "gridFound": bet is not None,
-            "agree": agree,
-        }
-    }
-    if bet is not None:
-        results["oracle"]["gridWitness"] = witness_to_json(problem, bet)
-    return (0 if agree else 1), digest, results
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -274,13 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     walley.add_argument("--n", type=_positive_int, required=True)
     example.set_defaults(run=_cmd_example)
 
-    oracle = sub.add_parser("oracle", help="brute-force cross-check of a checker")
-    oracle.add_argument(
-        "--notion", required=True, choices=sorted(CHECKERS.keys() - {"centered-convex"})
-    )
-    oracle.add_argument("-f", "--file", default="-")
-    oracle.add_argument("--max-denominator", type=_positive_int, default=8)
-    oracle.set_defaults(run=_cmd_oracle)
     return parser
 
 

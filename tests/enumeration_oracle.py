@@ -2,9 +2,11 @@
 
 `find_violation_enumeration` solves the checkers' violation program on
 every union of conditioning events, exponentially many, and so decides
-each notion without support shrinking.  `natural_extension_grid`
+each notion without support shrinking; it takes its notions and
+against-combinations from `grid_oracle`, the stake grid, which finds
+violations with no program at all.  `natural_extension_grid`
 estimates the natural extension from below by evaluating every helper
-bet on a rational grid, with no program at all.
+bet on a rational grid, with no program either.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ from itertools import product
 from typing import Sequence
 
 from fraction_checks import fraction_gains
-from previsio.bruteforce import GRID_NOTIONS, _against_combos, _subsets
+from grid_oracle import GRID_NOTIONS, _against_combos, _subsets
 from previsio.checkers import _Search, expanded_elements
 from previsio.gains import Bet
 from previsio.model import Assessment, ConditionalVariable

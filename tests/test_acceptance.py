@@ -14,8 +14,8 @@ from axioms import check_a1_a4
 from conftest import family_entries, positive_vector, random_space
 from corpus import small_corpus
 from enumeration_oracle import find_violation_enumeration, natural_extension_grid
+from grid_oracle import find_violation_grid
 from previsio import gains
-from previsio.bruteforce import find_violation_grid
 from previsio.checkers import (
     PartitionFamily,
     check_aul,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -98,6 +99,24 @@ def test_unknown_notion_rejected():
     assert exc.value.code == 2
 
 
+def test_the_subcommands_are_pinned():
+    # the stake grid is a test oracle (tests/grid_oracle.py), not a command
+    (commands,) = [
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(commands.choices) == {"check", "extend", "envelope", "example"}
+
+
+def test_the_oracle_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["oracle", "--notion", "aul", "-f", "-"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: previsio ")
+    assert "invalid choice: 'oracle'" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -105,7 +124,6 @@ def test_unknown_notion_rejected():
         ["example", "definetti", "--h", "1", "--k", "-1", "--n", "2"],
         ["example", "definetti", "--h", "1", "--k", "1", "--n", "two"],
         ["example", "walley666", "--n", "0"],
-        ["oracle", "--notion", "aul", "--max-denominator", "0"],
     ],
 )
 def test_nonpositive_counts_exit_two(argv, capsys):
@@ -485,28 +503,6 @@ def test_input_digest_belongs_to_its_own_run(tmp_path):
     assert report["inputDigest"] is None
 
 
-def test_oracle_subcommand_agrees(monkeypatch):
-    code, report = invoke(
-        ["oracle", "--notion", "aul", "-f", "-", "--max-denominator", "4"],
-        stdin_text=json.dumps(
-            {
-                "atoms": ["a", "b"],
-                "events": {"Ea": ["a"], "Eb": ["b"]},
-                "assessments": [
-                    {"var": "Ea", "lower": "3/5"},
-                    {"var": "Eb", "lower": "3/5"},
-                ],
-            }
-        ),
-        monkeypatch=monkeypatch,
-    )
-    assert code == 0
-    body = report["results"]["oracle"]
-    assert body["agree"] is True
-    assert body["gridFound"] is True
-    assert body["checker"]["passed"] is False
-
-
 def test_separate_notion_via_cli(monkeypatch):
     doc = {
         "atoms": ["a", "b", "c"],
@@ -801,7 +797,6 @@ COMMANDS = {
     "check": ["check", "--notion", "w-coherence"],
     "extend": ["extend", "--target", "X"],
     "envelope": ["envelope"],
-    "oracle": ["oracle", "--notion", "w-coherence"],
 }
 
 

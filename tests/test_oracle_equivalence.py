@@ -20,8 +20,8 @@ from conftest import (
 from corpus import small_corpus
 from enumeration_oracle import find_violation_enumeration
 from fraction_checks import convex_violation
+from grid_oracle import find_violation_grid
 from previsio import gains
-from previsio.bruteforce import find_violation_grid
 from previsio.checkers import (
     _Search,
     check_aul,

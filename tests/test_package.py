@@ -1,11 +1,14 @@
 """The package's public surface and the hygiene of its modules."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import previsio
 
 PACKAGE = Path(previsio.__file__).parent
+TESTS = Path(__file__).parent
 
 PUBLIC = {
     "Assessment", "Bet", "BetTerm", "ConditionalVariable", "ConvexEnvelope",
@@ -194,3 +197,53 @@ def test_the_guard_sees_a_model_object_in_a_generator():
         "definetti_example": {"Event", "restrict"},
         "walley_666_example": set(),
     }
+
+
+# the stake grid is a test oracle: it builds its gains from the entries,
+# so it may read the model and make bets, and nothing of the checkers
+GRID_IMPORTS = {"previsio.model", "previsio.gains"}
+
+
+def _foreign_imports(tree: ast.Module) -> list[str]:
+    """The modules imported that are neither in the standard library nor
+    in `GRID_IMPORTS`; a relative import is foreign."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = ["." * node.level + (node.module or "")]
+        else:
+            continue
+        found += [
+            f"{module} (line {node.lineno})"
+            for module in modules
+            if module not in GRID_IMPORTS
+            and module.partition(".")[0] not in sys.stdlib_module_names
+        ]
+    return found
+
+
+def test_the_stake_grid_shares_no_code_with_the_checkers():
+    tree = ast.parse((TESTS / "grid_oracle.py").read_text())
+    assert _foreign_imports(tree) == []
+
+
+def test_the_stake_grid_is_not_shipped():
+    assert importlib.util.find_spec("previsio.bruteforce") is None
+
+
+def test_the_guard_sees_a_foreign_import():
+    source = (
+        "import math\nfrom fractions import Fraction\n"
+        "from previsio.model import Assessment\nfrom previsio.gains import Bet\n"
+        "from previsio.checkers import expanded_elements\nfrom previsio import checkers\n"
+        "import previsio.lp\nfrom .gains import gain\nimport fraction_checks, os\n"
+    )
+    assert _foreign_imports(ast.parse(source)) == [
+        "previsio.checkers (line 5)",
+        "previsio (line 6)",
+        "previsio.lp (line 7)",
+        ".gains (line 8)",
+        "fraction_checks (line 9)",
+    ]
