@@ -277,13 +277,15 @@ class _Search:
             return (dict(zip(stakes, point)), dict(zip(combo, bought))), {}
         return None, _dual_masses(sorted(region), outcome)
 
-    def _witness(
-        self, stakes: dict[int, Fraction], against: dict[int, Fraction]
-    ) -> Bet:
-        terms = [t for i, s in stakes.items() if s > 0 for t in self.elements[i].staked(FOR, s)]
-        terms += [
-            t for k, a in against.items() if a > 0 for t in self.elements[k].staked(AGAINST, a)
-        ]
+    def _witness(self, *stakes: dict[int, Fraction]) -> Bet:
+        """The bet of signed stakes by element, one mapping after the
+        other: a positive stake bets for its element, a negative one
+        against it."""
+        terms = []
+        for signed in stakes:
+            for i, s in signed.items():
+                if s:
+                    terms += self.elements[i].staked(FOR if s > 0 else AGAINST, abs(s))
         return Bet(tuple(terms))
 
     def _untouched(self, active: Sequence[int], zone: Collection[int]) -> list[int]:
@@ -444,7 +446,8 @@ class _Search:
                 continue
             stakes, chain, _ = self.shrink(everything, combo)
             if stakes is not None:
-                return self._witness(*stakes)
+                bought, sold = stakes
+                return self._witness(bought, {k: -a for k, a in sold.items()})
             pending = [c for c in combos[pos + 1:] if c not in closed]
             shut = self.closed_by(chain, everything, [combo, *pending])
             if combo not in shut:

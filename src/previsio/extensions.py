@@ -138,7 +138,7 @@ from .checkers import (
     expanded_elements,
 )
 from .errors import BaseNotCoherent
-from .gains import AGAINST, FOR, LOWER, UPPER
+from .gains import AGAINST, FOR, LOWER, UPPER, Bet
 from .lp import Constraint, LinearProgram, Trace, Unbounded, over_one_denominator
 from .model import Assessment, ConditionalVariable, Entry
 
@@ -146,9 +146,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-HelperStakes = tuple[tuple[ConditionalVariable, Fraction], ...]
 # an extension's value and its helpers
-Extension = tuple[Fraction, HelperStakes]
+Extension = tuple[Fraction, Bet]
 # element index -> stake; a negative stake bets against the element
 Stakes = dict[int, Fraction]
 # the vectors p of a shrinking chain, each its nonzero masses by atom
@@ -157,15 +156,18 @@ Chain = tuple[dict[int, int], ...]
 
 @dataclass(frozen=True)
 class ExtensionResult:
-    """Both extension bounds, with the helper stakes of the bet that
-    certifies each (a negative stake bets against its term): prices
-    below `lower` or above `upper` are beaten by these helpers."""
+    """Both extension bounds, each with the helper bet that certifies it,
+    made of assessed terms that `gains.gain` prices: lower + G <= X on
+    the target's event B, for the gain G of `lower_helpers`, and
+    X + G <= upper there, for that of `upper_helpers`, with G <= 0
+    wherever else the helpers reach.  So a price below `lower` or above
+    `upper` is beaten by these helpers."""
 
     target: ConditionalVariable
     lower: Fraction
     upper: Fraction
-    lower_helpers: HelperStakes | None = None
-    upper_helpers: HelperStakes | None = None
+    lower_helpers: Bet
+    upper_helpers: Bet
 
 
 @dataclass(frozen=True)
@@ -327,18 +329,6 @@ def _closed(
     return search.closed_by(chain, usable, combos, [t], payoff.target.cond.members)
 
 
-def _named(search: _Search, stakes: Stakes) -> HelperStakes:
-    """Each helper by the variable its element bets for: -X|B for the
-    conjugate direction of an upper value on X|B."""
-    named = []
-    for i, s in stakes.items():
-        ((x, side, _),) = search.elements[i].terms
-        if side != FOR:
-            x = ConditionalVariable(x.cond, tuple(-v for v in x.values))
-        named.append((x, s))
-    return tuple(named)
-
-
 def _certify(assessment: Assessment, search: _Search, chains: Sequence[Chain]) -> None:
     """Certify that the base is W-coherent: every combination of at most
     one against-term is closed by one of `chains` or runs its own chain
@@ -388,7 +378,7 @@ def _extension(
     assert best is not None  # () has no against-term to end its chain
     if not closed.issuperset(combos):
         raise AssertionError("internal error: an extension is not a coherent value")
-    return payoff.sign * best.value, _named(search, best.helpers)
+    return payoff.sign * best.value, search._witness(best.helpers)
 
 
 def _upper_extension(
@@ -405,7 +395,7 @@ def _upper_extension(
         bound = _Bound(-entry.lower, {index[((target, AGAINST, UPPER),)]: _ONE}, {})
         if not _certified(search, payoff, bound):
             raise AssertionError("internal error: an extension bound fails its certificate")
-        return entry.lower, _named(search, bound.helpers)
+        return entry.lower, search._witness(bound.helpers)
     usable = [i for t, i in index.items() if t != ((target, FOR, LOWER),)]
     return _extension(search, payoff, [(k,) for k in usable] + [()], usable, chains)
 

@@ -87,10 +87,14 @@ class Problem:
     names: Mapping[ConditionalVariable, tuple[str, str | None]]
 
     def event_named(self, name: str | None) -> Event:
+        """The event of that name; else the sure event for None or
+        "Omega", and a `SchemaError` for any other name, "" included."""
         if name in self.events:
             return self.events[name]
-        if name is None or name == "" or name == "Omega":
+        if name is None or name == "Omega":
             return self.space.omega()
+        if name == "":
+            raise SchemaError("an empty name names no event; the sure event is null or omitted")
         raise SchemaError(f"unknown event {_ECHO.repr(name)}")
 
     def variable_named(self, name: str) -> RandomVariable:
@@ -129,7 +133,7 @@ def load_problem(doc: Any) -> Problem:
 
     variables: dict[str, RandomVariable] = {}
     for key in ("variables", "events"):
-        if not isinstance(doc.get(key) or {}, dict):
+        if not isinstance(doc.get(key, {}), (dict, type(None))):
             raise SchemaError(f'"{key}" must be an object of named entries')
     for name, mapping in (doc.get("variables") or {}).items():
         if not isinstance(mapping, dict):

@@ -47,7 +47,8 @@ def find_violation_enumeration(assessment: Assessment, notion: str) -> Bet | Non
             carriers = [i for i, m in enumerate(member_sets) if m <= union]
             stakes, _ = search.violation(carriers, combo, union | combo_region)
             if stakes is not None:
-                return search._witness(*stakes)
+                bought, sold = stakes
+                return search._witness(bought, {k: -a for k, a in sold.items()})
     return None
 
 

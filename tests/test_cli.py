@@ -370,6 +370,23 @@ def test_extend_reports_the_account_of_the_library_call(monkeypatch):
     assert trace.solves > 3
 
 
+def test_extend_refuses_an_empty_given(monkeypatch, capsys):
+    # an empty name names no event: the sure event is --given left out
+    doc = {
+        "atoms": ["a", "b"],
+        "variables": {"X": {"a": "2", "b": "-1"}},
+        "events": {"Ea": ["a"]},
+        "assessments": [{"var": "Ea", "lower": "1/4", "upper": "1/2"}],
+    }
+    argv = ["extend", "-f", "-", "--target", "X"]
+    code, report = invoke([*argv, "--given", ""], json.dumps(doc), monkeypatch)
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "empty name" in err
+    code, report = invoke(argv, json.dumps(doc), monkeypatch)
+    assert code == 0 and report["results"]["extension"]["target"] == "X"
+
+
 def test_envelope_subcommand(monkeypatch):
     doc = {
         "atoms": ["a", "b"],

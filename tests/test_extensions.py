@@ -29,8 +29,8 @@ from previsio.extensions import (
     upper_extension,
 )
 from previsio.conglomerability import definetti_example
-from previsio.jsonio import load_problem
-from previsio.gains import FOR, LOWER
+from previsio.jsonio import load_problem, witness_from_json, witness_to_json
+from previsio.gains import FOR, LOWER, UPPER, Bet, against
 from previsio.model import Assessment, ConditionalVariable, PossibilitySpace, restrict
 
 F = Fraction
@@ -729,26 +729,9 @@ def sharing_cases(count):
         yield base, random_domain(rng, space, 1, conditional=seed % 4 != 0)[0]
 
 
-def helper_gain(base, helpers):
-    """The gain sum s (x - price) of named helper stakes, by atom of each
-    helper's event, in `Fraction`s: the price of x|B is its lower value,
-    or minus the upper value of -x|B when x|B names that conjugate
-    direction."""
-    prices = {}
-    for entry in base.entries:
-        x = entry.variable
-        prices[x] = entry.lower
-        if entry.upper is not None:
-            prices[ConditionalVariable(x.cond, tuple(-v for v in x.values))] = -entry.upper
-    gain = {}
-    for x, s in helpers:
-        for a, v in x.value_map().items():
-            gain[a] = gain.get(a, 0) + s * (v - prices[x])
-    return gain
-
-
 def test_every_extension_result_carries_helpers_that_reach_its_bounds():
-    # from the public result alone: under the lower helpers' gain G,
+    # from the public result alone, with each helper bet's gain G read
+    # by `gains.gain` at the assessed prices: under the lower helpers',
     # LE + G <= X on B; under the upper ones', X + G <= LU on B, so a
     # price above LU loses; and G <= 0 wherever else they reach.  Each
     # case's second target is assessed, precisely on a precise base,
@@ -762,15 +745,73 @@ def test_every_extension_result_carries_helpers_that_reach_its_bounds():
                 (1, result.lower, result.lower_helpers),
                 (-1, result.upper, result.upper_helpers),
             ):
-                gain = helper_gain(base, helpers)
-                assert all(gain.get(a, 0) <= sign * (x[a] - value) for a in b)
-                assert all(g <= 0 for a, g in gain.items() if a not in b)
+                gain = gains.gain(helpers, base).values.values
+                assert all(gain[a] <= sign * (x[a] - value) for a in b)
+                assert all(g <= 0 for a, g in enumerate(gain) if a not in b)
             entry = base.entry_for(t)
             if entry is not None and entry.is_precise:
                 precise += 1
-                negated = ConditionalVariable(t.cond, tuple(-v for v in t.values))
-                assert result.upper_helpers == ((negated, 1),)
+                assert result.upper_helpers == Bet.of(against(t, 1, UPPER))
     assert precise > 90
+
+
+def helper_documents(count):
+    """Seeded documents on 3-5 atoms that price X, Y|E and Z|F from below
+    and above, by the least and largest expectation of two positive
+    vectors, or precisely, by those of one, and leave T unpriced."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        space = random_space(rng, 3, 5)
+        variables = {name: random_variable(rng, space) for name in "XYZT"}
+        events = {name: random_event(rng, space) for name in "EF"}
+        vectors = [positive_vector(rng, space) for _ in range(1 if seed % 3 == 0 else 2)]
+        rows = []
+        for name, given in (("X", None), ("Y", "E"), ("Z", "F")):
+            cv = restrict(variables[name], events[given] if given else space.omega())
+            values = [bayes_value(p, cv) for p in vectors]
+            rows.append({"var": name, "given": given, "lower": str(min(values)),
+                         "upper": str(max(values))})
+        yield {
+            "atoms": list(space.atoms),
+            "variables": {
+                name: {a: str(v) for a, v in zip(space.atoms, x.values)}
+                for name, x in variables.items()
+            },
+            "events": {name: list(e.atoms()) for name, e in events.items()},
+            "assessments": rows,
+        }
+
+
+def test_extension_helpers_are_bets_of_document_rows():
+    # the helpers of every bound, upper conjugate directions among them,
+    # are written by the document's own rows, read back as the same
+    # bets, and reach their bound under `gains.gain`, which prices them
+    # from the assessment
+    conjugate = precise = 0
+    for doc in helper_documents(60):
+        problem = load_problem(doc)
+        rows = {(row["var"], row["given"]) for row in doc["assessments"]}
+        t = problem.variable_named("T")
+        targets = [t.unconditional(), restrict(t, problem.event_named("E"))]
+        targets += [entry.variable for entry in problem.assessment.entries]
+        for target in targets:
+            result = extend(problem.assessment, target)
+            x, b = target.value_map(), target.cond.members
+            for sign, value, helpers in (
+                (1, result.lower, result.lower_helpers),
+                (-1, result.upper, result.upper_helpers),
+            ):
+                assert isinstance(helpers, Bet)
+                written = witness_to_json(problem, helpers)
+                assert {(term["var"], term["given"]) for term in written["terms"]} <= rows
+                assert witness_from_json(problem, written) == helpers
+                conjugate += sum(term.get("price") == UPPER for term in written["terms"])
+                gain = gains.gain(helpers, problem.assessment).values.values
+                assert all(gain[a] <= sign * (x[a] - value) for a in b)
+                assert all(g <= 0 for a, g in enumerate(gain) if a not in b)
+            entry = problem.assessment.entry_for(target)
+            precise += entry is not None and entry.is_precise
+    assert conjugate > 200 and precise > 60
 
 
 def test_each_combination_is_solved_or_closed_by_an_earlier_chain(extension_log):

@@ -93,6 +93,15 @@ def test_load_problem_round_trip():
         ),
         lambda d: d.__setitem__("events", {"E": ["a", "zzz"]}),
         lambda d: d.pop("assessments"),
+        # an empty name is no event, and names no sure event either
+        lambda d: d["assessments"].append({"var": "X", "given": "", "lower": "0"}),
+        # a present, non-null "variables" or "events" is an object, even
+        # where no row reads it
+        *(
+            lambda d, key=key, value=value: d.update({key: value, "assessments": []})
+            for key in ("variables", "events")
+            for value in ([], 0, "", False)
+        ),
     ],
 )
 def test_schema_errors(mutation):

@@ -124,6 +124,48 @@ def test_the_guard_sees_an_element_built_elsewhere():
     assert _element_builders(ast.parse(source)) == ["expanded_elements", "check", "<module>"]
 
 
+# an extension's helpers are bets of its elements: the search's one way
+# from element stakes to bet terms makes them, `_Search._witness`
+BET_TYPES = {"ConditionalVariable", "BetTerm", "Bet"}
+
+
+def _bet_constructions(tree: ast.Module) -> list[str]:
+    """Each call that builds one of `BET_TYPES`, by line: by its own name,
+    as an attribute (`gains.Bet(...)`) or through a classmethod
+    (`Bet.of(...)`)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        names, func = set(), node.func
+        while isinstance(func, ast.Attribute):
+            names.add(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name):
+            names.add(func.id)
+        found += [(node.lineno, name) for name in names & BET_TYPES]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_extensions_build_no_bet_of_their_own():
+    assert _bet_constructions(ast.parse((PACKAGE / "extensions.py").read_text())) == []
+
+
+def test_the_guard_sees_a_bet_built_by_hand():
+    source = (
+        "def _named(x):\n    return ConditionalVariable(x.cond, x.values)\n\n"
+        "def helpers(t):\n    return Bet((BetTerm(t, 1),))\n\n"
+        "h = gains.Bet.of(against(t))\ng = Bet.of()\nw = search._witness({0: 1})\n"
+    )
+    assert _bet_constructions(ast.parse(source)) == [
+        "ConditionalVariable (line 2)",
+        "Bet (line 5)",
+        "BetTerm (line 5)",
+        "Bet (line 7)",
+        "Bet (line 8)",
+    ]
+
+
 
 def _frozen_dataclasses(tree: ast.Module) -> list[str]:
     """The classes declared `@dataclass(frozen=True)`, by name."""
