@@ -62,6 +62,7 @@ from .errors import (
     MissingSelfIndicator,
     MissingZeroVariables,
     NotPrecise,
+    PrevisioError,
 )
 from .gains import AGAINST, FOR, LOWER, UPPER, Bet, BetTerm
 from .lp import Constraint, LinearProgram, Optimal, Trace, over_one_denominator
@@ -258,7 +259,9 @@ class _Search:
         region: frozenset[int],
     ) -> tuple[tuple[dict[int, Fraction], ...] | None, dict[int, int]]:
         """Solve `program`.  Returns the violating for- and against-stakes,
-        by element, when eps > 0.
+        by element, when eps > 0: the program's int point over its
+        denominator, with a `Fraction` made only for each nonzero stake,
+        the stakes `_witness` makes terms of.
 
         Otherwise eps = 0 is optimal, and it returns None and the
         program's row multipliers on the region atoms, as their positive
@@ -272,9 +275,12 @@ class _Search:
         outcome = self.trace.solve(self.program(carriers, combo, region))
         if outcome.value > 0:
             stakes = self._columns(carriers, combo)[0]
-            point = outcome.point
-            bought = [_ONE] if self.convex else point[len(stakes):-1]
-            return (dict(zip(stakes, point)), dict(zip(combo, bought))), {}
+            xs, den = outcome.xs, outcome.x_den
+            bought = {i: Fraction(x, den) for i, x in zip(stakes, xs) if x}
+            if self.convex:
+                return (bought, {combo[0]: _ONE}), {}
+            sold = {k: Fraction(x, den) for k, x in zip(combo, xs[len(stakes):-1]) if x}
+            return (bought, sold), {}
         return None, _dual_masses(sorted(region), outcome)
 
     def _witness(self, *stakes: dict[int, Fraction]) -> Bet:
@@ -457,8 +463,17 @@ class _Search:
 
 
 def _verify_witness(bet: Bet, assessment: Assessment) -> None:
-    table = gains.gain(bet, assessment)
-    if table.sup_on_conditioning() >= 0:
+    """Raise an internal error unless `bet` loses on every atom of its
+    conditioning event.  Its gain is summed again on ints by
+    `gains.gain_ints`, with each price read from the assessment and each
+    value from the term's own variable, so the re-check trusts nothing
+    of the search that found the bet.  A bet of no terms gains 0, and a
+    bet the assessment cannot price fails too."""
+    try:
+        totals, _, conditioning, _ = gains.gain_ints(bet, assessment)
+    except PrevisioError as exc:
+        raise AssertionError(f"internal error: witness cannot be priced: {exc}") from exc
+    if max((totals[a] for a in conditioning), default=0) >= 0:
         raise AssertionError("internal error: witness gain is not negative")
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .errors import ImpossibleConditioningEvent, UnassessedVariable
 from .lp import over_one_denominator
@@ -107,39 +106,49 @@ def _price(term: BetTerm, assessment: Assessment) -> Fraction:
     return entry.upper
 
 
-def gain(bet: Bet, assessment: Assessment) -> GainTable:
-    """Exact per-atom gain; zero outside the union of conditioning events.
+def gain_ints(bet: Bet, assessment: Assessment) -> tuple[list[int], int, set[int], set[int]]:
+    """The gain of `bet` by atom, as ints over one positive int, and the
+    atoms of its conditioning event and of its support.  Every price is
+    read from `assessment` and every value from the term's variable.
 
     Each term is summed on ints: its price and its values on its event
     are put over one denominator d, as the ints p and x, so that its
     gain s (x - p) / d for the signed stake s = n / m is the int
     n (x - p) over m d.  The terms are added over the lcm of those
-    denominators, and a `Fraction` is made only for each atom's total."""
+    denominators."""
     space = assessment.space
-    cond_members: set[int] = set()
-    supp_members: set[int] = set()
-    for term in bet.terms:
-        term.variable.space._check(space)
-        cond_members |= term.variable.cond.members
-        if term.stake != 0:
-            supp_members |= term.variable.cond.members
+    conditioning: set[int] = set()
+    support: set[int] = set()
     staked = []
     for term in bet.terms:
+        cv = term.variable
+        cv.space._check(space)
         price = _price(term, assessment)
+        conditioning |= cv.cond.members
         if term.stake:
-            cv = term.variable
-            stake = term.stake if term.side == FOR else -term.stake
+            support |= cv.cond.members
             (p, *ints), d = over_one_denominator([price, *cv.values])
-            n, m = stake.as_integer_ratio()
-            staked.append((cv.cond.members, [n * (x - p) for x in ints], m * d))
-    den = reduce(math.lcm, [d for _, _, d in staked], 1)
+            n, m = term.stake.as_integer_ratio()
+            if term.side != FOR:
+                n = -n
+            staked.append((sorted(cv.cond.members), [n * (x - p) for x in ints], m * d))
+    den = math.lcm(*[d for _, _, d in staked])
     totals = [0] * space.size
     for members, ints, d in staked:
         f = den // d
-        for a, v in zip(sorted(members), ints):
+        for a, v in zip(members, ints):
             totals[a] += f * v
+    return totals, den, conditioning, support
+
+
+def gain(bet: Bet, assessment: Assessment) -> GainTable:
+    """Exact per-atom gain; zero outside the union of conditioning events.
+    The sum is made on ints (`gain_ints`), and a `Fraction` only for each
+    atom's total."""
+    space = assessment.space
+    totals, den, conditioning, support = gain_ints(bet, assessment)
     return GainTable(
         RandomVariable(space, tuple(Fraction(v, den) for v in totals)),
-        Event(space, frozenset(cond_members)),
-        Event(space, frozenset(supp_members)),
+        Event(space, frozenset(conditioning)),
+        Event(space, frozenset(support)),
     )

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import previsio
-from previsio import cli
+from previsio import checkers, cli
 from previsio.cli import run
 from previsio.extensions import extend
-from previsio.gains import gain
+from previsio.gains import UPPER, Bet, against, gain
 from previsio.jsonio import load_problem, rational_str, witness_from_json
 from previsio.lp import Trace
 
@@ -91,6 +91,30 @@ def test_internal_error_exit_three(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "previsio: internal error: witness gain is not negative\n"
     )
+
+
+# a witness the re-check refuses or cannot price is an internal error,
+# not bad input: a bet of no terms, which gains 0, and a term priced at
+# an upper value that the lower-only document lacks
+REFUSED_WITNESSES = {
+    "empty-bet": (lambda search: Bet(()), "witness gain is not negative"),
+    "unassessed-upper": (
+        lambda search: Bet.of(against(search.elements[0].terms[0][0], 1, UPPER)),
+        "witness cannot be priced: term is priced at the upper prevision, but none is assessed",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_WITNESSES))
+def test_a_witness_the_recheck_refuses_exits_three(name, monkeypatch, capsys):
+    witness, message = REFUSED_WITNESSES[name]
+    monkeypatch.setattr(checkers._Search, "run", lambda search, combos, given=(): witness(search))
+    code, report = invoke(
+        ["check", "--notion", "aul", "-f", "-"], stdin_text=VACUOUS, monkeypatch=monkeypatch
+    )
+    assert code == 3
+    assert report is None
+    assert capsys.readouterr().err == f"previsio: internal error: {message}\n"
 
 
 def test_unknown_notion_rejected():

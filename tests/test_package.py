@@ -166,6 +166,44 @@ def test_the_guard_sees_a_bet_built_by_hand():
     ]
 
 
+# the re-check of a failing witness prices it from the assessment, so it
+# reads nothing the search built its bet from
+SEARCH_STATE = {"elements", "int_rows", "row", "_Element"}
+
+
+def _search_state_read(tree: ast.Module, function: str) -> list[str]:
+    """The names and attributes of `SEARCH_STATE` that the module-level
+    `function` reads, by line."""
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    found = []
+    for sub in ast.walk(node):
+        name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+        if name in SEARCH_STATE:
+            found.append((sub.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_the_witness_recheck_reads_no_element():
+    tree = ast.parse((PACKAGE / "checkers.py").read_text())
+    assert _search_state_read(tree, "_verify_witness") == []
+
+
+def test_the_guard_sees_an_element_read_in_the_recheck():
+    source = (
+        "def _verify_witness(bet, assessment, search):\n"
+        "    rows = search.int_rows\n"
+        "    for element in search.elements:\n"
+        "        gain, d = element.row\n"
+        "    return _Element\n\n"
+        "def other(search):\n    return search.elements\n"
+    )
+    assert _search_state_read(ast.parse(source), "_verify_witness") == [
+        "int_rows (line 2)",
+        "elements (line 3)",
+        "row (line 4)",
+        "_Element (line 5)",
+    ]
+
 
 def _frozen_dataclasses(tree: ast.Module) -> list[str]:
     """The classes declared `@dataclass(frozen=True)`, by name."""
