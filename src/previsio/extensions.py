@@ -34,6 +34,11 @@ precise target's LU is its value v, and no program runs: its own upper
 element at stake 1 is the certificate, as -v + (v - X) = -X on B.
 
 Each bound is certified on ints without a program, on both sides.
+Its record (`_Bound`) holds the bound program's own read-out: the
+optimum above the floor as it comes, and the net helper stakes as the
+ints of the program's point over its denominator.  The certificate and
+the walks below read those ints, and the bound's value and its helper
+stakes become `Fraction`s only when the extension returns them.
 Beyond it: helper stakes s* with bound + sum s* g <= Y on B and
 sum s* g <= 0 on their carriers' union outside B, and the direction s'
 of the last shrinking step, strictly negative there, so s* + l s' for a
@@ -128,7 +133,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 from .checkers import (
     _dual_masses,
@@ -150,6 +155,8 @@ _ONE = Fraction(1)
 Extension = tuple[Fraction, Bet]
 # element index -> stake; a negative stake bets against the element
 Stakes = dict[int, Fraction]
+# a stake as a `Fraction`, or as an int of a program's point
+Stake = TypeVar("Stake", int, Fraction)
 # the vectors p of a shrinking chain, each its nonzero masses by atom
 Chain = tuple[dict[int, int], ...]
 
@@ -170,19 +177,21 @@ class ExtensionResult:
     upper_helpers: Bet
 
 
-@dataclass(frozen=True)
-class _Bound:
-    """A bound and its certificate: the helper stakes s* that reach it
-    and the stakes s' of the last shrinking step, a direction that is
-    strictly negative off the target's event."""
+class _Bound(NamedTuple):
+    """A bound and its certificate, read out of its program as they come:
+    `rel`, the bound less the payoff's floor (the program's optimum),
+    and the net helper stakes s* that reach it, the ints `helpers` by
+    element over `den`, the program's point and denominator; and the
+    stakes s' of the last shrinking step, a direction that is strictly
+    negative off the target's event."""
 
-    value: Fraction
-    helpers: Stakes
+    rel: Fraction
+    helpers: dict[int, int]
+    den: int
     step: Stakes
 
 
-@dataclass(frozen=True)
-class _Payoff:
+class _Payoff(NamedTuple):
     """Y = sign * X on the target's event B, less `floor`, its least
     value there: `ints` by atom of B, none negative, over `den`."""
 
@@ -202,7 +211,7 @@ def _payoff(target: ConditionalVariable, sign: int) -> _Payoff:
     return _Payoff(target, sign, Fraction(low, den), {a: v - low for a, v in zip(atoms, ints)}, den)
 
 
-def _net(stakes: Stakes, against: Stakes) -> Stakes:
+def _net(stakes: dict[int, Stake], against: dict[int, Stake]) -> dict[int, Stake]:
     net = dict(stakes)
     for k, a in against.items():
         net[k] = net.get(k, 0) - a
@@ -230,10 +239,10 @@ def _bound(
     # would be a losing bet
     xs = outcome.xs[:-1]
     net = _net(dict(zip(active, xs)), dict(zip(combo, xs[len(active):])))
-    helpers = {i: Fraction(x, outcome.x_den) for i, x in net.items()}
     direction = {} if stakes is None else _net(*stakes)
-    # the program prices above the floor, which s = 0 attains
-    bound = _Bound(outcome.value + payoff.floor, helpers, direction)
+    # the program prices above the floor, which s = 0 attains: its
+    # optimum is the bound less the floor, and its point the helpers
+    bound = _Bound(outcome.value, net, outcome.x_den, direction)
     if not _certified(search, payoff, bound):
         raise AssertionError("internal error: an extension bound fails its certificate")
     # the program's rows are B's atoms, then those outside, each by atom
@@ -269,24 +278,19 @@ def _bound_program(
     return LinearProgram(objective=(_ZERO,) * n + (_ONE,), constraints=tuple(rows))
 
 
-def _int_gain(
-    search: _Search, stakes: Stakes, extra: Sequence[Fraction]
-) -> tuple[dict[int, int], list[int], int]:
-    """The gain sum_i s_i g_i by atom and the values `extra`, as ints
-    over one positive denominator, and that denominator.  A stake n / m
-    on a gain over e is the int n over m e, which need not be in lowest
-    terms: `d` is then a multiple of the least, and every comparison of
-    `_certified` is homogeneous in it."""
-    keys = list(stakes)
-    pairs = [(stakes[i].as_integer_ratio(), search.int_rows[i][1]) for i in keys]
-    ratios = [(n, m * e) for (n, m), e in pairs] + [v.as_integer_ratio() for v in extra]
-    d = math.lcm(*[m for _, m in ratios])
-    ints = [n * (d // m) for n, m in ratios]
+def _int_gain(search: _Search, stakes: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """The gain sum_i s_i g_i by atom of the stakes s_i = n_i / `den`,
+    as ints over d = lcm(e_i) den for the denominators e_i of the gains,
+    and d.  d need not be the least: every comparison of `_certified`
+    is homogeneous in it."""
+    e = math.lcm(*(search.int_rows[i][1] for i in stakes))
     gain: dict[int, int] = {}
-    for i, m in zip(keys, ints):
-        for atom, v in search.int_rows[i][0].items():
-            gain[atom] = gain.get(atom, 0) + m * v
-    return gain, ints[len(keys):], d
+    for i, n in stakes.items():
+        row, m = search.int_rows[i]
+        f = n * (e // m)
+        for atom, v in row.items():
+            gain[atom] = gain.get(atom, 0) + f * v
+    return gain, e * den
 
 
 def _certified(search: _Search, payoff: _Payoff, bound: _Bound) -> bool:
@@ -294,37 +298,47 @@ def _certified(search: _Search, payoff: _Payoff, bound: _Bound) -> bool:
     stake is negative but at most one against-term, none when the target
     is itself bet against (sign > 0); bound + sum s* g <= Y on B; and on
     the carriers' union outside B, sum s* g <= 0 and sum s' g < 0.  The
-    condition on B is taken less the floor, against the payoff's ints."""
+    condition on B is taken less the floor, rel + sum s* g <= Y - floor:
+    rel by its numerator and denominator, the helpers' gain summed from
+    the program's ints (`_int_gain`), and Y - floor the payoff's ints.
+    The step's `Fraction` stakes are put over one denominator and summed
+    only when some carrier reaches outside B."""
     signed = [*bound.helpers.items(), *bound.step.items()]
     against = {i for i, s in signed if s < 0}
     if len(against) > (1 if payoff.sign < 0 else 0):
         return False
     outside = frozenset().union(
-        *(search.elements[i].members for i, _ in signed)
+        *(search.events[i] for i, _ in signed)
     ) - payoff.target.cond.members
-    gain, (price,), d = _int_gain(search, bound.helpers, [bound.value - payoff.floor])
-    direction, _, _ = _int_gain(search, bound.step, ())
-    return all(
-        (price + gain.get(a, 0)) * payoff.den <= y * d for a, y in payoff.ints.items()
-    ) and all(gain.get(a, 0) <= 0 and direction.get(a, 0) < 0 for a in outside)
+    gain, d = _int_gain(search, bound.helpers, bound.den)
+    p, q = bound.rel.as_integer_ratio()
+    if not all(
+        (p * d + q * gain.get(a, 0)) * payoff.den <= q * d * y for a, y in payoff.ints.items()
+    ):
+        return False
+    if not outside:
+        return True
+    ints, den = over_one_denominator(list(bound.step.values()))
+    direction, _ = _int_gain(search, dict(zip(bound.step, ints)), den)
+    return all(gain.get(a, 0) <= 0 and direction.get(a, 0) < 0 for a in outside)
 
 
 def _closed(
     search: _Search,
     payoff: _Payoff,
-    value: Fraction,
+    rel: Fraction,
     combos: Sequence[tuple[int, ...]],
     chain: Chain,
     usable: Sequence[int],
 ) -> set[tuple[int, ...]]:
     """The combinations of `combos` that `chain` closes with the elements
-    `usable` and t, a bet against Y|B at `value` for the
-    payoff's Y = sign * X: X|B at the price sign * value, bet against
+    `usable` and t, a bet against Y|B at the value v = floor + `rel` for
+    the payoff's Y = sign * X: X|B at the price sign * v, bet against
     when sign > 0 and for when sign < 0 (see the module docstring).  t
     is one more against-term of each for the walk, `_Search.closed_by`:
-    its row Y - value on B, and B among the events that close it."""
-    # Y - value on B, times the payoff's denominator and that of value - floor
-    p, q = (value - payoff.floor).as_integer_ratio()
+    its row Y - v on B, and B among the events that close it."""
+    # Y - v = (Y - floor) - rel on B, times the payoff's denominator and rel's
+    p, q = rel.as_integer_ratio()
     t = {a: y * q - p * payoff.den for a, y in payoff.ints.items()}
     return search.closed_by(chain, usable, combos, [t], payoff.target.cond.members)
 
@@ -358,7 +372,10 @@ def _extension(
     every chain again when it rises, so every combination is closed at
     the value returned once the loop ends.  A chain equal to one run
     before closes nothing new and is kept once.  The chains run join
-    `chains`, each once."""
+    `chains`, each once.  Bounds are compared, and chains walked, by
+    their `rel`s, as they share the payoff's floor; the value returned
+    and its helper stakes are the only `Fraction`s made of a bound, for
+    the best one."""
     best: _Bound | None = None
     ran: list[Chain] = []
     closed: set[tuple[int, ...]] = set()
@@ -370,15 +387,16 @@ def _extension(
         ran += walk
         if chain not in chains:
             chains.append(chain)
-        if bound is not None and (best is None or bound.value > best.value):
+        if bound is not None and (best is None or bound.rel > best.rel):
             best, closed, walk = bound, set(), ran
         for run in walk if best is not None else ():
             pending = [c for c in combos if c not in closed]
-            closed |= _closed(search, payoff, best.value, pending, run, usable)
+            closed |= _closed(search, payoff, best.rel, pending, run, usable)
     assert best is not None  # () has no against-term to end its chain
     if not closed.issuperset(combos):
         raise AssertionError("internal error: an extension is not a coherent value")
-    return payoff.sign * best.value, search._witness(best.helpers)
+    helpers = {i: Fraction(x, best.den) for i, x in best.helpers.items()}
+    return payoff.sign * (payoff.floor + best.rel), search._witness(helpers)
 
 
 def _upper_extension(
@@ -392,10 +410,10 @@ def _upper_extension(
     payoff = _payoff(target, -1)
     index = {el.terms: i for i, el in enumerate(search.elements)}
     if entry is not None and entry.is_precise:
-        bound = _Bound(-entry.lower, {index[((target, AGAINST, UPPER),)]: _ONE}, {})
-        if not _certified(search, payoff, bound):
+        own = index[((target, AGAINST, UPPER),)]
+        if not _certified(search, payoff, _Bound(-entry.lower - payoff.floor, {own: 1}, 1, {})):
             raise AssertionError("internal error: an extension bound fails its certificate")
-        return entry.lower, search._witness(bound.helpers)
+        return entry.lower, search._witness({own: _ONE})
     usable = [i for t, i in index.items() if t != ((target, FOR, LOWER),)]
     return _extension(search, payoff, [(k,) for k in usable] + [()], usable, chains)
 

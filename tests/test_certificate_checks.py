@@ -381,9 +381,10 @@ def test_the_walk_agrees_with_the_reference_on_extension_chains():
         combos = [(k,) for k in everything] + [()]
         lower, upper = extensions._payoff(target, 1), extensions._payoff(target, -1)
         le, chain = extensions._bound(search, lower, (), everything)
-        runs = [(lower, le.value, chain)]
+        # each bound is its value less the payoff's floor
+        runs = [(lower, lower.floor + le.rel, chain)]
         bounds = [extensions._bound(search, upper, c, everything) for c in combos]
-        best = max(bound.value for bound, _ in bounds if bound is not None)
+        best = max(upper.floor + bound.rel for bound, _ in bounds if bound is not None)
         runs += [(upper, best, chain) for _, chain in bounds]
         for payoff, value, chain in runs:
             for v in (value, value - _BEYOND):
@@ -391,7 +392,8 @@ def test_the_walk_agrees_with_the_reference_on_extension_chains():
                 t = {a: payoff.sign * x[a] - v for a in b}
 
                 def walk(chain, carriers, combos):
-                    return extensions._closed(search, payoff, v, combos, chain, carriers)
+                    rel = v - payoff.floor
+                    return extensions._closed(search, payoff, rel, combos, chain, carriers)
 
                 for mutant in _mutants(rng, list(chain), b | frozenset().union(*search.events)):
                     closed += _walks_agree(search, gains, mutant, everything, combos, [t], b, walk)

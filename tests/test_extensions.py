@@ -1,5 +1,5 @@
+import hashlib
 import random
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -387,6 +387,19 @@ def test_reproducer_extend_returns_both_bounds():
     assert (result.lower, result.upper) == (F(-3), F(-69, 56))
 
 
+def value_of(payoff, bound):
+    """The bound's value: the payoff's floor plus the `rel` it holds."""
+    return payoff.floor + bound.rel
+
+
+def certificate(payoff, value, helpers, step):
+    """The `_Bound` of the price `value` for the payoff, with the helper
+    stakes `helpers`, `Fraction`s by element, put over one denominator,
+    and the step stakes `step`."""
+    ints, den = lp.over_one_denominator(list(helpers.values()))
+    return extensions._Bound(value - payoff.floor, dict(zip(helpers, ints)), den, step)
+
+
 @pytest.mark.parametrize("gap", [F(1, 2000), F(1, 10**6)], ids=["1/2000", "1/10**6"])
 def test_certificate_rejects_a_bound_beyond_the_natural_extension(gap):
     # P(x) >= 1/4 and P(y) >= 1/4 put LE(x or y) at 1/2.  A claim just
@@ -400,15 +413,16 @@ def test_certificate_rejects_a_bound_beyond_the_natural_extension(gap):
     search = _Search(expanded_elements(base))
     payoff = extensions._payoff(target, 1)
     bound, _ = extensions._bound(search, payoff, (), range(len(search.elements)))
-    assert bound.value == F(1, 2)
+    assert value_of(payoff, bound) == F(1, 2)
     assert extensions._certified(search, payoff, bound)
-    claimed = bound.value + gap
+    claimed = value_of(payoff, bound) + gap
     assert check_w_coherence(base.with_entry(target, claimed)).passed
-    assert not extensions._certified(search, payoff, replace(bound, value=claimed))
+    beyond = bound._replace(rel=claimed - payoff.floor)
+    assert not extensions._certified(search, payoff, beyond)
     # nor does any other pair of helper stakes on a grid
     for stakes in product([F(k, 4) for k in range(9)], repeat=2):
         helpers = {i: s for i, s in enumerate(stakes) if s}
-        other = extensions._Bound(claimed, helpers, {})
+        other = certificate(payoff, claimed, helpers, {})
         assert not extensions._certified(search, payoff, other)
 
 
@@ -441,8 +455,9 @@ def test_certificate_checks_are_exact_at_the_boundary(sign, value, helpers, dire
     ])
     target = restrict(space.indicator(space.event(["a"])), ab)
     search = _Search(expanded_elements(base))
-    bound = extensions._Bound(value, helpers, direction)
-    assert extensions._certified(search, extensions._payoff(target, sign), bound) is accepted
+    payoff = extensions._payoff(target, sign)
+    bound = certificate(payoff, value, helpers, direction)
+    assert extensions._certified(search, payoff, bound) is accepted
 
 
 def test_every_bound_passes_its_certificate(monkeypatch):
@@ -451,7 +466,7 @@ def test_every_bound_passes_its_certificate(monkeypatch):
 
     def spy(search, payoff, bound):
         ok = certified(search, payoff, bound)
-        checked.append((payoff.sign, bound.value, ok))
+        checked.append((payoff.sign, value_of(payoff, bound), ok))
         return ok
 
     monkeypatch.setattr(extensions, "_certified", spy)
@@ -461,6 +476,85 @@ def test_every_bound_passes_its_certificate(monkeypatch):
     assert (-1, -result.upper, True) in checked
     assert all(ok for _, _, ok in checked)
 
+
+def certified_by_fractions(search, payoff, value, helpers, step):
+    """The three conditions of a bound's certificate on `Fraction`s, from
+    each element's coefficients, with the helper stakes `helpers` and the
+    step stakes `step` by element: at most one against-term, none when
+    the target is bet against; value + G <= Y on B; and G <= 0 and
+    G' < 0 on the carriers outside B, for the gains G of the helpers and
+    G' of the step."""
+    signed = [*helpers.items(), *step.items()]
+    if len({i for i, s in signed if s < 0}) > (1 if payoff.sign < 0 else 0):
+        return False
+
+    def gain(stakes):
+        total: dict[int, F] = {}
+        for i, s in stakes.items():
+            for a, v in search.elements[i].coefficients().items():
+                total[a] = total.get(a, 0) + s * v
+        return total
+
+    b = payoff.target.cond.members
+    y = {a: payoff.sign * v for a, v in payoff.target.value_map().items()}
+    outside = frozenset().union(*(search.elements[i].members for i, _ in signed)) - b
+    g, direction = gain(helpers), gain(step)
+    return all(value + g.get(a, 0) <= y[a] for a in b) and all(
+        g.get(a, 0) <= 0 and direction.get(a, 0) < 0 for a in outside
+    )
+
+
+def perturbed(bound, rng):
+    """`bound`, then bounds near it: `rel` raised by 10**-9, one helper
+    stake doubled, one halved and one dropped, when it has helpers, and
+    the step emptied, when it has one; each helper drawn by `rng`.  The
+    stakes stay ints over the program's denominator or twice it."""
+    yield bound
+    yield bound._replace(rel=bound.rel + BEYOND)
+    helpers = bound.helpers
+    if helpers:
+        i = rng.choice(sorted(helpers))
+        yield bound._replace(helpers={**helpers, i: 2 * helpers[i]})
+        i = rng.choice(sorted(helpers))
+        halved = {j: n if j == i else 2 * n for j, n in helpers.items()}
+        yield bound._replace(helpers=halved, den=2 * bound.den)
+        i = rng.choice(sorted(helpers))
+        yield bound._replace(helpers={j: n for j, n in helpers.items() if j != i})
+    if bound.step:
+        yield bound._replace(step={})
+
+
+def test_the_int_certificate_agrees_with_the_fraction_conditions(monkeypatch):
+    # every bound of seeded `extend` calls, and bounds near it, are
+    # accepted exactly when the conditions hold on `Fraction`s
+    bounds = []
+    bound = extensions._bound
+
+    def spy(search, payoff, combo, usable):
+        result = bound(search, payoff, combo, usable)
+        if result[0] is not None:
+            bounds.append((search, payoff, result[0]))
+        return result
+
+    monkeypatch.setattr(extensions, "_bound", spy)
+    for base, targets in pinned_extension_cases(160):
+        for target in targets:
+            try:
+                extend(base, target)
+            except BaseNotCoherent:
+                pass
+    assert len(bounds) >= 300
+    rng = random.Random(34)
+    accepted = {True: 0, False: 0}
+    for search, payoff, found in bounds:
+        for near in perturbed(found, rng):
+            helpers = {i: F(n, near.den) for i, n in near.helpers.items()}
+            want = certified_by_fractions(
+                search, payoff, value_of(payoff, near), helpers, near.step
+            )
+            assert extensions._certified(search, payoff, near) is want
+            accepted[want] += 1
+    assert accepted[True] >= 100 and accepted[False] >= 100
 
 
 def test_a_payoff_is_the_signed_values_over_one_denominator():
@@ -479,14 +573,15 @@ def test_a_payoff_is_the_signed_values_over_one_denominator():
                 target, sign, F(low, den), {a: v - low for a, v in zip(atoms, ints)}, den
             )
             got = extensions._payoff(target, sign)
-            assert [getattr(got, f.name) for f in fields(want)] == [
-                getattr(want, f.name) for f in fields(want)
+            assert [getattr(got, f) for f in want._fields] == [
+                getattr(want, f) for f in want._fields
             ]
 
 
 def test_an_int_gain_is_the_fraction_gain_over_its_denominator():
-    # the denominator need not be the least, but the ints over it are the
-    # stakes' gain and the extra values exactly
+    # the stakes come over one denominator with the extra values, so it
+    # need not be their least, nor need the gain's be; but the ints over
+    # it are the stakes' gain and the extra values exactly
     rng = random.Random(31)
     for base, _ in conditional_cases(31, count=6):
         search = _Search(expanded_elements(base))
@@ -497,7 +592,8 @@ def test_an_int_gain_is_the_fraction_gain_over_its_denominator():
                 if rng.random() < 0.7
             }
             extra = [F(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(rng.randint(0, 2))]
-            gain, ints, d = extensions._int_gain(search, stakes, extra)
+            ints, den = lp.over_one_denominator([*stakes.values(), *extra])
+            gain, d = extensions._int_gain(search, dict(zip(stakes, ints)), den)
             want: dict[int, F] = {}
             for i, s in stakes.items():
                 for a, v in search.elements[i].coefficients().items():
@@ -506,7 +602,8 @@ def test_an_int_gain_is_the_fraction_gain_over_its_denominator():
             assert {a: F(v, d) for a, v in gain.items() if v} == {
                 a: v for a, v in want.items() if v
             }
-            assert [F(v, d) for v in ints] == extra
+            assert d % den == 0
+            assert [F(v * (d // den), d) for v in ints[len(stakes):]] == extra
 
 
 # -- the attained side: chains -----------------------------------------------
@@ -529,16 +626,17 @@ def upper_runs(search, target):
     usable = [k for (k,) in combos[:-1]]
     upper = extensions._payoff(target, -1)
     runs = [extensions._bound(search, upper, c, usable) for c in combos]
-    best = max(b.value for b, _ in runs if b is not None)
+    best = max(value_of(upper, b) for b, _ in runs if b is not None)
     return usable, best, [(c, chain) for c, (_, chain) in zip(combos, runs)]
 
 
 def closes(search, payoff, value, combo, chain, usable=None):
     """Whether the walk of `chain` closes the one combination `combo`
     with the target's row at `value`, over the elements `usable`
-    (default: all)."""
+    (default: all).  `_closed` takes the value less the payoff's floor."""
     usable = range(len(search.elements)) if usable is None else usable
-    return combo in extensions._closed(search, payoff, value, [combo], chain, usable)
+    rel = value - payoff.floor
+    return combo in extensions._closed(search, payoff, rel, [combo], chain, usable)
 
 
 def closes_every_upper_combination(search, target, value, usable, runs):
@@ -559,14 +657,15 @@ def test_chains_close_at_the_bounds_and_not_beyond():
         search = _Search(expanded_elements(base))
         lower = extensions._payoff(target, 1)
         le, chain = extensions._bound(search, lower, (), range(len(search.elements)))
-        assert closes(search, lower, le.value, (), chain)
-        assert not closes(search, lower, le.value - BEYOND, (), chain)
+        le = value_of(lower, le)
+        assert closes(search, lower, le, (), chain)
+        assert not closes(search, lower, le - BEYOND, (), chain)
         usable, best, runs = upper_runs(search, target)
         assert closes_every_upper_combination(search, target, best, usable, runs)
         # LU + 1e-9 is the price -(LU + 1e-9) of a bet against -X
         assert not closes_every_upper_combination(search, target, best - BEYOND, usable, runs)
         result = extend(base, target)
-        assert (result.lower, result.upper) == (le.value, -best)
+        assert (result.lower, result.upper) == (le, -best)
         shrinking += (len(chain) > 1) + sum(len(c) > 1 for _, c in runs)
     assert shrinking >= 40
 
@@ -581,7 +680,7 @@ def reproducer_chains():
     le, chain = extensions._bound(search, lower, (), range(len(search.elements)))
     usable, best, runs = upper_runs(search, target)
     assert -best == F(-69, 56) and usable == [0, 1, 2]
-    return search, (lower, upper), le.value, chain, best, dict(runs)
+    return search, (lower, upper), value_of(lower, le), chain, best, dict(runs)
 
 
 def test_the_reproducer_chains_are_pinned():
@@ -659,30 +758,32 @@ def test_an_element_no_step_has_touched_is_still_checked():
     search = _Search(expanded_elements(base))
     lower = extensions._payoff(target, 1)
     le, chain = extensions._bound(search, lower, (), range(len(search.elements)))
-    assert (le.value, chain) == (F(-3), ({1: 1}, {2: 1}))
-    assert closes(search, lower, le.value, (), chain)
-    assert not closes(search, lower, le.value, (), (chain[0], {2: 1, 0: 1}))
+    le = value_of(lower, le)
+    assert (le, chain) == (F(-3), ({1: 1}, {2: 1}))
+    assert closes(search, lower, le, (), chain)
+    assert not closes(search, lower, le, (), (chain[0], {2: 1, 0: 1}))
     # a zero mass on a, in element 1's event, does not drop it
-    assert not closes(search, lower, le.value, (), (chain[0] | {0: 0}, {2: 1, 0: 1}))
+    assert not closes(search, lower, le, (), (chain[0] | {0: 0}, {2: 1, 0: 1}))
 
 
 @pytest.fixture
 def extension_log(monkeypatch):
     """Every `_bound` and `_closed` call of the extensions, in order:
     ("bound", sign, combo, chain, value) and ("closed", sign, value,
-    combos, chain, closed), with the value None for no bound."""
+    combos, chain, closed), with the value None for no bound.  Each
+    value is the bound's or the walk's `rel` plus the payoff's floor."""
     log = []
     bound, closed = extensions._bound, extensions._closed
 
     def bound_spy(search, payoff, combo, usable):
         result = bound(search, payoff, combo, usable)
-        value = None if result[0] is None else result[0].value
+        value = None if result[0] is None else value_of(payoff, result[0])
         log.append(("bound", payoff.sign, combo, result[1], value))
         return result
 
-    def closed_spy(search, payoff, value, combos, chain, usable):
-        shut = closed(search, payoff, value, combos, chain, usable)
-        log.append(("closed", payoff.sign, value, list(combos), chain, shut))
+    def closed_spy(search, payoff, rel, combos, chain, usable):
+        shut = closed(search, payoff, rel, combos, chain, usable)
+        log.append(("closed", payoff.sign, payoff.floor + rel, list(combos), chain, shut))
         return shut
 
     monkeypatch.setattr(extensions, "_bound", bound_spy)
@@ -876,8 +977,8 @@ def test_extend_refusing_every_shared_chain_solves_every_combination(monkeypatch
         solved.append(combo)
         return value, chain
 
-    def own_only(search, payoff, value, combos, chain, usable):
-        return closed(search, payoff, value, combos, chain, usable) & {owners[id(chain)][0]}
+    def own_only(search, payoff, rel, combos, chain, usable):
+        return closed(search, payoff, rel, combos, chain, usable) & {owners[id(chain)][0]}
 
     monkeypatch.setattr(extensions, "_bound", owned)
     monkeypatch.setattr(extensions, "_closed", own_only)
@@ -906,7 +1007,7 @@ def test_upper_extension_is_the_largest_bound_of_every_combination(extension_log
         usable = [k for (k,) in combos[:-1]]
         payoff = extensions._payoff(target, -1)
         bounds = [extensions._bound(search, payoff, c, usable)[0] for c in combos]
-        assert lu == -max(b.value for b in bounds if b is not None)
+        assert lu == -max(value_of(payoff, b) for b in bounds if b is not None)
         # () is solved exactly when every (k,) chain ends on its own event
         assert solved_empty == all(b is None for b in bounds[:-1])
         empty_run += solved_empty
@@ -1177,6 +1278,90 @@ def test_the_scale_table_is_pinned(atoms, entries, pinned):
         trace = lp.Trace()
         call(trace)
         assert (trace.solves, trace.max_pivots) == pinned[name], name
+
+
+def two_sided_envelope(rng, space, conditional):
+    """The least and largest Bayes values of one to three positive
+    vectors on a fresh domain, as lower and upper values."""
+    vectors = [positive_vector(rng, space) for _ in range(rng.randint(1, 3))]
+    items = []
+    for cv in random_domain(rng, space, 4, conditional):
+        values = [bayes_value(p, cv) for p in vectors]
+        items.append((cv, min(values), max(values)))
+    return Assessment.build(space, items)
+
+
+def pinned_extension_cases(count=700):
+    """Seeded `extend` inputs on 3-6 atoms, as (base, targets): coherent,
+    precise, arbitrary and two-sided envelope bases in turn, conditional
+    or not, each with a fresh conditional target, a fresh unconditional
+    one and an assessed one."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        space = random_space(rng, 3, 6)
+        conditional = rng.random() < 0.7
+        if seed % 4 == 0:
+            base = random_coherent_assessment(rng, space=space, conditional=conditional)
+        elif seed % 4 == 1:
+            base = random_precise_assessment(rng, space=space, conditional=conditional)
+        elif seed % 4 == 2:
+            base = random_arbitrary_assessment(rng, space=space, conditional=conditional)
+        else:
+            base = two_sided_envelope(rng, space, conditional)
+        fresh = [random_domain(rng, space, 1, conditional=c)[0] for c in (True, False)]
+        yield base, [*fresh, rng.choice(base.entries).variable]
+
+
+def _described_terms(bet):
+    return tuple(
+        (
+            tuple(sorted(t.variable.cond.members)),
+            tuple(map(str, t.variable.values)),
+            str(t.stake),
+            t.side,
+            t.price,
+        )
+        for t in bet.terms
+    )
+
+
+# sha256 over the `extend` calls of `pinned_extension_cases`, each on a
+# fresh trace: lower, upper and each helper bet's terms in order
+# (variable, stake, side and price), or the witness terms of a base that
+# is refused, then programs and largest pivot count.  Deterministic, so
+# a change here is a change of the bounds, their helpers or the search
+PINNED_EXTENSION_RESULTS = "d45edbd6aa0c53fb53b263a1610d545c4bf1d6826a1262251dec70c1c52209ce"
+
+
+def test_the_extension_results_are_pinned():
+    digest = hashlib.sha256()
+    calls = refused = assessed = precise = conditional = 0
+    for base, targets in pinned_extension_cases():
+        for target in targets:
+            calls += 1
+            trace = lp.Trace()
+            try:
+                result = extend(base, target, trace=trace)
+            except BaseNotCoherent as refusal:
+                refused += 1
+                described = ("refused", _described_terms(refusal.witness))
+            else:
+                described = (
+                    str(result.lower),
+                    str(result.upper),
+                    _described_terms(result.lower_helpers),
+                    _described_terms(result.upper_helpers),
+                )
+                entry = base.entry_for(target)
+                assessed += entry is not None
+                precise += entry is not None and entry.is_precise
+                conditional += not target.cond.is_sure
+            digest.update(repr((described, trace.solves, trace.max_pivots)).encode())
+    # 2,100 calls: 252 refused; of the rest, 992 conditional targets,
+    # 620 assessed and 254 precise
+    assert calls >= 1000 and refused > 200 and conditional > 800
+    assert assessed > 500 and precise > 200
+    assert digest.hexdigest() == PINNED_EXTENSION_RESULTS
 
 
 def test_conjugacy_observation_on_corpus(product_rule_base):

@@ -205,6 +205,42 @@ def test_the_guard_sees_an_element_read_in_the_recheck():
     ]
 
 
+# an extension bound is certified and walked on its program's ints
+INT_PATH = ("_certified", "_closed")
+
+
+def _fraction_calls(tree: ast.Module, functions: tuple[str, ...]) -> list[str]:
+    """The calls of `Fraction`, by its name or as an attribute
+    (`fractions.Fraction(...)`), in each module-level function of
+    `functions`, by function and line."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for sub in ast.walk(node):
+                func = sub.func if isinstance(sub, ast.Call) else None
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) == "Fraction":
+                    found.append(f"{node.name} (line {sub.lineno})")
+    return found
+
+
+def test_the_extension_certificates_make_no_fraction():
+    tree = ast.parse((PACKAGE / "extensions.py").read_text())
+    assert _fraction_calls(tree, INT_PATH) == []
+
+
+def test_the_guard_sees_a_fraction_on_the_int_path():
+    source = (
+        "def _certified(search, payoff, bound):\n"
+        "    price = Fraction(bound.rel)\n"
+        "    return [fractions.Fraction(x, 2) for x in bound.helpers]\n\n"
+        "def _closed(search, payoff, rel):\n    return rel.as_integer_ratio()\n\n"
+        "def _extension(best):\n    return Fraction(best.rel)\n"
+    )
+    assert _fraction_calls(ast.parse(source), INT_PATH) == [
+        "_certified (line 2)",
+        "_certified (line 3)",
+    ]
+
 def _frozen_dataclasses(tree: ast.Module) -> list[str]:
     """The classes declared `@dataclass(frozen=True)`, by name."""
     found = []
